@@ -38,6 +38,7 @@ from .errors import (
     BandPointerError,
     ConfigError,
     DetectionError,
+    ImageFormatError,
     PoseError,
 )
 from .imaging import DistortionModel, load_image, load_pgm
@@ -160,9 +161,16 @@ class Config:
         }
 
 
-def load_config(path) -> Config:
+def _load_json(path):
     with open(path) as f:
-        return Config.from_dict(json.load(f))
+        try:
+            return json.load(f)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> Config:
+    return Config.from_dict(_load_json(path))
 
 
 def save_color_model(color_set: ColorClassSet, path) -> None:
@@ -171,8 +179,7 @@ def save_color_model(color_set: ColorClassSet, path) -> None:
 
 
 def load_color_model(path) -> ColorClassSet:
-    with open(path) as f:
-        return deserialize_color_set(json.load(f))
+    return deserialize_color_set(_load_json(path))
 
 
 @dataclass
@@ -261,6 +268,8 @@ def _classify_error(exc: BandPointerError) -> tuple[int, str]:
         return EXIT_NO_ASSOCIATION, "no-association"
     if isinstance(exc, PoseError):
         return EXIT_POSE_FAILURE, "pose-failure"
+    if isinstance(exc, ImageFormatError):
+        return EXIT_ERROR, "bad-image"
     return EXIT_ERROR, "error"
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientCalibrationDataError
+from .errors import ConfigError, InsufficientCalibrationDataError
 from .imaging import HUE_PERIOD, HueSatImage, RasterImage, rgb_to_hue_saturation
 
 LUT_BINS = 1024
@@ -136,7 +136,7 @@ def calibrate_colors(
         count = int(sel.sum())
         if count < MIN_CLASS_PIXELS:
             raise InsufficientCalibrationDataError(label, count, MIN_CLASS_PIXELS)
-        hues = hs.hue[sel]
+        hues = hs.hue_at(sel)
         inv_sv = 1.0 / np.maximum(hs.saturation[sel] * hs.value[sel], 1e-6)
         per_class.append((label, hues, inv_sv))
         inv_sv_all.append(inv_sv)
@@ -182,13 +182,13 @@ def classify_image_masked(
     roi_mask: np.ndarray | None,
 ) -> np.ndarray:
     """classify_image restricted to an optional boolean region of interest."""
-    out = np.zeros(hs.hue.shape, dtype=np.uint8)
+    out = np.zeros(hs.saturation.shape, dtype=np.uint8)
     valid = hs.hue_valid & (hs.saturation >= s_min)
     if roi_mask is not None:
         valid &= roi_mask
     if not valid.any():
         return out
-    hues = hs.hue[valid]
+    hues = hs.hue_at(valid)
     stack = np.empty((len(color_set.classes) + 1, hues.size), dtype=np.float64)
     stack[0] = color_set.background_density
     for i, (_, kde) in enumerate(color_set.classes):
@@ -211,17 +211,27 @@ def serialize_color_set(color_set: ColorClassSet) -> dict:
 
 
 def deserialize_color_set(data: dict) -> ColorClassSet:
-    if data.get("lut_bins") != LUT_BINS:
-        raise ValueError("unsupported lookup table size")
-    classes = tuple(
-        (
-            int(entry["label"]),
-            HueKde(
-                samples=np.empty(0),
-                bandwidths=np.empty(0),
-                lut=np.asarray(entry["lut"], dtype=np.float64),
-            ),
-        )
-        for entry in data["classes"]
-    )
-    return ColorClassSet(classes=classes)
+    """Inverse of serialize_color_set; ConfigError on a malformed model.
+
+    Labels must fit the uint8 label rasters, and every lookup table must
+    hold LUT_BINS finite, non-negative densities.
+    """
+    if not isinstance(data, dict) or data.get("lut_bins") != LUT_BINS:
+        raise ConfigError(f"color model needs lut_bins = {LUT_BINS}")
+    try:
+        classes = []
+        for entry in data["classes"]:
+            label = entry["label"]
+            if type(label) is not int or not 0 < label < 256:
+                raise ConfigError(f"color class label must be an int in 1..255, got {label!r}")
+            lut = np.asarray(entry["lut"], dtype=np.float64)
+            if lut.shape != (LUT_BINS,) or not np.all(np.isfinite(lut)) or np.any(lut < 0):
+                raise ConfigError(
+                    f"color class {label}: lut needs {LUT_BINS} finite non-negative entries"
+                )
+            classes.append(
+                (label, HueKde(samples=np.empty(0), bandwidths=np.empty(0), lut=lut))
+            )
+        return ColorClassSet(classes=tuple(classes))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad color model: {exc}") from exc

@@ -184,9 +184,17 @@ def detect_band_regions(
     return kept
 
 
-def _region_crosses(region: Region, line: Line2D) -> bool:
-    d = line.perp_distance(region.pixels.astype(np.float64))
-    return bool((d > 0).any() and (d < 0).any())
+def _stack_pixels(regions: list[Region]) -> tuple[np.ndarray, np.ndarray]:
+    """All region pixels as float (x, y) rows, plus each region's first row."""
+    pts = np.vstack([reg.pixels for reg in regions]).astype(np.float64)
+    starts = np.cumsum([0] + [reg.area for reg in regions[:-1]])
+    return pts, starts
+
+
+def _regions_crossed(pts: np.ndarray, starts: np.ndarray, line: Line2D) -> np.ndarray:
+    """Per region of a _stack_pixels stack: pixels lie strictly on both sides."""
+    d = line.perp_distance(pts)
+    return (np.maximum.reduceat(d, starts) > 0) & (np.minimum.reduceat(d, starts) < 0)
 
 
 def ransac_centroid_line(
@@ -201,17 +209,24 @@ def ransac_centroid_line(
     if len(regions) < 2:
         raise InsufficientRegionsError(f"{len(regions)} regions, need 2")
     centroids = np.array([r.centroid for r in regions])
+    pts, starts = _stack_pixels(regions)
     rng = np.random.default_rng(params.ransac_seed)
     best_line = None
-    best_crossing: list[int] = []
+    best_crossing = np.empty(0, dtype=np.intp)
     sampled_valid = False
+    drawn: set[tuple[int, int]] = set()
     for _ in range(params.ransac_iterations):
         i, j = rng.choice(len(regions), size=2, replace=False)
+        # a repeated draw rebuilds the same line, which cannot beat the
+        # strict best-so-far, so skipping it leaves the result unchanged
+        if (i, j) in drawn:
+            continue
+        drawn.add((i, j))
         if np.linalg.norm(centroids[i] - centroids[j]) < 1e-9:
             continue
         sampled_valid = True
         line = line_through(centroids[i], centroids[j])
-        crossing = [k for k, reg in enumerate(regions) if _region_crosses(reg, line)]
+        crossing = np.flatnonzero(_regions_crossed(pts, starts, line))
         if best_line is None or len(crossing) > len(best_crossing):
             best_line, best_crossing = line, crossing
     if not sampled_valid:
@@ -434,7 +449,8 @@ def label_edge_pairs(
     if not pairs:
         raise InsufficientEdgesError("no pairs to label")
     pairs = sorted(pairs, key=lambda ep: ep.axis_coordinate)
-    crossing = [reg for reg in regions if _region_crosses(reg, line2)]
+    crossed = _regions_crossed(*_stack_pixels(regions), line2) if regions else []
+    crossing = [reg for reg, c in zip(regions, crossed) if c]
 
     junction_lines = []
     for ep in pairs:

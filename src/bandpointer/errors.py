@@ -34,6 +34,10 @@ class ConfigError(BandPointerError):
     """Configuration file is malformed or inconsistent with other inputs."""
 
 
+class ImageFormatError(ConfigError, ValueError):
+    """An image file is not a supported 8-bit PPM/PGM (or PNG with pillow)."""
+
+
 class DetectionError(BandPointerError):
     """Base class for detection-stage failures."""
 

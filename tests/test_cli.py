@@ -248,6 +248,20 @@ class TestProbeCommand:
         assert code == EXIT_NO_ASSOCIATION
         assert "three" in err or "insufficient" in err.lower()
 
+    def test_malformed_color_model_exits_with_one_line(self, workspace, tmp_path, capsys):
+        data = json.loads(workspace["colors"].read_text())
+        data["classes"][0]["lut"] = [1.0]
+        path = tmp_path / "colors.json"
+        path.write_text(json.dumps(data))
+        code = main([
+            "--config", str(workspace["config"]),
+            "probe", "--image", str(workspace["frame"]),
+            "--color-model", str(path),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
 
 class TestTrackCommand:
     def test_identical_frames_identical_rows(self, workspace, tmp_path, capsys):
@@ -279,6 +293,24 @@ class TestTrackCommand:
         assert len(payloads) == 1
         raw_ply = (prefix.parent / "run_raw.ply").read_text()
         assert "element vertex 4" in raw_ply
+
+    def test_bad_frame_does_not_abort_batch(self, workspace, tmp_path):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        (frames_dir / "a_16bit.ppm").write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
+        (frames_dir / "b_good.ppm").write_bytes(workspace["frame"].read_bytes())
+        prefix = tmp_path / "out" / "run"
+        code = main([
+            "--config", str(workspace["config"]),
+            "track", "--frames", str(frames_dir),
+            "--color-model", str(workspace["colors"]),
+            "--out-prefix", str(prefix),
+        ])
+        assert code == EXIT_OK
+        rows = prefix.with_suffix(".csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [
+            ["a_16bit.ppm", "bad-image"], ["b_good.ppm", "ok"],
+        ]
 
     def test_outputs_byte_identical_across_runs(self, workspace, tmp_path):
         frames_dir = tmp_path / "frames"

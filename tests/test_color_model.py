@@ -10,13 +10,14 @@ from bandpointer.color_model import (
     BACKGROUND_LABEL,
     ColorClassSet,
     HueKde,
+    LUT_BINS,
     calibrate_colors,
     classify_hue,
     classify_image,
     deserialize_color_set,
     serialize_color_set,
 )
-from bandpointer.errors import InsufficientCalibrationDataError
+from bandpointer.errors import ConfigError, InsufficientCalibrationDataError
 from bandpointer.imaging import RasterImage, rgb_to_hue_saturation
 
 
@@ -63,6 +64,53 @@ class TestHueKde:
             np.testing.assert_allclose(
                 restored.kde(label).density(theta), cs.kde(label).density(theta)
             )
+
+
+def _model(**changes):
+    """Serialized two-class model with top-level or class-1 keys replaced.
+
+    A class-1 key given as None is deleted.
+    """
+    cs = ColorClassSet(classes=((1, _kde([0.1])), (2, _kde([2.0]))))
+    data = serialize_color_set(cs)
+    for key, value in changes.items():
+        if key in data:
+            data[key] = value
+        elif value is None:
+            del data["classes"][0][key]
+        else:
+            data["classes"][0][key] = value
+    return data
+
+
+class TestDeserializeValidation:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _model(lut=[1.0]),
+            _model(lut=None),
+            _model(lut=[float("nan")] * LUT_BINS),
+            _model(lut=[-1.0] * LUT_BINS),
+            _model(lut=[[0.0] * LUT_BINS]),
+            _model(label=1.5),
+            _model(label="1"),
+            _model(label=0),
+            _model(label=256),
+            _model(label=2),
+            _model(classes=_model()["classes"][:1]),
+            _model(classes=None),
+            _model(lut_bins=LUT_BINS // 2),
+            [],
+        ],
+        ids=[
+            "short-lut", "missing-lut", "nan-lut", "negative-lut", "2d-lut",
+            "float-label", "str-label", "background-label", "wide-label",
+            "duplicate-label", "one-class", "no-classes", "lut-bins", "not-a-dict",
+        ],
+    )
+    def test_malformed_model_is_config_error(self, data):
+        with pytest.raises(ConfigError):
+            deserialize_color_set(data)
 
 
 class TestClassifyHue:

@@ -31,7 +31,7 @@ from bandpointer.errors import (
     InsufficientRegionsError,
     PointerNotFoundError,
 )
-from bandpointer.geometry import Line2D
+from bandpointer.geometry import Line2D, line_through
 from bandpointer.imaging import RasterImage, Region, rgb_to_hue_saturation
 
 
@@ -103,7 +103,50 @@ def region_from_rect(x0, y0, w, h, label=RED):
     )
 
 
+def _ransac_reference(regions, params):
+    """Per-region loop form of ransac_centroid_line: same draws, same rule."""
+    def crosses(reg, line):
+        d = line.perp_distance(reg.pixels.astype(np.float64))
+        return bool((d > 0).any() and (d < 0).any())
+
+    centroids = np.array([r.centroid for r in regions])
+    rng = np.random.default_rng(params.ransac_seed)
+    best_line, best_crossing = None, []
+    for _ in range(params.ransac_iterations):
+        i, j = rng.choice(len(regions), size=2, replace=False)
+        if np.linalg.norm(centroids[i] - centroids[j]) < 1e-9:
+            continue
+        line = line_through(centroids[i], centroids[j])
+        crossing = [k for k, reg in enumerate(regions) if crosses(reg, line)]
+        if best_line is None or len(crossing) > len(best_crossing):
+            best_line, best_crossing = line, crossing
+    dist = best_line.perp_distance(centroids)
+    if len(best_crossing) >= 2:
+        sigma = float(np.sqrt(np.mean(dist[best_crossing] ** 2)))
+    else:
+        sigma = float(params.r2)
+    keep = np.abs(dist) <= params.line_inlier_sigmas * max(sigma, 0.5)
+    return best_line, [reg for reg, k in zip(regions, keep) if k]
+
+
 class TestRansacCentroidLine:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_region_reference(self, params, seed):
+        rng = np.random.default_rng(seed)
+        regions = []
+        for _ in range(rng.integers(2, 14)):
+            x0, y0 = rng.integers(0, 120, 2)
+            w, h = rng.integers(1, 12, 2)
+            keep = rng.random(w * h) < 0.8
+            keep[0] = True  # irregular but never empty
+            reg = region_from_rect(x0, y0, w, h)
+            regions.append(Region(pixels=reg.pixels[keep], label=RED))
+        line, keep = ransac_centroid_line(regions, params)
+        ref_line, ref_keep = _ransac_reference(regions, params)
+        assert np.array_equal(line.point, ref_line.point)
+        assert np.array_equal(line.direction, ref_line.direction)
+        assert [id(r) for r in keep] == [id(r) for r in ref_keep]
+
     def test_two_regions_both_returned(self, params):
         regions = [region_from_rect(0, 0, 8, 6), region_from_rect(30, 2, 8, 6)]
         line, keep = ransac_centroid_line(regions, params)

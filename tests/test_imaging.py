@@ -1,11 +1,13 @@
 """Tests for raster types and low-level image operations."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandpointer.errors import InvalidKernelError, NumericError
+from bandpointer.errors import ImageFormatError, InvalidKernelError, NumericError
 from bandpointer.imaging import (
     BinaryImage,
     DistortionModel,
@@ -14,6 +16,7 @@ from bandpointer.imaging import (
     convolve_unit_sum,
     distort_points,
     erode_disk,
+    load_image,
     load_pgm,
     load_ppm,
     rgb_to_hue_saturation,
@@ -74,6 +77,57 @@ class TestHueSaturation:
             return
         expected = np.mod(base.hue[0, 0] + 2 * np.pi / 3, 2 * np.pi)
         assert rotated.hue[0, 0] == pytest.approx(expected, abs=1e-9)
+
+
+def _whole_frame_hue_oracle(px):
+    """Reference: the hexcone hue computed for every pixel at once."""
+    r, g, b = px[..., 0], px[..., 1], px[..., 2]
+    cmax = px.max(axis=2)
+    delta = cmax - px.min(axis=2)
+    valid = delta > 0.0
+    safe = np.where(valid, delta, 1.0)
+    h6 = np.zeros_like(cmax)
+    rmax = valid & (cmax == r)
+    gmax = valid & ~rmax & (cmax == g)
+    bmax = valid & ~rmax & ~gmax
+    h6 = np.where(rmax, (g - b) / safe, h6)
+    h6 = np.where(gmax, (b - r) / safe + 2.0, h6)
+    h6 = np.where(bmax, (r - g) / safe + 4.0, h6)
+    hue = np.mod(h6, 6.0) * (np.pi / 3.0)
+    return np.where(hue >= 2 * np.pi, 0.0, hue)
+
+
+_unit = st.floats(0, 1, allow_nan=False)
+_pixel = st.one_of(
+    _unit.map(lambda v: (v, v, v)),  # gray
+    st.just((0.0, 0.0, 0.0)),  # black
+    st.permutations([0.0, 1.0, 0.5]).map(tuple),  # saturated
+    st.tuples(_unit, _unit).map(lambda t: (max(t), max(t), min(t))),  # r = g = max
+    st.tuples(_unit, _unit).map(lambda t: (min(t), max(t), max(t))),  # g = b = max
+    st.tuples(_unit, _unit, _unit),
+)
+
+
+@st.composite
+def _image_and_mask(draw):
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    px = draw(st.lists(_pixel, min_size=h * w, max_size=h * w))
+    mask = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    return np.array(px, dtype=np.float64).reshape(h, w, 3), np.array(mask).reshape(h, w)
+
+
+class TestHueAt:
+    @given(_image_and_mask())
+    @settings(max_examples=300, deadline=None)
+    def test_masked_hue_equals_whole_frame_formula(self, case):
+        px, mask = case
+        hs = rgb_to_hue_saturation(RasterImage(px))
+        oracle = _whole_frame_hue_oracle(px)
+        assert np.array_equal(hs.hue, oracle)
+        assert np.array_equal(hs.hue_at(mask), hs.hue[mask])
+        assert np.array_equal(hs.hue_at(mask), oracle[mask])
+        assert np.array_equal(hs.value, px.max(axis=2))
+        assert np.array_equal(hs.hue_valid, px.max(axis=2) > px.min(axis=2))
 
 
 def _brute_force_erode(bits: np.ndarray, radius: int) -> np.ndarray:
@@ -298,6 +352,31 @@ class TestImageIO:
         path = tmp_path / "mask.pgm"
         save_pgm(mask, path)
         np.testing.assert_array_equal(load_pgm(path), mask)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"P5\n2 2\n255\n" + bytes(4),  # wrong magic
+            b"P6\n2 2\n65535\n" + bytes(24),  # 16-bit samples
+            b"P6\n2 2\n255\n" + bytes(11),  # truncated payload
+            b"P6\n2 x\n255\n" + bytes(12),  # unparsable header token
+            b"P6\n2 2\n",  # header cut short
+            b"P6\n0 2\n255\n",  # empty image
+        ],
+        ids=["magic", "maxval", "truncated", "token", "short-header", "empty"],
+    )
+    def test_malformed_ppm_is_image_format_error(self, tmp_path, payload):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(payload)
+        with pytest.raises(ImageFormatError):
+            load_image(path)
+
+    def test_png_without_pillow_is_image_format_error(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "PIL", None)
+        path = tmp_path / "frame.png"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n")
+        with pytest.raises(ImageFormatError, match="pillow"):
+            load_image(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ppm"
