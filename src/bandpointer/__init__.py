@@ -15,7 +15,6 @@ from .color_model import (
     HueKde,
     calibrate_colors,
     classify_hue,
-    classify_image,
 )
 from .detection import (
     DetectionParams,
@@ -69,7 +68,6 @@ __all__ = [
     "associate_ransac",
     "calibrate_colors",
     "classify_hue",
-    "classify_image",
     "detect_pointer",
     "estimate_pose",
     "fit_homography_1d",

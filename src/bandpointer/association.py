@@ -114,12 +114,6 @@ class PointerSpec:
         idx = int(np.searchsorted(self.distances_mm, s, side="right"))
         return self.band_labels[idx]
 
-    def radius_at(self, s: float) -> float:
-        """Linearly interpolated radius, held flat beyond the end edges."""
-        b = self.distances_mm
-        w = self.radii_mm
-        return float(np.interp(s, b, w))
-
 
 @dataclass(frozen=True)
 class Homography1D:

@@ -13,7 +13,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -64,7 +65,6 @@ class Config:
     detection: DetectionParams
     color_names: dict[str, int]  # name -> class id
     band_names: list[Optional[str]]
-    edge_diameters_mm: list[float]
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
@@ -122,7 +122,6 @@ class Config:
             detection=params,
             color_names=colors,
             band_names=band_names,
-            edge_diameters_mm=diameters,
         )
 
     def to_dict(self) -> dict:
@@ -141,23 +140,12 @@ class Config:
             "pointer": {
                 "total_length_mm": self.pointer.total_length_mm,
                 "edge_distances_mm": [e.distance_mm for e in self.pointer.edges],
-                "edge_diameters_mm": list(self.edge_diameters_mm),
+                # exact: from_dict halves the diameters
+                "edge_diameters_mm": [2.0 * e.radius_mm for e in self.pointer.edges],
                 "band_colors": list(self.band_names),
             },
             "colors": dict(self.color_names),
-            "detection": {
-                "s1": self.detection.s1,
-                "s2": self.detection.s2,
-                "r1": self.detection.r1,
-                "r2": self.detection.r2,
-                "major_expand": self.detection.major_expand,
-                "minor_expand": self.detection.minor_expand,
-                "binarize_threshold": self.detection.binarize_threshold,
-                "line_inlier_sigmas": self.detection.line_inlier_sigmas,
-                "pair_separation_sigmas": self.detection.pair_separation_sigmas,
-                "ransac_iterations": self.detection.ransac_iterations,
-                "ransac_seed": self.detection.ransac_seed,
-            },
+            "detection": asdict(self.detection),
         }
 
 
@@ -338,10 +326,6 @@ def _track_one(frame_path: str, config: Config, colors: ColorClassSet):
     return (frame_path, "ok", estimate)
 
 
-def _track_one_star(packed):
-    return _track_one(*packed)
-
-
 def cmd_track(args) -> int:
     config = load_config(args.config)
     colors = load_color_model(args.color_model)
@@ -357,7 +341,7 @@ def cmd_track(args) -> int:
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(
-                pool.map(_track_one_star, [(f, config, colors) for f in frames])
+                pool.map(_track_one, frames, repeat(config), repeat(colors))
             )
     else:
         results = [_track_one(f, config, colors) for f in frames]
@@ -427,22 +411,18 @@ def evaluate_sweep(
         label: (0.5, 0.5, 0.5) for label in config.color_names.values()
     }
     template = synthetic.SceneSpec(
-        pose=None,  # type: ignore[arg-type]
+        pose=None,  # type: ignore[arg-type]  # replaced by sweep()
         spec=config.pointer,
         band_colors=palette,
     )
-    # template pose gets replaced per cell
-    cells = []
-    for depth in depths_mm:
-        for angle in angles_deg:
-            cells.append((float(depth), float(angle)))
+    cells = synthetic.sweep(
+        depths_mm, angles_deg, template, config.camera, roll_deg=roll_deg
+    )
 
     records = []
-    for cell_idx, (depth, angle) in enumerate(cells):
+    for cell_idx, cell in enumerate(cells):
         rng = np.random.default_rng(seed + cell_idx)
-        pose = _sweep_pose(depth, angle, roll_deg, config)
-        scene = replace(template, pose=pose)
-        gt = synthetic.ground_truth(scene, config.camera, config.image_size)
+        gt = synthetic.ground_truth(cell.scene, config.camera, config.image_size)
         tips = []
         failures = 0
         for _ in range(max(trials, 1)):
@@ -462,8 +442,8 @@ def evaluate_sweep(
             except BandPointerError:
                 failures += 1
         record = {
-            "depth_mm": depth,
-            "angle_deg": angle,
+            "depth_mm": float(cell.depth_mm),
+            "angle_deg": float(cell.angle_deg),
             "trials": max(trials, 1),
             "failures": failures,
             "rms_tip_error_mm": float("nan"),
@@ -471,7 +451,7 @@ def evaluate_sweep(
         }
         if tips:
             tips_arr = np.array(tips)
-            err = tips_arr - pose.tip
+            err = tips_arr - cell.scene.pose.tip
             record["rms_tip_error_mm"] = float(
                 np.sqrt(np.mean(np.sum(err**2, axis=1)))
             )
@@ -483,38 +463,24 @@ def evaluate_sweep(
     return records
 
 
-def _sweep_pose(depth, angle, roll_deg, config: Config):
-    from .pose import PointerPose
-
-    camera = config.camera
-    axis = camera.R.T @ np.array([0.0, 0.0, 1.0])
-    side = camera.R.T @ np.array([1.0, 0.0, 0.0])
-    up = camera.R.T @ np.array([0.0, 1.0, 0.0])
-    alpha = np.deg2rad(angle)
-    roll = np.deg2rad(roll_deg)
-    d = (
-        np.cos(alpha) * np.cos(roll) * side
-        + np.cos(alpha) * np.sin(roll) * up
-        + np.sin(alpha) * axis
-    )
-    mid = camera.center + depth * axis
-    tip = mid - 0.5 * config.pointer.total_length_mm * d
-    return PointerPose(tip=tip, direction=d)
-
-
 def cmd_eval(args) -> int:
     config = load_config(args.config)
-    with open(args.sweep) as f:
-        sweep_spec = json.load(f)
-    records = evaluate_sweep(
-        config,
-        depths_mm=sweep_spec["depths_mm"],
-        angles_deg=sweep_spec["angles_deg"],
-        trials=int(sweep_spec.get("trials", 1)),
-        noise_px=float(sweep_spec.get("noise_px", 0.0)),
-        seed=int(sweep_spec.get("seed", args.seed)),
-        roll_deg=float(sweep_spec.get("roll_deg", 4.0)),
-    )
+    sweep_spec = _load_json(args.sweep)
+    try:
+        depths, angles = sweep_spec["depths_mm"], sweep_spec["angles_deg"]
+        if not (isinstance(depths, list) and isinstance(angles, list) and depths and angles):
+            raise ValueError("depths_mm and angles_deg must be non-empty lists")
+        grid = dict(
+            depths_mm=[float(v) for v in depths],
+            angles_deg=[float(v) for v in angles],
+            trials=int(sweep_spec.get("trials", 1)),
+            noise_px=float(sweep_spec.get("noise_px", 0.0)),
+            seed=int(sweep_spec.get("seed", args.seed)),
+            roll_deg=float(sweep_spec.get("roll_deg", 4.0)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep spec {args.sweep}: {exc}") from exc
+    records = evaluate_sweep(config, **grid)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as f:

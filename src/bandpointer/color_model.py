@@ -155,48 +155,37 @@ def calibrate_colors(
     return ColorClassSet(classes=tuple(classes))
 
 
-def classify_hue(color_set: ColorClassSet, theta: float) -> int:
-    """Class label with the highest density at the hue, or 0 for background.
+def classify_hue(color_set: ColorClassSet, hues: np.ndarray) -> np.ndarray:
+    """Per hue: the label of the densest class, or 0 for background.
 
     Ties between classes resolve to the lower label; a tie with the
     background resolves to the background.
     """
-    densities = np.array([kde.density(theta) for _, kde in color_set.classes])
-    best = int(np.argmax(densities))
-    if densities[best] <= color_set.background_density:
-        return BACKGROUND_LABEL
-    return color_set.classes[best][0]
-
-
-def classify_image(
-    color_set: ColorClassSet, hs: HueSatImage, s_min: float
-) -> np.ndarray:
-    """Label raster for a whole image; 0 where saturation gates a pixel out."""
-    return classify_image_masked(color_set, hs, s_min, None)
+    hues = np.asarray(hues, dtype=np.float64)
+    stack = np.empty((len(color_set.classes) + 1,) + hues.shape, dtype=np.float64)
+    stack[0] = color_set.background_density
+    for i, (_, kde) in enumerate(color_set.classes):
+        stack[i + 1] = kde.density(hues)
+    # background first and classes by label, so argmax's first-maximum
+    # rule implements both tie breaks
+    labels = np.array([BACKGROUND_LABEL] + color_set.labels, dtype=np.uint8)
+    return labels[stack.argmax(axis=0)]
 
 
 def classify_image_masked(
     color_set: ColorClassSet,
     hs: HueSatImage,
     s_min: float,
-    roi_mask: np.ndarray | None,
+    roi_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """classify_image restricted to an optional boolean region of interest."""
+    """Label raster: classify_hue where the hue is defined, the saturation
+    reaches s_min and the optional boolean roi_mask holds; 0 elsewhere."""
     out = np.zeros(hs.saturation.shape, dtype=np.uint8)
     valid = hs.hue_valid & (hs.saturation >= s_min)
     if roi_mask is not None:
         valid &= roi_mask
-    if not valid.any():
-        return out
-    hues = hs.hue_at(valid)
-    stack = np.empty((len(color_set.classes) + 1, hues.size), dtype=np.float64)
-    stack[0] = color_set.background_density
-    for i, (_, kde) in enumerate(color_set.classes):
-        stack[i + 1] = kde.density(hues)
-    # background first so argmax prefers it on exact ties
-    pick = stack.argmax(axis=0)
-    labels = np.array([BACKGROUND_LABEL] + color_set.labels, dtype=np.uint8)
-    out[valid] = labels[pick]
+    if valid.any():
+        out[valid] = classify_hue(color_set, hs.hue_at(valid))
     return out
 
 

@@ -9,7 +9,7 @@ kernel and reduced to sub-pixel contour point pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import ndimage
@@ -60,9 +60,6 @@ class DetectionParams:
         if not (0 < self.r2 < self.r1):
             raise ValueError("need 0 < r2 < r1")
 
-    def adjacency_distance(self, radius: int) -> float:
-        return 2.0 * radius + 4.0
-
     @property
     def edge_halo(self) -> int:
         return 2 * self.r2 + 1
@@ -103,26 +100,25 @@ class DetectionResult:
     pass2_regions: list[Region] = field(default_factory=list)
 
 
-def _region_crop(regions: Iterable[Region], margin: int, size: tuple[int, int]):
-    """Common crop window (x0, y0, w, h) covering all region pixels."""
+def _distance_maps(
+    regions: list[Region], margin: int, size: tuple[int, int]
+) -> tuple[tuple[int, int, int, int], dict[int, np.ndarray]]:
+    """Crop (x0, y0, w, h) covering all region pixels plus the margin, and
+    per label the crop's distance to the nearest pixel of that label."""
     width, height = size
     all_px = np.vstack([r.pixels for r in regions])
     x0 = max(int(all_px[:, 0].min()) - margin, 0)
     y0 = max(int(all_px[:, 1].min()) - margin, 0)
     x1 = min(int(all_px[:, 0].max()) + margin + 1, width)
     y1 = min(int(all_px[:, 1].max()) + margin + 1, height)
-    return x0, y0, x1 - x0, y1 - y0
-
-
-def _label_masks(
-    regions: Iterable[Region], crop: tuple[int, int, int, int]
-) -> dict[int, np.ndarray]:
-    x0, y0, w, h = crop
     masks: dict[int, np.ndarray] = {}
     for reg in regions:
-        mask = masks.setdefault(reg.label, np.zeros((h, w), dtype=bool))
+        mask = masks.setdefault(reg.label, np.zeros((y1 - y0, x1 - x0), dtype=bool))
         mask[reg.pixels[:, 1] - y0, reg.pixels[:, 0] - x0] = True
-    return masks
+    dist_to = {
+        label: ndimage.distance_transform_edt(~mask) for label, mask in masks.items()
+    }
+    return (x0, y0, x1 - x0, y1 - y0), dist_to
 
 
 def detect_band_regions(
@@ -154,13 +150,7 @@ def detect_band_regions(
         return []
 
     w_adj = 2 * r + 4
-    crop = _region_crop(regions, w_adj + 2, (hs.width, hs.height))
-    x0, y0, _, _ = crop
-    masks = _label_masks(regions, crop)
-    dist_to = {
-        label: ndimage.distance_transform_edt(~mask)
-        for label, mask in masks.items()
-    }
+    (x0, y0, _, _), dist_to = _distance_maps(regions, w_adj + 2, (hs.width, hs.height))
 
     neighbors: dict[int, set[int]] = {}
     for pair in spec_adjacency:
@@ -297,13 +287,9 @@ def _junction_images(
 ) -> JunctionImages:
     e = params.edge_halo
     margin = e + int(np.ceil(3.0 * params.sigma_d)) + 2
-    crop = _region_crop(regions, margin, image_size)
-    masks = _label_masks(regions, crop)
-    dist_to = {
-        label: ndimage.distance_transform_edt(~mask)
-        for label, mask in masks.items()
-    }
-    halo = np.zeros(masks[next(iter(masks))].shape, dtype=bool)
+    crop, dist_to = _distance_maps(regions, margin, image_size)
+    _, _, w, h = crop
+    halo = np.zeros((h, w), dtype=bool)
     for pair in spec_adjacency:
         a, b = tuple(pair)
         if a in dist_to and b in dist_to:

@@ -66,7 +66,8 @@ class NoEdgesError(DetectionError):
 
 
 class InsufficientEdgesError(DetectionError):
-    """Fewer than two contour point pairs survived filtering."""
+    """Fewer than two contour point pairs survived filtering (or, in the
+    synthetic ground truth, are in view)."""
 
 
 class AssociationError(BandPointerError):

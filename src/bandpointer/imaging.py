@@ -297,8 +297,7 @@ def undistort_points(pts: np.ndarray, model: DistortionModel) -> np.ndarray:
 
 def load_ppm(path) -> RasterImage:
     """Read a binary PPM (P6, maxval 255)."""
-    data, maxval, channels = _read_pnm(path, b"P6")
-    return RasterImage.from_bytes(data)
+    return RasterImage.from_bytes(_read_pnm(path, b"P6"))
 
 
 def save_ppm(img: RasterImage, path) -> None:
@@ -310,8 +309,7 @@ def save_ppm(img: RasterImage, path) -> None:
 
 def load_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5, maxval 255) as a uint8 label raster."""
-    data, maxval, channels = _read_pnm(path, b"P5")
-    return data
+    return _read_pnm(path, b"P5")
 
 
 def save_pgm(raster: np.ndarray, path) -> None:
@@ -336,7 +334,8 @@ def load_image(path) -> RasterImage:
     return load_ppm(spath)
 
 
-def _read_pnm(path, magic: bytes):
+def _read_pnm(path, magic: bytes) -> np.ndarray:
+    """uint8 pixels of a binary PNM: (h, w, 3) for P6, (h, w) for P5."""
     with open(path, "rb") as f:
         raw = f.read()
     if not raw.startswith(magic):
@@ -373,7 +372,5 @@ def _read_pnm(path, magic: bytes):
         raise ImageFormatError(f"truncated {magic.decode()} payload in {path}")
     data = np.frombuffer(body, dtype=np.uint8)
     if channels == 3:
-        data = data.reshape(height, width, 3)
-    else:
-        data = data.reshape(height, width)
-    return data, maxval, channels
+        return data.reshape(height, width, 3)
+    return data.reshape(height, width)

@@ -22,7 +22,7 @@ from .errors import (
     PoseError,
     PoseFailureError,
 )
-from .imaging import DistortionModel, undistort_points
+from .imaging import DistortionModel, distort_points, undistort_points
 
 if TYPE_CHECKING:
     from .detection import DetectionResult
@@ -81,6 +81,12 @@ class CameraModel:
         if self.distortion is None or self.distortion.is_identity():
             return np.atleast_2d(np.asarray(pts, dtype=np.float64)).copy()
         return undistort_points(pts, self.distortion)
+
+    def distort(self, pts: np.ndarray) -> np.ndarray:
+        """Inverse of undistort: ideal to raw image pixels."""
+        if self.distortion is None or self.distortion.is_identity():
+            return np.atleast_2d(np.asarray(pts, dtype=np.float64)).copy()
+        return distort_points(pts, self.distortion)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from scipy import ndimage
 
 from .association import PointerSpec
 from .detection import DetectionResult, EdgePointPair
-from .errors import BehindCameraError, DegenerateGeometryError
+from .errors import BehindCameraError, DegenerateGeometryError, InsufficientEdgesError
 from .geometry import fit_line_tls
-from .imaging import RasterImage, distort_points, undistort_points
+from .imaging import RasterImage
 from .pose import CameraModel, PointerPose
 
 SUPERSAMPLE = 4
@@ -144,8 +144,7 @@ def ground_truth(
             axis_pt + edge.radius_mm * normal,
         ])
         uv = _project_p(p_mat, pts)
-        if camera.distortion is not None and not camera.distortion.is_identity():
-            uv = distort_points(uv, camera.distortion)
+        uv = camera.distort(uv)
         inside = bool(
             np.all(uv[:, 0] >= 0)
             and np.all(uv[:, 0] <= width - 1)
@@ -181,8 +180,7 @@ def _roi(gt: GroundTruth, scene: SceneSpec, camera: CameraModel, size) -> tuple[
     for s in (0.0, scene.spec.total_length_mm):
         axis_pt = scene.pose.tip + s * scene.pose.direction
         uv = _project_p(p_mat, axis_pt[None, :])
-        if camera.distortion is not None and not camera.distortion.is_identity():
-            uv = distort_points(uv, camera.distortion)
+        uv = camera.distort(uv)
         pts.append(uv[0])
     for d in scene.distractors:
         c = np.asarray(d.center, dtype=np.float64)
@@ -208,8 +206,7 @@ def _subpixel_rays(camera: CameraModel, px0, py0, px1, py1):
     ys = py0 + (np.arange((py1 - py0) * ss) + 0.5) / ss - 0.5
     px, py = np.meshgrid(xs, ys)
     flat = np.column_stack([px.ravel(), py.ravel()])
-    if camera.distortion is not None and not camera.distortion.is_identity():
-        flat = undistort_points(flat, camera.distortion)
+    flat = camera.undistort(flat)
     k_inv = np.linalg.inv(camera.K)
     hom = np.column_stack([flat, np.ones(len(flat))]) @ k_inv.T
     dirs = hom @ camera.R  # R^T applied to rows
@@ -231,8 +228,7 @@ def _station_uv(scene: SceneSpec, camera: CameraModel):
         pts.append(axis_pt - r * normal)
         pts.append(axis_pt + r * normal)
     uv = _project_p(p_mat, np.vstack(pts))
-    if camera.distortion is not None and not camera.distortion.is_identity():
-        uv = distort_points(uv, camera.distortion)
+    uv = camera.distort(uv)
     return s_list, r_list, uv.reshape(len(s_list), 2, 2)
 
 
@@ -487,7 +483,9 @@ def ground_truth_detection(
     """
     visible = gt.visible_edges()
     if len(visible) < 2:
-        raise ValueError("need at least two visible edges")
+        raise InsufficientEdgesError(
+            f"{len(visible)} visible edges, need at least two"
+        )
     pts = []
     for e in visible:
         pa, pb = e.p_a.copy(), e.p_b.copy()
@@ -521,80 +519,35 @@ def ground_truth_detection(
     return DetectionResult(edges=edges, line=line)
 
 
-def scene_to_dict(scene: SceneSpec) -> dict:
-    """JSON-ready scene description (pointer measurements live in the
-    CLI config; this carries the pose and appearance)."""
-    return {
-        "tip_mm": [float(v) for v in scene.pose.tip],
-        "direction": [float(v) for v in scene.pose.direction],
-        "band_colors": {
-            str(label): list(rgb) for label, rgb in scene.band_colors.items()
-        },
-        "background": list(scene.background),
-        "bare_color": list(scene.bare_color),
-        "occluder_color": list(scene.occluder_color),
-        "blur_sigma": scene.blur_sigma,
-        "noise_sigma": scene.noise_sigma,
-        "noise_seed": scene.noise_seed,
-        "highlights": [
-            {
-                "start_mm": h.start_mm,
-                "end_mm": h.end_mm,
-                "desaturation": h.desaturation,
-                "side_fraction": list(h.side_fraction) if h.side_fraction else None,
-            }
-            for h in scene.highlights
-        ],
-        "occluders": [
-            {"x0": o.x0, "y0": o.y0, "x1": o.x1, "y1": o.y1}
-            for o in scene.occluders
-        ],
-        "distractors": [
-            {"center": list(d.center), "radius_px": d.radius_px, "color": list(d.color)}
-            for d in scene.distractors
-        ],
-    }
-
-
-def scene_from_dict(data: dict, spec: PointerSpec) -> SceneSpec:
-    pose = PointerPose(tip=data["tip_mm"], direction=data["direction"])
-    return SceneSpec(
-        pose=pose,
-        spec=spec,
-        band_colors={
-            int(label): tuple(rgb) for label, rgb in data["band_colors"].items()
-        },
-        background=tuple(data.get("background", (0.45, 0.45, 0.47))),
-        bare_color=tuple(data.get("bare_color", (0.52, 0.48, 0.42))),
-        occluder_color=tuple(data.get("occluder_color", (0.35, 0.35, 0.35))),
-        blur_sigma=float(data.get("blur_sigma", 0.0)),
-        noise_sigma=float(data.get("noise_sigma", 0.0)),
-        noise_seed=int(data.get("noise_seed", 0)),
-        highlights=tuple(
-            HighlightStripe(
-                start_mm=h["start_mm"],
-                end_mm=h["end_mm"],
-                desaturation=h["desaturation"],
-                side_fraction=tuple(h["side_fraction"]) if h.get("side_fraction") else None,
-            )
-            for h in data.get("highlights", [])
-        ),
-        occluders=tuple(
-            Occluder(o["x0"], o["y0"], o["x1"], o["y1"])
-            for o in data.get("occluders", [])
-        ),
-        distractors=tuple(
-            Distractor(tuple(d["center"]), d["radius_px"], tuple(d["color"]))
-            for d in data.get("distractors", [])
-        ),
-    )
-
-
 @dataclass(frozen=True)
 class SweepCell:
     depth_mm: float
     angle_deg: float
     scene: SceneSpec
+
+
+def pose_on_axis(
+    depth_mm: float,
+    angle_deg: float,
+    camera: CameraModel,
+    spec: PointerSpec,
+    roll_deg: float = 0.0,
+) -> PointerPose:
+    """Pointer midpoint on the optical axis at the given depth, tilted
+    toward depth by angle_deg and rolled about the axis by roll_deg."""
+    axis = camera.R.T @ np.array([0.0, 0.0, 1.0])
+    side = camera.R.T @ np.array([1.0, 0.0, 0.0])
+    up = camera.R.T @ np.array([0.0, 1.0, 0.0])
+    alpha = np.deg2rad(angle_deg)
+    roll = np.deg2rad(roll_deg)
+    d = (
+        np.cos(alpha) * np.cos(roll) * side
+        + np.cos(alpha) * np.sin(roll) * up
+        + np.sin(alpha) * axis
+    )
+    mid = camera.center + depth_mm * axis
+    tip = mid - 0.5 * spec.total_length_mm * d
+    return PointerPose(tip=tip, direction=d)
 
 
 def sweep(
@@ -603,40 +556,17 @@ def sweep(
     template: SceneSpec,
     camera: CameraModel,
     roll_deg: float = 0.0,
-    lateral_jitter_mm: float = 0.0,
-    seed: int = 0,
 ) -> list[SweepCell]:
-    """One scene per grid cell: the pointer midpoint sits on the optical
-    axis at the cell depth, tilted toward depth by the cell angle."""
+    """One scene per grid cell (depth-major), posed by pose_on_axis; cell
+    k adds k to the template's noise seed."""
     if len(depths_mm) == 0 or len(angles_deg) == 0:
         raise ValueError("sweep grid must be non-empty")
-    rng = np.random.default_rng(seed)
-    axis_dir = camera.R.T @ np.array([0.0, 0.0, 1.0])
-    up_dir = camera.R.T @ np.array([0.0, 1.0, 0.0])
-    side_dir = camera.R.T @ np.array([1.0, 0.0, 0.0])
-    half = template.spec.total_length_mm / 2.0
-    roll = np.deg2rad(roll_deg)
-
     cells = []
-    for ci, depth in enumerate(depths_mm):
-        for cj, angle in enumerate(angles_deg):
-            alpha = np.deg2rad(angle)
-            d = (
-                np.cos(alpha) * np.cos(roll) * side_dir
-                + np.cos(alpha) * np.sin(roll) * up_dir
-                + np.sin(alpha) * axis_dir
-            )
-            mid = camera.center + depth * axis_dir
-            if lateral_jitter_mm > 0:
-                mid = mid + rng.uniform(
-                    -lateral_jitter_mm, lateral_jitter_mm, 2
-                ) @ np.vstack([side_dir, up_dir])
-            tip = mid - half * d
-            pose = PointerPose(tip=tip, direction=d)
+    for depth in depths_mm:
+        for angle in angles_deg:
+            pose = pose_on_axis(depth, angle, camera, template.spec, roll_deg)
             scene = replace(
-                template,
-                pose=pose,
-                noise_seed=template.noise_seed + ci * len(angles_deg) + cj,
+                template, pose=pose, noise_seed=template.noise_seed + len(cells)
             )
             cells.append(SweepCell(depth_mm=depth, angle_deg=angle, scene=scene))
     return cells

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bandpointer import synthetic
 from bandpointer.association import (
     Correspondence,
     PointerEdge,
@@ -11,7 +12,7 @@ from bandpointer.association import (
 )
 from bandpointer.detection import DetectionResult, EdgePointPair
 from bandpointer.geometry import fit_line_tls
-from bandpointer.pose import CameraModel, PointerPose, project_pointer_edges
+from bandpointer.pose import CameraModel, project_pointer_edges
 
 RED, GREEN, BLUE = 1, 2, 3
 
@@ -120,7 +121,6 @@ def quad_spec():
 
 def make_calibrated_colors(spec, camera, size, depth_mm=350.0):
     """Color model from a rendered, blurred calibration image + exact mask."""
-    from bandpointer import synthetic
     from bandpointer.color_model import calibrate_colors
 
     pose = pose_at(depth_mm, 5.0, camera, spec, roll_deg=3.0)
@@ -144,21 +144,8 @@ def full_colors(skewer_spec, camera_full):
     )
 
 
-def pose_at(depth_mm, angle_deg, camera, spec, roll_deg=0.0, offset_mm=(0.0, 0.0)):
-    """Pointer midpoint on the optical axis at the given depth and tilt."""
-    axis = camera.R.T @ np.array([0.0, 0.0, 1.0])
-    side = camera.R.T @ np.array([1.0, 0.0, 0.0])
-    up = camera.R.T @ np.array([0.0, 1.0, 0.0])
-    alpha = np.deg2rad(angle_deg)
-    roll = np.deg2rad(roll_deg)
-    d = (
-        np.cos(alpha) * np.cos(roll) * side
-        + np.cos(alpha) * np.sin(roll) * up
-        + np.sin(alpha) * axis
-    )
-    mid = camera.center + depth_mm * axis + offset_mm[0] * side + offset_mm[1] * up
-    tip = mid - 0.5 * spec.total_length_mm * d
-    return PointerPose(tip=tip, direction=d)
+# pointer midpoint on the optical axis at a depth and tilt
+pose_at = synthetic.pose_on_axis
 
 
 def detection_from_pose(

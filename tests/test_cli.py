@@ -408,6 +408,50 @@ class TestEvalCommand:
         header = outs[0].decode().splitlines()[0]
         assert header.startswith("depth_mm,angle_deg,trials,failures")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"angles_deg": [0.0]}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": "x"}),
+            json.dumps([330.0, 0.0]),
+            "{not json",
+            json.dumps({"depths_mm": [], "angles_deg": [0.0]}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": []}),
+            json.dumps({"depths_mm": "330", "angles_deg": [0.0]}),
+        ],
+        ids=[
+            "no-depths-key", "str-trials", "json-list", "not-json", "no-depths",
+            "no-angles", "str-depths",
+        ],
+    )
+    def test_malformed_sweep_spec_exits_with_one_line(
+        self, workspace, tmp_path, capsys, text
+    ):
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(text)
+        out_path = tmp_path / "report.csv"
+        code = main([
+            "--config", str(workspace["config"]),
+            "eval", "--sweep", str(sweep_path), "--out", str(out_path),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out_path.exists()
+
+    def test_unseeable_cell_counts_as_failures(self):
+        # at 40 mm the 100 mm pointer overfills the 612 px frame, leaving
+        # fewer than two junctions in view
+        config = Config.from_dict(make_config_dict())
+        near, far = evaluate_sweep(
+            config, depths_mm=[40.0, 300.0], angles_deg=[0.0],
+            trials=3, noise_px=0.0, seed=0,
+        )
+        assert near["failures"] == near["trials"] == 3
+        assert np.isnan(near["rms_tip_error_mm"])
+        assert far["failures"] == 0
+        assert far["rms_tip_error_mm"] < 0.01
+
 
 class TestFilterPointCloud:
     def make_cloud(self, points):

@@ -13,7 +13,7 @@ from bandpointer.color_model import (
     LUT_BINS,
     calibrate_colors,
     classify_hue,
-    classify_image,
+    classify_image_masked,
     deserialize_color_set,
     serialize_color_set,
 )
@@ -117,16 +117,16 @@ class TestClassifyHue:
     def test_background_wins_when_all_densities_low(self):
         # two distant narrow kdes evaluated far from both modes
         cs = ColorClassSet(classes=((1, _kde([0.0], 0.05)), (2, _kde([2.0], 0.05))))
-        assert classify_hue(cs, 1.0) == BACKGROUND_LABEL
+        assert classify_hue(cs, np.array([1.0])).tolist() == [BACKGROUND_LABEL]
 
     def test_single_sample_class_beats_background_at_mode(self):
         cs = ColorClassSet(classes=((1, _kde([0.0], 0.1)), (2, _kde([3.0], 0.1))))
-        assert classify_hue(cs, 0.0) == 1
+        assert classify_hue(cs, np.array([0.0])).tolist() == [1]
 
     def test_exact_tie_goes_to_lower_class_when_above_background(self):
         # identical kdes give bit-identical densities at every hue
         cs = ColorClassSet(classes=((1, _kde([1.0], 0.3)), (2, _kde([1.0], 0.3))))
-        assert classify_hue(cs, 1.0) == 1
+        assert classify_hue(cs, np.array([1.0])).tolist() == [1]
 
     def test_exact_tie_with_background_goes_to_background(self):
         flat = HueKde(
@@ -135,11 +135,11 @@ class TestClassifyHue:
             lut=np.full(1024, BACKGROUND_DENSITY),
         )
         cs = ColorClassSet(classes=((1, flat), (2, flat)))
-        assert classify_hue(cs, 2.0) == BACKGROUND_LABEL
+        assert classify_hue(cs, np.array([2.0])).tolist() == [BACKGROUND_LABEL]
 
     def test_midpoint_tie_goes_to_background_when_densities_tiny(self):
         cs = ColorClassSet(classes=((1, _kde([0.0], 0.01)), (2, _kde([2.0], 0.01))))
-        assert classify_hue(cs, 1.0) == BACKGROUND_LABEL
+        assert classify_hue(cs, np.array([1.0])).tolist() == [BACKGROUND_LABEL]
 
     @given(st.floats(0, 2 * np.pi), st.floats(0.05, 0.4))
     @settings(max_examples=60, deadline=None)
@@ -157,10 +157,11 @@ class TestClassifyHue:
                 (2, _kde(np.mod(base_samples[2:] + shift, 2 * np.pi), bandwidth)),
             )
         )
-        for theta in (0.1, 1.0, 2.5, 5.0):
-            assert classify_hue(cs0, theta) == classify_hue(
-                cs1, np.mod(theta + shift, 2 * np.pi)
-            )
+        theta = np.array([0.1, 1.0, 2.5, 5.0])
+        assert np.array_equal(
+            classify_hue(cs0, theta),
+            classify_hue(cs1, np.mod(theta + shift, 2 * np.pi)),
+        )
 
 
 class TestCalibration:
@@ -177,8 +178,7 @@ class TestCalibration:
     def test_modes_land_on_patch_hues(self):
         img, mask = self._two_patch_setup()
         cs = calibrate_colors(img, mask, min_saturation=0.2)
-        assert classify_hue(cs, 0.0) == 1
-        assert classify_hue(cs, 2 * np.pi / 3) == 2
+        assert classify_hue(cs, np.array([0.0, 2 * np.pi / 3])).tolist() == [1, 2]
 
     def test_gray_patch_fails(self):
         img = _patch_image((0.5, 0.5, 0.5), (20, 20))
@@ -226,7 +226,7 @@ class TestClassifyImage:
     def test_saturation_gate(self):
         img = _patch_image((0.9, 0.5, 0.5))  # saturated below 1
         hs = rgb_to_hue_saturation(img)
-        labels = classify_image(self._set(), hs, s_min=1.0)
+        labels = classify_image_masked(self._set(), hs, s_min=1.0)
         assert (labels == BACKGROUND_LABEL).all()
 
     def test_two_band_classification(self):
@@ -234,7 +234,7 @@ class TestClassifyImage:
         px[:, :10] = (1.0, 0.0, 0.0)
         px[:, 10:] = (0.0, 1.0, 0.0)
         hs = rgb_to_hue_saturation(RasterImage(px))
-        labels = classify_image(self._set(), hs, s_min=0.3)
+        labels = classify_image_masked(self._set(), hs, s_min=0.3)
         assert (labels[:, :10] == 1).all()
         assert (labels[:, 10:] == 2).all()
 
@@ -246,13 +246,13 @@ class TestClassifyImage:
         px[:] = (1.0, g, 0.0)
         hs = rgb_to_hue_saturation(RasterImage(px))
         cs = ColorClassSet(classes=((1, _kde([0.0], 0.05)), (2, _kde([1.0], 0.05))))
-        labels = classify_image(cs, hs, s_min=0.3)
+        labels = classify_image_masked(cs, hs, s_min=0.3)
         assert (labels == BACKGROUND_LABEL).all()
 
     def test_invalid_hue_is_background(self):
         img = _patch_image((0.6, 0.6, 0.6))
         hs = rgb_to_hue_saturation(img)
-        labels = classify_image(self._set(), hs, s_min=0.0)
+        labels = classify_image_masked(self._set(), hs, s_min=0.0)
         assert (labels == BACKGROUND_LABEL).all()
 
     def test_raising_s_min_never_adds_labels(self):
@@ -260,9 +260,29 @@ class TestClassifyImage:
         img = RasterImage(rng.uniform(0, 1, (15, 15, 3)))
         hs = rgb_to_hue_saturation(img)
         cs = self._set()
-        prev = classify_image(cs, hs, s_min=0.1)
+        prev = classify_image_masked(cs, hs, s_min=0.1)
         for s_min in (0.3, 0.5, 0.8):
-            cur = classify_image(cs, hs, s_min=s_min)
+            cur = classify_image_masked(cs, hs, s_min=s_min)
             newly_labeled = (prev == BACKGROUND_LABEL) & (cur != BACKGROUND_LABEL)
             assert not newly_labeled.any()
             prev = cur
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.floats(0, 1),
+        st.floats(0, 2 * np.pi),
+        st.floats(0, 2 * np.pi),
+        st.floats(0.02, 0.5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_raster_equals_hue_rule_inside_gate(self, h, w, s_min, mode1, mode2, bw, seed):
+        rng = np.random.default_rng(seed)
+        px = rng.uniform(0, 1, (h, w, 3))
+        px[rng.uniform(size=(h, w)) < 0.2] = 0.4  # gray: hue undefined
+        hs = rgb_to_hue_saturation(RasterImage(px))
+        cs = ColorClassSet(classes=((1, _kde([mode1], bw)), (2, _kde([mode2], bw))))
+        gate = hs.hue_valid & (hs.saturation >= s_min)
+        expected = np.where(gate, classify_hue(cs, hs.hue), BACKGROUND_LABEL)
+        assert np.array_equal(classify_image_masked(cs, hs, s_min), expected)

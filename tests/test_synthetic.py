@@ -202,27 +202,6 @@ class TestGroundTruthDetection:
         assert max(deltas) < 3.0
 
 
-class TestSceneSerialization:
-    def test_round_trip(self, tilted_camera, test_spec):
-        scene = scene_for(
-            test_spec,
-            tilted_camera,
-            blur_sigma=1.0,
-            noise_sigma=0.01,
-            noise_seed=4,
-            highlights=(synthetic.HighlightStripe(10.0, 20.0, 0.5, (-0.2, 0.2)),),
-            occluders=(synthetic.Occluder(5.0, 6.0, 50.0, 60.0),),
-            distractors=(synthetic.Distractor((30.0, 40.0), 6.0, (0.9, 0.1, 0.1)),),
-        )
-        import json
-
-        data = json.loads(json.dumps(synthetic.scene_to_dict(scene)))
-        restored = synthetic.scene_from_dict(data, test_spec)
-        img1, _ = synthetic.render(scene, tilted_camera, SIZE_SMALL)
-        img2, _ = synthetic.render(restored, tilted_camera, SIZE_SMALL)
-        assert np.array_equal(img1.pixels, img2.pixels)
-
-
 class TestSweep:
     def test_single_cell(self, tilted_camera, test_spec):
         template = scene_for(test_spec, tilted_camera)

@@ -1,0 +1,69 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps pipeline functions
+by module and name and reads some of their arguments by name. A rename
+would silently drop spans or counts from `perfbench/run.py --trace 1`,
+so the bindings it relies on are checked here."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from bandpointer import detection
+from bandpointer.color_model import ColorClassSet, HueKde, classify_image_masked
+from bandpointer.imaging import RasterImage, rgb_to_hue_saturation
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# argument names the tracer's span namers and per-op counts read
+READ_ARGUMENTS = {
+    ("color_model", "classify_image_masked"): {"hs", "s_min", "roi_mask"},
+    ("detection", "detect_band_regions"): {"roi"},
+    ("detection", "ransac_centroid_line"): {"regions"},
+    ("imaging", "rgb_to_hue_saturation"): {"img"},
+}
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return [(mod_name, fn_name) for mod_name, fn_name, _ in module.TRACED]
+
+
+def test_every_traced_function_resolves():
+    traced = _traced()
+    assert set(READ_ARGUMENTS) <= set(traced)
+    for mod_name, fn_name in traced:
+        module = importlib.import_module(f"bandpointer.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+
+
+def test_read_arguments_are_parameters():
+    for (mod_name, fn_name), names in READ_ARGUMENTS.items():
+        fn = getattr(importlib.import_module(f"bandpointer.{mod_name}"), fn_name)
+        assert names <= set(inspect.signature(fn).parameters), f"{mod_name}.{fn_name}"
+
+
+def test_pass_one_binds_roi_mask_explicitly(monkeypatch):
+    # the tracer reads roi_mask from the bound arguments, which omit
+    # defaulted parameters, so the detector must pass it even when None
+    bound = []
+    signature = inspect.signature(classify_image_masked)
+
+    def recording(*args, **kwargs):
+        bound.append(signature.bind(*args, **kwargs).arguments)
+        return classify_image_masked(*args, **kwargs)
+
+    monkeypatch.setattr(detection, "classify_image_masked", recording)
+    px = np.zeros((8, 8, 3))
+    px[:, :4] = (1.0, 0.0, 0.0)
+    px[:, 4:] = (0.0, 1.0, 0.0)
+    hs = rgb_to_hue_saturation(RasterImage(px))
+    kde = HueKde(samples=np.array([0.0]), bandwidths=np.array([0.1]))
+    colors = ColorClassSet(classes=((1, kde), (2, kde)))
+    detection.detect_band_regions(hs, colors, {frozenset((1, 2))}, 0.25, 1)
+    assert len(bound) == 1 and {"hs", "s_min", "roi_mask"} <= set(bound[0])
