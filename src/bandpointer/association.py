@@ -358,17 +358,16 @@ def _count_inliers(
     mm = np.asarray(homog.map_mm(t_coords), dtype=np.float64)
     if not np.all(np.isfinite(mm)):
         return []
-    b = spec.distances_mm
-    # nearest spec edge per detection
-    nearest_spec = np.array([int(np.argmin(np.abs(b - v))) for v in mm])
-    nearest_det = np.array([int(np.argmin(np.abs(mm - v))) for v in b])
-    matches = []
-    for k, j in enumerate(nearest_spec):
-        if nearest_det[j] != k:
-            continue
-        if _labels_match(detected_labels[k], spec.side_labels[j], reversed_orientation):
-            matches.append((k, j))
-    return matches
+    # (n_det, n_spec) distances; argmin keeps the first of tied minima
+    dist = np.abs(mm[:, None] - spec.distances_mm)
+    nearest_spec = dist.argmin(axis=1)
+    nearest_det = dist.argmin(axis=0)
+    return [
+        (k, int(j))
+        for k, j in enumerate(nearest_spec)
+        if nearest_det[j] == k
+        and _labels_match(detected_labels[k], spec.side_labels[j], reversed_orientation)
+    ]
 
 
 def associate_ransac(

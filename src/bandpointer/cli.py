@@ -87,8 +87,12 @@ class Config:
             )
             camera = CameraModel(K=k, R=rot, t=trans, distortion=distortion)
             size = tuple(int(v) for v in cam["image_size_px"])
+            if len(size) != 2 or min(size) <= 0 or list(size) != list(cam["image_size_px"]):
+                raise ConfigError("image_size_px must be two positive integers")
 
             ptr = data["pointer"]
+            if not isinstance(data["colors"], dict):
+                raise ConfigError("colors must map color names to class ids")
             colors = {str(k2): int(v) for k2, v in data["colors"].items()}
             band_names = list(ptr["band_colors"])
             band_ids = [
@@ -405,7 +409,9 @@ def evaluate_sweep(
 
     Detections come from the synthetic ground truth (the raster detector
     is exercised by its own tests); noise perturbs the detected points.
-    Returns one record per grid cell.
+    Returns one record per grid cell. A trial that fails, and every trial
+    of a cell whose ground truth cannot be projected (part of the pointer
+    behind the camera), counts as a failure.
     """
     palette = {
         label: (0.5, 0.5, 0.5) for label in config.color_names.values()
@@ -419,13 +425,17 @@ def evaluate_sweep(
         depths_mm, angles_deg, template, config.camera, roll_deg=roll_deg
     )
 
+    n_trials = max(trials, 1)
     records = []
     for cell_idx, cell in enumerate(cells):
         rng = np.random.default_rng(seed + cell_idx)
-        gt = synthetic.ground_truth(cell.scene, config.camera, config.image_size)
         tips = []
-        failures = 0
-        for _ in range(max(trials, 1)):
+        try:
+            gt = synthetic.ground_truth(cell.scene, config.camera, config.image_size)
+            runs = n_trials
+        except BandPointerError:  # e.g. part of the pointer behind the camera
+            runs = 0
+        for _ in range(runs):
             try:
                 det = synthetic.ground_truth_detection(
                     gt, config.pointer, noise_px=noise_px, rng=rng
@@ -440,12 +450,12 @@ def evaluate_sweep(
                 )
                 tips.append(estimate.pose.tip)
             except BandPointerError:
-                failures += 1
+                pass
         record = {
             "depth_mm": float(cell.depth_mm),
             "angle_deg": float(cell.angle_deg),
-            "trials": max(trials, 1),
-            "failures": failures,
+            "trials": n_trials,
+            "failures": n_trials - len(tips),
             "rms_tip_error_mm": float("nan"),
             "pc1": (float("nan"),) * 3,
         }

@@ -8,6 +8,7 @@ kernel and reduced to sub-pixel contour point pairs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -57,8 +58,15 @@ class DetectionParams:
     def __post_init__(self):
         if not (0.0 <= self.s2 < self.s1 <= 1.0):
             raise ValueError("need 0 <= s2 < s1 <= 1")
+        for name in ("r1", "r2", "ransac_iterations", "ransac_seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))  # 3.0 names 3
         if not (0 < self.r2 < self.r1):
             raise ValueError("need 0 < r2 < r1")
+        if self.ransac_iterations < 1 or self.ransac_seed < 0:
+            raise ValueError("need ransac_iterations >= 1 and ransac_seed >= 0")
 
     @property
     def edge_halo(self) -> int:

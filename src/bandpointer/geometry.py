@@ -52,8 +52,9 @@ class Line2D:
         rel = pts - self.point
         return rel[:, 1] * self.direction[0] - rel[:, 0] * self.direction[1]
 
-    def at(self, t: float) -> np.ndarray:
-        return self.point + float(t) * self.direction
+    def at(self, t) -> np.ndarray:
+        """Point at coordinate t, or an (n, 2) array for n coordinates."""
+        return self.point + np.multiply.outer(np.asarray(t, dtype=np.float64), self.direction)
 
 
 def line_through(p: np.ndarray, q: np.ndarray) -> Line2D:

@@ -197,37 +197,44 @@ def erode_disk(b: BinaryImage, radius: int) -> BinaryImage:
     if radius == 0 or not bits.any():
         return BinaryImage(bits.copy())
 
-    rows = np.flatnonzero(bits.any(axis=1))
-    cols = np.flatnonzero(bits.any(axis=0))
+    box = _content_box(bits)
     pad = radius + 1
-    r0, r1 = rows[0], rows[-1] + 1
-    c0, c1 = cols[0], cols[-1] + 1
     # work on the content bounding box; the zero pad stands in for both
     # real zero pixels and out-of-bounds pixels, which erode identically
-    crop = np.zeros((r1 - r0 + 2 * pad, c1 - c0 + 2 * pad), dtype=bool)
-    crop[pad:-pad, pad:-pad] = bits[r0:r1, c0:c1]
-    dist = ndimage.distance_transform_edt(crop)
-    eroded_crop = dist > radius
+    crop = np.pad(bits[box], pad)
+    eroded_crop = ndimage.distance_transform_edt(crop) > radius
 
     out = np.zeros_like(bits)
-    out[r0:r1, c0:c1] = eroded_crop[pad:-pad, pad:-pad]
+    out[box] = eroded_crop[pad:-pad, pad:-pad]
     return BinaryImage(out)
+
+
+def _content_box(bits: np.ndarray) -> tuple[slice, slice]:
+    """Row and column slices of the smallest box holding every set bit
+    (which must exist)."""
+    rows = np.flatnonzero(bits.any(axis=1))
+    cols = np.flatnonzero(bits.any(axis=0))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
 def connected_components(b: BinaryImage) -> list[Region]:
-    """8-connected components with centroid and second central moments."""
-    labeled, count = ndimage.label(b.bits, structure=_EIGHT_CONNECTED)
-    if count == 0:
+    """8-connected components with centroid and second central moments.
+
+    Labeling runs on the content bounding box, which keeps the regions in
+    the scan order of their first pixel, as on the whole frame.
+    """
+    if not b.bits.any():
         return []
+    box = _content_box(b.bits)
+    labeled, _ = ndimage.label(b.bits[box], structure=_EIGHT_CONNECTED)
     regions = []
-    objects = ndimage.find_objects(labeled)
-    for idx, sl in enumerate(objects, start=1):
+    for idx, sl in enumerate(ndimage.find_objects(labeled), start=1):
         ys, xs = np.nonzero(labeled[sl] == idx)
-        ys = ys + sl[0].start
-        xs = xs + sl[1].start
+        ys = ys + (sl[0].start + box[0].start)
+        xs = xs + (sl[1].start + box[1].start)
         regions.append(Region(pixels=np.column_stack([xs, ys])))
     return regions
 

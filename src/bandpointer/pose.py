@@ -48,8 +48,10 @@ class CameraModel:
         t = np.asarray(self.t, dtype=np.float64).reshape(3)
         if K.shape != (3, 3) or R.shape != (3, 3):
             raise ValueError("K and R must be 3x3")
-        if not np.allclose(K, np.triu(K)) or np.any(np.diag(K)[:2] <= 0) or K[2, 2] != 1.0:
+        if not np.allclose(K, np.triu(K)) or np.any(np.diag(K)[:2] <= 0):
             raise ValueError("K must be upper triangular with positive focal lengths")
+        if np.any(K[2] != (0.0, 0.0, 1.0)):
+            raise ValueError("the last row of K must be (0, 0, 1)")
         if not np.allclose(R @ R.T, np.eye(3), atol=1e-9) or np.linalg.det(R) < 0:
             raise ValueError("R must be a rotation matrix")
         object.__setattr__(self, "K", K)
@@ -118,13 +120,22 @@ class PoseEstimate:
 
 
 def _contour_normal(direction: np.ndarray, tip: np.ndarray, center: np.ndarray):
-    """Unit normal of the plane through the camera center and the axis."""
+    """Unit normal of the plane through the camera center and the axis,
+    and the length of the unnormalized normal d x (tip - center)."""
     n = np.cross(direction, tip - center)
     norm = np.linalg.norm(n)
     scale = max(np.linalg.norm(tip - center), 1.0)
     if norm < 1e-9 * scale:
         raise DegenerateGeometryError("pointer axis passes through camera center")
-    return n / norm, n, norm
+    return n / norm, norm
+
+
+def _contour_points(tip, direction, u_hat, b, w) -> np.ndarray:
+    """Silhouette points tip + b d -/+ w u of each junction circle, as an
+    (n, 2, 3) stack with the negative-offset side first."""
+    axis_points = tip + b[:, None] * direction
+    offsets = w[:, None] * u_hat
+    return np.stack([axis_points - offsets, axis_points + offsets], axis=1)
 
 
 def project_pointer_edges(
@@ -132,47 +143,41 @@ def project_pointer_edges(
     camera: CameraModel,
     spec: PointerSpec,
     edge_indices: Sequence[int] | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> np.ndarray:
     """Predicted contour point pairs (ideal pixels) for the given edges.
 
     Each junction circle contributes the two silhouette points offset
-    from the axis by its radius along the contour normal; the first
-    element of a pair is the negative-offset side.
+    from the axis by its radius along the contour normal. The result is
+    an (n, 2, 2) array: one row per edge, the negative-offset side first,
+    each point as (u, v).
     """
-    if edge_indices is None:
-        edge_indices = range(len(spec.edges))
-    u_hat, _, _ = _contour_normal(pose.direction, pose.tip, camera.center)
-    out = []
-    for i in edge_indices:
-        edge = spec.edges[i]
-        axis_point = pose.tip + edge.distance_mm * pose.direction
-        lo = camera.project(axis_point - edge.radius_mm * u_hat)[0]
-        hi = camera.project(axis_point + edge.radius_mm * u_hat)[0]
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise NumericError("non-finite projection")
-        out.append((lo, hi))
-    return out
+    idx = slice(None) if edge_indices is None else list(edge_indices)
+    u_hat, _ = _contour_normal(pose.direction, pose.tip, camera.center)
+    points = _contour_points(
+        pose.tip, pose.direction, u_hat, spec.distances_mm[idx], spec.radii_mm[idx]
+    )
+    uv = camera.project(points.reshape(-1, 3)).reshape(-1, 2, 2)
+    if not np.all(np.isfinite(uv)):
+        raise NumericError("non-finite projection")
+    return uv
 
 
-def _inlier_data(
-    corr: Correspondence,
-    result: "DetectionResult",
-    camera: CameraModel,
-    spec: PointerSpec,
-):
-    """Undistorted detected pair points and spec data for the inlier edges."""
+def _pair_indices(corr: Correspondence) -> tuple[np.ndarray, np.ndarray]:
+    """Detected and spec edge indices of the inlier pairs."""
     if len(corr.pairs) < MIN_CORRESPONDENCES:
         raise InsufficientCorrespondencesError(
             f"{len(corr.pairs)} correspondences, need {MIN_CORRESPONDENCES}"
         )
-    det_points = []
-    spec_indices = []
-    for det_idx, spec_idx in corr.pairs:
-        edge = result.edges[det_idx]
-        pts = camera.undistort(np.vstack([edge.p_a, edge.p_b]))
-        det_points.append(pts)
-        spec_indices.append(spec_idx)
-    return det_points, spec_indices
+    det_idx, spec_idx = np.array(corr.pairs).T
+    return det_idx, spec_idx
+
+
+def _inlier_data(corr: Correspondence, result: "DetectionResult", camera: CameraModel):
+    """Undistorted detected pair points, (n, 2, 2), and the spec indices of
+    the inlier edges."""
+    det_idx, spec_idx = _pair_indices(corr)
+    raw = np.array([(result.edges[k].p_a, result.edges[k].p_b) for k in det_idx])
+    return camera.undistort(raw.reshape(-1, 2)).reshape(-1, 2, 2), spec_idx
 
 
 def init_depths_linear(
@@ -188,10 +193,7 @@ def init_depths_linear(
     depth ratio through a cross-product equation, solved in least squares
     and scaled by the known tip-to-last-edge distance.
     """
-    if len(corr.pairs) < MIN_CORRESPONDENCES:
-        raise InsufficientCorrespondencesError(
-            f"{len(corr.pairs)} correspondences, need {MIN_CORRESPONDENCES}"
-        )
+    det_idx, spec_idx = _pair_indices(corr)
     b = spec.distances_mm
     b_n = float(b[-1])
     line = result.line
@@ -200,33 +202,20 @@ def init_depths_linear(
     tn = corr.homography.inverse_mm(b_n)
     if not (np.isfinite(t0) and np.isfinite(tn)):
         raise DegenerateInitializationError("homography inverse undefined at ends")
+    # one axis_coord call per edge: a stacked call rounds differently
+    t_mids = np.array([line.axis_coord(result.edges[k].midpoint)[0] for k in det_idx])
     # the axis line and its t coordinates live in raw image space; each
     # constructed point gets undistorted exactly once, here
-    q0 = np.append(camera.undistort(line.at(t0))[0], 1.0)
-    qn = np.append(camera.undistort(line.at(tn))[0], 1.0)
-
-    mids = []
-    alphas = []
-    t_mids = []
-    for det_idx, spec_idx in corr.pairs:
-        edge = result.edges[det_idx]
-        mid_raw = 0.5 * (edge.p_a + edge.p_b)
-        t_mid = float(line.axis_coord(mid_raw)[0])
-        t_mids.append(t_mid)
-        mids.append(np.append(camera.undistort(line.at(t_mid))[0], 1.0))
-        alphas.append(float(b[spec_idx] / b_n))
+    on_axis = camera.undistort(line.at(np.concatenate([[t0, tn], t_mids])))
+    q = np.column_stack([on_axis, np.ones(len(on_axis))])
+    q0, qn, mids = q[0], q[1], q[2:]
     if np.ptp(t_mids) < 1e-9:
         raise DegenerateInitializationError("edge midpoints coincide on the axis")
 
-    rows = []
-    for x_mid, alpha in zip(mids, alphas):
-        rows.append(
-            np.column_stack([
-                (1.0 - alpha) * np.cross(x_mid, q0),
-                alpha * np.cross(x_mid, qn),
-            ])
-        )
-    a_mat = np.vstack(rows)
+    alpha = (b[spec_idx] / b_n)[:, None]
+    a_mat = np.stack(
+        [(1.0 - alpha) * np.cross(mids, q0), alpha * np.cross(mids, qn)], axis=2
+    ).reshape(-1, 2)
     _, svals, vt = np.linalg.svd(a_mat)
     if svals[0] < 1e-12:
         raise DegenerateInitializationError("rank-deficient depth system")
@@ -291,86 +280,53 @@ def _skew(v: np.ndarray) -> np.ndarray:
     ])
 
 
-class _Residuals:
-    """Reprojection residual and analytic Jacobian over the 5 parameters."""
+def _residuals(params, camera, b, w, det, basis):
+    """Reprojection residual and analytic Jacobian over the 5 parameters.
 
-    def __init__(self, camera, spec_b, spec_w, det_points, sides, basis):
-        self.camera = camera
-        self.b = spec_b
-        self.w = spec_w
-        self.det = det_points  # (n_edges, 2, 2) detected, undistorted
-        self.sides = sides  # (n_edges, 2) j in {-1, +1} per detected point
-        self.basis = basis
-        self.center = camera.center
+    ``params`` holds the tip (3) and the direction's azimuth/elevation
+    about ``basis``; ``det`` holds the detected, undistorted pairs as an
+    (n, 2, 2) array ordered like the predicted pairs. The 4n residual
+    rows are edge-major, the negative-offset side first, then (u, v);
+    the Jacobian is (4n, 5).
+    """
+    tip = params[:3]
+    d, dd_daz, dd_del = _direction_from_angles(basis, params[3], params[4])
+    a = tip - camera.center
+    u, n_norm = _contour_normal(d, tip, camera.center)
+    proj_u = (np.eye(3) - np.outer(u, u)) / n_norm
+    # d(u)/d(tip, az, el), and d(axis point)/d(params) per unit of b
+    dn = (_skew(d), -_skew(a) @ dd_daz, -_skew(a) @ dd_del)
+    du = np.column_stack([proj_u @ m for m in dn])
+    dd = np.column_stack([np.zeros((3, 3)), dd_daz, dd_del])
 
-    def residual(self, params: np.ndarray) -> np.ndarray:
-        r, _ = self._eval(params, want_jacobian=False)
-        return r
+    points = _contour_points(tip, d, u, b, w).reshape(-1, 3)
+    uv = camera.project(points)
+    res = (uv - det.reshape(-1, 2)).ravel()
+    if not np.all(np.isfinite(res)):
+        raise NumericError("non-finite residual")
 
-    def residual_and_jacobian(self, params: np.ndarray):
-        return self._eval(params, want_jacobian=True)
-
-    def _eval(self, params: np.ndarray, want_jacobian: bool):
-        tip = params[:3]
-        az, el = params[3], params[4]
-        d, dd_daz, dd_del = _direction_from_angles(self.basis, az, el)
-        a = tip - self.center
-        n = np.cross(d, a)
-        n_norm = np.linalg.norm(n)
-        if n_norm < 1e-12:
-            raise DegenerateGeometryError("axis through camera center")
-        u = n / n_norm
-        proj_u = (np.eye(3) - np.outer(u, u)) / n_norm
-
-        dn_dtip = _skew(d)
-        dn_daz = -_skew(a) @ dd_daz
-        dn_del = -_skew(a) @ dd_del
-        du_dtip = proj_u @ dn_dtip
-        du_daz = proj_u @ dn_daz
-        du_del = proj_u @ dn_del
-
-        K, R, t = self.camera.K, self.camera.R, self.camera.t
-        n_edges = len(self.b)
-        res = np.zeros(n_edges * 4)
-        jac = np.zeros((n_edges * 4, 5)) if want_jacobian else None
-        row = 0
-        for i in range(n_edges):
-            for side_idx in range(2):
-                j = self.sides[i, side_idx]
-                X = tip + self.b[i] * d + j * self.w[i] * u
-                y = R @ X + t
-                if y[2] <= 0:
-                    raise BehindCameraError("predicted point behind camera")
-                hom = K @ y
-                uv = hom[:2] / hom[2]
-                res[row : row + 2] = uv - self.det[i, side_idx]
-                if want_jacobian:
-                    dproj = (K[:2, :] - np.outer(uv, K[2, :])) / hom[2]
-                    dX = np.zeros((3, 5))
-                    dX[:, :3] = np.eye(3) + j * self.w[i] * du_dtip
-                    dX[:, 3] = self.b[i] * dd_daz + j * self.w[i] * du_daz
-                    dX[:, 4] = self.b[i] * dd_del + j * self.w[i] * du_del
-                    jac[row : row + 2, :] = dproj @ R @ dX
-                row += 2
-        if not np.all(np.isfinite(res)):
-            raise NumericError("non-finite residual")
-        return res, jac
+    # K's last row is (0, 0, 1), so the homogeneous depth is the camera z
+    K, R = camera.K, camera.R
+    z = camera.to_camera(points)[:, 2]
+    dproj = (K[:2] - uv[:, :, None] * K[2]) / z[:, None, None]
+    jw = (np.array([-1.0, 1.0]) * w[:, None]).reshape(-1, 1, 1)
+    dx = np.eye(3, 5) + np.repeat(b, 2)[:, None, None] * dd + jw * du
+    jac = (dproj @ R @ dx).reshape(-1, 5)
+    return res, jac
 
 
-def _assign_sides(predicted, det_points):
-    """Match each detected pair to the predicted pair, once, at the start."""
-    sides = np.zeros((len(det_points), 2), dtype=np.float64)
-    ordered = []
-    for i, (pred, det) in enumerate(zip(predicted, det_points)):
-        lo, hi = pred
-        direct = np.sum((lo - det[0]) ** 2) + np.sum((hi - det[1]) ** 2)
-        swapped = np.sum((lo - det[1]) ** 2) + np.sum((hi - det[0]) ** 2)
-        if direct <= swapped:
-            ordered.append(det)
-        else:
-            ordered.append(det[::-1])
-        sides[i] = (-1.0, 1.0)
-    return np.array(ordered), sides
+def _match_sides(predicted: np.ndarray, det: np.ndarray):
+    """Order each detected pair like its predicted pair, (n, 2, 2) both.
+
+    The direct order wins unless the swapped one is strictly closer.
+    Returns the reordered pairs and each edge's squared residual.
+    """
+    swapped = det[:, ::-1]
+    sq_direct = ((predicted - det) ** 2).sum(axis=2).sum(axis=1)
+    sq_swapped = ((predicted - swapped) ** 2).sum(axis=2).sum(axis=1)
+    swap = sq_swapped < sq_direct
+    ordered = np.where(swap[:, None, None], swapped, det)
+    return ordered, np.where(swap, sq_swapped, sq_direct)
 
 
 def refine_pose_lm(
@@ -386,18 +342,16 @@ def refine_pose_lm(
     tenfold on an accepted one; iteration stops on a relative cost change
     below 1e-10 or after 200 iterations.
     """
-    det_points, spec_indices = _inlier_data(corr, result, camera, spec)
-    b = spec.distances_mm[spec_indices]
-    w = spec.radii_mm[spec_indices]
-
-    predicted = project_pointer_edges(initial, camera, spec, spec_indices)
-    det_arr, sides = _assign_sides(predicted, det_points)
+    det, spec_idx = _inlier_data(corr, result, camera)
+    b = spec.distances_mm[spec_idx]
+    w = spec.radii_mm[spec_idx]
+    # each detected pair is matched to the predicted sides once, at the start
+    det, _ = _match_sides(project_pointer_edges(initial, camera, spec, spec_idx), det)
 
     basis = _direction_basis(initial.direction)
-    fn = _Residuals(camera, b, w, det_arr, sides, basis)
     params = np.concatenate([initial.tip, [0.0, 0.0]])
 
-    res, jac = fn.residual_and_jacobian(params)
+    res, jac = _residuals(params, camera, b, w, det, basis)
     cost = float(res @ res)
     history = [cost]
     lam = LM_INITIAL_LAMBDA
@@ -412,7 +366,7 @@ def refine_pose_lm(
             continue
         trial = params + step
         try:
-            trial_res, trial_jac = fn.residual_and_jacobian(trial)
+            trial_res, trial_jac = _residuals(trial, camera, b, w, det, basis)
             trial_cost = float(trial_res @ trial_res)
         except PoseError:
             trial_cost = np.inf
@@ -435,21 +389,13 @@ def refine_pose_lm(
 
     # report residuals recomputed from the final pose with the free side
     # assignment, so they are reproducible from the estimate alone
-    final_pred = project_pointer_edges(pose, camera, spec, spec_indices)
-    per_edge = {}
-    total = 0.0
-    for pred, det, spec_idx in zip(final_pred, det_points, spec_indices):
-        lo, hi = pred
-        direct = np.sum((lo - det[0]) ** 2) + np.sum((hi - det[1]) ** 2)
-        swapped = np.sum((lo - det[1]) ** 2) + np.sum((hi - det[0]) ** 2)
-        sq = min(direct, swapped)
-        per_edge[spec_idx] = float(np.sqrt(sq / 2.0))
-        total += sq
-    rms = float(np.sqrt(total / (2 * len(spec_indices))))
+    _, sq = _match_sides(project_pointer_edges(pose, camera, spec, spec_idx), det)
     return PoseEstimate(
         pose=pose,
-        rms_px=rms,
-        per_edge_residuals_px=per_edge,
+        rms_px=float(np.sqrt(sq.sum() / (2 * len(sq)))),
+        per_edge_residuals_px={
+            int(j): float(np.sqrt(e / 2.0)) for j, e in zip(spec_idx, sq)
+        },
         correspondence=corr,
         v0_mm=np.nan,
         vn_mm=np.nan,

@@ -36,8 +36,8 @@ from bandpointer.detection import DetectionParams, detect_pointer
 from bandpointer.errors import BandPointerError
 from bandpointer.imaging import BinaryImage, RasterImage, erode_disk, rgb_to_hue_saturation
 from bandpointer.pose import (
-    _Residuals,
     _direction_basis,
+    _residuals,
     estimate_pose,
     init_depths_linear,
     refine_pose_lm,
@@ -305,25 +305,28 @@ class TestCriterion5Jacobian:
             pose = pose_at(depth, angle, camera_full, skewer_spec, roll_deg=roll)
             result, corr = detection_from_pose(pose, camera_full, skewer_spec)
             det = np.array([[e.p_a, e.p_b] for e in result.edges])
-            sides = np.tile([-1.0, 1.0], (len(result.edges), 1))
-            fn = _Residuals(
-                camera_full,
-                skewer_spec.distances_mm,
-                skewer_spec.radii_mm,
-                det,
-                sides,
-                _direction_basis(pose.direction),
-            )
+            basis = _direction_basis(pose.direction)
+
+            def fn(params):
+                return _residuals(
+                    params,
+                    camera_full,
+                    skewer_spec.distances_mm,
+                    skewer_spec.radii_mm,
+                    det,
+                    basis,
+                )
+
             params = np.concatenate([
                 pose.tip + rng.normal(0, 10.0, 3), rng.normal(0, 0.08, 2)
             ])
-            _, jac = fn.residual_and_jacobian(params)
+            _, jac = fn(params)
             fd = np.zeros_like(jac)
             for p in range(5):
                 step = 1e-6 * max(1.0, abs(params[p]))
                 hi = params.copy(); hi[p] += step
                 lo = params.copy(); lo[p] -= step
-                fd[:, p] = (fn.residual(hi) - fn.residual(lo)) / (2 * step)
+                fd[:, p] = (fn(hi)[0] - fn(lo)[0]) / (2 * step)
             scale = max(np.abs(jac).max(), np.abs(fd).max())
             rel = np.abs(jac - fd).max() / scale
             worst = max(worst, rel)

@@ -128,6 +128,59 @@ class TestConfig:
             Config.from_dict(data)
 
 
+def _set(path, value):
+    """Copy of the test config with the key at `path` set to `value`."""
+    data = make_config_dict()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("detection", "r1"), 3.5),
+            (("camera", "image_size_px"), [612]),
+            (("camera", "image_size_px"), [612.5, 512]),
+            (("camera", "image_size_px"), [612, 0]),
+            (("colors",), [1, 2]),
+            (("detection", "ransac_iterations"), 0),
+            (("detection", "ransac_iterations"), 200.5),
+            (("detection", "ransac_seed"), -1),
+        ],
+        ids=["fractional-r1", "one-size", "fractional-size", "zero-size",
+             "colors-list", "zero-ransac-iterations", "fractional-ransac-iterations",
+             "negative-seed"],
+    )
+    def test_bad_config_exits_with_one_line(
+        self, workspace, tmp_path, capsys, path, value
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(_set(path, value)))
+        code = main([
+            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
+            "--color-model", str(workspace["colors"]),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_integral_float_radii_accepted(self, workspace, tmp_path, capsys):
+        data = _set(("detection", "r1"), 3.0)
+        data["detection"]["r2"] = 2.0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        args = ["probe", "--image", str(workspace["frame"]),
+                "--color-model", str(workspace["colors"])]
+        assert main(["--config", str(config_path)] + args) == EXIT_OK
+        assert main(["--config", str(workspace["config"])] + args) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == out[1]
+
+
 class TestCalibrateCommand:
     def test_calibrate_writes_model(
         self, workspace, cli_spec, cli_camera, capsys, tmp_path
@@ -451,6 +504,27 @@ class TestEvalCommand:
         assert np.isnan(near["rms_tip_error_mm"])
         assert far["failures"] == 0
         assert far["rms_tip_error_mm"] < 0.01
+
+    def test_cell_behind_camera_counts_as_failures(self, tmp_path):
+        # at 20 mm and 80 deg the far end of the 100 mm pointer lies behind
+        # the camera; that cell fails, the 300 mm cell is still reported
+        data = make_config_dict()
+        data["camera"]["k_row_major"] = [600.0, 0.0, 305.5, 0.0, 600.0, 255.5, 0.0, 0.0, 1.0]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps(
+            {"depths_mm": [20.0, 300.0], "angles_deg": [80.0], "trials": 2}
+        ))
+        out_path = tmp_path / "report.csv"
+        code = main([
+            "--config", str(config_path),
+            "eval", "--sweep", str(sweep_path), "--out", str(out_path),
+        ])
+        assert code == EXIT_OK
+        _, near, far = [r.split(",") for r in out_path.read_text().splitlines()]
+        assert near[:5] == ["20.000", "80.000", "2", "2", "nan"]
+        assert far[:4] == ["300.000", "80.000", "2", "0"]
 
 
 class TestFilterPointCloud:

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,6 +220,16 @@ def _flood_fill_components(bits: np.ndarray) -> list[set]:
     return comps
 
 
+def _full_frame_components(bits: np.ndarray) -> list[np.ndarray]:
+    """Reference: label the whole frame, regions and pixels in scan order."""
+    labeled, _ = ndimage.label(bits, structure=np.ones((3, 3), dtype=int))
+    regions = []
+    for idx, sl in enumerate(ndimage.find_objects(labeled), start=1):
+        ys, xs = np.nonzero(labeled[sl] == idx)
+        regions.append(np.column_stack([xs + sl[1].start, ys + sl[0].start]))
+    return regions
+
+
 class TestConnectedComponents:
     def test_empty_image(self):
         assert connected_components(BinaryImage(np.zeros((5, 5), dtype=bool))) == []
@@ -258,6 +269,28 @@ class TestConnectedComponents:
             total += reg.area
         np.testing.assert_array_equal(covered, bits)
         assert total == bits.sum()  # pairwise disjoint
+
+    @given(
+        st.integers(0, 10_000),
+        st.floats(0.2, 0.8),
+        st.integers(0, 30),
+        st.integers(0, 30),
+        st.integers(1, 30),
+        st.integers(1, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_frame_labeling(self, seed, density, y0, x0, h, w):
+        # set bits inside a random box of a 40 x 45 frame; the box may touch
+        # any border, and the labeling order feeds the line RANSAC's draws
+        rng = np.random.default_rng(seed)
+        bits = np.zeros((40, 45), dtype=bool)
+        y1, x1 = min(y0 + h, 40), min(x0 + w, 45)
+        bits[y0:y1, x0:x1] = rng.uniform(size=(y1 - y0, x1 - x0)) < density
+        got = [r.pixels for r in connected_components(BinaryImage(bits))]
+        want = _full_frame_components(bits)
+        assert len(got) == len(want)
+        for g, r in zip(got, want):
+            np.testing.assert_array_equal(g, r)
 
 
 class TestConvolution:

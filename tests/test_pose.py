@@ -3,20 +3,29 @@
 import numpy as np
 import pytest
 
-from conftest import build_spec, detection_from_pose, pose_at, RED, GREEN
+from conftest import (
+    BAND_RGB, GREEN, RED, SIZE_FULL, build_spec, detection_from_pose, pose_at,
+)
 
-from bandpointer.association import Correspondence, fit_homography_1d
+from bandpointer import synthetic
+from bandpointer.association import (
+    Correspondence,
+    align_labels_dp,
+    associate_ransac,
+    fit_homography_1d,
+)
 from bandpointer.errors import (
     BehindCameraError,
     DegenerateGeometryError,
     DegenerateInitializationError,
     PoseFailureError,
 )
+from bandpointer.imaging import DistortionModel
 from bandpointer.pose import (
     CameraModel,
     PointerPose,
-    _Residuals,
     _direction_basis,
+    _residuals,
     estimate_pose,
     init_depths_linear,
     project_pointer_edges,
@@ -127,21 +136,23 @@ class TestJacobian:
             pose = pose_at(depth, angle, camera_full, skewer_spec, roll_deg=roll)
             result, corr = detection_from_pose(pose, camera_full, skewer_spec)
             det = np.array([[e.p_a, e.p_b] for e in result.edges])
-            sides = np.tile([-1.0, 1.0], (len(result.edges), 1))
             basis = _direction_basis(pose.direction)
-            fn = _Residuals(
-                camera_full,
-                skewer_spec.distances_mm,
-                skewer_spec.radii_mm,
-                det,
-                sides,
-                basis,
-            )
+
+            def fn(params):
+                return _residuals(
+                    params,
+                    camera_full,
+                    skewer_spec.distances_mm,
+                    skewer_spec.radii_mm,
+                    det,
+                    basis,
+                )
+
             params = np.concatenate([
                 pose.tip + rng.normal(0, 5.0, 3),
                 rng.normal(0, 0.05, 2),
             ])
-            _, jac = fn.residual_and_jacobian(params)
+            _, jac = fn(params)
             fd = np.zeros_like(jac)
             for p in range(5):
                 step = 1e-6 * max(1.0, abs(params[p]))
@@ -149,7 +160,7 @@ class TestJacobian:
                 hi[p] += step
                 lo = params.copy()
                 lo[p] -= step
-                fd[:, p] = (fn.residual(hi) - fn.residual(lo)) / (2 * step)
+                fd[:, p] = (fn(hi)[0] - fn(lo)[0]) / (2 * step)
             scale = np.maximum(np.abs(fd), np.abs(jac)).max()
             if not np.allclose(jac, fd, atol=1e-4 * scale):
                 failures += 1
@@ -313,3 +324,29 @@ class TestEstimatePose:
         with pytest.raises(PoseFailureError) as err:
             estimate_pose(result, [broken], camera_full, skewer_spec)
         assert len(err.value.causes) == 1
+
+
+class TestLensDistortion:
+    @pytest.mark.parametrize(
+        "coefficients",
+        [dict(k1=-0.2, k2=0.05), dict(k1=0.1, p1=1e-3, p2=-1e-3)],
+        ids=["radial", "radial-tangential"],
+    )
+    def test_exact_junctions_recover_pose(self, camera_full, skewer_spec, coefficients):
+        # the detected points are raw (distorted) pixels; estimation has
+        # to undistort them, and the initialization's axis points, exactly
+        K = camera_full.K
+        camera = CameraModel(K=K, distortion=DistortionModel(
+            fx=K[0, 0], fy=K[1, 1], cx=K[0, 2], cy=K[1, 2], **coefficients
+        ))
+        for depth, angle in [(400.0, 0.0), (480.0, 25.0), (550.0, 45.0), (610.0, 65.0)]:
+            pose = pose_at(depth, angle, camera, skewer_spec, roll_deg=4.0)
+            scene = synthetic.SceneSpec(pose=pose, spec=skewer_spec, band_colors=BAND_RGB)
+            gt = synthetic.ground_truth(scene, camera, SIZE_FULL)
+            assert all(e.visible for e in gt.edges)
+            det = synthetic.ground_truth_detection(gt, skewer_spec)
+            labels = [(e.left_label, e.right_label) for e in det.edges]
+            hypotheses = associate_ransac(det, skewer_spec, align_labels_dp(labels, skewer_spec))
+            estimate = estimate_pose(det, hypotheses, camera, skewer_spec)
+            assert np.linalg.norm(estimate.pose.tip - pose.tip) < 1e-6
+            assert estimate.rms_px < 1e-6
