@@ -8,7 +8,6 @@ reciprocal-nearest-neighbor inliers.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -115,6 +114,21 @@ class PointerSpec:
         return self.band_labels[idx]
 
 
+def _projective(a, c, g, t):
+    """The 1D projective map t -> (a t + c) / (g t + 1); broadcasts."""
+    return (a * t + c) / (g * t + 1.0)
+
+
+def _pole_outside(a, g, t_lo: float, t_hi: float):
+    """True where the pole g t + 1 = 0 stays outside [t_lo, t_hi]; a map
+    with g = 0 has no pole and is monotone unless a = 0. Broadcasts."""
+    flat = g == 0.0
+    with np.errstate(over="ignore"):  # a subnormal g puts the pole at infinity
+        pole = -1.0 / np.where(flat, 1.0, g)
+    inside = (min(t_lo, t_hi) <= pole) & (pole <= max(t_lo, t_hi))
+    return np.where(flat, a != 0.0, ~inside)
+
+
 @dataclass(frozen=True)
 class Homography1D:
     """1D projective map t -> (a t + c) / (g t + 1), image px to axis mm."""
@@ -124,8 +138,7 @@ class Homography1D:
     g: float
 
     def map_mm(self, t) -> np.ndarray | float:
-        t = np.asarray(t, dtype=np.float64)
-        out = (self.a * t + self.c) / (self.g * t + 1.0)
+        out = _projective(self.a, self.c, self.g, np.asarray(t, dtype=np.float64))
         return float(out) if out.ndim == 0 else out
 
     def inverse_mm(self, b) -> np.ndarray | float:
@@ -136,29 +149,59 @@ class Homography1D:
 
     def monotone_over(self, t_lo: float, t_hi: float) -> bool:
         """True when the pole g t + 1 = 0 stays outside [t_lo, t_hi]."""
-        if self.g == 0.0:
-            return self.a != 0.0
-        pole = -1.0 / self.g
-        return not (min(t_lo, t_hi) <= pole <= max(t_lo, t_hi))
+        return bool(_pole_outside(self.a, self.g, t_lo, t_hi))
+
+
+# why _fit_homographies rejects a triplet, by its status code
+_DEGENERATE = {
+    1: "triplet has repeated coordinates",
+    2: "singular homography system",
+    3: "non-finite homography solution",
+}
+
+
+def _repeated(x: np.ndarray) -> np.ndarray:
+    """Rows of an (n, 3) array holding an entry twice; NaNs count as equal."""
+    def same(u, v):
+        return (u == v) | (np.isnan(u) & np.isnan(v))
+
+    return same(x[:, 0], x[:, 1]) | same(x[:, 0], x[:, 2]) | same(x[:, 1], x[:, 2])
+
+
+def _fit_homographies(t: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact 1D projective interpolation through n triplets of (t, b) pairs.
+
+    t and b are (n, 3). Returns the (n, 3) rows (a, c, g) and an (n,)
+    status: 0 for a valid map, otherwise the _DEGENERATE code.
+    """
+    status = np.where(_repeated(t) | _repeated(b), 1, 0)
+    # b (g t + 1) = a t + c  =>  [t, 1, -b t] . [a, c, g] = b
+    m = np.stack([t, np.ones_like(t), -b * t], axis=-1)
+    abc = np.full(t.shape, np.nan)
+    rows = np.flatnonzero(status == 0)
+    try:
+        abc[rows] = np.linalg.solve(m[rows], b[rows, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole stack: solve row by row
+        for r in rows:
+            try:
+                abc[r] = np.linalg.solve(m[r], b[r])
+            except np.linalg.LinAlgError:
+                status[r] = 2
+    status[(status == 0) & ~np.isfinite(abc).all(axis=1)] = 3
+    return abc, status
 
 
 def fit_homography_1d(pairs: Sequence[tuple[float, float]]) -> Homography1D:
     """Exact 1D projective interpolation through three (t, b) pairs."""
     if len(pairs) != 3:
         raise ValueError("exactly three pairs define the map")
-    t = np.array([p[0] for p in pairs], dtype=np.float64)
-    b = np.array([p[1] for p in pairs], dtype=np.float64)
-    if len(np.unique(t)) < 3 or len(np.unique(b)) < 3:
-        raise DegenerateSampleError("triplet has repeated coordinates")
-    # b (g t + 1) = a t + c  =>  [t, 1, -b t] . [a, c, g] = b
-    m = np.column_stack([t, np.ones(3), -b * t])
-    try:
-        a, c, g = np.linalg.solve(m, b)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSampleError("singular homography system") from exc
-    if not np.all(np.isfinite([a, c, g])):
-        raise DegenerateSampleError("non-finite homography solution")
-    return Homography1D(a=float(a), c=float(c), g=float(g))
+    t = np.array([[p[0] for p in pairs]], dtype=np.float64)
+    b = np.array([[p[1] for p in pairs]], dtype=np.float64)
+    abc, status = _fit_homographies(t, b)
+    if status[0]:
+        raise DegenerateSampleError(_DEGENERATE[status[0]])
+    return Homography1D(*(float(v) for v in abc[0]))
 
 
 @dataclass(frozen=True)
@@ -209,6 +252,19 @@ def _labels_match(
     return True
 
 
+def _match_table(
+    detected: Sequence[LabelPair],
+    spec_labels: Sequence[LabelPair],
+    reversed_orientation: bool,
+) -> np.ndarray:
+    """(n_det, n_spec) table of _labels_match."""
+    ok = np.zeros((len(detected), len(spec_labels)), dtype=bool)
+    for i, det in enumerate(detected):
+        for j, spec_pair in enumerate(spec_labels):
+            ok[i, j] = _labels_match(det, spec_pair, reversed_orientation)
+    return ok
+
+
 def _score_tables(
     detected: Sequence[LabelPair],
     spec_labels: Sequence[LabelPair],
@@ -221,10 +277,7 @@ def _score_tables(
     spec[:j]; suffix[i, j] covers detected[i-1:] vs spec[j-1:].
     """
     n, m = len(detected), len(spec_labels)
-    ok = np.zeros((n, m), dtype=bool)
-    for i in range(n):
-        for j in range(m):
-            ok[i, j] = _labels_match(detected[i], spec_labels[j], reversed_orientation)
+    ok = _match_table(detected, spec_labels, reversed_orientation)
 
     prefix = np.zeros((n + 1, m + 1), dtype=np.int64)
     for i in range(1, n + 1):
@@ -347,6 +400,37 @@ def align_labels_dp(
     return results
 
 
+def _reciprocal_matches(
+    mm: np.ndarray, b: np.ndarray, label_ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reciprocal nearest-neighbor matches with consistent labels, in mm.
+
+    mm is (n, n_det): each row the detections mapped by one hypothesis.
+    Returns the (n, n_det) matched flags and each detection's nearest spec
+    edge; a row with a non-finite position matches nothing. Ties go to
+    the first edge or detection.
+    """
+    nearest_spec = np.zeros(mm.shape, dtype=np.intp)
+    nearest_det = np.empty((len(mm), len(b)), dtype=np.intp)
+    # one spec edge at a time keeps the memory to a few (n, n_det) arrays
+    for j, b_j in enumerate(b):
+        dist = np.abs(mm - b_j)
+        nearest_det[:, j] = dist.argmin(axis=1)
+        if j == 0:
+            best = dist
+            continue
+        closer = dist < best
+        nearest_spec[closer] = j
+        best = np.where(closer, dist, best)
+    k = np.arange(mm.shape[1])
+    matched = (
+        (np.take_along_axis(nearest_det, nearest_spec, axis=1) == k)
+        & label_ok[k, nearest_spec]
+        & np.isfinite(mm).all(axis=1, keepdims=True)
+    )
+    return matched, nearest_spec
+
+
 def _count_inliers(
     homog: Homography1D,
     t_coords: np.ndarray,
@@ -356,18 +440,24 @@ def _count_inliers(
 ) -> list[tuple[int, int]]:
     """Reciprocal nearest-neighbor matches with consistent labels, in mm."""
     mm = np.asarray(homog.map_mm(t_coords), dtype=np.float64)
-    if not np.all(np.isfinite(mm)):
-        return []
-    # (n_det, n_spec) distances; argmin keeps the first of tied minima
-    dist = np.abs(mm[:, None] - spec.distances_mm)
-    nearest_spec = dist.argmin(axis=1)
-    nearest_det = dist.argmin(axis=0)
-    return [
-        (k, int(j))
-        for k, j in enumerate(nearest_spec)
-        if nearest_det[j] == k
-        and _labels_match(detected_labels[k], spec.side_labels[j], reversed_orientation)
-    ]
+    label_ok = _match_table(detected_labels, spec.side_labels, reversed_orientation)
+    matched, nearest = _reciprocal_matches(mm[None], spec.distances_mm, label_ok)
+    return [(int(k), int(nearest[0, k])) for k in np.flatnonzero(matched[0])]
+
+
+def _triplets(pairs: np.ndarray, direction: int) -> np.ndarray:
+    """Index triplets into the sorted (detected, spec) pairs, in
+    itertools.combinations order, with three distinct detections and spec
+    indices strictly monotone along the orientation's direction."""
+    d, s = pairs[:, 0], pairs[:, 1]
+    # follows[i, j]: pair j can come after pair i in a triplet, with a later
+    # detection and a spec index further along the direction
+    follows = (d[None, :] > d[:, None]) & ((s[None, :] - s[:, None]) * direction > 0)
+    return np.argwhere(follows[:, :, None] & follows[None, :, :])
+
+
+# triplet homographies fitted and scored at once
+_TRIPLET_CHUNK = 64
 
 
 def associate_ransac(
@@ -381,11 +471,13 @@ def associate_ransac(
 
     Triplets are drawn from the pooled pairs of the optimal alignments of
     each orientation, exhaustively when few, otherwise as a seeded random
-    sample.
+    sample, and scored in chunks; the first of the hypotheses with equal
+    inliers is kept.
     """
     t_coords = np.array([e.axis_coordinate for e in result.edges], dtype=np.float64)
     detected_labels = [(e.left_label, e.right_label) for e in result.edges]
     t_lo, t_hi = float(t_coords.min()), float(t_coords.max())
+    b = spec.distances_mm
 
     pools: dict[str, list[tuple[int, int]]] = {}
     for al in alignments:
@@ -401,55 +493,51 @@ def associate_ransac(
     best: dict[tuple, Correspondence] = {}
     best_count = 0
     for orientation in ("forward", "reversed"):
-        pairs = sorted(pools.get(orientation, []))
+        pairs = np.array(sorted(pools.get(orientation, [])), dtype=np.intp).reshape(-1, 2)
         if len(pairs) < 3:
             continue
         reversed_flag = orientation == "reversed"
         direction = -1 if reversed_flag else 1
-        triplets = [
-            trip
-            for trip in itertools.combinations(pairs, 3)
-            if len({d for d, _ in trip}) == 3
-            and len({s for _, s in trip}) == 3
-            and np.all(np.diff([s for _, s in sorted(trip)]) * direction > 0)
-        ]
+        triplets = _triplets(pairs, direction)
         if len(triplets) > max_triplets:
             rng = np.random.default_rng(seed)
             idx = rng.choice(len(triplets), size=max_triplets, replace=False)
-            triplets = [triplets[i] for i in sorted(idx)]
-        b = spec.distances_mm
-        for trip in triplets:
-            try:
-                homog = fit_homography_1d(
-                    [(t_coords[d], b[s]) for d, s in trip]
+            triplets = triplets[np.sort(idx)]
+        label_ok = _match_table(detected_labels, spec.side_labels, reversed_flag)
+        for start in range(0, len(triplets), _TRIPLET_CHUNK):
+            trip = pairs[triplets[start:start + _TRIPLET_CHUNK]]
+            abc, status = _fit_homographies(t_coords[trip[..., 0]], b[trip[..., 1]])
+            rows = np.flatnonzero(status == 0)
+            rows = rows[_pole_outside(abc[rows, 0], abc[rows, 2], t_lo, t_hi)]
+            a, c, g = abc[rows, :, None].transpose(1, 0, 2)
+            matched, nearest = _reciprocal_matches(_projective(a, c, g, t_coords), b, label_ok)
+            counts = matched.sum(axis=1)
+            # spec indices strictly monotone along the detections: each
+            # match's oriented index tops all before it (they are distinct)
+            seq = np.where(matched, nearest * direction, -len(b))
+            monotone = ((seq == np.maximum.accumulate(seq, axis=1)) | ~matched).all(axis=1)
+            rows_ok = np.flatnonzero((counts >= max(best_count, 3)) & monotone)
+            # rows with the same matches share a key, and only the first counts
+            _, first = np.unique(
+                np.where(matched[rows_ok], nearest[rows_ok], -1), axis=0, return_index=True
+            )
+            for r in rows_ok[np.sort(first)]:
+                count = int(counts[r])
+                if count < best_count:
+                    continue
+                if count > best_count:
+                    best_count = count
+                    best = {}
+                matches = [(int(k), int(nearest[r, k])) for k in np.flatnonzero(matched[r])]
+                key = (orientation, tuple(matches))
+                if key in best:
+                    continue
+                best[key] = Correspondence(
+                    pairs=matches,
+                    homography=Homography1D(*(float(v) for v in abc[rows[r]])),
+                    inlier_flags=matched[r].copy(),
+                    orientation=orientation,
                 )
-            except DegenerateSampleError:
-                continue
-            if not homog.monotone_over(t_lo, t_hi):
-                continue
-            matches = _count_inliers(
-                homog, t_coords, detected_labels, spec, reversed_flag
-            )
-            if len(matches) < best_count or len(matches) < 3:
-                continue
-            spec_seq = [s for _, s in sorted(matches)]
-            if np.any(np.diff(spec_seq) * direction <= 0):
-                continue
-            if len(matches) > best_count:
-                best_count = len(matches)
-                best = {}
-            key = (orientation, tuple(sorted(matches)))
-            if key in best:
-                continue
-            flags = np.zeros(len(result.edges), dtype=bool)
-            for k, _ in matches:
-                flags[k] = True
-            best[key] = Correspondence(
-                pairs=sorted(matches),
-                homography=homog,
-                inlier_flags=flags,
-                orientation=orientation,
-            )
     if not best:
         raise InsufficientMatchesError("no hypothesis reached three inliers")
     ordered = sorted(best.items(), key=lambda kv: (kv[0][0] != "forward", kv[0][1]))

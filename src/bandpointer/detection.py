@@ -24,7 +24,16 @@ from .errors import (
     NoEdgesError,
     PointerNotFoundError,
 )
-from .geometry import Line2D, OrientedBox, boxes_mask, fit_line_tls, line_through, principal_axes
+from .geometry import (
+    Line2D,
+    OrientedBox,
+    boxes_mask,
+    coincident,
+    fit_line_tls,
+    line_through,
+    principal_axes,
+    signed_distance,
+)
 from .imaging import (
     BinaryImage,
     HueSatImage,
@@ -189,10 +198,50 @@ def _stack_pixels(regions: list[Region]) -> tuple[np.ndarray, np.ndarray]:
     return pts, starts
 
 
-def _regions_crossed(pts: np.ndarray, starts: np.ndarray, line: Line2D) -> np.ndarray:
-    """Per region of a _stack_pixels stack: pixels lie strictly on both sides."""
-    d = line.perp_distance(pts)
-    return (np.maximum.reduceat(d, starts) > 0) & (np.minimum.reduceat(d, starts) < 0)
+def _end_pixels(regions: list[Region]) -> tuple[np.ndarray, np.ndarray]:
+    """Each region's row-end or column-end pixels, whichever are fewer, as
+    float (x, y) rows grouped by region, plus each region's first row.
+
+    A line's signed distance has the same extremes over these pixels as
+    over all of the region's pixels: along a pixel row, y - p_y is one
+    float and the rounded (x - p_x) d_y is monotone in x, so the rounded
+    distance is monotone along the row; likewise along a column.
+    """
+    owner = np.repeat(np.arange(len(regions)), [reg.area for reg in regions])
+    pts = np.vstack([reg.pixels for reg in regions]).astype(np.int64)
+    rel = pts - pts.min(axis=0)
+    span = rel.max(axis=0) + 1
+    ends, runs = [], []
+    for run in (1, 0):  # pixel rows share y, pixel columns share x
+        strip = owner * span[run] + rel[:, run]  # one region's row or column
+        order = np.argsort(strip * span[1 - run] + rel[:, 1 - run])
+        strip = strip[order]
+        first = np.flatnonzero(np.r_[True, strip[1:] != strip[:-1]])
+        last = np.r_[first[1:], len(order)] - 1
+        ends.append(order[np.column_stack([first, last]).ravel()])
+        runs.append(np.bincount(owner[order[first]], minlength=len(regions)))
+    by_rows = runs[0] <= runs[1]
+    sel = np.concatenate([ends[0][by_rows[owner[ends[0]]]], ends[1][~by_rows[owner[ends[1]]]]])
+    sel = sel[np.argsort(owner[sel], kind="stable")]
+    starts = np.r_[0, np.cumsum(np.where(by_rows, runs[0], runs[1]))[:-1]] * 2
+    return pts[sel].astype(np.float64), starts
+
+
+def _regions_crossed(
+    pts: np.ndarray, starts: np.ndarray, point: np.ndarray, direction: np.ndarray
+) -> np.ndarray:
+    """Per region of a _stack_pixels or _end_pixels stack: pixels lie
+    strictly on both sides of the line; (m, 1, 2) stacks of lines give an
+    (m, n_regions) table."""
+    d = signed_distance(point, direction, pts)
+    hi = np.maximum.reduceat(d, starts, axis=-1)
+    lo = np.minimum.reduceat(d, starts, axis=-1)
+    return (hi > 0) & (lo < 0)
+
+
+# distances computed per block of lines: keeps each (lines, end pixels)
+# temporary near 128 kB
+_CROSSING_BLOCK = 1 << 14
 
 
 def ransac_centroid_line(
@@ -207,28 +256,32 @@ def ransac_centroid_line(
     if len(regions) < 2:
         raise InsufficientRegionsError(f"{len(regions)} regions, need 2")
     centroids = np.array([r.centroid for r in regions])
-    pts, starts = _stack_pixels(regions)
     rng = np.random.default_rng(params.ransac_seed)
-    best_line = None
-    best_crossing = np.empty(0, dtype=np.intp)
-    sampled_valid = False
-    drawn: set[tuple[int, int]] = set()
-    for _ in range(params.ransac_iterations):
-        i, j = rng.choice(len(regions), size=2, replace=False)
-        # a repeated draw rebuilds the same line, which cannot beat the
-        # strict best-so-far, so skipping it leaves the result unchanged
-        if (i, j) in drawn:
-            continue
-        drawn.add((i, j))
-        if np.linalg.norm(centroids[i] - centroids[j]) < 1e-9:
-            continue
-        sampled_valid = True
-        line = line_through(centroids[i], centroids[j])
-        crossing = np.flatnonzero(_regions_crossed(pts, starts, line))
-        if best_line is None or len(crossing) > len(best_crossing):
-            best_line, best_crossing = line, crossing
-    if not sampled_valid:
+    draws = [
+        tuple(rng.choice(len(regions), size=2, replace=False))
+        for _ in range(params.ransac_iterations)
+    ]
+    # a repeated draw rebuilds the same line, which cannot beat the strict
+    # best-so-far, so only the first of each is scored
+    i, j = np.array(list(dict.fromkeys(draws))).T
+    valid = ~coincident(centroids[i], centroids[j])
+    if not valid.any():
         raise DegenerateSampleError("all sampled centroid pairs coincide")
+    i, j = i[valid], j[valid]
+    # built as line_through builds them: np.linalg.norm goes through the BLAS
+    # dot kernel, which a vectorized norm does not round like
+    lines = [Line2D(centroids[a], centroids[b] - centroids[a]) for a, b in zip(i, j)]
+    points = centroids[i][:, None, :]
+    directions = np.array([line.direction for line in lines])[:, None, :]
+    pts, starts = _end_pixels(regions)
+    step = max(1, _CROSSING_BLOCK // len(pts))
+    crossed = np.concatenate([
+        _regions_crossed(pts, starts, points[k:k + step], directions[k:k + step])
+        for k in range(0, len(lines), step)
+    ])
+    best = int(np.argmax(crossed.sum(axis=1)))  # the first of the tied best
+    best_line = lines[best]
+    best_crossing = np.flatnonzero(crossed[best])
 
     dist = best_line.perp_distance(centroids)
     if len(best_crossing) >= 2:
@@ -357,6 +410,8 @@ def extract_edge_pairs(
     offset = np.array([x0, y0], dtype=np.float64)
 
     ys, xs = np.nonzero(imgs.combined)
+    if len(xs) < 2:
+        raise NoEdgesError("one junction pixel defines no line")
     line1 = fit_line_tls(np.column_stack([xs, ys]).astype(np.float64) + offset)
 
     comp_labels, n_comp = ndimage.label(imgs.filtered, structure=_EIGHT)
@@ -443,7 +498,10 @@ def label_edge_pairs(
     if not pairs:
         raise InsufficientEdgesError("no pairs to label")
     pairs = sorted(pairs, key=lambda ep: ep.axis_coordinate)
-    crossed = _regions_crossed(*_stack_pixels(regions), line2) if regions else []
+    crossed = (
+        _regions_crossed(*_stack_pixels(regions), line2.point, line2.direction)
+        if regions else []
+    )
     crossing = [reg for reg, c in zip(regions, crossed) if c]
 
     junction_lines = []

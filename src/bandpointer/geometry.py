@@ -49,18 +49,34 @@ class Line2D:
     def perp_distance(self, pts: np.ndarray) -> np.ndarray:
         """Signed perpendicular distance; positive on the left of direction."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        rel = pts - self.point
-        return rel[:, 1] * self.direction[0] - rel[:, 0] * self.direction[1]
+        return signed_distance(self.point, self.direction, pts)
 
     def at(self, t) -> np.ndarray:
         """Point at coordinate t, or an (n, 2) array for n coordinates."""
         return self.point + np.multiply.outer(np.asarray(t, dtype=np.float64), self.direction)
 
 
+def signed_distance(point: np.ndarray, direction: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Signed perpendicular distance of (n, 2) points from the line through
+    point along the unit direction, positive on the left of the direction.
+
+    (m, 1, 2) stacks of points and directions give the (m, n) distances
+    from m lines, each with the bits one line gives.
+    """
+    rel_x = pts[:, 0] - point[..., 0]
+    rel_y = pts[:, 1] - point[..., 1]
+    return rel_y * direction[..., 0] - rel_x * direction[..., 1]
+
+
+def coincident(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether points are too close to define a line, per (..., 2) row."""
+    return np.isclose(p, q, atol=1e-12).all(axis=-1)
+
+
 def line_through(p: np.ndarray, q: np.ndarray) -> Line2D:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if np.allclose(p, q, atol=1e-12):
+    if coincident(p, q):
         raise DegenerateSampleError("coincident points define no line")
     return Line2D(p, q - p)
 

@@ -4,11 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from test_acceptance import _random_instance
 
 from bandpointer.association import (
     Homography1D,
     PointerEdge,
     PointerSpec,
+    _fit_homographies,
+    _labels_match,
+    _reciprocal_matches,
     align_labels_dp,
     associate_ransac,
     fit_homography_1d,
@@ -386,3 +393,202 @@ class TestAssociateRansac:
         hypotheses = associate_ransac(det, anchored_spec, alignments)
         assert len(hypotheses) == 1
         assert hypotheses[0].inlier_flags.all()
+
+
+def _fit_reference(pairs):
+    """The one-triplet fit, solved alone; None for a degenerate triplet."""
+    t = np.array([p[0] for p in pairs], dtype=np.float64)
+    b = np.array([p[1] for p in pairs], dtype=np.float64)
+    if len(np.unique(t)) < 3 or len(np.unique(b)) < 3:
+        return None
+    m = np.column_stack([t, np.ones(3), -b * t])
+    try:
+        a, c, g = np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite([a, c, g])):
+        return None
+    return Homography1D(a=float(a), c=float(c), g=float(g))
+
+
+def _inliers_reference(h, t, labels, spec, reversed_flag):
+    """Reciprocal nearest neighbors with consistent labels, one at a time."""
+    mm = (h.a * t + h.c) / (h.g * t + 1.0)
+    if not np.all(np.isfinite(mm)):
+        return []
+    b = spec.distances_mm
+    nearest_spec = [int(np.argmin(np.abs(x - b))) for x in mm]
+    nearest_det = [int(np.argmin(np.abs(mm - y))) for y in b]
+    return [
+        (k, j)
+        for k, j in enumerate(nearest_spec)
+        if nearest_det[j] == k
+        and _labels_match(labels[k], spec.side_labels[j], reversed_flag)
+    ]
+
+
+def _associate_reference(result, spec, alignments, max_triplets=1000, seed=0):
+    """Per-triplet loop form of associate_ransac: same triplets, same rules.
+
+    Returns (orientation, pairs, inlier flags, homography) per hypothesis.
+    """
+    t_coords = np.array([e.axis_coordinate for e in result.edges], dtype=np.float64)
+    labels = [(e.left_label, e.right_label) for e in result.edges]
+    t_lo, t_hi = float(t_coords.min()), float(t_coords.max())
+    b = spec.distances_mm
+    pools = {}
+    for al in alignments:
+        pool = pools.setdefault(al.orientation, [])
+        for pair in al.pairs:
+            if pair not in pool:
+                pool.append(pair)
+    if not pools or max(len(p) for p in pools.values()) < 3:
+        raise InsufficientMatchesError("no alignment orientation supplies three pairings")
+    best, best_count = {}, 0
+    for orientation in ("forward", "reversed"):
+        pairs = sorted(pools.get(orientation, []))
+        if len(pairs) < 3:
+            continue
+        reversed_flag = orientation == "reversed"
+        direction = -1 if reversed_flag else 1
+        triplets = [
+            trip
+            for trip in itertools.combinations(pairs, 3)
+            if len({d for d, _ in trip}) == 3
+            and len({s for _, s in trip}) == 3
+            and np.all(np.diff([s for _, s in sorted(trip)]) * direction > 0)
+        ]
+        if len(triplets) > max_triplets:
+            rng = np.random.default_rng(seed)
+            idx = rng.choice(len(triplets), size=max_triplets, replace=False)
+            triplets = [triplets[i] for i in sorted(idx)]
+        for trip in triplets:
+            h = _fit_reference([(t_coords[d], b[s]) for d, s in trip])
+            if h is None:
+                continue
+            if h.g == 0.0:
+                monotone = h.a != 0.0
+            else:
+                monotone = not (min(t_lo, t_hi) <= -1.0 / h.g <= max(t_lo, t_hi))
+            if not monotone:
+                continue
+            matches = _inliers_reference(h, t_coords, labels, spec, reversed_flag)
+            if len(matches) < best_count or len(matches) < 3:
+                continue
+            if np.any(np.diff([s for _, s in sorted(matches)]) * direction <= 0):
+                continue
+            if len(matches) > best_count:
+                best_count, best = len(matches), {}
+            key = (orientation, tuple(sorted(matches)))
+            if key not in best:
+                flags = [any(k == m for m, _ in matches) for k in range(len(t_coords))]
+                best[key] = (orientation, sorted(matches), flags, h)
+    if not best:
+        raise InsufficientMatchesError("no hypothesis reached three inliers")
+    ordered = sorted(best.items(), key=lambda kv: (kv[0][0] != "forward", kv[0][1]))
+    return [v for _, v in ordered]
+
+
+def _assert_same_hypotheses(det, spec, max_triplets=1000, seed=0):
+    labels = [(e.left_label, e.right_label) for e in det.edges]
+    try:
+        alignments = align_labels_dp(labels, spec)
+    except NoAssociationError:
+        return None
+    try:
+        ref = _associate_reference(det, spec, alignments, max_triplets, seed)
+    except InsufficientMatchesError as exc:
+        with pytest.raises(InsufficientMatchesError, match=str(exc)):
+            associate_ransac(det, spec, alignments, max_triplets, seed)
+        return None
+    got = associate_ransac(det, spec, alignments, max_triplets, seed)
+    assert len(got) == len(ref)
+    for hyp, (orientation, pairs, flags, h) in zip(got, ref):
+        assert hyp.orientation == orientation
+        assert hyp.pairs == pairs
+        assert hyp.inlier_flags.tolist() == flags
+        bits = np.array([hyp.homography.a, hyp.homography.c, hyp.homography.g]).tobytes()
+        assert bits == np.array([h.a, h.c, h.g]).tobytes()
+    return got
+
+
+class TestAssociateRansacEquivalence:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1000, 20, 5, 1]),
+        st.sampled_from([None, 0.5, 4.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_instances_match_reference(self, seed, max_triplets, grid):
+        spec, det = _random_instance(np.random.default_rng(seed))
+        if grid is not None:  # repeated axis coordinates: degenerate triplets
+            for e in det.edges:
+                e.axis_coordinate = grid * round(e.axis_coordinate / grid)
+        _assert_same_hypotheses(det, spec, max_triplets, seed)
+
+    @given(
+        st.lists(st.integers(0, 7), min_size=3, max_size=5, unique=True),
+        st.floats(1.0, 4.0),
+        st.floats(-0.001, 0.001),
+        st.booleans(),
+        st.sampled_from([1000, 2]),
+    )
+    @example([1, 2, 3], 2.0, 0.0, False, 1000)
+    @settings(max_examples=60, deadline=None)
+    def test_orientation_ties_match_reference(self, indices, a, g, reversed_, max_triplets):
+        # few edges of an alternating pattern fit both orientations
+        distances = [20.0, 50.0, 66.0, 98.0, 120.0, 151.0, 163.0, 190.0]
+        bands = [RED, GREEN, RED, GREEN, RED, GREEN, RED, GREEN, RED]
+        spec = make_spec(distances, bands, total_length=210.0)
+        h = Homography1D(a=a, c=10.0, g=g)
+        det = exact_detection(spec, sorted(indices), h, reversed_=reversed_)
+        _assert_same_hypotheses(det, spec, max_triplets)
+
+    def test_orientation_tie_keeps_both(self, alternating_spec):
+        det = exact_detection(alternating_spec, [1, 2, 3], Homography1D(a=2.0, c=10.0, g=0.0))
+        got = _assert_same_hypotheses(det, alternating_spec)
+        assert {hyp.orientation for hyp in got} == {"forward", "reversed"}
+
+    @given(
+        st.lists(st.lists(st.integers(0, 12), min_size=4, max_size=4), min_size=1, max_size=5),
+        st.lists(st.integers(0, 12), min_size=2, max_size=5, unique=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_reciprocal_matches_break_ties_to_the_first(self, rows, b):
+        # integer positions put detections midway between edges and at
+        # equal distance from one edge
+        mm = np.array(rows, dtype=np.float64)
+        b = np.array(sorted(b), dtype=np.float64)
+        label_ok = np.ones((mm.shape[1], len(b)), dtype=bool)
+        matched, nearest = _reciprocal_matches(mm, b, label_ok)
+        for row, got_matched, got_nearest in zip(mm, matched, nearest):
+            nearest_spec = [int(np.argmin(np.abs(x - b))) for x in row]
+            nearest_det = [int(np.argmin(np.abs(row - y))) for y in b]
+            assert got_nearest.tolist() == nearest_spec
+            assert got_matched.tolist() == [nearest_det[j] == k for k, j in enumerate(nearest_spec)]
+
+    def test_shadowed_inlier_leaves_two(self):
+        # a label-less twin at the same axis coordinate comes first, takes
+        # the nearest-neighbor slot of spec edge 0 and matches no label:
+        # the only triplet keeps two inliers, which is not a hypothesis
+        spec = make_spec([20.0, 50.0, 66.0], [RED, GREEN, BLUE, RED], 80.0)
+        det = detection_from([(0.0, RED, RED), (0.0, RED, GREEN), (10.0, GREEN, BLUE),
+                              (20.0, BLUE, RED)])
+        assert _assert_same_hypotheses(det, spec) is None
+        alignments = align_labels_dp([(e.left_label, e.right_label) for e in det.edges], spec)
+        with pytest.raises(InsufficientMatchesError, match="three inliers"):
+            associate_ransac(det, spec, alignments)
+
+    def test_singular_triplet_skipped(self):
+        # t = (1, 2, 3) against b = (4, 7, 8): b = 10 - 6 / t makes the
+        # system [t, 1, -b t] exactly singular, failing its whole chunk
+        spec = make_spec([4.0, 7.0, 8.0, 20.0], [RED, GREEN, RED, GREEN, RED], 30.0)
+        with pytest.raises(DegenerateSampleError, match="singular"):
+            fit_homography_1d([(1.0, 4.0), (2.0, 7.0), (3.0, 8.0)])
+        t = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 10.0]])
+        b = np.array([[4.0, 7.0, 8.0], [4.0, 7.0, 20.0]])
+        _, status = _fit_homographies(t, b)
+        assert status.tolist() == [2, 0]
+        det = detection_from([(1.0, RED, GREEN), (2.0, GREEN, RED), (3.0, RED, GREEN),
+                              (10.0, GREEN, RED)])
+        _assert_same_hypotheses(det, spec)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BAND_RGB,
@@ -27,11 +29,13 @@ from bandpointer.cli import (
     filter_point_cloud,
     load_color_model,
     main,
+    run_pipeline,
     save_color_model,
     write_ply,
 )
-from bandpointer.imaging import save_pgm, save_ppm
-from bandpointer.pose import CameraModel
+from bandpointer.errors import BandPointerError, NoEdgesError
+from bandpointer.imaging import RasterImage, load_image, save_pgm, save_ppm
+from bandpointer.pose import CameraModel, PoseEstimate
 
 
 def make_config_dict():
@@ -314,6 +318,89 @@ class TestProbeCommand:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+
+_PALETTE = np.array([BAND_RGB[RED], BAND_RGB[GREEN], (0.45, 0.45, 0.45), (0.0, 0.0, 0.0)])
+
+
+def _frame_of_kind(kind, rng, frame):
+    """An adversarial (H, W, 3) frame of one kind; `frame` shows the pointer."""
+    h, w = (int(n) for n in rng.integers(1, 48, 2))
+    if kind == "random":
+        return rng.random((h, w, 3))
+    if kind == "mosaic":  # blocks of band colors: many small regions
+        block = int(rng.integers(1, 17))
+        cells = _PALETTE[rng.integers(0, len(_PALETTE), (h // 4 + 1, w // 4 + 1))]
+        return np.repeat(np.repeat(cells, block, axis=0), block, axis=1)
+    if kind == "bands":  # a red/green banded bar at a random angle
+        h, w = (int(n) for n in rng.integers(16, 160, 2))
+        ys, xs = np.mgrid[0:h, 0:w]
+        phi = rng.uniform(0.0, np.pi)
+        along = (xs - w / 2) * np.cos(phi) + (ys - h / 2) * np.sin(phi)
+        across = -(xs - w / 2) * np.sin(phi) + (ys - h / 2) * np.cos(phi)
+        edges = np.cumsum(rng.uniform(6.0, 40.0, 12)) - rng.uniform(0.0, 200.0)
+        band = np.searchsorted(edges, along) % 2
+        bar = np.abs(across) < rng.uniform(3.0, 12.0)
+        return np.where(bar[..., None], _PALETTE[band], _PALETTE[2])
+    if kind == "blank":
+        return np.full((h, w, 3), rng.random())
+    if kind == "saturated":
+        return rng.integers(0, 2, (h, w, 3)).astype(np.float64)
+    if kind == "single-color":
+        return np.broadcast_to(_PALETTE[rng.integers(0, 2)], (h, w, 3))
+    fh, fw = frame.shape[:2]
+    if kind == "clipped":  # a window that cuts the pointer at its borders
+        x0, x1 = np.sort(rng.integers(0, fw + 1, 2))
+        y0, y1 = np.sort(rng.integers(0, fh + 1, 2))
+        return frame[y0:max(y1, y0 + 1), x0:max(x1, x0 + 1)]
+    occluded = frame.copy()  # rectangles of background or band color
+    for _ in range(int(rng.integers(1, 5))):
+        x0, y0 = rng.integers(0, fw), rng.integers(0, fh)
+        dx, dy = rng.integers(1, 120, 2)
+        occluded[y0:y0 + dy, x0:x0 + dx] = _PALETTE[rng.integers(0, len(_PALETTE))]
+    return occluded
+
+
+class TestPipelineRobustness:
+    """Any frame gives a finite pose or a typed BandPointerError."""
+
+    @given(
+        st.sampled_from(
+            ["random", "mosaic", "bands", "blank", "saturated", "single-color", "clipped",
+             "occluded"]
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pose_or_typed_error(self, workspace, cli_colors, kind, seed):
+        frame = load_image(workspace["frame"]).pixels
+        img = RasterImage(_frame_of_kind(kind, np.random.default_rng(seed), frame))
+        config = Config.from_dict(make_config_dict())
+        try:
+            estimate = run_pipeline(img, cli_colors, config)
+        except BandPointerError:
+            return
+        assert isinstance(estimate, PoseEstimate)
+        assert np.all(np.isfinite(estimate.pose.tip))
+        assert abs(np.linalg.norm(estimate.pose.direction) - 1.0) < 1e-9
+
+    def test_single_junction_pixel_is_pointer_not_found(self, cli_colors, tmp_path, capsys):
+        # a banded bar whose junction filter keeps one pixel: no line fits
+        px = _frame_of_kind("bands", np.random.default_rng(1748), None)
+        config = Config.from_dict(make_config_dict())
+        with pytest.raises(NoEdgesError, match="one junction pixel"):
+            run_pipeline(RasterImage(px), cli_colors, config)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(make_config_dict()))
+        colors_path = tmp_path / "colors.json"
+        save_color_model(cli_colors, colors_path)
+        save_ppm(RasterImage(px), tmp_path / "bar.ppm")
+        code = main([
+            "--config", str(config_path),
+            "probe", "--image", str(tmp_path / "bar.ppm"),
+            "--color-model", str(colors_path),
+        ])
+        assert code == EXIT_POINTER_NOT_FOUND
 
 
 class TestTrackCommand:

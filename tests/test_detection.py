@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BAND_RGB,
@@ -18,6 +20,7 @@ from bandpointer.color_model import ColorClassSet, HueKde
 from bandpointer.detection import (
     DetectionParams,
     EdgePointPair,
+    _end_pixels,
     _junction_images,
     _orientation_kernel,
     detect_band_regions,
@@ -114,9 +117,10 @@ def _ransac_reference(regions, params):
     best_line, best_crossing = None, []
     for _ in range(params.ransac_iterations):
         i, j = rng.choice(len(regions), size=2, replace=False)
-        if np.linalg.norm(centroids[i] - centroids[j]) < 1e-9:
+        try:
+            line = line_through(centroids[i], centroids[j])
+        except DegenerateSampleError:
             continue
-        line = line_through(centroids[i], centroids[j])
         crossing = [k for k, reg in enumerate(regions) if crosses(reg, line)]
         if best_line is None or len(crossing) > len(best_crossing):
             best_line, best_crossing = line, crossing
@@ -169,6 +173,100 @@ class TestRansacCentroidLine:
         regions = [region_from_rect(10, 10, 5, 5) for _ in range(3)]
         with pytest.raises(DegenerateSampleError):
             ransac_centroid_line(regions, params)
+
+    def test_nearly_coincident_centroids_skipped(self, params):
+        # a ring around a blob whose centroid sits 1/440 px off the ring's:
+        # too close for line_through, so their draws are skipped and the
+        # line through the two far regions (and both centers) wins
+        ring = [(x, y) for x in range(980, 1021) for y in range(480, 521)
+                if max(abs(x - 1000), abs(y - 500)) > 13]
+        blob = [(x, y) for x in range(990, 1011) for y in range(490, 511)
+                if (x, y) != (999, 500)]
+        regions = [
+            Region(pixels=np.array(ring)),
+            Region(pixels=np.array(blob)),
+            region_from_rect(198, 98, 5, 5),
+            region_from_rect(1798, 898, 5, 5),
+        ]
+        assert 0 < regions[1].centroid[0] - 1000.0 < 0.01
+        line, keep = ransac_centroid_line(regions, params)
+        assert abs(line.direction @ np.array([-1.0, 2.0])) < 1e-12  # slope 1/2
+        assert [id(r) for r in keep] == [id(r) for r in regions]
+        assert np.array_equal(line.point, _ransac_reference(regions, params)[0].point)
+
+
+def _region_sets():
+    """2-16 irregular regions on a small grid: one-pixel rows and columns,
+    single pixels, and odd rectangles whose centroids sit on pixel centers,
+    so centroid lines run axis-aligned or through pixels."""
+    shape = st.tuples(
+        st.integers(0, 30), st.integers(0, 30),  # corner
+        st.sampled_from([1, 1, 2, 3, 5, 8]), st.sampled_from([1, 1, 2, 3, 5, 8]),
+        st.integers(0, 2**32 - 1),  # which pixels to drop
+    )
+    return st.lists(shape, min_size=2, max_size=16)
+
+
+def _irregular(x0, y0, w, h, seed):
+    reg = region_from_rect(x0, y0, w, h)
+    keep = np.random.default_rng(seed).random(w * h) < 0.75
+    keep[seed % (w * h)] = True  # never empty
+    if seed % 3 == 0:
+        keep[:] = True
+    pixels = reg.pixels[keep]
+    if seed % 5 == 0:  # pixels in no particular order
+        pixels = pixels[np.random.default_rng(seed).permutation(len(pixels))]
+    return Region(pixels=pixels, label=RED)
+
+
+class TestRansacCentroidLineEquivalence:
+    @given(
+        _region_sets(),
+        st.sampled_from([1, 7, 60]),
+        st.integers(0, 2**16),
+        st.sampled_from([0, 10**6, 10**7]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, shapes, iterations, seed, offset):
+        # far from the origin, centroids up to 10 or 100 px apart are too
+        # close for line_through, so such draws are skipped
+        regions = [_irregular(*shape) for shape in shapes]
+        regions = [Region(pixels=r.pixels + offset, label=r.label) for r in regions]
+        params = DetectionParams(r1=3, r2=2, ransac_iterations=iterations, ransac_seed=seed)
+        try:
+            line, keep = ransac_centroid_line(regions, params)
+        except DegenerateSampleError:
+            # no draw defined a line; the reference's best line stays None
+            with pytest.raises(AttributeError):
+                _ransac_reference(regions, params)
+            return
+        ref_line, ref_keep = _ransac_reference(regions, params)
+        assert line.point.tobytes() == ref_line.point.tobytes()
+        assert line.direction.tobytes() == ref_line.direction.tobytes()
+        assert [id(r) for r in keep] == [id(r) for r in ref_keep]
+
+    @given(
+        _region_sets(),
+        st.tuples(st.integers(-5, 40), st.integers(-5, 40)),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_end_pixels_keep_extremes(self, shapes, point, step, offset):
+        # lines through pixel centers, axis-aligned or not, and off-grid
+        if step == (0, 0):
+            step = (1, 0)
+        line = Line2D(np.array(point, dtype=np.float64) + offset, np.array(step, dtype=np.float64))
+        regions = [_irregular(*shape) for shape in shapes]
+        ends, ends_starts = _end_pixels(regions)
+        d_ends = line.perp_distance(ends)
+        starts = np.cumsum([0] + [r.area for r in regions[:-1]])
+        d_all = line.perp_distance(np.vstack([r.pixels for r in regions]).astype(np.float64))
+        assert np.array_equal(np.maximum.reduceat(d_ends, ends_starts),
+                              np.maximum.reduceat(d_all, starts))
+        assert np.array_equal(np.minimum.reduceat(d_ends, ends_starts),
+                              np.minimum.reduceat(d_all, starts))
+        assert len(ends) <= 2 * len(d_all)
 
 
 class TestExpandBoundingBoxes:
