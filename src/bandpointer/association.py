@@ -8,7 +8,6 @@ reciprocal-nearest-neighbor inliers.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -23,11 +22,8 @@ from .errors import (
 if TYPE_CHECKING:
     from .detection import DetectionResult
 
-logger = logging.getLogger(__name__)
-
 LabelPair = tuple[Optional[int], Optional[int]]
 
-MAX_ALIGNMENTS = 32
 MAX_TRIPLETS = 1000
 
 
@@ -107,11 +103,6 @@ class PointerSpec:
             if left is not None and right is not None:
                 pairs.add(frozenset((left, right)))
         return pairs
-
-    def band_of(self, s: float) -> Optional[int]:
-        """Color label at axial position s (mm from the tip)."""
-        idx = int(np.searchsorted(self.distances_mm, s, side="right"))
-        return self.band_labels[idx]
 
 
 def _projective(a, c, g, t):
@@ -206,7 +197,11 @@ def fit_homography_1d(pairs: Sequence[tuple[float, float]]) -> Homography1D:
 
 @dataclass(frozen=True)
 class Alignment:
-    """One optimal label alignment: matched (detected, spec) index pairs."""
+    """The label pairs of one orientation's optimal alignments.
+
+    pairs holds every (detected, spec) index pair, sorted, that lies on
+    some alignment reaching score; spec indices count from the tip.
+    """
 
     orientation: str  # "forward" | "reversed"
     pairs: tuple[tuple[int, int], ...]
@@ -296,108 +291,34 @@ def _score_tables(
     return ok, prefix, suffix
 
 
-def _alignment_through(
-    pair: tuple[int, int],
-    ok: np.ndarray,
-    prefix: np.ndarray,
-    suffix: np.ndarray,
-) -> tuple[tuple[int, int], ...]:
-    """Deterministic optimal alignment containing one given pair.
-
-    Walks the score tables outward from the pair, always taking the
-    lexicographically smallest continuation that preserves optimality.
-    """
-    n, m = ok.shape
-    chain = [pair]
-    # forward: need pairs worth suffix[i+2, j+2] after the current one
-    i, j = pair
-    need = int(suffix[i + 2, j + 2])
-    while need > 0:
-        found = None
-        for ci in range(i + 1, n):
-            for cj in range(j + 1, m):
-                if ok[ci, cj] and suffix[ci + 2, cj + 2] == need - 1:
-                    found = (ci, cj)
-                    break
-            if found:
-                break
-        i, j = found
-        chain.append(found)
-        need -= 1
-    # backward: need pairs worth prefix[i, j] before the original one
-    i, j = pair
-    need = int(prefix[i, j])
-    while need > 0:
-        found = None
-        for ci in range(i - 1, -1, -1):
-            for cj in range(j - 1, -1, -1):
-                if ok[ci, cj] and prefix[ci, cj] == need - 1:
-                    found = (ci, cj)
-                    break
-            if found:
-                break
-        i, j = found
-        chain.insert(0, found)
-        need -= 1
-    return tuple(chain)
-
-
 def align_labels_dp(
     detected: Sequence[LabelPair], spec: PointerSpec
 ) -> list[Alignment]:
-    """Optimal order-preserving label alignments, both orientations.
+    """Optimal order-preserving label alignment, both orientations.
 
-    Returns alignments achieving the maximum score over the forward and
-    reversed pattern; every pair belonging to some optimal alignment is
-    covered by at least one returned alignment, capped at 32 with a log
-    message on truncation.
+    Returns one Alignment per orientation reaching the maximum score over
+    the forward and reversed pattern, holding every pair that lies on
+    some optimal alignment of that orientation.
     """
     if len(detected) < 1:
         raise ValueError("need at least one detected edge")
-    spec_pairs = list(spec.side_labels)
     results: list[Alignment] = []
-    best_score = 0
     for orientation in ("forward", "reversed"):
         reversed_flag = orientation == "reversed"
-        spec_seq = spec_pairs[::-1] if reversed_flag else spec_pairs
+        spec_seq = spec.side_labels[::-1] if reversed_flag else spec.side_labels
         ok, prefix, suffix = _score_tables(detected, spec_seq, reversed_flag)
         score = int(prefix[-1, -1])
-        if score == 0:
-            continue
-        if score > best_score:
-            best_score = score
-            results = []
-        elif score < best_score:
-            continue
-        # every pair on some optimal path gets one covering alignment
-        pool = [
-            (i, j)
-            for i in range(ok.shape[0])
-            for j in range(ok.shape[1])
-            if ok[i, j] and prefix[i, j] + 1 + suffix[i + 2, j + 2] == score
-        ]
-        # spec indices are reported in original (tip-based) numbering
-        remap = (
-            (lambda j: len(spec_pairs) - 1 - j) if reversed_flag else (lambda j: j)
-        )
-        seen: set[tuple[tuple[int, int], ...]] = set()
-        for pair in pool:
-            chain = _alignment_through(pair, ok, prefix, suffix)
-            mapped = tuple((d, remap(j)) for d, j in chain)
-            if mapped in seen:
-                continue
-            seen.add(mapped)
-            results.append(
-                Alignment(orientation=orientation, pairs=mapped, score=score)
-            )
+        # a pair is optimal when the best alignments before and after it,
+        # plus the pair itself, reach the score
+        optimal = ok & (prefix[:-1, :-1] + 1 + suffix[2:, 2:] == score)
+        if reversed_flag:  # spec indices back to tip-based numbering
+            optimal = optimal[:, ::-1]
+        pairs = tuple(map(tuple, np.argwhere(optimal).tolist()))
+        results.append(Alignment(orientation, pairs, score))
+    best_score = max(al.score for al in results)
     if best_score == 0:
         raise NoAssociationError("no detected label matches the pattern")
-    if len(results) > MAX_ALIGNMENTS:
-        logger.info(
-            "truncating %d optimal alignments to %d", len(results), MAX_ALIGNMENTS
-        )
-        results = results[:MAX_ALIGNMENTS]
-    return results
+    return [al for al in results if al.score == best_score]
 
 
 def _reciprocal_matches(
@@ -469,22 +390,18 @@ def associate_ransac(
 ) -> list[Correspondence]:
     """Hypotheses tied at the maximal inlier count, one per distinct mapping.
 
-    Triplets are drawn from the pooled pairs of the optimal alignments of
-    each orientation, exhaustively when few, otherwise as a seeded random
-    sample, and scored in chunks; the first of the hypotheses with equal
-    inliers is kept.
+    alignments holds at most one Alignment per orientation, as
+    align_labels_dp returns them. Triplets are drawn from the pairs on any
+    optimal label alignment of each orientation, exhaustively when few,
+    otherwise as a seeded random sample, and scored in chunks; the first
+    of the hypotheses with equal inliers is kept.
     """
     t_coords = np.array([e.axis_coordinate for e in result.edges], dtype=np.float64)
     detected_labels = [(e.left_label, e.right_label) for e in result.edges]
     t_lo, t_hi = float(t_coords.min()), float(t_coords.max())
     b = spec.distances_mm
 
-    pools: dict[str, list[tuple[int, int]]] = {}
-    for al in alignments:
-        pool = pools.setdefault(al.orientation, [])
-        for pair in al.pairs:
-            if pair not in pool:
-                pool.append(pair)
+    pools = {al.orientation: al.pairs for al in alignments}
     if not pools or max(len(p) for p in pools.values()) < 3:
         raise InsufficientMatchesError(
             "no alignment orientation supplies three pairings"
@@ -493,7 +410,7 @@ def associate_ransac(
     best: dict[tuple, Correspondence] = {}
     best_count = 0
     for orientation in ("forward", "reversed"):
-        pairs = np.array(sorted(pools.get(orientation, [])), dtype=np.intp).reshape(-1, 2)
+        pairs = np.array(pools.get(orientation, ()), dtype=np.intp).reshape(-1, 2)
         if len(pairs) < 3:
             continue
         reversed_flag = orientation == "reversed"
@@ -541,6 +458,4 @@ def associate_ransac(
     if not best:
         raise InsufficientMatchesError("no hypothesis reached three inliers")
     ordered = sorted(best.items(), key=lambda kv: (kv[0][0] != "forward", kv[0][1]))
-    if len(ordered) > 1 and len({o for (o, _) in best} ) > 1:
-        logger.debug("orientation tie broken toward forward")
     return [corr for _, corr in ordered]

@@ -39,13 +39,12 @@ from .imaging import (
     HueSatImage,
     RasterImage,
     Region,
+    _EIGHT_CONNECTED,
     connected_components,
     convolve_unit_sum,
     erode_disk,
     rgb_to_hue_saturation,
 )
-
-_EIGHT = np.ones((3, 3), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -414,7 +413,7 @@ def extract_edge_pairs(
         raise NoEdgesError("one junction pixel defines no line")
     line1 = fit_line_tls(np.column_stack([xs, ys]).astype(np.float64) + offset)
 
-    comp_labels, n_comp = ndimage.label(imgs.filtered, structure=_EIGHT)
+    comp_labels, n_comp = ndimage.label(imgs.filtered, structure=_EIGHT_CONNECTED)
     raw_pairs: list[tuple[np.ndarray, np.ndarray]] = []
     for idx in range(1, n_comp + 1):
         sel = (comp_labels == idx) & imgs.combined

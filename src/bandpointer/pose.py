@@ -54,6 +54,14 @@ class CameraModel:
             raise ValueError("the last row of K must be (0, 0, 1)")
         if not np.allclose(R @ R.T, np.eye(3), atol=1e-9) or np.linalg.det(R) < 0:
             raise ValueError("R must be a rotation matrix")
+        d = self.distortion
+        if d is not None and not d.is_identity() and (d.fx, d.fy, d.cx, d.cy) != (
+            K[0, 0], K[1, 1], K[0, 2], K[1, 2]
+        ):
+            raise ValueError(
+                "distortion fx, fy, cx, cy must equal the focal lengths and "
+                "principal point of K"
+            )
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from test_acceptance import _random_instance
@@ -108,11 +108,6 @@ class TestPointerSpec:
     def test_adjacency_pairs(self, alternating_spec):
         assert alternating_spec.adjacent_label_pairs() == {frozenset((RED, GREEN))}
 
-    def test_band_lookup(self, alternating_spec):
-        assert alternating_spec.band_of(5.0) == RED
-        assert alternating_spec.band_of(25.0) == GREEN
-        assert alternating_spec.band_of(205.0) == RED
-
 
 class TestHomography1D:
     def test_identity_from_three_points(self):
@@ -187,6 +182,40 @@ def brute_force_alignments(detected, spec_labels):
     return best_score, best_sets
 
 
+LABELS = st.sampled_from([None, RED, GREEN, BLUE])
+
+
+@st.composite
+def label_instances(draw):
+    """A spec and detected side labels: random, or a window of the pattern
+    read in either direction with sides hidden or recolored."""
+    n_spec = draw(st.integers(1, 7))
+    bands = [draw(LABELS)]
+    for _ in range(n_spec):
+        bands.append(draw(LABELS.filter(lambda c: c is None or c != bands[-1])))
+    spacings = draw(st.lists(st.integers(5, 40), min_size=n_spec, max_size=n_spec))
+    try:
+        spec = make_spec(list(np.cumsum(spacings, dtype=float)), bands)
+    except ValueError:  # indistinguishable from its reversal
+        reject()
+    if draw(st.booleans()):
+        return spec, draw(st.lists(st.tuples(LABELS, LABELS), min_size=1, max_size=6))
+    lo = draw(st.integers(0, n_spec - 1))
+    detected = list(spec.side_labels[lo:draw(st.integers(lo + 1, n_spec))])
+    if draw(st.booleans()):
+        detected = [(r, l) for l, r in reversed(detected)]
+    for k, (left, right) in enumerate(detected):
+        change = draw(st.sampled_from(["keep", "hide-left", "hide-right", "hide-both", "recolor"]))
+        if change in ("hide-left", "hide-both"):
+            left = None
+        if change in ("hide-right", "hide-both"):
+            right = None
+        if change == "recolor":
+            left = draw(LABELS)
+        detected[k] = (left, right)
+    return spec, detected
+
+
 class TestAlignLabelsDp:
     def test_full_sequence_identity(self, alternating_spec):
         detected = list(alternating_spec.side_labels)
@@ -203,10 +232,10 @@ class TestAlignLabelsDp:
             detected, list(alternating_spec.side_labels)
         )
         assert fwd[0].score == oracle_score
-        produced = {a.pairs for a in fwd}
-        assert produced <= oracle_sets
-        # the true window alignment is among them
-        assert tuple((k, k + 3) for k in range(4)) in produced
+        produced = set(fwd[0].pairs)
+        assert produced == set().union(*oracle_sets)
+        # the true window alignment lies in it
+        assert {(k, k + 3) for k in range(4)} <= produced
 
     def test_reversed_subsequence_selects_reversed(self, cyclic3_spec):
         window = list(cyclic3_spec.side_labels[1:5])
@@ -252,6 +281,38 @@ class TestAlignLabelsDp:
         oracle_pairs = set().union(*oracle_sets)
         covered = set().union(*(set(a.pairs) for a in fwd))
         assert covered == oracle_pairs
+
+    @given(label_instances())
+    # an orientation tie, and a reversed window read from the tail
+    @example((make_spec([20.0, 50.0, 66.0], [RED, GREEN, RED, GREEN]), [(RED, GREEN)]))
+    @example((make_spec([20.0, 50.0, 66.0, 98.0], [RED, GREEN, BLUE, RED, GREEN]),
+              [(RED, BLUE), (BLUE, GREEN), (GREEN, RED)]))
+    @settings(max_examples=300, deadline=None)
+    def test_pairs_are_the_union_of_oracle_alignments(self, instance):
+        spec, detected = instance
+        labels = list(spec.side_labels)
+        m = len(labels)
+        # the reversed orientation reads the pattern from the tail, sides swapped
+        oracle = {
+            "forward": brute_force_alignments(detected, labels),
+            "reversed": brute_force_alignments(detected, [(r, l) for l, r in labels[::-1]]),
+        }
+        best = max(score for score, _ in oracle.values())
+        if best == 0:
+            with pytest.raises(NoAssociationError):
+                align_labels_dp(detected, spec)
+            return
+        alignments = align_labels_dp(detected, spec)
+        assert [a.orientation for a in alignments] == [
+            o for o in ("forward", "reversed") if oracle[o][0] == best
+        ]
+        for a in alignments:
+            _, sets = oracle[a.orientation]
+            union = set().union(*sets)
+            if a.orientation == "reversed":  # back to tip numbering
+                union = {(d, m - 1 - j) for d, j in union}
+            assert a.score == best
+            assert a.pairs == tuple(sorted(union))
 
 
 def exact_detection(spec, indices, homography, reversed_=False):

@@ -350,3 +350,16 @@ class TestLensDistortion:
             estimate = estimate_pose(det, hypotheses, camera, skewer_spec)
             assert np.linalg.norm(estimate.pose.tip - pose.tip) < 1e-6
             assert estimate.rms_px < 1e-6
+
+    @pytest.mark.parametrize("k1", [-1e-8, -0.2], ids=["tiny", "strong"])
+    def test_distortion_centred_away_from_k_rejected(self, camera_full, k1):
+        # DistortionModel's default fx = fy = 1, cx = cy = 0 is not K's
+        # centre: at k1 = -1e-8 undistortion moved (1300, 1000) to
+        # (1338.1, 1029.3), and at k1 = -0.2 pose estimation failed
+        with pytest.raises(ValueError, match="principal point of K"):
+            CameraModel(K=camera_full.K, distortion=DistortionModel(k1=k1))
+
+    def test_identity_distortion_needs_no_centre(self, camera_full):
+        camera = CameraModel(K=camera_full.K, distortion=DistortionModel())
+        pts = np.array([[1300.0, 1000.0]])
+        assert camera.undistort(pts).tolist() == pts.tolist()
