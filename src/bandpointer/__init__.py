@@ -24,7 +24,6 @@ from .detection import (
 )
 from .errors import BandPointerError
 from .imaging import (
-    BinaryImage,
     DistortionModel,
     HueSatImage,
     RasterImage,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alignment",
     "BandPointerError",
-    "BinaryImage",
     "CameraModel",
     "ColorClassSet",
     "Correspondence",

@@ -93,7 +93,10 @@ class Config:
             ptr = data["pointer"]
             if not isinstance(data["colors"], dict):
                 raise ConfigError("colors must map color names to class ids")
-            colors = {str(k2): int(v) for k2, v in data["colors"].items()}
+            colors = {str(k2): v for k2, v in data["colors"].items()}
+            for name, v in colors.items():
+                if type(v) is not int or not 0 < v < 256:
+                    raise ConfigError(f"color {name!r} needs a class id in 1..255, got {v!r}")
             band_names = list(ptr["band_colors"])
             band_ids = [
                 colors[name] if name is not None else None for name in band_names
@@ -425,14 +428,13 @@ def evaluate_sweep(
         depths_mm, angles_deg, template, config.camera, roll_deg=roll_deg
     )
 
-    n_trials = max(trials, 1)
     records = []
     for cell_idx, cell in enumerate(cells):
         rng = np.random.default_rng(seed + cell_idx)
         tips = []
         try:
             gt = synthetic.ground_truth(cell.scene, config.camera, config.image_size)
-            runs = n_trials
+            runs = trials
         except BandPointerError:  # e.g. part of the pointer behind the camera
             runs = 0
         for _ in range(runs):
@@ -454,8 +456,8 @@ def evaluate_sweep(
         record = {
             "depth_mm": float(cell.depth_mm),
             "angle_deg": float(cell.angle_deg),
-            "trials": n_trials,
-            "failures": n_trials - len(tips),
+            "trials": trials,
+            "failures": trials - len(tips),
             "rms_tip_error_mm": float("nan"),
             "pc1": (float("nan"),) * 3,
         }
@@ -480,11 +482,17 @@ def cmd_eval(args) -> int:
         depths, angles = sweep_spec["depths_mm"], sweep_spec["angles_deg"]
         if not (isinstance(depths, list) and isinstance(angles, list) and depths and angles):
             raise ValueError("depths_mm and angles_deg must be non-empty lists")
+        trials = sweep_spec.get("trials", 1)
+        if type(trials) is not int or trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+        noise_px = float(sweep_spec.get("noise_px", 0.0))
+        if not 0.0 <= noise_px < np.inf:
+            raise ValueError(f"noise_px must be finite and >= 0, got {noise_px!r}")
         grid = dict(
             depths_mm=[float(v) for v in depths],
             angles_deg=[float(v) for v in angles],
-            trials=int(sweep_spec.get("trials", 1)),
-            noise_px=float(sweep_spec.get("noise_px", 0.0)),
+            trials=trials,
+            noise_px=noise_px,
             seed=int(sweep_spec.get("seed", args.seed)),
             roll_deg=float(sweep_spec.get("roll_deg", 4.0)),
         )
@@ -566,6 +574,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except ImageFormatError as exc:
+        print(f"bad image: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except BandPointerError as exc:
         print(f"error: {exc}", file=sys.stderr)

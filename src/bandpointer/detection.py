@@ -35,11 +35,11 @@ from .geometry import (
     signed_distance,
 )
 from .imaging import (
-    BinaryImage,
     HueSatImage,
     RasterImage,
     Region,
     _EIGHT_CONNECTED,
+    _content_box,
     connected_components,
     convolve_unit_sum,
     erode_disk,
@@ -75,6 +75,12 @@ class DetectionParams:
             raise ValueError("need 0 < r2 < r1")
         if self.ransac_iterations < 1 or self.ransac_seed < 0:
             raise ValueError("need ransac_iterations >= 1 and ransac_seed >= 0")
+        for name in ("major_expand", "minor_expand", "line_inlier_sigmas",
+                     "pair_separation_sigmas"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0.0 < self.binarize_threshold <= 1.0:
+            raise ValueError("need 0 < binarize_threshold <= 1")
 
     @property
     def edge_halo(self) -> int:
@@ -116,27 +122,6 @@ class DetectionResult:
     pass2_regions: list[Region] = field(default_factory=list)
 
 
-def _distance_maps(
-    regions: list[Region], margin: int, size: tuple[int, int]
-) -> tuple[tuple[int, int, int, int], dict[int, np.ndarray]]:
-    """Crop (x0, y0, w, h) covering all region pixels plus the margin, and
-    per label the crop's distance to the nearest pixel of that label."""
-    width, height = size
-    all_px = np.vstack([r.pixels for r in regions])
-    x0 = max(int(all_px[:, 0].min()) - margin, 0)
-    y0 = max(int(all_px[:, 1].min()) - margin, 0)
-    x1 = min(int(all_px[:, 0].max()) + margin + 1, width)
-    y1 = min(int(all_px[:, 1].max()) + margin + 1, height)
-    masks: dict[int, np.ndarray] = {}
-    for reg in regions:
-        mask = masks.setdefault(reg.label, np.zeros((y1 - y0, x1 - x0), dtype=bool))
-        mask[reg.pixels[:, 1] - y0, reg.pixels[:, 0] - x0] = True
-    dist_to = {
-        label: ndimage.distance_transform_edt(~mask) for label, mask in masks.items()
-    }
-    return (x0, y0, x1 - x0, y1 - y0), dist_to
-
-
 def detect_band_regions(
     hs: HueSatImage,
     colors: ColorClassSet,
@@ -148,25 +133,30 @@ def detect_band_regions(
     """Classified regions that survive erosion and the color-adjacency test.
 
     A region stays only if some region of an adjacent pattern color comes
-    within 2r + 4 pixels of its border.
+    within 2r + 4 pixels of its border. Erosion, labeling and the
+    adjacency distances all run in the box of the classified pixels: every
+    label is 0 outside it, as beyond the frame's border.
     """
     roi_mask = boxes_mask(roi, hs.width, hs.height) if roi is not None else None
     labels_raster = classify_image_masked(colors, hs, s, roi_mask)
+    if not labels_raster.any():
+        return []
+    box = _content_box(labels_raster)
+    window = labels_raster[box]
+    origin = (box[1].start, box[0].start)
 
     regions: list[Region] = []
+    dist_to: dict[int, np.ndarray] = {}  # per label, distance to its pixels
     for label in colors.labels:
-        mask = labels_raster == label
+        mask = window == label
         if not mask.any():
             continue
-        eroded = erode_disk(BinaryImage(mask), r)
-        for reg in connected_components(eroded):
+        eroded = erode_disk(mask, r)
+        if eroded.any():
+            dist_to[label] = ndimage.distance_transform_edt(~eroded)
+        for reg in connected_components(eroded, origin):
             reg.label = label
             regions.append(reg)
-    if not regions:
-        return []
-
-    w_adj = 2 * r + 4
-    (x0, y0, _, _), dist_to = _distance_maps(regions, w_adj + 2, (hs.width, hs.height))
 
     neighbors: dict[int, set[int]] = {}
     for pair in spec_adjacency:
@@ -174,10 +164,11 @@ def detect_band_regions(
         neighbors.setdefault(a, set()).add(b)
         neighbors.setdefault(b, set()).add(a)
 
+    w_adj = 2 * r + 4
     kept = []
     for reg in regions:
-        ys = reg.pixels[:, 1] - y0
-        xs = reg.pixels[:, 0] - x0
+        ys = reg.pixels[:, 1] - origin[1]
+        xs = reg.pixels[:, 0] - origin[0]
         for other in neighbors.get(reg.label, ()):
             if other not in dist_to:
                 continue
@@ -335,7 +326,6 @@ class JunctionImages:
     halo: np.ndarray  # I_b1
     filtered: np.ndarray  # I_b2
     combined: np.ndarray  # I_b3
-    phi: float
 
 
 def _junction_images(
@@ -347,13 +337,20 @@ def _junction_images(
 ) -> JunctionImages:
     e = params.edge_halo
     margin = e + int(np.ceil(3.0 * params.sigma_d)) + 2
-    crop, dist_to = _distance_maps(regions, margin, image_size)
-    _, _, w, h = crop
-    halo = np.zeros((h, w), dtype=bool)
+    # crop covering all region pixels plus the margin, clipped to the frame
+    all_px = np.vstack([reg.pixels for reg in regions])
+    x0, y0 = np.maximum(all_px.min(axis=0) - margin, 0)
+    x1, y1 = np.minimum(all_px.max(axis=0) + margin + 1, image_size)
+    masks: dict[int, np.ndarray] = {}
+    for reg in regions:
+        mask = masks.setdefault(reg.label, np.zeros((y1 - y0, x1 - x0), dtype=bool))
+        mask[reg.pixels[:, 1] - y0, reg.pixels[:, 0] - x0] = True
+    near = {label: ndimage.distance_transform_edt(~mask) <= e for label, mask in masks.items()}
+    halo = np.zeros((y1 - y0, x1 - x0), dtype=bool)
     for pair in spec_adjacency:
         a, b = tuple(pair)
-        if a in dist_to and b in dist_to:
-            halo |= (dist_to[a] <= e) & (dist_to[b] <= e)
+        if a in near and b in near:
+            halo |= near[a] & near[b]
     if not halo.any():
         raise NoEdgesError("no pixels near two adjacent band colors")
 
@@ -372,13 +369,14 @@ def _junction_images(
     phi = float(np.mod(phi + np.pi / 2.0, np.pi) - np.pi / 2.0)
 
     kernel = _orientation_kernel(phi, params.sigma_d, params.sigma_a)
-    response = convolve_unit_sum(BinaryImage(halo), kernel)
+    response = convolve_unit_sum(halo, kernel)
     filtered = response >= params.binarize_threshold
     combined = halo & filtered
     if not combined.any():
         raise NoEdgesError("junction filter response below threshold everywhere")
     return JunctionImages(
-        crop=crop, halo=halo, filtered=filtered, combined=combined, phi=phi
+        crop=(int(x0), int(y0), int(x1 - x0), int(y1 - y0)),
+        halo=halo, filtered=filtered, combined=combined,
     )
 
 

@@ -34,7 +34,7 @@ class ConfigError(BandPointerError):
     """Configuration file is malformed or inconsistent with other inputs."""
 
 
-class ImageFormatError(ConfigError, ValueError):
+class ImageFormatError(BandPointerError, ValueError):
     """An image file is not a supported 8-bit PPM/PGM (or PNG with pillow)."""
 
 

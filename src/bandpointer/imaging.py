@@ -83,22 +83,6 @@ class HueSatImage:
 
 
 @dataclass(frozen=True)
-class BinaryImage:
-    bits: np.ndarray  # (H, W) bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=bool))
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-
-@dataclass(frozen=True)
 class DistortionModel:
     """Brown-Conrady radial/tangential model in pixel units."""
 
@@ -184,8 +168,9 @@ def rgb_to_hue_saturation(img: RasterImage) -> HueSatImage:
     return HueSatImage(rgb=px, saturation=sat, hue_valid=delta > 0.0, value=cmax)
 
 
-def erode_disk(b: BinaryImage, radius: int) -> BinaryImage:
-    """Erosion with a Euclidean disk; pixels outside the image count as 0.
+def erode_disk(bits: np.ndarray, radius: int) -> np.ndarray:
+    """Erosion of a boolean (H, W) array with a Euclidean disk; pixels
+    outside the array count as 0.
 
     A pixel survives iff every pixel within distance <= radius is 1, which
     equals thresholding the distance transform to the nearest 0.
@@ -193,20 +178,12 @@ def erode_disk(b: BinaryImage, radius: int) -> BinaryImage:
     if radius < 0 or int(radius) != radius:
         raise ValueError("radius must be a non-negative integer")
     radius = int(radius)
-    bits = b.bits
+    bits = np.asarray(bits, dtype=bool)
     if radius == 0 or not bits.any():
-        return BinaryImage(bits.copy())
-
-    box = _content_box(bits)
+        return bits.copy()
     pad = radius + 1
-    # work on the content bounding box; the zero pad stands in for both
-    # real zero pixels and out-of-bounds pixels, which erode identically
-    crop = np.pad(bits[box], pad)
-    eroded_crop = ndimage.distance_transform_edt(crop) > radius
-
-    out = np.zeros_like(bits)
-    out[box] = eroded_crop[pad:-pad, pad:-pad]
-    return BinaryImage(out)
+    dist = ndimage.distance_transform_edt(np.pad(bits, pad))
+    return dist[pad:-pad, pad:-pad] > radius
 
 
 def _content_box(bits: np.ndarray) -> tuple[slice, slice]:
@@ -220,26 +197,24 @@ def _content_box(bits: np.ndarray) -> tuple[slice, slice]:
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
-def connected_components(b: BinaryImage) -> list[Region]:
-    """8-connected components with centroid and second central moments.
+def connected_components(bits: np.ndarray, origin: tuple[int, int] = (0, 0)) -> list[Region]:
+    """8-connected components of a boolean array, in the scan order of
+    their first pixel, with centroid and second central moments.
 
-    Labeling runs on the content bounding box, which keeps the regions in
-    the scan order of their first pixel, as on the whole frame.
+    ``origin`` is the (x, y) of the array's first pixel in the frame; it is
+    added to the pixel coordinates before the moments are taken.
     """
-    if not b.bits.any():
-        return []
-    box = _content_box(b.bits)
-    labeled, _ = ndimage.label(b.bits[box], structure=_EIGHT_CONNECTED)
+    labeled, _ = ndimage.label(bits, structure=_EIGHT_CONNECTED)
     regions = []
     for idx, sl in enumerate(ndimage.find_objects(labeled), start=1):
         ys, xs = np.nonzero(labeled[sl] == idx)
-        ys = ys + (sl[0].start + box[0].start)
-        xs = xs + (sl[1].start + box[1].start)
+        xs = xs + (sl[1].start + origin[0])
+        ys = ys + (sl[0].start + origin[1])
         regions.append(Region(pixels=np.column_stack([xs, ys])))
     return regions
 
 
-def convolve_unit_sum(b: BinaryImage, kernel: np.ndarray) -> np.ndarray:
+def convolve_unit_sum(bits: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """True 2D convolution with zero padding; kernel must be odd, unit sum."""
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
@@ -247,8 +222,7 @@ def convolve_unit_sum(b: BinaryImage, kernel: np.ndarray) -> np.ndarray:
     total = kernel.sum()
     if total <= 0.0:
         raise InvalidKernelError(f"kernel sum must be positive, got {total}")
-    src = b.bits.astype(np.float64)
-    out = fftconvolve(src, kernel, mode="same")
+    out = fftconvolve(np.asarray(bits, dtype=np.float64), kernel, mode="same")
     # fft round-off can leave values a hair outside [0, 1]
     np.clip(out, 0.0, 1.0, out=out)
     return out

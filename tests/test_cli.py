@@ -154,10 +154,24 @@ class TestConfigValidation:
             (("detection", "ransac_iterations"), 0),
             (("detection", "ransac_iterations"), 200.5),
             (("detection", "ransac_seed"), -1),
+            (("colors", "red"), 1.5),
+            (("colors", "red"), True),
+            (("colors", "red"), 0),
+            (("colors", "red"), 300),
+            (("detection", "major_expand"), -1),
+            (("detection", "minor_expand"), 0),
+            (("detection", "binarize_threshold"), 2.0),
+            (("detection", "binarize_threshold"), 0.0),
+            (("detection", "line_inlier_sigmas"), float("nan")),
+            (("detection", "pair_separation_sigmas"), -3),
+            (("detection", "pair_separation_sigmas"), float("inf")),
         ],
         ids=["fractional-r1", "one-size", "fractional-size", "zero-size",
              "colors-list", "zero-ransac-iterations", "fractional-ransac-iterations",
-             "negative-seed"],
+             "negative-seed", "fractional-color-id", "bool-color-id",
+             "background-color-id", "wide-color-id", "negative-major-expand",
+             "zero-minor-expand", "binarize-above-one", "zero-binarize",
+             "nan-line-sigmas", "negative-pair-sigmas", "infinite-pair-sigmas"],
     )
     def test_bad_config_exits_with_one_line(
         self, workspace, tmp_path, capsys, path, value
@@ -304,6 +318,23 @@ class TestProbeCommand:
         err = capsys.readouterr().err
         assert code == EXIT_NO_ASSOCIATION
         assert "three" in err or "insufficient" in err.lower()
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P6\n2 2\n65535\n" + bytes(24), b"P5\n2 2\n255\n" + bytes(4)],
+        ids=["16-bit", "magic"],
+    )
+    def test_bad_image_is_not_a_config_error(self, workspace, tmp_path, capsys, data):
+        path = tmp_path / "frame.ppm"
+        path.write_bytes(data)
+        code = main([
+            "--config", str(workspace["config"]),
+            "probe", "--image", str(path),
+            "--color-model", str(workspace["colors"]),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("bad image:") and err.count("\n") == 1
 
     def test_malformed_color_model_exits_with_one_line(self, workspace, tmp_path, capsys):
         data = json.loads(workspace["colors"].read_text())
@@ -558,10 +589,16 @@ class TestEvalCommand:
             json.dumps({"depths_mm": [], "angles_deg": [0.0]}),
             json.dumps({"depths_mm": [330.0], "angles_deg": []}),
             json.dumps({"depths_mm": "330", "angles_deg": [0.0]}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": 2.7}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": 0}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": -3}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": -1}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": float("nan")}),
         ],
         ids=[
             "no-depths-key", "str-trials", "json-list", "not-json", "no-depths",
-            "no-angles", "str-depths",
+            "no-angles", "str-depths", "fractional-trials", "zero-trials",
+            "negative-trials", "negative-noise", "nan-noise",
         ],
     )
     def test_malformed_sweep_spec_exits_with_one_line(

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from conftest import (
     BAND_RGB,
+    BLUE,
     FIXTURE_PARAMS,
     GREEN,
     RED,
@@ -16,7 +18,7 @@ from conftest import (
 )
 
 from bandpointer import synthetic
-from bandpointer.color_model import ColorClassSet, HueKde
+from bandpointer.color_model import ColorClassSet, HueKde, classify_image_masked
 from bandpointer.detection import (
     DetectionParams,
     EdgePointPair,
@@ -34,7 +36,7 @@ from bandpointer.errors import (
     InsufficientRegionsError,
     PointerNotFoundError,
 )
-from bandpointer.geometry import Line2D, line_through
+from bandpointer.geometry import Line2D, OrientedBox, boxes_mask, line_through
 from bandpointer.imaging import RasterImage, Region, rgb_to_hue_saturation
 
 
@@ -97,6 +99,88 @@ class TestDetectBandRegions:
             hs_of(px), rg_colors, ADJ_RG, 0.25, 2, roi=far_box
         )
         assert regions == []
+
+
+def _band_regions_reference(hs, colors, spec_adjacency, s, r, roi=None):
+    """Whole-frame form of detect_band_regions: per label a full-frame
+    mask, its whole-frame erosion and labeling, and adjacency distances
+    from masks rebuilt out of the region pixels."""
+    roi_mask = boxes_mask(roi, hs.width, hs.height) if roi is not None else None
+    labels_raster = classify_image_masked(colors, hs, s, roi_mask)
+    regions = []
+    for label in colors.labels:
+        mask = labels_raster == label
+        if not mask.any():
+            continue
+        dist = ndimage.distance_transform_edt(np.pad(mask, r + 1))
+        eroded = dist[r + 1 : -r - 1, r + 1 : -r - 1] > r
+        labeled, _ = ndimage.label(eroded, structure=np.ones((3, 3), dtype=int))
+        for idx in range(1, labeled.max() + 1):
+            ys, xs = np.nonzero(labeled == idx)
+            regions.append(Region(pixels=np.column_stack([xs, ys]), label=label))
+    masks = {}
+    for reg in regions:
+        mask = masks.setdefault(reg.label, np.zeros(labels_raster.shape, dtype=bool))
+        mask[reg.pixels[:, 1], reg.pixels[:, 0]] = True
+    dist_to = {label: ndimage.distance_transform_edt(~m) for label, m in masks.items()}
+    kept = []
+    for reg in regions:
+        others = [b for pair in spec_adjacency if reg.label in pair
+                  for b in pair if b != reg.label and b in dist_to]
+        if any(
+            max(dist_to[b][reg.pixels[:, 1], reg.pixels[:, 0]].min() - 1.0, 0.0)
+            <= 2 * r + 4
+            for b in others
+        ):
+            kept.append(reg)
+    return kept
+
+
+class TestBandRegionsWindow:
+    """Erosion, labeling and adjacency in the classified pixels' box give
+    the whole frame's regions, in its order."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(3, 6),
+        st.integers(1, 2),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_whole_frame_reference(self, seed, cell, r, with_roi):
+        rng = np.random.default_rng(seed)
+        # a mosaic of pure-color cells: classified pixels reach the frame's
+        # border, BLUE is never painted, and the unclassified background
+        # keeps some cells beyond the adjacency distance
+        grid = rng.choice([0, RED, GREEN], size=(rng.integers(3, 13), rng.integers(3, 13)),
+                          p=[0.6, 0.2, 0.2])
+        grid = np.kron(grid, np.ones((cell, cell), dtype=int))
+        px = np.full(grid.shape + (3,), 0.45)
+        for label in (RED, GREEN):
+            px[grid == label] = BAND_RGB[label]
+        hs = hs_of(px)
+        def kde(hue):
+            return HueKde(samples=np.array([hue]), bandwidths=np.array([0.08]))
+        colors = ColorClassSet(classes=((RED, kde(0.798)), (GREEN, kde(1.294)),
+                                        (BLUE, kde(2.09))))
+        adjacency = {frozenset((RED, GREEN)), frozenset((GREEN, BLUE))}
+        roi = None
+        if with_roi:  # pass 2: classification only inside oriented boxes
+            h, w = grid.shape
+            roi = [
+                OrientedBox(
+                    center=rng.uniform([0, 0], [w, h]),
+                    axes=np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]]),
+                    half_extents=rng.uniform(2.0, 0.6 * max(w, h), 2),
+                )
+                for a in rng.uniform(0.0, np.pi, rng.integers(1, 3))
+            ]
+        got = detect_band_regions(hs, colors, adjacency, 0.25, r, roi=roi)
+        want = _band_regions_reference(hs, colors, adjacency, 0.25, r, roi=roi)
+        assert [g.label for g in got] == [ref.label for ref in want]
+        for g, ref in zip(got, want):
+            np.testing.assert_array_equal(g.pixels, ref.pixels)
+            np.testing.assert_array_equal(g.centroid, ref.centroid)
 
 
 def region_from_rect(x0, y0, w, h, label=RED):

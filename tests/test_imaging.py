@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from bandpointer.errors import ImageFormatError, InvalidKernelError, NumericError
 from bandpointer.imaging import (
-    BinaryImage,
     DistortionModel,
     RasterImage,
+    Region,
     connected_components,
     convolve_unit_sum,
     distort_points,
@@ -157,40 +157,40 @@ class TestErosion:
     def test_radius_zero_is_identity(self):
         rng = np.random.default_rng(0)
         bits = rng.uniform(size=(12, 15)) > 0.5
-        out = erode_disk(BinaryImage(bits), 0)
-        np.testing.assert_array_equal(out.bits, bits)
+        out = erode_disk(bits, 0)
+        np.testing.assert_array_equal(out, bits)
 
     def test_thin_strip_vanishes(self):
         bits = np.zeros((20, 20), dtype=bool)
         bits[5:8, :] = True  # 3 px wide strip
-        out = erode_disk(BinaryImage(bits), 2)
-        assert not out.bits.any()
+        out = erode_disk(bits, 2)
+        assert not out.any()
 
     def test_square_shrinks_to_oracle(self):
         bits = np.zeros((20, 20), dtype=bool)
         bits[4:15, 3:14] = True  # 11x11 solid square
-        out = erode_disk(BinaryImage(bits), 2)
+        out = erode_disk(bits, 2)
         expected = _brute_force_erode(bits, 2)
-        np.testing.assert_array_equal(out.bits, expected)
+        np.testing.assert_array_equal(out, expected)
         # the surviving area is the inner 7x7 square
-        assert out.bits.sum() == 49
-        assert out.bits[6:13, 5:12].all()
+        assert out.sum() == 49
+        assert out[6:13, 5:12].all()
 
     @given(st.integers(0, 3), st.integers(0, 5000))
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force_and_is_anti_extensive(self, radius, seed):
         rng = np.random.default_rng(seed)
         bits = rng.uniform(size=(14, 11)) > 0.35
-        out = erode_disk(BinaryImage(bits), radius)
-        np.testing.assert_array_equal(out.bits, _brute_force_erode(bits, radius))
-        assert not (out.bits & ~bits).any()  # output subset of input
+        out = erode_disk(bits, radius)
+        np.testing.assert_array_equal(out, _brute_force_erode(bits, radius))
+        assert not (out & ~bits).any()  # output subset of input
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(3)
         bits = rng.uniform(size=(30, 30)) > 0.2
-        prev = erode_disk(BinaryImage(bits), 1).bits
+        prev = erode_disk(bits, 1)
         for radius in (2, 3, 4):
-            cur = erode_disk(BinaryImage(bits), radius).bits
+            cur = erode_disk(bits, radius)
             assert not (cur & ~prev).any()
             prev = cur
 
@@ -232,12 +232,12 @@ def _full_frame_components(bits: np.ndarray) -> list[np.ndarray]:
 
 class TestConnectedComponents:
     def test_empty_image(self):
-        assert connected_components(BinaryImage(np.zeros((5, 5), dtype=bool))) == []
+        assert connected_components(np.zeros((5, 5), dtype=bool)) == []
 
     def test_diagonal_pixels_are_one_component(self):
         bits = np.zeros((4, 4), dtype=bool)
         bits[1, 1] = bits[2, 2] = True
-        regions = connected_components(BinaryImage(bits))
+        regions = connected_components(bits)
         assert len(regions) == 1
         assert regions[0].area == 2
 
@@ -246,7 +246,7 @@ class TestConnectedComponents:
         for by in (1, 5, 9):
             for bx in (1, 5, 9):
                 bits[by : by + 2, bx : bx + 2] = True
-        regions = connected_components(BinaryImage(bits))
+        regions = connected_components(bits)
         oracle = _flood_fill_components(bits)
         assert len(regions) == len(oracle) == 9
         region_sets = [set(map(tuple, r.pixels.tolist())) for r in regions]
@@ -261,7 +261,7 @@ class TestConnectedComponents:
     def test_partition_property(self):
         rng = np.random.default_rng(11)
         bits = rng.uniform(size=(20, 20)) > 0.6
-        regions = connected_components(BinaryImage(bits))
+        regions = connected_components(bits)
         covered = np.zeros_like(bits)
         total = 0
         for reg in regions:
@@ -281,35 +281,37 @@ class TestConnectedComponents:
     @settings(max_examples=60, deadline=None)
     def test_matches_full_frame_labeling(self, seed, density, y0, x0, h, w):
         # set bits inside a random box of a 40 x 45 frame; the box may touch
-        # any border, and the labeling order feeds the line RANSAC's draws
+        # any border. Labeling the box at its origin gives the frame's
+        # regions in the frame's order, which feeds the line RANSAC's draws
         rng = np.random.default_rng(seed)
         bits = np.zeros((40, 45), dtype=bool)
         y1, x1 = min(y0 + h, 40), min(x0 + w, 45)
         bits[y0:y1, x0:x1] = rng.uniform(size=(y1 - y0, x1 - x0)) < density
-        got = [r.pixels for r in connected_components(BinaryImage(bits))]
+        got = connected_components(bits[y0:y1, x0:x1], (x0, y0))
         want = _full_frame_components(bits)
         assert len(got) == len(want)
         for g, r in zip(got, want):
-            np.testing.assert_array_equal(g, r)
+            np.testing.assert_array_equal(g.pixels, r)
+            np.testing.assert_array_equal(g.centroid, Region(pixels=r).centroid)
 
 
 class TestConvolution:
     def test_identity_kernel(self):
         rng = np.random.default_rng(5)
         bits = rng.uniform(size=(9, 9)) > 0.5
-        out = convolve_unit_sum(BinaryImage(bits), np.array([[1.0]]))
+        out = convolve_unit_sum(bits, np.array([[1.0]]))
         np.testing.assert_allclose(out, bits.astype(float), atol=1e-12)
 
     def test_all_ones_interior_response(self):
         bits = np.ones((15, 15), dtype=bool)
         kernel = np.full((5, 5), 1 / 25)
-        out = convolve_unit_sum(BinaryImage(bits), kernel)
+        out = convolve_unit_sum(bits, kernel)
         np.testing.assert_allclose(out[2:-2, 2:-2], 1.0, atol=1e-9)
 
     def test_single_pixel_spreads_kernel(self):
         bits = np.zeros((7, 7), dtype=bool)
         bits[3, 3] = True
-        out = convolve_unit_sum(BinaryImage(bits), np.full((3, 3), 1 / 9))
+        out = convolve_unit_sum(bits, np.full((3, 3), 1 / 9))
         expected = np.zeros((7, 7))
         expected[2:5, 2:5] = 1 / 9  # direct evaluation
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -317,16 +319,16 @@ class TestConvolution:
     def test_rejects_bad_kernels(self):
         bits = np.zeros((3, 3), dtype=bool)
         with pytest.raises(InvalidKernelError):
-            convolve_unit_sum(BinaryImage(bits), np.zeros((3, 3)))
+            convolve_unit_sum(bits, np.zeros((3, 3)))
         with pytest.raises(InvalidKernelError):
-            convolve_unit_sum(BinaryImage(bits), np.ones((2, 3)))
+            convolve_unit_sum(bits, np.ones((2, 3)))
 
     def test_output_bounded_for_unit_sum_kernels(self):
         rng = np.random.default_rng(9)
         bits = rng.uniform(size=(20, 20)) > 0.4
         kernel = rng.uniform(0.1, 1.0, (5, 5))
         kernel /= kernel.sum()
-        out = convolve_unit_sum(BinaryImage(bits), kernel)
+        out = convolve_unit_sum(bits, kernel)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
