@@ -55,6 +55,8 @@ class PointerSpec:
         if len(edges) < 1:
             raise ValueError("pointer needs at least one edge")
         b = self.distances_mm
+        if not np.isfinite(np.r_[b, self.radii_mm, self.total_length_mm]).all():
+            raise ValueError("edge distances, radii and total length must be finite")
         if b[0] <= 0.0:
             raise ValueError("first edge must sit strictly past the tip")
         if np.any(np.diff(b) <= 0.0):

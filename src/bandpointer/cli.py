@@ -496,6 +496,8 @@ def cmd_eval(args) -> int:
             seed=int(sweep_spec.get("seed", args.seed)),
             roll_deg=float(sweep_spec.get("roll_deg", 4.0)),
         )
+        if not np.isfinite(grid["depths_mm"] + grid["angles_deg"] + [grid["roll_deg"]]).all():
+            raise ValueError("depths_mm, angles_deg and roll_deg must be finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad sweep spec {args.sweep}: {exc}") from exc
     records = evaluate_sweep(config, **grid)

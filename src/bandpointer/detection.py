@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .color_model import ColorClassSet, classify_image_masked
 from .association import PointerSpec
@@ -132,10 +133,11 @@ def detect_band_regions(
 ) -> list[Region]:
     """Classified regions that survive erosion and the color-adjacency test.
 
-    A region stays only if some region of an adjacent pattern color comes
-    within 2r + 4 pixels of its border. Erosion, labeling and the
-    adjacency distances all run in the box of the classified pixels: every
-    label is 0 outside it, as beyond the frame's border.
+    A region stays only if a pixel of some region of an adjacent pattern
+    color lies within 2r + 5 pixels of one of its pixels, center to center
+    (2r + 4 pixels between their borders). Erosion and labeling run in the
+    box of the classified pixels: every label is 0 outside it, as beyond
+    the frame's border.
     """
     roi_mask = boxes_mask(roi, hs.width, hs.height) if roi is not None else None
     labels_raster = classify_image_masked(colors, hs, s, roi_mask)
@@ -146,39 +148,28 @@ def detect_band_regions(
     origin = (box[1].start, box[0].start)
 
     regions: list[Region] = []
-    dist_to: dict[int, np.ndarray] = {}  # per label, distance to its pixels
     for label in colors.labels:
         mask = window == label
         if not mask.any():
             continue
-        eroded = erode_disk(mask, r)
-        if eroded.any():
-            dist_to[label] = ndimage.distance_transform_edt(~eroded)
-        for reg in connected_components(eroded, origin):
+        for reg in connected_components(erode_disk(mask, r), origin):
             reg.label = label
             regions.append(reg)
 
-    neighbors: dict[int, set[int]] = {}
-    for pair in spec_adjacency:
-        a, b = tuple(pair)
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
+    trees = {
+        label: cKDTree(np.vstack([reg.pixels for reg in regions if reg.label == label]))
+        for label in {reg.label for reg in regions}
+    }
+    reach = 2 * r + 5
 
-    w_adj = 2 * r + 4
-    kept = []
-    for reg in regions:
-        ys = reg.pixels[:, 1] - origin[1]
-        xs = reg.pixels[:, 0] - origin[0]
-        for other in neighbors.get(reg.label, ()):
-            if other not in dist_to:
-                continue
-            # center-to-center minus one: touching pixels have border
-            # distance zero
-            border_dist = max(float(dist_to[other][ys, xs].min()) - 1.0, 0.0)
-            if border_dist <= w_adj:
-                kept.append(reg)
-                break
-    return kept
+    def near_adjacent_color(reg: Region) -> bool:
+        return any(
+            other in trees and trees[other].query(reg.pixels)[0].min() <= reach
+            for pair in spec_adjacency if reg.label in pair
+            for other in pair - {reg.label}
+        )
+
+    return [reg for reg in regions if near_adjacent_color(reg)]
 
 
 def _stack_pixels(regions: list[Region]) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +275,7 @@ def ransac_centroid_line(
 
 
 def expand_bounding_boxes(
-    regions: list[Region], major: float = 1.1, minor: float = 1.5
+    regions: list[Region], major: float, minor: float
 ) -> list[OrientedBox]:
     """Oriented boxes from moment ellipses, stretched per axis."""
     boxes = []
@@ -357,15 +348,13 @@ def _junction_images(
     ys, xs = np.nonzero(halo)
     pts = np.column_stack([xs, ys]).astype(np.float64)
     evals, evecs = principal_axes(pts)
-    if evals[0] > 0 and (evals[0] - evals[1]) > 0.01 * evals[0]:
+    anisotropic = evals[0] > 0 and (evals[0] - evals[1]) > 0.01 * evals[0]
+    if anisotropic or fallback_axis is None:
         second = evecs[:, 1]
         phi = float(np.arctan2(second[1], second[0]))
-    elif fallback_axis is not None:
+    else:
         d = fallback_axis.direction
         phi = float(np.arctan2(d[1], d[0]) + np.pi / 2.0)
-    else:
-        second = evecs[:, 1]
-        phi = float(np.arctan2(second[1], second[0]))
     phi = float(np.mod(phi + np.pi / 2.0, np.pi) - np.pi / 2.0)
 
     kernel = _orientation_kernel(phi, params.sigma_d, params.sigma_a)

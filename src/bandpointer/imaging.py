@@ -172,18 +172,13 @@ def erode_disk(bits: np.ndarray, radius: int) -> np.ndarray:
     """Erosion of a boolean (H, W) array with a Euclidean disk; pixels
     outside the array count as 0.
 
-    A pixel survives iff every pixel within distance <= radius is 1, which
-    equals thresholding the distance transform to the nearest 0.
+    A pixel survives iff every pixel within distance <= radius is 1.
     """
     if radius < 0 or int(radius) != radius:
         raise ValueError("radius must be a non-negative integer")
-    radius = int(radius)
-    bits = np.asarray(bits, dtype=bool)
-    if radius == 0 or not bits.any():
-        return bits.copy()
-    pad = radius + 1
-    dist = ndimage.distance_transform_edt(np.pad(bits, pad))
-    return dist[pad:-pad, pad:-pad] > radius
+    y, x = np.ogrid[-radius : radius + 1, -radius : radius + 1]
+    disk = x * x + y * y <= radius * radius
+    return ndimage.binary_erosion(np.asarray(bits, dtype=bool), disk, border_value=0)
 
 
 def _content_box(bits: np.ndarray) -> tuple[slice, slice]:

@@ -48,13 +48,16 @@ class CameraModel:
         t = np.asarray(self.t, dtype=np.float64).reshape(3)
         if K.shape != (3, 3) or R.shape != (3, 3):
             raise ValueError("K and R must be 3x3")
+        d = self.distortion
+        coeffs = () if d is None else (d.k1, d.k2, d.k3, d.p1, d.p2)
+        if not np.isfinite(np.r_[K.ravel(), t, coeffs]).all():
+            raise ValueError("K, t and the distortion coefficients must be finite")
         if not np.allclose(K, np.triu(K)) or np.any(np.diag(K)[:2] <= 0):
             raise ValueError("K must be upper triangular with positive focal lengths")
         if np.any(K[2] != (0.0, 0.0, 1.0)):
             raise ValueError("the last row of K must be (0, 0, 1)")
         if not np.allclose(R @ R.T, np.eye(3), atol=1e-9) or np.linalg.det(R) < 0:
             raise ValueError("R must be a rotation matrix")
-        d = self.distortion
         if d is not None and not d.is_identity() and (d.fx, d.fy, d.cx, d.cy) != (
             K[0, 0], K[1, 1], K[0, 2], K[1, 2]
         ):

@@ -165,13 +165,25 @@ class TestConfigValidation:
             (("detection", "line_inlier_sigmas"), float("nan")),
             (("detection", "pair_separation_sigmas"), -3),
             (("detection", "pair_separation_sigmas"), float("inf")),
+            (("pointer", "edge_distances_mm", 1), float("nan")),
+            (("pointer", "edge_diameters_mm", 0), float("nan")),
+            (("pointer", "edge_diameters_mm", 2), float("inf")),
+            (("pointer", "total_length_mm"), float("inf")),
+            (("pointer", "total_length_mm"), float("nan")),
+            (("camera", "k_row_major", 0), float("inf")),
+            (("camera", "translation_mm", 2), float("nan")),
+            (("camera", "distortion", "k1"), float("nan")),
+            (("camera", "distortion", "p2"), float("-inf")),
         ],
         ids=["fractional-r1", "one-size", "fractional-size", "zero-size",
              "colors-list", "zero-ransac-iterations", "fractional-ransac-iterations",
              "negative-seed", "fractional-color-id", "bool-color-id",
              "background-color-id", "wide-color-id", "negative-major-expand",
              "zero-minor-expand", "binarize-above-one", "zero-binarize",
-             "nan-line-sigmas", "negative-pair-sigmas", "infinite-pair-sigmas"],
+             "nan-line-sigmas", "negative-pair-sigmas", "infinite-pair-sigmas",
+             "nan-edge-distance", "nan-diameter", "infinite-diameter",
+             "infinite-length", "nan-length", "infinite-focal-length",
+             "nan-translation", "nan-k1", "infinite-p2"],
     )
     def test_bad_config_exits_with_one_line(
         self, workspace, tmp_path, capsys, path, value
@@ -594,11 +606,15 @@ class TestEvalCommand:
             json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": -3}),
             json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": -1}),
             json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": float("nan")}),
+            json.dumps({"depths_mm": [330.0, float("nan")], "angles_deg": [0.0]}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [float("inf")]}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "roll_deg": float("nan")}),
         ],
         ids=[
             "no-depths-key", "str-trials", "json-list", "not-json", "no-depths",
             "no-angles", "str-depths", "fractional-trials", "zero-trials",
-            "negative-trials", "negative-noise", "nan-noise",
+            "negative-trials", "negative-noise", "nan-noise", "nan-depth",
+            "infinite-angle", "nan-roll",
         ],
     )
     def test_malformed_sweep_spec_exits_with_one_line(

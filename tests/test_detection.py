@@ -37,7 +37,7 @@ from bandpointer.errors import (
     PointerNotFoundError,
 )
 from bandpointer.geometry import Line2D, OrientedBox, boxes_mask, line_through
-from bandpointer.imaging import RasterImage, Region, rgb_to_hue_saturation
+from bandpointer.imaging import RasterImage, Region, erode_disk, rgb_to_hue_saturation
 
 
 @pytest.fixture
@@ -101,6 +101,35 @@ class TestDetectBandRegions:
         assert regions == []
 
 
+class TestAdjacencyReach:
+    """Eroded regions of adjacent colors are kept up to 2r + 5 px apart,
+    center to center, and no farther."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "dx, dy, kept", [(5, 0, True), (6, 0, False), (5, 1, False)],
+        ids=["2r+5", "2r+6", "2r+5-and-1-down"],
+    )
+    def test_exact_boundary(self, rg_colors, r, dx, dy, kept):
+        # the disk erosion trims r px off each side of a rectangle, so the
+        # nearest eroded pixels are (2r + dx, dy) apart
+        red = np.zeros((90, 100), dtype=bool)
+        green = np.zeros_like(red)
+        red_bottom = 30 + 2 * r  # last painted row
+        red[20 : red_bottom + 1, 10:30] = True
+        green_top = 20 if dy == 0 else red_bottom - 2 * r + dy
+        green[green_top : green_top + 11 + 2 * r, 29 + dx : 49 + dx] = True
+        a = np.argwhere(erode_disk(red, r))
+        b = np.argwhere(erode_disk(green, r))
+        assert ((a[:, None] - b[None]) ** 2).sum(axis=2).min() == (2 * r + dx) ** 2 + dy**2
+
+        px = np.full(red.shape + (3,), 0.45)
+        px[red] = BAND_RGB[RED]
+        px[green] = BAND_RGB[GREEN]
+        regions = detect_band_regions(hs_of(px), rg_colors, ADJ_RG, 0.25, r)
+        assert sorted(reg.label for reg in regions) == ([RED, GREEN] if kept else [])
+
+
 def _band_regions_reference(hs, colors, spec_adjacency, s, r, roi=None):
     """Whole-frame form of detect_band_regions: per label a full-frame
     mask, its whole-frame erosion and labeling, and adjacency distances
@@ -143,7 +172,7 @@ class TestBandRegionsWindow:
     @given(
         st.integers(0, 10_000),
         st.integers(3, 6),
-        st.integers(1, 2),
+        st.integers(1, 3),
         st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
@@ -357,7 +386,7 @@ class TestExpandBoundingBoxes:
     def test_rectangle_moment_oracle(self):
         # moments of a 10x4 rectangle: discrete variance (n^2 - 1) / 12
         region = region_from_rect(5, 5, 10, 4)
-        (box,) = expand_bounding_boxes([region])
+        (box,) = expand_bounding_boxes([region], 1.1, 1.5)
         semi_major = np.sqrt(3 * (10**2 - 1) / 12)
         semi_minor = np.sqrt(3 * (4**2 - 1) / 12)
         np.testing.assert_allclose(
@@ -374,13 +403,13 @@ class TestExpandBoundingBoxes:
             pixels=np.column_stack([xs[inside] + 20, ys[inside] + 20]),
             label=RED,
         )
-        (box,) = expand_bounding_boxes([region])
+        (box,) = expand_bounding_boxes([region], 1.1, 1.5)
         ratio = box.half_extents[0] / box.half_extents[1]
         assert ratio == pytest.approx(1.1 / 1.5, rel=1e-6)
 
     def test_single_pixel_floor(self):
         region = Region(pixels=np.array([[7, 9]]), label=RED)
-        (box,) = expand_bounding_boxes([region])
+        (box,) = expand_bounding_boxes([region], 1.1, 1.5)
         np.testing.assert_allclose(
             box.half_extents, [1.1 * 0.5, 1.5 * 0.5], atol=1e-12
         )
