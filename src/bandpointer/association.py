@@ -262,20 +262,14 @@ def _match_table(
     return ok
 
 
-def _score_tables(
-    detected: Sequence[LabelPair],
-    spec_labels: Sequence[LabelPair],
-    reversed_orientation: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Match mask plus prefix/suffix alignment score tables.
+def _prefix_scores(ok: np.ndarray) -> np.ndarray:
+    """Alignment score table of a match mask: entry [i, j] is the best
+    score of detected[:i] against spec[:j].
 
     Classic global alignment with free gaps: a match scores 1,
-    incompatible labels cannot pair. prefix[i, j] covers detected[:i] vs
-    spec[:j]; suffix[i, j] covers detected[i-1:] vs spec[j-1:].
+    incompatible labels cannot pair.
     """
-    n, m = len(detected), len(spec_labels)
-    ok = _match_table(detected, spec_labels, reversed_orientation)
-
+    n, m = ok.shape
     prefix = np.zeros((n + 1, m + 1), dtype=np.int64)
     for i in range(1, n + 1):
         for j in range(1, m + 1):
@@ -283,14 +277,7 @@ def _score_tables(
             if ok[i - 1, j - 1]:
                 best = max(best, prefix[i - 1, j - 1] + 1)
             prefix[i, j] = best
-    suffix = np.zeros((n + 2, m + 2), dtype=np.int64)
-    for i in range(n, 0, -1):
-        for j in range(m, 0, -1):
-            best = max(suffix[i + 1, j], suffix[i, j + 1])
-            if ok[i - 1, j - 1]:
-                best = max(best, suffix[i + 1, j + 1] + 1)
-            suffix[i, j] = best
-    return ok, prefix, suffix
+    return prefix
 
 
 def align_labels_dp(
@@ -308,11 +295,14 @@ def align_labels_dp(
     for orientation in ("forward", "reversed"):
         reversed_flag = orientation == "reversed"
         spec_seq = spec.side_labels[::-1] if reversed_flag else spec.side_labels
-        ok, prefix, suffix = _score_tables(detected, spec_seq, reversed_flag)
-        score = int(prefix[-1, -1])
+        ok = _match_table(detected, spec_seq, reversed_flag)
+        before = _prefix_scores(ok)
+        # after[i, j]: best score of detected[i:] against spec[j:]
+        after = _prefix_scores(ok[::-1, ::-1])[::-1, ::-1]
+        score = int(before[-1, -1])
         # a pair is optimal when the best alignments before and after it,
         # plus the pair itself, reach the score
-        optimal = ok & (prefix[:-1, :-1] + 1 + suffix[2:, 2:] == score)
+        optimal = ok & (before[:-1, :-1] + 1 + after[1:, 1:] == score)
         if reversed_flag:  # spec indices back to tip-based numbering
             optimal = optimal[:, ::-1]
         pairs = tuple(map(tuple, np.argwhere(optimal).tolist()))

@@ -33,7 +33,7 @@ from .color_model import (
     deserialize_color_set,
     serialize_color_set,
 )
-from .detection import DetectionParams, detect_pointer
+from .detection import DetectionParams, DetectionResult, detect_pointer
 from .errors import (
     AssociationError,
     BandPointerError,
@@ -73,18 +73,7 @@ class Config:
             k = np.array(cam["k_row_major"], dtype=np.float64).reshape(3, 3)
             rot = np.array(cam["rotation_row_major"], dtype=np.float64).reshape(3, 3)
             trans = np.array(cam["translation_mm"], dtype=np.float64)
-            dist = cam.get("distortion", {})
-            distortion = DistortionModel(
-                k1=dist.get("k1", 0.0),
-                k2=dist.get("k2", 0.0),
-                k3=dist.get("k3", 0.0),
-                p1=dist.get("p1", 0.0),
-                p2=dist.get("p2", 0.0),
-                fx=k[0, 0],
-                fy=k[1, 1],
-                cx=k[0, 2],
-                cy=k[1, 2],
-            )
+            distortion = DistortionModel(**cam.get("distortion", {}))
             camera = CameraModel(K=k, R=rot, t=trans, distortion=distortion)
             size = tuple(int(v) for v in cam["image_size_px"])
             if len(size) != 2 or min(size) <= 0 or list(size) != list(cam["image_size_px"]):
@@ -132,17 +121,13 @@ class Config:
         )
 
     def to_dict(self) -> dict:
-        dist = self.camera.distortion or DistortionModel()
         return {
             "camera": {
                 "image_size_px": [self.image_size[0], self.image_size[1]],
                 "k_row_major": [float(v) for v in self.camera.K.ravel()],
                 "rotation_row_major": [float(v) for v in self.camera.R.ravel()],
                 "translation_mm": [float(v) for v in self.camera.t],
-                "distortion": {
-                    "k1": dist.k1, "k2": dist.k2, "k3": dist.k3,
-                    "p1": dist.p1, "p2": dist.p2,
-                },
+                "distortion": asdict(self.camera.distortion),
             },
             "pointer": {
                 "total_length_mm": self.pointer.total_length_mm,
@@ -245,14 +230,14 @@ def run_pipeline(
 ) -> PoseEstimate:
     """Detect, associate and estimate pose for one frame."""
     result = detect_pointer(img, colors, config.pointer, config.detection)
+    return _associate_and_pose(result, config, config.detection.ransac_seed)
+
+
+def _associate_and_pose(result: DetectionResult, config: Config, seed: int) -> PoseEstimate:
+    """Label alignment, RANSAC association and pose for one detection."""
     labels = [(e.left_label, e.right_label) for e in result.edges]
     alignments = align_labels_dp(labels, config.pointer)
-    hypotheses = associate_ransac(
-        result,
-        config.pointer,
-        alignments,
-        seed=config.detection.ransac_seed,
-    )
+    hypotheses = associate_ransac(result, config.pointer, alignments, seed=seed)
     return estimate_pose(result, hypotheses, config.camera, config.pointer)
 
 
@@ -297,15 +282,19 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def format_pose_record(estimate: PoseEstimate) -> str:
+def _pose_fields(estimate: PoseEstimate) -> list[str]:
+    """Tip x, y, z (mm), direction x, y, z, rms_px and inlier count, formatted."""
     t = estimate.pose.tip
     d = estimate.pose.direction
     return (
-        f"tip_mm={t[0]:.6f},{t[1]:.6f},{t[2]:.6f} "
-        f"dir={d[0]:.8f},{d[1]:.8f},{d[2]:.8f} "
-        f"rms_px={estimate.rms_px:.6f} "
-        f"inliers={len(estimate.correspondence.pairs)}"
+        [f"{v:.6f}" for v in t] + [f"{v:.8f}" for v in d]
+        + [f"{estimate.rms_px:.6f}", str(len(estimate.correspondence.pairs))]
     )
+
+
+def format_pose_record(estimate: PoseEstimate) -> str:
+    f = _pose_fields(estimate)
+    return f"tip_mm={','.join(f[:3])} dir={','.join(f[3:6])} rms_px={f[6]} inliers={f[7]}"
 
 
 def cmd_probe(args) -> int:
@@ -368,15 +357,8 @@ def cmd_track(args) -> int:
             if estimate is None:
                 writer.writerow([name, status] + [""] * 8)
                 continue
-            t = estimate.pose.tip
-            d = estimate.pose.direction
-            writer.writerow([
-                name, "ok",
-                f"{t[0]:.6f}", f"{t[1]:.6f}", f"{t[2]:.6f}",
-                f"{d[0]:.8f}", f"{d[1]:.8f}", f"{d[2]:.8f}",
-                f"{estimate.rms_px:.6f}", len(estimate.correspondence.pairs),
-            ])
-            points.append(t)
+            writer.writerow([name, "ok"] + _pose_fields(estimate))
+            points.append(estimate.pose.tip)
             indices.append(idx)
             rms.append(estimate.rms_px)
 
@@ -442,15 +424,7 @@ def evaluate_sweep(
                 det = synthetic.ground_truth_detection(
                     gt, config.pointer, noise_px=noise_px, rng=rng
                 )
-                labels = [(e.left_label, e.right_label) for e in det.edges]
-                alignments = align_labels_dp(labels, config.pointer)
-                hypotheses = associate_ransac(
-                    det, config.pointer, alignments, seed=seed + cell_idx
-                )
-                estimate = estimate_pose(
-                    det, hypotheses, config.camera, config.pointer
-                )
-                tips.append(estimate.pose.tip)
+                tips.append(_associate_and_pose(det, config, seed + cell_idx).pose.tip)
             except BandPointerError:
                 pass
         record = {

@@ -89,7 +89,6 @@ class ColorClassSet:
     """Band color KDEs (ordered by class label) plus the uniform background."""
 
     classes: tuple[tuple[int, HueKde], ...]
-    background_density: float = BACKGROUND_DENSITY
 
     def __post_init__(self):
         labels = [label for label, _ in self.classes]
@@ -163,7 +162,7 @@ def classify_hue(color_set: ColorClassSet, hues: np.ndarray) -> np.ndarray:
     """
     hues = np.asarray(hues, dtype=np.float64)
     stack = np.empty((len(color_set.classes) + 1,) + hues.shape, dtype=np.float64)
-    stack[0] = color_set.background_density
+    stack[0] = BACKGROUND_DENSITY
     for i, (_, kde) in enumerate(color_set.classes):
         stack[i + 1] = kde.density(hues)
     # background first and classes by label, so argmax's first-maximum

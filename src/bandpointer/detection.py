@@ -447,7 +447,7 @@ def extract_edge_pairs(
             )
         )
     edges.sort(key=lambda ep: ep.axis_coordinate)
-    return DetectionResult(edges=edges, line=line2, pass2_regions=list(regions))
+    return DetectionResult(edges=edges, line=line2)
 
 
 def _mutual_nearest_filter(
@@ -537,6 +537,30 @@ def label_edge_pairs(
     return DetectionResult(edges=labeled, line=line2)
 
 
+def _region_pass(
+    n: int,
+    hs: HueSatImage,
+    colors: ColorClassSet,
+    adjacency: set[frozenset[int]],
+    s: float,
+    r: int,
+    params: DetectionParams,
+    roi: Optional[list[OrientedBox]] = None,
+) -> tuple[Line2D, list[Region]]:
+    """Pass n's regions, their centroid line and the regions near it; an
+    empty stage raises PointerNotFoundError naming it."""
+    regions = detect_band_regions(hs, colors, adjacency, s, r, roi=roi)
+    if not regions:
+        raise PointerNotFoundError(f"pass{n}-regions")
+    try:
+        line, surviving = ransac_centroid_line(regions, params)
+    except (InsufficientRegionsError, DegenerateSampleError) as exc:
+        raise PointerNotFoundError(f"pass{n}-line", str(exc)) from exc
+    if not surviving:
+        raise PointerNotFoundError(f"pass{n}-line", "no regions near the axis")
+    return line, surviving
+
+
 def detect_pointer(
     img: RasterImage,
     colors: ColorClassSet,
@@ -548,28 +572,11 @@ def detect_pointer(
     adjacency = spec.adjacent_label_pairs()
     size = (img.width, img.height)
 
-    regions1 = detect_band_regions(hs, colors, adjacency, params.s1, params.r1)
-    if not regions1:
-        raise PointerNotFoundError("pass1-regions")
-    try:
-        _, surviving1 = ransac_centroid_line(regions1, params)
-    except (InsufficientRegionsError, DegenerateSampleError) as exc:
-        raise PointerNotFoundError("pass1-line", str(exc)) from exc
-    if not surviving1:
-        raise PointerNotFoundError("pass1-line", "no regions near the axis")
+    _, surviving1 = _region_pass(1, hs, colors, adjacency, params.s1, params.r1, params)
     boxes = expand_bounding_boxes(surviving1, params.major_expand, params.minor_expand)
-
-    regions2 = detect_band_regions(
-        hs, colors, adjacency, params.s2, params.r2, roi=boxes
+    line2_centroids, surviving2 = _region_pass(
+        2, hs, colors, adjacency, params.s2, params.r2, params, roi=boxes
     )
-    if not regions2:
-        raise PointerNotFoundError("pass2-regions")
-    try:
-        line2_centroids, surviving2 = ransac_centroid_line(regions2, params)
-    except (InsufficientRegionsError, DegenerateSampleError) as exc:
-        raise PointerNotFoundError("pass2-line", str(exc)) from exc
-    if not surviving2:
-        raise PointerNotFoundError("pass2-line", "no regions near the axis")
 
     extracted = extract_edge_pairs(
         surviving2, adjacency, params, size, fallback_axis=line2_centroids

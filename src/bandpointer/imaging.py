@@ -84,17 +84,14 @@ class HueSatImage:
 
 @dataclass(frozen=True)
 class DistortionModel:
-    """Brown-Conrady radial/tangential model in pixel units."""
+    """Brown-Conrady radial/tangential coefficients; they act in the
+    normalized coordinates of a camera matrix K."""
 
     k1: float = 0.0
     k2: float = 0.0
     k3: float = 0.0
     p1: float = 0.0
     p2: float = 0.0
-    fx: float = 1.0
-    fy: float = 1.0
-    cx: float = 0.0
-    cy: float = 0.0
 
     def is_identity(self) -> bool:
         return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0
@@ -231,28 +228,28 @@ def _distort_normalized(xu: np.ndarray, yu: np.ndarray, m: DistortionModel):
     return xd, yd
 
 
-def distort_points(pts: np.ndarray, model: DistortionModel) -> np.ndarray:
+def distort_points(pts: np.ndarray, model: DistortionModel, K: np.ndarray) -> np.ndarray:
     """Forward Brown-Conrady mapping from ideal to distorted pixels."""
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     if model.is_identity():
         return pts.copy()
-    xu = (pts[:, 0] - model.cx) / model.fx
-    yu = (pts[:, 1] - model.cy) / model.fy
+    xu = (pts[:, 0] - K[0, 2]) / K[0, 0]
+    yu = (pts[:, 1] - K[1, 2]) / K[1, 1]
     xd, yd = _distort_normalized(xu, yu, model)
-    return np.column_stack([xd * model.fx + model.cx, yd * model.fy + model.cy])
+    return np.column_stack([xd * K[0, 0] + K[0, 2], yd * K[1, 1] + K[1, 2]])
 
 
 UNDISTORT_TOL_PX = 1e-3
 UNDISTORT_MAX_ITER = 20
 
 
-def undistort_points(pts: np.ndarray, model: DistortionModel) -> np.ndarray:
+def undistort_points(pts: np.ndarray, model: DistortionModel, K: np.ndarray) -> np.ndarray:
     """Invert the distortion by fixed-point iteration to within 1e-3 px."""
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     if model.is_identity():
         return pts.copy()
-    xd = (pts[:, 0] - model.cx) / model.fx
-    yd = (pts[:, 1] - model.cy) / model.fy
+    xd = (pts[:, 0] - K[0, 2]) / K[0, 0]
+    yd = (pts[:, 1] - K[1, 2]) / K[1, 1]
     xu, yu = xd.copy(), yd.copy()
     for _ in range(UNDISTORT_MAX_ITER):
         r2 = xu * xu + yu * yu
@@ -262,13 +259,13 @@ def undistort_points(pts: np.ndarray, model: DistortionModel) -> np.ndarray:
         xu = (xd - dx) / radial
         yu = (yd - dy) / radial
     bx, by = _distort_normalized(xu, yu, model)
-    err = np.hypot((bx - xd) * model.fx, (by - yd) * model.fy)
+    err = np.hypot((bx - xd) * K[0, 0], (by - yd) * K[1, 1])
     if not np.all(np.isfinite(err)) or err.max() > UNDISTORT_TOL_PX:
         bad = int(np.argmax(np.where(np.isfinite(err), err, np.inf)))
         raise NumericError(
             f"undistortion did not converge for point {pts[bad].tolist()}"
         )
-    return np.column_stack([xu * model.fx + model.cx, yu * model.fy + model.cy])
+    return np.column_stack([xu * K[0, 0] + K[0, 2], yu * K[1, 1] + K[1, 2]])
 
 
 def load_ppm(path) -> RasterImage:

@@ -35,12 +35,13 @@ MIN_CORRESPONDENCES = 3
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera: intrinsics, extrinsics and optional lens distortion."""
+    """Pinhole camera: intrinsics, extrinsics and lens distortion (none
+    by default)."""
 
     K: np.ndarray  # 3x3
     R: np.ndarray = field(default_factory=lambda: np.eye(3))
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))  # mm
-    distortion: DistortionModel | None = None
+    distortion: DistortionModel = DistortionModel()
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=np.float64)
@@ -49,8 +50,7 @@ class CameraModel:
         if K.shape != (3, 3) or R.shape != (3, 3):
             raise ValueError("K and R must be 3x3")
         d = self.distortion
-        coeffs = () if d is None else (d.k1, d.k2, d.k3, d.p1, d.p2)
-        if not np.isfinite(np.r_[K.ravel(), t, coeffs]).all():
+        if not np.isfinite(np.r_[K.ravel(), t, d.k1, d.k2, d.k3, d.p1, d.p2]).all():
             raise ValueError("K, t and the distortion coefficients must be finite")
         if not np.allclose(K, np.triu(K)) or np.any(np.diag(K)[:2] <= 0):
             raise ValueError("K must be upper triangular with positive focal lengths")
@@ -58,13 +58,6 @@ class CameraModel:
             raise ValueError("the last row of K must be (0, 0, 1)")
         if not np.allclose(R @ R.T, np.eye(3), atol=1e-9) or np.linalg.det(R) < 0:
             raise ValueError("R must be a rotation matrix")
-        if d is not None and not d.is_identity() and (d.fx, d.fy, d.cx, d.cy) != (
-            K[0, 0], K[1, 1], K[0, 2], K[1, 2]
-        ):
-            raise ValueError(
-                "distortion fx, fy, cx, cy must equal the focal lengths and "
-                "principal point of K"
-            )
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
@@ -91,15 +84,11 @@ class CameraModel:
         return hom[:, :2] / hom[:, 2:3]
 
     def undistort(self, pts: np.ndarray) -> np.ndarray:
-        if self.distortion is None or self.distortion.is_identity():
-            return np.atleast_2d(np.asarray(pts, dtype=np.float64)).copy()
-        return undistort_points(pts, self.distortion)
+        return undistort_points(pts, self.distortion, self.K)
 
     def distort(self, pts: np.ndarray) -> np.ndarray:
         """Inverse of undistort: ideal to raw image pixels."""
-        if self.distortion is None or self.distortion.is_identity():
-            return np.atleast_2d(np.asarray(pts, dtype=np.float64)).copy()
-        return distort_points(pts, self.distortion)
+        return distort_points(pts, self.distortion, self.K)
 
 
 @dataclass(frozen=True)

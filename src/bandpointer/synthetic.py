@@ -117,15 +117,15 @@ def _project_p(p_mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return hom[:, :2] / hom[:, 2:3]
 
 
-def ground_truth(
-    scene: SceneSpec, camera: CameraModel, size: tuple[int, int]
-) -> GroundTruth:
-    """Exact junction contour points in raw image coordinates.
+def _silhouette_uv(
+    scene: SceneSpec, camera: CameraModel, s: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """Raw-image silhouette points of the axis circles at stations s, radii
+    r: an (n, 2, 2) array, the negative contour side first.
 
     Deliberately re-derives the projection from the camera matrix rather
     than calling the pose module, so the two stay independent checks.
     """
-    width, height = size
     p_mat = camera.P
     center = _camera_center_from_p(p_mat)
     tip = scene.pose.tip
@@ -135,28 +135,29 @@ def ground_truth(
     if nn < 1e-9 * max(np.linalg.norm(tip - center), 1.0):
         raise DegenerateGeometryError("axis through camera center")
     normal = normal / nn
+    axis_pts = tip + np.asarray(s)[:, None] * direction
+    offsets = np.asarray(r)[:, None] * normal
+    pts = np.stack([axis_pts - offsets, axis_pts + offsets], axis=1)
+    uv = camera.distort(_project_p(p_mat, pts.reshape(-1, 3)))
+    return uv.reshape(-1, 2, 2)
 
+
+def ground_truth(
+    scene: SceneSpec, camera: CameraModel, size: tuple[int, int]
+) -> GroundTruth:
+    """Exact junction contour points in raw image coordinates."""
+    width, height = size
+    uv = _silhouette_uv(scene, camera, scene.spec.distances_mm, scene.spec.radii_mm)
+    inside = np.all((uv >= 0) & (uv <= (width - 1, height - 1)), axis=(1, 2))
     edges = []
-    for i, edge in enumerate(scene.spec.edges):
-        axis_pt = tip + edge.distance_mm * direction
-        pts = np.vstack([
-            axis_pt - edge.radius_mm * normal,
-            axis_pt + edge.radius_mm * normal,
-        ])
-        uv = _project_p(p_mat, pts)
-        uv = camera.distort(uv)
-        inside = bool(
-            np.all(uv[:, 0] >= 0)
-            and np.all(uv[:, 0] <= width - 1)
-            and np.all(uv[:, 1] >= 0)
-            and np.all(uv[:, 1] <= height - 1)
-        )
+    for i, pair in enumerate(uv):
         occluded = bool(scene.occluders) and all(
-            any(occ.contains(pt) for occ in scene.occluders) for pt in uv
+            any(occ.contains(pt) for occ in scene.occluders) for pt in pair
         )
         edges.append(
             EdgeGroundTruth(
-                index=i, p_a=uv[0], p_b=uv[1], visible=inside and not occluded
+                index=i, p_a=pair[0], p_b=pair[1],
+                visible=bool(inside[i]) and not occluded,
             )
         )
     return GroundTruth(edges=edges, pose=scene.pose)
@@ -175,13 +176,11 @@ def _stations(spec: PointerSpec) -> tuple[np.ndarray, np.ndarray]:
 def _roi(gt: GroundTruth, scene: SceneSpec, camera: CameraModel, size) -> tuple[int, int, int, int]:
     width, height = size
     pts = [e.p_a for e in gt.edges] + [e.p_b for e in gt.edges]
-    # project tip and tail axis points through the same path
-    p_mat = camera.P
-    for s in (0.0, scene.spec.total_length_mm):
-        axis_pt = scene.pose.tip + s * scene.pose.direction
-        uv = _project_p(p_mat, axis_pt[None, :])
-        uv = camera.distort(uv)
-        pts.append(uv[0])
+    # tip and tail axis points, through the same path
+    ends = _silhouette_uv(
+        scene, camera, np.array([0.0, scene.spec.total_length_mm]), np.zeros(2)
+    )
+    pts += [ends[0, 0], ends[1, 0]]
     for d in scene.distractors:
         c = np.asarray(d.center, dtype=np.float64)
         pts.append(c - d.radius_px)
@@ -213,25 +212,6 @@ def _subpixel_rays(camera: CameraModel, px0, py0, px1, py1):
     return dirs.reshape(py.shape[0], px.shape[1], 3)
 
 
-def _station_uv(scene: SceneSpec, camera: CameraModel):
-    """Raw-image projections of the silhouette points at every station."""
-    p_mat = camera.P
-    center = _camera_center_from_p(p_mat)
-    tip = scene.pose.tip
-    direction = scene.pose.direction
-    normal = np.cross(direction, tip - center)
-    normal = normal / np.linalg.norm(normal)
-    s_list, r_list = _stations(scene.spec)
-    pts = []
-    for s, r in zip(s_list, r_list):
-        axis_pt = tip + s * direction
-        pts.append(axis_pt - r * normal)
-        pts.append(axis_pt + r * normal)
-    uv = _project_p(p_mat, np.vstack(pts))
-    uv = camera.distort(uv)
-    return s_list, r_list, uv.reshape(len(s_list), 2, 2)
-
-
 def _raycast(
     scene: SceneSpec, camera: CameraModel, x0: int, y0: int, x1: int, y1: int
 ) -> np.ndarray:
@@ -252,7 +232,8 @@ def _raycast(
     s0 = q @ d_axis
     q2 = q @ q
 
-    s_list, r_list, uv = _station_uv(scene, camera)
+    s_list, r_list = _stations(scene.spec)
+    uv = _silhouette_uv(scene, camera, s_list, r_list)
     depth_min = camera.to_camera(
         np.vstack([tip, tip + scene.spec.total_length_mm * d_axis])
     )[:, 2].min()
@@ -306,6 +287,20 @@ def _raycast(
     return s_buf
 
 
+def _subpixel_bands(scene: SceneSpec, camera: CameraModel, gt: GroundTruth, size):
+    """The scene's ROI box and, per subpixel ray in it, the axial station
+    hit (nan = miss) and its band index (-1 = miss); both None when the
+    box is empty."""
+    box = _roi(gt, scene, camera, size)
+    x0, y0, x1, y1 = box
+    if x1 <= x0 or y1 <= y0:
+        return box, None, None
+    s_hit = _raycast(scene, camera, *box)
+    hit = np.isfinite(s_hit)
+    band_idx = np.searchsorted(scene.spec.distances_mm, np.where(hit, s_hit, 0.0), side="right")
+    return box, s_hit, np.where(hit, band_idx, -1)
+
+
 def render(
     scene: SceneSpec, camera: CameraModel, size: tuple[int, int]
 ) -> tuple[RasterImage, GroundTruth]:
@@ -319,19 +314,16 @@ def render(
     image = np.empty((height, width, 3), dtype=np.float64)
     image[:] = np.asarray(scene.background)
 
-    x0, y0, x1, y1 = _roi(gt, scene, camera, size)
-    if x1 > x0 and y1 > y0:
+    (x0, y0, x1, y1), s_hit, band_idx = _subpixel_bands(scene, camera, gt, size)
+    if s_hit is not None:
         ss = SUPERSAMPLE
         colors = np.empty(((y1 - y0) * ss, (x1 - x0) * ss, 3), dtype=np.float64)
         colors[:] = np.asarray(scene.background)
 
         _paint_distractors(scene, colors, x0, y0)
 
-        s_hit = _raycast(scene, camera, x0, y0, x1, y1)
-        hit = np.isfinite(s_hit)
+        hit = band_idx >= 0
         if hit.any():
-            b = scene.spec.distances_mm
-            band_idx = np.searchsorted(b, np.where(hit, s_hit, 0.0), side="right")
             palette = np.array(
                 [
                     scene.band_colors.get(lbl, scene.bare_color)
@@ -450,18 +442,14 @@ def render_class_mask(
     width, height = size
     gt = ground_truth(scene, camera, size)
     mask = np.zeros((height, width), dtype=np.uint8)
-    x0, y0, x1, y1 = _roi(gt, scene, camera, size)
-    if x1 <= x0 or y1 <= y0:
+    (x0, y0, x1, y1), _, band_idx = _subpixel_bands(scene, camera, gt, size)
+    if band_idx is None:
         return mask
-    s_hit = _raycast(scene, camera, x0, y0, x1, y1)
-    b = scene.spec.distances_mm
-    hit = np.isfinite(s_hit)
-    band_idx = np.where(hit, np.searchsorted(b, np.where(hit, s_hit, 0.0), side="right"), -1)
     labels = np.array(
         [lbl if lbl is not None else 0 for lbl in scene.spec.band_labels],
         dtype=np.int64,
     )
-    sub_label = np.where(band_idx >= 0, labels[np.clip(band_idx, 0, None)], -1)
+    sub_label = np.where(band_idx >= 0, labels[band_idx], -1)
     ss = SUPERSAMPLE
     tiles = sub_label.reshape(y1 - y0, ss, x1 - x0, ss)
     first = tiles[:, 0, :, 0]

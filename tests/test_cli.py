@@ -174,6 +174,9 @@ class TestConfigValidation:
             (("camera", "translation_mm", 2), float("nan")),
             (("camera", "distortion", "k1"), float("nan")),
             (("camera", "distortion", "p2"), float("-inf")),
+            (("camera", "distortion"), [0.0, 0.0, 0.0, 0.0, 0.0]),
+            (("camera", "distortion"), None),
+            (("camera", "distortion", "k_1"), 0.0),
         ],
         ids=["fractional-r1", "one-size", "fractional-size", "zero-size",
              "colors-list", "zero-ransac-iterations", "fractional-ransac-iterations",
@@ -183,7 +186,8 @@ class TestConfigValidation:
              "nan-line-sigmas", "negative-pair-sigmas", "infinite-pair-sigmas",
              "nan-edge-distance", "nan-diameter", "infinite-diameter",
              "infinite-length", "nan-length", "infinite-focal-length",
-             "nan-translation", "nan-k1", "infinite-p2"],
+             "nan-translation", "nan-k1", "infinite-p2", "distortion-list",
+             "distortion-null", "unknown-distortion-key"],
     )
     def test_bad_config_exits_with_one_line(
         self, workspace, tmp_path, capsys, path, value

@@ -76,8 +76,9 @@ class TestHueSaturation:
         if not base.hue_valid[0, 0]:
             assert not rotated.hue_valid[0, 0]
             return
-        expected = np.mod(base.hue[0, 0] + 2 * np.pi / 3, 2 * np.pi)
-        assert rotated.hue[0, 0] == pytest.approx(expected, abs=1e-9)
+        # compared on the circle: a hue a rounding error below 2 pi is 0
+        turn = rotated.hue[0, 0] - base.hue[0, 0] - 2 * np.pi / 3
+        assert abs(np.mod(turn + np.pi, 2 * np.pi) - np.pi) <= 1e-9
 
 
 def _whole_frame_hue_oracle(px):
@@ -336,24 +337,40 @@ class TestConvolution:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+# fx != fy and an off-centre principal point, so that swapped intrinsics
+# move the results
+K_LENS = np.array([[1000.0, 0.0, 350.0], [0.0, 800.0, 260.0], [0.0, 0.0, 1.0]])
+
+
 class TestDistortion:
     def test_zero_coefficients_identity(self):
-        model = DistortionModel(fx=1000, fy=1000, cx=320, cy=240)
         pts = np.array([[10.0, 20.0], [300.0, 200.0]])
-        np.testing.assert_allclose(undistort_points(pts, model), pts)
-        np.testing.assert_allclose(distort_points(pts, model), pts)
+        np.testing.assert_allclose(undistort_points(pts, DistortionModel(), K_LENS), pts)
+        np.testing.assert_allclose(distort_points(pts, DistortionModel(), K_LENS), pts)
 
     def test_principal_point_fixed(self):
-        model = DistortionModel(k1=-0.2, k2=0.05, fx=1000, fy=1000, cx=320, cy=240)
-        out = undistort_points(np.array([[320.0, 240.0]]), model)
-        np.testing.assert_allclose(out, [[320.0, 240.0]], atol=1e-9)
+        model = DistortionModel(k1=-0.2, k2=0.05, p1=1e-3, p2=-1e-3)
+        centre = np.array([[350.0, 260.0]])
+        np.testing.assert_allclose(undistort_points(centre, model, K_LENS), centre, atol=1e-9)
+        np.testing.assert_allclose(distort_points(centre, model, K_LENS), centre, atol=1e-9)
+
+    def test_acts_in_normalized_coordinates_of_k(self):
+        k1 = -0.1
+        x, y = 0.3, -0.2  # normalized: (u - cx) / fx, (v - cy) / fy
+        scale = 1.0 + k1 * (x * x + y * y)
+        pt = np.array([[350.0 + 1000.0 * x, 260.0 + 800.0 * y]])
+        expected = [[350.0 + 1000.0 * x * scale, 260.0 + 800.0 * y * scale]]
+        distorted = distort_points(pt, DistortionModel(k1=k1), K_LENS)
+        np.testing.assert_allclose(distorted, expected, rtol=0, atol=1e-9)
+        recovered = undistort_points(distorted, DistortionModel(k1=k1), K_LENS)
+        np.testing.assert_allclose(recovered, pt, rtol=0, atol=1e-3)
 
     def test_round_trip_at_half_radius(self):
-        model = DistortionModel(k1=-0.1, fx=1000, fy=1000, cx=500, cy=400)
+        model = DistortionModel(k1=-0.1)
         # normalized radius 0.5
-        pt = np.array([[500.0 + 1000 * 0.3, 400.0 + 1000 * 0.4]])
-        distorted = distort_points(pt, model)
-        recovered = undistort_points(distorted, model)
+        pt = np.array([[350.0 + 1000 * 0.3, 260.0 + 800 * 0.4]])
+        distorted = distort_points(pt, model, K_LENS)
+        recovered = undistort_points(distorted, model, K_LENS)
         assert np.linalg.norm(recovered - pt) < 1e-3
 
     @given(
@@ -365,16 +382,17 @@ class TestDistortion:
     )
     @settings(max_examples=100, deadline=None)
     def test_round_trip_within_field_of_view(self, k1, k2, p1, xn, yn):
-        model = DistortionModel(k1=k1, k2=k2, p1=p1, fx=800, fy=800, cx=400, cy=300)
-        pt = np.array([[400.0 + 800 * xn, 300.0 + 800 * yn]])
-        distorted = distort_points(pt, model)
-        recovered = undistort_points(distorted, model)
+        model = DistortionModel(k1=k1, k2=k2, p1=p1)
+        pt = np.array([[350.0 + 1000 * xn, 260.0 + 800 * yn]])
+        distorted = distort_points(pt, model, K_LENS)
+        recovered = undistort_points(distorted, model, K_LENS)
         assert np.linalg.norm(recovered - pt) < 1e-3
 
     def test_nonconvergence_raises(self):
-        model = DistortionModel(k1=-5.0, fx=100, fy=100, cx=0, cy=0)
+        model = DistortionModel(k1=-5.0)
+        K = np.array([[100.0, 0.0, 0.0], [0.0, 100.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(NumericError):
-            undistort_points(np.array([[500.0, 500.0]]), model)
+            undistort_points(np.array([[500.0, 500.0]]), model, K)
 
 
 class TestImageIO:

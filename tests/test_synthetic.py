@@ -1,5 +1,7 @@
 """Tests for the ground-truth renderer and scene sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from conftest import (
 
 from bandpointer import synthetic
 from bandpointer.errors import BehindCameraError
+from bandpointer.imaging import DistortionModel
 from bandpointer.pose import CameraModel, PointerPose, project_pointer_edges
 
 
@@ -42,12 +45,20 @@ def scene_for(spec, camera, depth=330.0, angle=10.0, **kw):
 
 class TestGroundTruth:
     def test_matches_pose_projector_within_1e9(self, tilted_camera, test_spec):
-        scene = scene_for(test_spec, tilted_camera)
-        gt = synthetic.ground_truth(scene, tilted_camera, SIZE_SMALL)
-        pairs = project_pointer_edges(scene.pose, tilted_camera, test_spec)
-        for edge, (lo, hi) in zip(gt.edges, pairs):
-            assert np.linalg.norm(edge.p_a - lo) < 1e-9
-            assert np.linalg.norm(edge.p_b - hi) < 1e-9
+        lens = replace(
+            tilted_camera, distortion=DistortionModel(k1=-0.1, k2=0.02, p1=1e-3, p2=-5e-4)
+        )
+        for camera in (tilted_camera, lens):
+            scene = scene_for(test_spec, camera)
+            gt = synthetic.ground_truth(scene, camera, SIZE_SMALL)
+            ideal = project_pointer_edges(scene.pose, camera, test_spec)
+            pairs = camera.distort(ideal.reshape(-1, 2)).reshape(-1, 2, 2)
+            for edge, (lo, hi) in zip(gt.edges, pairs):
+                assert np.linalg.norm(edge.p_a - lo) < 1e-9
+                assert np.linalg.norm(edge.p_b - hi) < 1e-9
+        # the lens moves the points far beyond the tolerance, so the second
+        # pass checked the distortion too
+        assert np.linalg.norm(pairs - ideal) > 0.05
 
     def test_behind_camera_raises(self, tilted_camera, test_spec):
         pose = PointerPose(tip=[0.0, 0.0, -400.0], direction=[1.0, 0.0, 0.0])
