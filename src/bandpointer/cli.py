@@ -165,20 +165,15 @@ def load_color_model(path) -> ColorClassSet:
 @dataclass
 class PointCloud:
     points: np.ndarray  # (N, 3) mm
-    frame_indices: np.ndarray
     rms_px: np.ndarray
     filtered_flags: np.ndarray = field(default=None)  # type: ignore[assignment]
     filter_skipped: bool = False
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        self.frame_indices = np.asarray(self.frame_indices, dtype=np.int64)
         self.rms_px = np.asarray(self.rms_px, dtype=np.float64)
         if self.filtered_flags is None:
             self.filtered_flags = np.zeros(len(self.points), dtype=bool)
-
-    def kept_points(self) -> np.ndarray:
-        return self.points[~self.filtered_flags]
 
 
 MAD_FILTER_FACTOR = 5.0
@@ -345,26 +340,24 @@ def cmd_track(args) -> int:
     out_prefix = Path(args.out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = out_prefix.with_suffix(".csv")
-    points, indices, rms = [], [], []
+    points, rms = [], []
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow([
             "frame", "status", "tip_x_mm", "tip_y_mm", "tip_z_mm",
             "dir_x", "dir_y", "dir_z", "rms_px", "inliers",
         ])
-        for idx, (frame, status, estimate) in enumerate(results):
+        for frame, status, estimate in results:
             name = Path(frame).name
             if estimate is None:
                 writer.writerow([name, status] + [""] * 8)
                 continue
             writer.writerow([name, "ok"] + _pose_fields(estimate))
             points.append(estimate.pose.tip)
-            indices.append(idx)
             rms.append(estimate.rms_px)
 
     cloud = PointCloud(
         points=np.array(points).reshape(-1, 3),
-        frame_indices=np.array(indices, dtype=np.int64),
         rms_px=np.array(rms),
     )
     cloud = filter_point_cloud(cloud)

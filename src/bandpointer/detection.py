@@ -39,7 +39,6 @@ from .imaging import (
     HueSatImage,
     RasterImage,
     Region,
-    _EIGHT_CONNECTED,
     _content_box,
     connected_components,
     convolve_unit_sum,
@@ -117,6 +116,13 @@ class EdgePointPair:
 
 @dataclass
 class DetectionResult:
+    """Contour point pairs in the order of their axis coordinates.
+
+    Each edge's ``axis_coordinate`` is its midpoint's coordinate on
+    ``line``, as ``order_along_axis`` computes it; later stages read the
+    stored value instead of projecting again.
+    """
+
     edges: list[EdgePointPair]
     line: Line2D  # L2, fit to the pair points
     pass1_regions: list[Region] = field(default_factory=list)
@@ -172,13 +178,6 @@ def detect_band_regions(
     return [reg for reg in regions if near_adjacent_color(reg)]
 
 
-def _stack_pixels(regions: list[Region]) -> tuple[np.ndarray, np.ndarray]:
-    """All region pixels as float (x, y) rows, plus each region's first row."""
-    pts = np.vstack([reg.pixels for reg in regions]).astype(np.float64)
-    starts = np.cumsum([0] + [reg.area for reg in regions[:-1]])
-    return pts, starts
-
-
 def _end_pixels(regions: list[Region]) -> tuple[np.ndarray, np.ndarray]:
     """Each region's row-end or column-end pixels, whichever are fewer, as
     float (x, y) rows grouped by region, plus each region's first row.
@@ -211,9 +210,9 @@ def _end_pixels(regions: list[Region]) -> tuple[np.ndarray, np.ndarray]:
 def _regions_crossed(
     pts: np.ndarray, starts: np.ndarray, point: np.ndarray, direction: np.ndarray
 ) -> np.ndarray:
-    """Per region of a _stack_pixels or _end_pixels stack: pixels lie
-    strictly on both sides of the line; (m, 1, 2) stacks of lines give an
-    (m, n_regions) table."""
+    """Per region of an _end_pixels stack: pixels lie strictly on both
+    sides of the line; (m, 1, 2) stacks of lines give an (m, n_regions)
+    table."""
     d = signed_distance(point, direction, pts)
     hi = np.maximum.reduceat(d, starts, axis=-1)
     lo = np.minimum.reduceat(d, starts, axis=-1)
@@ -309,23 +308,15 @@ def _orientation_kernel(phi: float, sigma_d: float, sigma_a: float) -> np.ndarra
     return h / h.sum()
 
 
-@dataclass
-class JunctionImages:
-    """Intermediate binary images of the junction-extraction stage."""
-
-    crop: tuple[int, int, int, int]  # x0, y0, w, h
-    halo: np.ndarray  # I_b1
-    filtered: np.ndarray  # I_b2
-    combined: np.ndarray  # I_b3
-
-
 def _junction_images(
     regions: list[Region],
     spec_adjacency: set[frozenset[int]],
     params: DetectionParams,
     image_size: tuple[int, int],
     fallback_axis: Optional[Line2D] = None,
-) -> JunctionImages:
+) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    """The crop's (x, y) origin in the frame, the halo I_b1 and the
+    orientation-filtered halo I_b2, both over the crop."""
     e = params.edge_halo
     margin = e + int(np.ceil(3.0 * params.sigma_d)) + 2
     # crop covering all region pixels plus the margin, clipped to the frame
@@ -358,15 +349,8 @@ def _junction_images(
     phi = float(np.mod(phi + np.pi / 2.0, np.pi) - np.pi / 2.0)
 
     kernel = _orientation_kernel(phi, params.sigma_d, params.sigma_a)
-    response = convolve_unit_sum(halo, kernel)
-    filtered = response >= params.binarize_threshold
-    combined = halo & filtered
-    if not combined.any():
-        raise NoEdgesError("junction filter response below threshold everywhere")
-    return JunctionImages(
-        crop=(int(x0), int(y0), int(x1 - x0), int(y1 - y0)),
-        halo=halo, filtered=filtered, combined=combined,
-    )
+    filtered = convolve_unit_sum(halo, kernel) >= params.binarize_threshold
+    return (int(x0), int(y0)), halo, filtered
 
 
 def _refine_subpixel(combined: np.ndarray, px: int, py: int) -> np.ndarray:
@@ -378,6 +362,18 @@ def _refine_subpixel(combined: np.ndarray, px: int, py: int) -> np.ndarray:
     return np.array([xs.mean() + x0, ys.mean() + y0])
 
 
+def order_along_axis(pairs: np.ndarray) -> tuple[Line2D, np.ndarray, np.ndarray]:
+    """Axis line, midpoint coordinates and order of (n, 2, 2) point pairs.
+
+    The line is the TLS fit through all 2n points; each pair's coordinate
+    is its midpoint's on that line, one axis_coord call per pair (a
+    stacked call rounds differently); the order is a stable sort of them.
+    """
+    line = fit_line_tls(pairs.reshape(-1, 2))
+    t = np.array([float(line.axis_coord(0.5 * (a + b))[0]) for a, b in pairs])
+    return line, t, np.argsort(t, kind="stable")
+
+
 def extract_edge_pairs(
     regions: list[Region],
     spec_adjacency: set[frozenset[int]],
@@ -387,86 +383,60 @@ def extract_edge_pairs(
 ) -> DetectionResult:
     """Sub-pixel contour point pairs of band junctions, ordered along L2.
 
-    See the module docstring for the stage sequence; pairs that are close
-    together, not mutual nearest neighbors along the halo line, or with an
+    Each component of I_b2 gives the I_b3 = I_b1 & I_b2 pixels farthest
+    on either side of L1, the TLS line through all of I_b3. Pairs that are
+    close together, not mutual nearest neighbors along L1, or with an
     outlying separation are rejected.
     """
-    imgs = _junction_images(regions, spec_adjacency, params, image_size, fallback_axis)
-    x0, y0, _, _ = imgs.crop
-    offset = np.array([x0, y0], dtype=np.float64)
-
-    ys, xs = np.nonzero(imgs.combined)
+    origin, halo, filtered = _junction_images(
+        regions, spec_adjacency, params, image_size, fallback_axis
+    )
+    combined = halo & filtered
+    ys, xs = np.nonzero(combined)
+    if len(xs) == 0:
+        raise NoEdgesError("junction filter response below threshold everywhere")
     if len(xs) < 2:
         raise NoEdgesError("one junction pixel defines no line")
-    line1 = fit_line_tls(np.column_stack([xs, ys]).astype(np.float64) + offset)
+    offset = np.array(origin, dtype=np.float64)
+    line1 = fit_line_tls(np.column_stack([xs, ys]) + offset)
 
-    comp_labels, n_comp = ndimage.label(imgs.filtered, structure=_EIGHT_CONNECTED)
-    raw_pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    for idx in range(1, n_comp + 1):
-        sel = (comp_labels == idx) & imgs.combined
-        sy, sx = np.nonzero(sel)
-        if len(sy) == 0:
+    pairs = []
+    for comp in connected_components(filtered, origin):
+        local = comp.pixels - origin  # (x, y) in the crop, row-major
+        local = local[combined[local[:, 1], local[:, 0]]]
+        if len(local) == 0:
             continue
-        pts = np.column_stack([sx, sy]).astype(np.float64) + offset
-        perp = line1.perp_distance(pts)
-        hi = int(np.argmax(perp))
-        lo = int(np.argmin(perp))
-        if not (perp[hi] > 0 and perp[lo] < 0):
-            continue
-        p_lo = _refine_subpixel(imgs.combined, sx[lo], sy[lo]) + offset
-        p_hi = _refine_subpixel(imgs.combined, sx[hi], sy[hi]) + offset
-        raw_pairs.append((p_lo, p_hi))
+        perp = line1.perp_distance(local + offset)
+        hi, lo = int(np.argmax(perp)), int(np.argmin(perp))
+        if perp[hi] > 0 and perp[lo] < 0:
+            pairs.append([_refine_subpixel(combined, *local[k]) + offset for k in (lo, hi)])
+    pairs = np.array(pairs, dtype=np.float64).reshape(-1, 2, 2)
 
-    e = params.edge_halo
-    raw_pairs = [
-        (a, b) for a, b in raw_pairs if np.linalg.norm(a - b) >= e
-    ]
-    if len(raw_pairs) >= 2:
-        raw_pairs = _mutual_nearest_filter(raw_pairs, line1)
-    seps = np.array([np.linalg.norm(a - b) for a, b in raw_pairs])
-    if len(seps) >= 2:
-        mu, sd = seps.mean(), seps.std()
-        if sd > 0:
-            keep = np.abs(seps - mu) <= params.pair_separation_sigmas * sd
-            raw_pairs = [p for p, k in zip(raw_pairs, keep) if k]
-    if len(raw_pairs) < 2:
+    # one norm per pair: a vectorized norm rounds differently
+    sep = np.array([np.linalg.norm(a - b) for a, b in pairs])
+    keep = sep >= params.edge_halo
+    pairs, sep = pairs[keep], sep[keep]
+    if len(pairs) >= 2:
+        # mutual nearest neighbors along L1; argmin ties go to the first
+        u = line1.axis_coord(pairs.reshape(-1, 2))
+        gap = np.abs(u - u[:, None])
+        np.fill_diagonal(gap, np.inf)
+        partner = np.arange(len(u)) ^ 1
+        keep = (gap.argmin(axis=1) == partner).reshape(-1, 2).all(axis=1)
+        pairs, sep = pairs[keep], sep[keep]
+    if len(sep) >= 2 and sep.std() > 0:
+        pairs = pairs[np.abs(sep - sep.mean()) <= params.pair_separation_sigmas * sep.std()]
+    if len(pairs) < 2:
         raise InsufficientEdgesError(
-            f"{len(raw_pairs)} contour point pairs after filtering, need 2"
+            f"{len(pairs)} contour point pairs after filtering, need 2"
         )
 
-    all_pts = np.vstack([np.vstack(p) for p in raw_pairs])
-    line2 = fit_line_tls(all_pts)
-    edges = []
-    for p_lo, p_hi in raw_pairs:
-        mid = 0.5 * (p_lo + p_hi)
-        edges.append(
-            EdgePointPair(
-                p_a=p_lo,
-                p_b=p_hi,
-                axis_coordinate=float(line2.axis_coord(mid)[0]),
-            )
-        )
-    edges.sort(key=lambda ep: ep.axis_coordinate)
+    line2, t, order = order_along_axis(pairs)
+    edges = [
+        EdgePointPair(p_a=pairs[k, 0], p_b=pairs[k, 1], axis_coordinate=float(t[k]))
+        for k in order
+    ]
     return DetectionResult(edges=edges, line=line2)
-
-
-def _mutual_nearest_filter(
-    pairs: list[tuple[np.ndarray, np.ndarray]], line1: Line2D
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Keep pairs whose points are mutual nearest neighbors along the line."""
-    pts = np.vstack([np.vstack(p) for p in pairs])
-    u = line1.axis_coord(pts)
-    n = len(u)
-    keep = []
-    for k in range(len(pairs)):
-        ia, ib = 2 * k, 2 * k + 1
-        da = np.abs(u - u[ia])
-        da[ia] = np.inf
-        db = np.abs(u - u[ib])
-        db[ib] = np.inf
-        if int(np.argmin(da)) == ib and int(np.argmin(db)) == ia:
-            keep.append(pairs[k])
-    return keep
 
 
 def label_edge_pairs(
@@ -485,7 +455,7 @@ def label_edge_pairs(
         raise InsufficientEdgesError("no pairs to label")
     pairs = sorted(pairs, key=lambda ep: ep.axis_coordinate)
     crossed = (
-        _regions_crossed(*_stack_pixels(regions), line2.point, line2.direction)
+        _regions_crossed(*_end_pixels(regions), line2.point, line2.direction)
         if regions else []
     )
     crossing = [reg for reg, c in zip(regions, crossed) if c]

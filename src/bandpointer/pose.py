@@ -114,8 +114,6 @@ class PoseEstimate:
     rms_px: float
     per_edge_residuals_px: dict[int, float]  # keyed by spec edge index
     correspondence: Correspondence
-    v0_mm: float
-    vn_mm: float
     cost_history: list[float] = field(default_factory=list)
 
 
@@ -202,8 +200,7 @@ def init_depths_linear(
     tn = corr.homography.inverse_mm(b_n)
     if not (np.isfinite(t0) and np.isfinite(tn)):
         raise DegenerateInitializationError("homography inverse undefined at ends")
-    # one axis_coord call per edge: a stacked call rounds differently
-    t_mids = np.array([line.axis_coord(result.edges[k].midpoint)[0] for k in det_idx])
+    t_mids = np.array([result.edges[k].axis_coordinate for k in det_idx])
     # the axis line and its t coordinates live in raw image space; each
     # constructed point gets undistorted exactly once, here
     on_axis = camera.undistort(line.at(np.concatenate([[t0, tn], t_mids])))
@@ -397,8 +394,6 @@ def refine_pose_lm(
             int(j): float(np.sqrt(e / 2.0)) for j, e in zip(spec_idx, sq)
         },
         correspondence=corr,
-        v0_mm=np.nan,
-        vn_mm=np.nan,
         cost_history=history,
     )
 
@@ -416,10 +411,8 @@ def estimate_pose(
     causes: list[Exception] = []
     for corr in hypotheses:
         try:
-            init_pose, v0, vn = init_depths_linear(corr, result, camera, spec)
+            init_pose, _, _ = init_depths_linear(corr, result, camera, spec)
             estimate = refine_pose_lm(init_pose, corr, result, camera, spec)
-            estimate.v0_mm = v0
-            estimate.vn_mm = vn
         except (PoseError, NumericError) as exc:
             causes.append(exc)
             continue

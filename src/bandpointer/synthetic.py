@@ -17,9 +17,8 @@ import numpy as np
 from scipy import ndimage
 
 from .association import PointerSpec
-from .detection import DetectionResult, EdgePointPair
+from .detection import DetectionResult, EdgePointPair, order_along_axis
 from .errors import BehindCameraError, DegenerateGeometryError, InsufficientEdgesError
-from .geometry import fit_line_tls
 from .imaging import RasterImage
 from .pose import CameraModel, PointerPose
 
@@ -474,34 +473,23 @@ def ground_truth_detection(
         raise InsufficientEdgesError(
             f"{len(visible)} visible edges, need at least two"
         )
-    pts = []
-    for e in visible:
-        pa, pb = e.p_a.copy(), e.p_b.copy()
-        if noise_px > 0:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            pa = pa + rng.normal(0.0, noise_px, 2)
-            pb = pb + rng.normal(0.0, noise_px, 2)
-        pts.append((e.index, pa, pb))
-    line = fit_line_tls(np.vstack([[pa, pb] for _, pa, pb in pts]).reshape(-1, 2))
-
-    entries = []
-    for idx, pa, pb in pts:
-        mid = 0.5 * (pa + pb)
-        entries.append((float(line.axis_coord(mid)[0]), idx, pa, pb))
-    entries.sort(key=lambda e: e[0])
-    spec_order = [idx for _, idx, _, _ in entries]
-    forward = spec_order[0] < spec_order[-1]
+    pairs = np.array([(e.p_a, e.p_b) for e in visible], dtype=np.float64)
+    if noise_px > 0:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        pairs += rng.normal(0.0, noise_px, pairs.shape)
+    line, t, order = order_along_axis(pairs)
+    forward = visible[order[0]].index < visible[order[-1]].index
 
     edges = []
-    for t, idx, pa, pb in entries:
-        left, right = spec.side_labels[idx]
+    for k in order:
+        left, right = spec.side_labels[visible[k].index]
         if not forward:
             left, right = right, left
         edges.append(
             EdgePointPair(
-                p_a=pa, p_b=pb, left_label=left, right_label=right,
-                axis_coordinate=t,
+                p_a=pairs[k, 0], p_b=pairs[k, 1], left_label=left, right_label=right,
+                axis_coordinate=float(t[k]),
             )
         )
     return DetectionResult(edges=edges, line=line)

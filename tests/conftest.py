@@ -10,8 +10,7 @@ from bandpointer.association import (
     PointerSpec,
     fit_homography_1d,
 )
-from bandpointer.detection import DetectionResult, EdgePointPair
-from bandpointer.geometry import fit_line_tls
+from bandpointer.detection import DetectionResult, EdgePointPair, order_along_axis
 from bandpointer.pose import CameraModel, project_pointer_edges
 
 RED, GREEN, BLUE = 1, 2, 3
@@ -160,34 +159,24 @@ def detection_from_pose(
     if indices is None:
         indices = list(range(len(spec.edges)))
     pairs = project_pointer_edges(pose, camera, spec, indices)
-    pts = []
-    for (lo, hi) in pairs:
-        lo, hi = lo.copy(), hi.copy()
-        if noise_px > 0:
-            lo += rng.normal(0, noise_px, 2)
-            hi += rng.normal(0, noise_px, 2)
-        pts.append((lo, hi))
-    line = fit_line_tls(np.vstack([np.vstack(p) for p in pts]))
-    entries = []
-    for (lo, hi), idx in zip(pts, indices):
-        t = float(line.axis_coord(0.5 * (lo + hi))[0])
-        entries.append((t, idx, lo, hi))
-    entries.sort(key=lambda e: e[0])
-    forward = entries[0][1] < entries[-1][1]
+    if noise_px > 0:
+        pairs += rng.normal(0, noise_px, pairs.shape)
+    line, t, order = order_along_axis(pairs)
+    forward = indices[order[0]] < indices[order[-1]]
 
     edges = []
     mapping = []
-    for det_k, (t, idx, lo, hi) in enumerate(entries):
-        left, right = spec.side_labels[idx]
+    for det_k, k in enumerate(order):
+        left, right = spec.side_labels[indices[k]]
         if not forward:
             left, right = right, left
         edges.append(
             EdgePointPair(
-                p_a=lo, p_b=hi, left_label=left, right_label=right,
-                axis_coordinate=t,
+                p_a=pairs[k, 0], p_b=pairs[k, 1], left_label=left, right_label=right,
+                axis_coordinate=float(t[k]),
             )
         )
-        mapping.append((det_k, idx))
+        mapping.append((det_k, indices[k]))
     result = DetectionResult(edges=edges, line=line)
 
     b = spec.distances_mm

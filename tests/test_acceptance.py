@@ -491,11 +491,10 @@ class TestCriterion8SquareTracing:
 
         cloud = PointCloud(
             points=np.array(points),
-            frame_indices=np.arange(len(points)),
             rms_px=np.zeros(len(points)),
         )
         cloud = filter_point_cloud(cloud)
-        kept = cloud.kept_points()
+        kept = cloud.points[~cloud.filtered_flags]
         plane_dist = np.abs(kept[:, 2] - plane_z)
         within = float(np.mean(plane_dist < 5.0))
         gross = (frame_failures + int(cloud.filtered_flags.sum())) / n_frames

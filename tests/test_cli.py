@@ -676,7 +676,6 @@ class TestFilterPointCloud:
         points = np.asarray(points, dtype=np.float64)
         return PointCloud(
             points=points,
-            frame_indices=np.arange(len(points)),
             rms_px=np.zeros(len(points)),
         )
 

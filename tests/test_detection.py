@@ -1,5 +1,7 @@
 """Tests for the two-pass band detector and junction pair extraction."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,19 +27,30 @@ from bandpointer.detection import (
     _end_pixels,
     _junction_images,
     _orientation_kernel,
+    _refine_subpixel,
     detect_band_regions,
     detect_pointer,
     expand_bounding_boxes,
+    extract_edge_pairs,
     label_edge_pairs,
     ransac_centroid_line,
 )
 from bandpointer.errors import (
+    BandPointerError,
     DegenerateSampleError,
+    InsufficientEdgesError,
     InsufficientRegionsError,
+    NoEdgesError,
     PointerNotFoundError,
 )
-from bandpointer.geometry import Line2D, OrientedBox, boxes_mask, line_through
-from bandpointer.imaging import RasterImage, Region, erode_disk, rgb_to_hue_saturation
+from bandpointer.geometry import Line2D, OrientedBox, boxes_mask, fit_line_tls, line_through
+from bandpointer.imaging import (
+    RasterImage,
+    Region,
+    connected_components,
+    erode_disk,
+    rgb_to_hue_saturation,
+)
 
 
 @pytest.fixture
@@ -482,9 +495,16 @@ class TestExtractEdgePairs:
         adj = quad_spec.adjacent_label_pairs()
         regions = detect_band_regions(hs, small_colors, adj, params.s2, params.r2)
         line, surviving = ransac_centroid_line(regions, params)
-        imgs = _junction_images(surviving, adj, params, SIZE_SMALL, line)
-        assert not (imgs.combined & ~imgs.halo).any()  # I_b3 subset of I_b1
-        assert imgs.combined.sum() > 0
+        (x0, y0), halo, filtered = _junction_images(surviving, adj, params, SIZE_SMALL, line)
+        assert halo.shape == filtered.shape
+        h, w = halo.shape
+        assert 0 <= x0 and x0 + w <= SIZE_SMALL[0] and 0 <= y0 and y0 + h <= SIZE_SMALL[1]
+        # every region pixel lies in the crop
+        px = np.vstack([reg.pixels for reg in surviving])
+        assert (px >= (x0, y0)).all() and (px < (x0 + w, y0 + h)).all()
+        combined = halo & filtered  # I_b3
+        assert combined.any()
+        assert (filtered & ~halo).any()  # the response spreads past I_b1
 
     def test_pair_filters_hold(
         self, quad_scene, quad_spec, small_colors, params
@@ -512,6 +532,125 @@ class TestExtractEdgePairs:
             for box in boxes:
                 inside |= box.contains(pts)
             assert inside.all()
+
+
+
+def _extract_reference(regions, adjacency, params, size, fallback_axis):
+    """Junction pairs as the stage found them with a crop-wide mask per
+    label of I_b2 and lists of pairs: (line, [(t, p_a, p_b)]), raising the
+    stage's errors."""
+    origin, halo, filtered = _junction_images(regions, adjacency, params, size, fallback_axis)
+    combined = halo & filtered
+    if not combined.any():
+        raise NoEdgesError("junction filter response below threshold everywhere")
+    offset = np.array(origin, dtype=np.float64)
+    ys, xs = np.nonzero(combined)
+    if len(xs) < 2:
+        raise NoEdgesError("one junction pixel defines no line")
+    line1 = fit_line_tls(np.column_stack([xs, ys]).astype(np.float64) + offset)
+
+    comp_labels, n_comp = ndimage.label(filtered, structure=np.ones((3, 3), dtype=int))
+    raw = []
+    for idx in range(1, n_comp + 1):
+        sy, sx = np.nonzero((comp_labels == idx) & combined)
+        if len(sy) == 0:
+            continue
+        perp = line1.perp_distance(np.column_stack([sx, sy]).astype(np.float64) + offset)
+        hi, lo = int(np.argmax(perp)), int(np.argmin(perp))
+        if perp[hi] > 0 and perp[lo] < 0:
+            raw.append((_refine_subpixel(combined, sx[lo], sy[lo]) + offset,
+                        _refine_subpixel(combined, sx[hi], sy[hi]) + offset))
+    raw = [(a, b) for a, b in raw if np.linalg.norm(a - b) >= params.edge_halo]
+    if len(raw) >= 2:
+        u = line1.axis_coord(np.vstack([np.vstack(p) for p in raw]))
+        mutual = []
+        for k, pair in enumerate(raw):
+            da = np.abs(u - u[2 * k])
+            da[2 * k] = np.inf
+            db = np.abs(u - u[2 * k + 1])
+            db[2 * k + 1] = np.inf
+            if int(np.argmin(da)) == 2 * k + 1 and int(np.argmin(db)) == 2 * k:
+                mutual.append(pair)
+        raw = mutual
+    seps = np.array([np.linalg.norm(a - b) for a, b in raw])
+    if len(seps) >= 2 and seps.std() > 0:
+        keep = np.abs(seps - seps.mean()) <= params.pair_separation_sigmas * seps.std()
+        raw = [p for p, k in zip(raw, keep) if k]
+    if len(raw) < 2:
+        raise InsufficientEdgesError(f"{len(raw)} contour point pairs after filtering, need 2")
+    line2 = fit_line_tls(np.vstack([np.vstack(p) for p in raw]))
+    edges = [(float(line2.axis_coord(0.5 * (a + b))[0]), a, b) for a, b in raw]
+    return line2, sorted(edges, key=lambda e: e[0])
+
+
+def _strip_regions(seed):
+    """Band-colored regions of a speckled, banded strip at a random angle
+    in an 80x60 raster, and the strip's axis (None for every third seed)."""
+    rng = np.random.default_rng(seed)
+    w, h = 80, 60
+    center = rng.uniform((25, 20), (55, 40))
+    angle = rng.uniform(0.0, np.pi)
+    axis = np.array([np.cos(angle), np.sin(angle)])
+    ys, xs = np.mgrid[0:h, 0:w]
+    rel = np.stack([xs, ys], axis=-1) - center
+    along = rel @ axis
+    across = rel @ np.array([-axis[1], axis[0]])
+    band = np.floor((along + rng.uniform(0, 20)) / rng.uniform(8.0, 20.0)).astype(int)
+    inside = (np.abs(across) <= rng.uniform(2.0, 8.0)) & (np.abs(along) <= rng.uniform(12, 40))
+    raster = np.where(inside, np.where(band % 2 == 0, RED, GREEN), 0)
+    raster[rng.random((h, w)) < rng.uniform(0.0, 0.1)] = 0
+    stray = rng.random((h, w)) < rng.uniform(0.0, 0.02)
+    raster[stray] = rng.choice([RED, GREEN], size=int(stray.sum()))
+    regions = []
+    for label in (RED, GREEN):
+        for reg in connected_components(raster == label):
+            reg.label = label
+            regions.append(reg)
+    fallback = None if seed % 3 == 0 else Line2D(center, axis)
+    return regions, fallback, (w, h)
+
+
+class TestExtractEdgePairsEquivalence:
+    """extract_edge_pairs, over component pixel lists and one pair array,
+    keeps the bits of the per-label-mask reference."""
+
+    def assert_same(self, regions, params, size, fallback):
+        try:
+            ref = _extract_reference(regions, ADJ_RG, params, size, fallback)
+        except BandPointerError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                extract_edge_pairs(regions, ADJ_RG, params, size, fallback)
+            return
+        result = extract_edge_pairs(regions, ADJ_RG, params, size, fallback)
+        line, edges = ref
+        assert result.line.point.tobytes() == line.point.tobytes()
+        assert result.line.direction.tobytes() == line.direction.tobytes()
+        assert [(e.axis_coordinate, e.p_a.tobytes(), e.p_b.tobytes()) for e in result.edges] == [
+            (t, a.tobytes(), b.tobytes()) for t, a, b in edges
+        ]
+
+    @pytest.mark.parametrize("angle_deg, blur", [(0.0, 0.0), (35.0, 2.0), (60.0, 0.0), (71.0, 3.0)])
+    def test_quad_scenes(self, quad_spec, small_camera, small_colors, params, angle_deg, blur):
+        pose = pose_at(330.0, angle_deg, small_camera, quad_spec, roll_deg=3.0)
+        scene = synthetic.SceneSpec(
+            pose=pose, spec=quad_spec, band_colors=BAND_RGB, blur_sigma=blur
+        )
+        img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
+        hs = rgb_to_hue_saturation(img)
+        adj = quad_spec.adjacent_label_pairs()
+        assert adj == ADJ_RG
+        regions = detect_band_regions(hs, small_colors, adj, params.s2, params.r2)
+        line, surviving = ransac_centroid_line(regions, params)
+        self.assert_same(surviving, params, SIZE_SMALL, line)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_rasters(self, seed, r2):
+        regions, fallback, size = _strip_regions(seed)
+        if not regions:
+            return
+        params = DetectionParams(r1=r2 + 1, r2=r2)
+        self.assert_same(regions, params, size, fallback)
 
 
 def make_pair(t, y_split=5.0):

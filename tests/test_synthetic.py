@@ -15,9 +15,10 @@ from conftest import (
 )
 
 from bandpointer import synthetic
-from bandpointer.errors import BehindCameraError
+from bandpointer.association import align_labels_dp, associate_ransac
+from bandpointer.errors import BehindCameraError, PoseFailureError
 from bandpointer.imaging import DistortionModel
-from bandpointer.pose import CameraModel, PointerPose, project_pointer_edges
+from bandpointer.pose import CameraModel, PointerPose, estimate_pose, project_pointer_edges
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +213,23 @@ class TestGroundTruthDetection:
         assert max(deltas) > 0.05
         assert max(deltas) < 3.0
 
+
+    @pytest.mark.xfail(
+        strict=True, raises=PoseFailureError,
+        reason="the TLS line through all contour points runs across a steep "
+        "pointer whose pair separation exceeds the spread of its junctions, "
+        "so every edge midpoint gets the same axis coordinate",
+    )
+    @pytest.mark.parametrize("roll_deg", [0.0, 4.0])
+    def test_steep_pointer_poses(self, camera_small, quad_spec, roll_deg):
+        pose = pose_at(300.0, 85.0, camera_small, quad_spec, roll_deg=roll_deg)
+        scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB)
+        gt = synthetic.ground_truth(scene, camera_small, SIZE_SMALL)
+        det = synthetic.ground_truth_detection(gt, quad_spec)
+        labels = [(e.left_label, e.right_label) for e in det.edges]
+        hypotheses = associate_ransac(det, quad_spec, align_labels_dp(labels, quad_spec))
+        estimate = estimate_pose(det, hypotheses, camera_small, quad_spec)
+        np.testing.assert_allclose(estimate.pose.tip, pose.tip, atol=1e-3)
 
 class TestSweep:
     def test_single_cell(self, tilted_camera, test_spec):
