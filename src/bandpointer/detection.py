@@ -210,9 +210,9 @@ def _end_pixels(regions: list[Region]) -> tuple[np.ndarray, np.ndarray]:
 def _regions_crossed(
     pts: np.ndarray, starts: np.ndarray, point: np.ndarray, direction: np.ndarray
 ) -> np.ndarray:
-    """Per region of an _end_pixels stack: pixels lie strictly on both
-    sides of the line; (m, 1, 2) stacks of lines give an (m, n_regions)
-    table."""
+    """Per region of a pixel stack (all its pixels, or its _end_pixels)
+    starting at starts: pixels lie strictly on both sides of the line;
+    (m, 1, 2) stacks of lines give an (m, n_regions) table."""
     d = signed_distance(point, direction, pts)
     hi = np.maximum.reduceat(d, starts, axis=-1)
     lo = np.minimum.reduceat(d, starts, axis=-1)
@@ -454,10 +454,12 @@ def label_edge_pairs(
     if not pairs:
         raise InsufficientEdgesError("no pairs to label")
     pairs = sorted(pairs, key=lambda ep: ep.axis_coordinate)
-    crossed = (
-        _regions_crossed(*_end_pixels(regions), line2.point, line2.direction)
-        if regions else []
-    )
+    crossed = []
+    if regions:
+        # one line: all pixels cost less than sorting out the end pixels
+        pts = np.vstack([reg.pixels for reg in regions]).astype(np.float64)
+        starts = np.r_[0, np.cumsum([reg.area for reg in regions])[:-1]]
+        crossed = _regions_crossed(pts, starts, line2.point, line2.direction)
     crossing = [reg for reg, c in zip(regions, crossed) if c]
 
     junction_lines = []

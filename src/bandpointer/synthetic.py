@@ -315,35 +315,24 @@ def render(
 
     (x0, y0, x1, y1), s_hit, band_idx = _subpixel_bands(scene, camera, gt, size)
     if s_hit is not None:
-        ss = SUPERSAMPLE
-        colors = np.empty(((y1 - y0) * ss, (x1 - x0) * ss, 3), dtype=np.float64)
-        colors[:] = np.asarray(scene.background)
-
-        _paint_distractors(scene, colors, x0, y0)
-
+        # band -1 (a missed ray) reads the background, the last entry
+        palette = np.array(
+            [scene.band_colors.get(lbl, scene.bare_color) for lbl in scene.spec.band_labels]
+            + [scene.background],
+            dtype=np.float64,
+        )
+        colors = palette[band_idx]
         hit = band_idx >= 0
-        if hit.any():
-            palette = np.array(
-                [
-                    scene.band_colors.get(lbl, scene.bare_color)
-                    if lbl is not None
-                    else scene.bare_color
-                    for lbl in scene.spec.band_labels
-                ],
-                dtype=np.float64,
+        _paint_distractors(scene, colors, ~hit, x0, y0)
+        for stripe in scene.highlights:
+            in_stripe = hit & (s_hit >= stripe.start_mm) & (s_hit <= stripe.end_mm)
+            if stripe.side_fraction is not None and in_stripe.any():
+                frac = _silhouette_fraction(scene, camera, s_hit, x0, y0)
+                lo, hi = stripe.side_fraction
+                in_stripe &= (frac >= lo) & (frac <= hi)
+            colors[in_stripe] = (
+                colors[in_stripe] * (1.0 - stripe.desaturation) + stripe.desaturation
             )
-            band_rgb = palette[band_idx]
-            for stripe in scene.highlights:
-                in_stripe = hit & (s_hit >= stripe.start_mm) & (s_hit <= stripe.end_mm)
-                if stripe.side_fraction is not None and in_stripe.any():
-                    frac = _silhouette_fraction(scene, camera, s_hit, x0, y0)
-                    lo, hi = stripe.side_fraction
-                    in_stripe &= (frac >= lo) & (frac <= hi)
-                band_rgb[in_stripe] = (
-                    band_rgb[in_stripe] * (1.0 - stripe.desaturation)
-                    + stripe.desaturation
-                )
-            colors = np.where(hit[..., None], band_rgb, colors)
 
         down = colors.reshape(
             y1 - y0, SUPERSAMPLE, x1 - x0, SUPERSAMPLE, 3
@@ -415,7 +404,11 @@ def _silhouette_fraction(
     return perp / np.maximum(halfwidth, 1e-9)
 
 
-def _paint_distractors(scene: SceneSpec, colors: np.ndarray, x0: int, y0: int):
+def _paint_distractors(
+    scene: SceneSpec, colors: np.ndarray, miss: np.ndarray, x0: int, y0: int
+):
+    """Paint each distractor disc, in order, onto the subpixels whose ray
+    missed the pointer."""
     ss = SUPERSAMPLE
     ss_h, ss_w, _ = colors.shape
     for d in scene.distractors:
@@ -430,6 +423,7 @@ def _paint_distractors(scene: SceneSpec, colors: np.ndarray, x0: int, y0: int):
             continue
         ys, xs = np.mgrid[ay0:ay1, ax0:ax1]
         inside = (xs - cx) ** 2 + (ys - cy) ** 2 <= rad * rad
+        inside &= miss[ay0:ay1, ax0:ax1]
         colors[ay0:ay1, ax0:ax1][inside] = np.asarray(d.color)
 
 
@@ -444,16 +438,17 @@ def render_class_mask(
     (x0, y0, x1, y1), _, band_idx = _subpixel_bands(scene, camera, gt, size)
     if band_idx is None:
         return mask
+    # an unlabeled band reads 0, a missed ray (band -1) the last entry, -1
     labels = np.array(
-        [lbl if lbl is not None else 0 for lbl in scene.spec.band_labels],
+        [lbl if lbl is not None else 0 for lbl in scene.spec.band_labels] + [-1],
         dtype=np.int64,
     )
-    sub_label = np.where(band_idx >= 0, labels[band_idx], -1)
+    sub_label = labels[band_idx]
     ss = SUPERSAMPLE
     tiles = sub_label.reshape(y1 - y0, ss, x1 - x0, ss)
     first = tiles[:, 0, :, 0]
     uniform = (tiles == first[:, None, :, None]).all(axis=(1, 3)) & (first > 0)
-    mask[y0:y1, x0:x1] = np.where(uniform, first, 0).astype(np.uint8)
+    mask[y0:y1, x0:x1] = first * uniform
     return mask
 
 

@@ -171,6 +171,80 @@ class TestRender:
         np.testing.assert_allclose(img.pixels[60, 80], (0.9, 0.2, 0.2), atol=1e-9)
 
 
+class TestCompositing:
+    """Bands cover distractors; distractors and background fill the rest;
+    highlights whiten only the pointer."""
+
+    DISC_RGB = (0.2, 0.3, 0.9)
+
+    @pytest.fixture(scope="class")
+    def camera(self):
+        return CameraModel(K=np.array([[1000.0, 0, 305.5], [0, 1000.0, 255.5], [0, 0, 1.0]]))
+
+    def _scenes(self, spec, camera, center):
+        plain = scene_for(spec, camera, angle=0.0)
+        disc = synthetic.Distractor(tuple(center), 10.0, self.DISC_RGB)
+        return plain, replace(plain, distractors=(disc,))
+
+    def _junction_disc(self, spec, camera):
+        gt = synthetic.ground_truth(scene_for(spec, camera, angle=0.0), camera, SIZE_SMALL)
+        return self._scenes(spec, camera, 0.5 * (gt.edges[1].p_a + gt.edges[1].p_b))
+
+    def test_distractor_on_junction_paints_background_only(self, test_spec, camera):
+        plain, scene = self._junction_disc(test_spec, camera)
+        center = np.asarray(scene.distractors[0].center)
+        img_plain, _ = synthetic.render(plain, camera, SIZE_SMALL)
+        img, _ = synthetic.render(scene, camera, SIZE_SMALL)
+        mask = synthetic.render_class_mask(plain, camera, SIZE_SMALL)
+        ys, xs = np.mgrid[: SIZE_SMALL[1], : SIZE_SMALL[0]]
+        # every subpixel center of these pixels lies inside the disc
+        in_disc = np.hypot(xs - center[0], ys - center[1]) <= 10.0 - 1.0
+        # fully band-covered pixels keep their band color
+        covered = in_disc & (mask > 0)
+        assert covered.sum() > 20
+        assert np.array_equal(img.pixels[covered], img_plain.pixels[covered])
+        # pixels no ray of which hits the pointer take the distractor color
+        off = in_disc & (np.abs(img_plain.pixels - plain.background).max(axis=2) < 1e-12)
+        assert off.sum() > 20
+        assert np.abs(img.pixels[off] - self.DISC_RGB).max() < 1e-12
+
+    def test_class_mask_ignores_distractor(self, test_spec, camera):
+        plain, scene = self._junction_disc(test_spec, camera)
+        mask = synthetic.render_class_mask(scene, camera, SIZE_SMALL)
+        assert np.array_equal(mask, synthetic.render_class_mask(plain, camera, SIZE_SMALL))
+        # and every pixel it labels shows its band's color in the render
+        img, _ = synthetic.render(scene, camera, SIZE_SMALL)
+        for label in (RED, GREEN):
+            assert (mask == label).any()
+            assert np.abs(img.pixels[mask == label] - BAND_RGB[label]).max() < 1e-12
+
+    def test_side_highlight_whitens_only_the_pointer(self, test_spec, camera):
+        # a stripe along one side of band 1, under a disc on the same band
+        gt = synthetic.ground_truth(scene_for(test_spec, camera, angle=0.0), camera, SIZE_SMALL)
+        mids = [0.5 * (e.p_a + e.p_b) for e in gt.edges]
+        center = 0.5 * (mids[0] + mids[1])
+        _, scene = self._scenes(test_spec, camera, center)
+        stripe = synthetic.HighlightStripe(25.0, 55.0, 0.5, side_fraction=(0.2, 0.8))
+        img, _ = synthetic.render(scene, camera, SIZE_SMALL)
+        lit, _ = synthetic.render(replace(scene, highlights=(stripe,)), camera, SIZE_SMALL)
+        mask = synthetic.render_class_mask(scene, camera, SIZE_SMALL)
+        img_plain, _ = synthetic.render(replace(scene, distractors=()), camera, SIZE_SMALL)
+        on_pointer = np.abs(img_plain.pixels - scene.background).max(axis=2) > 1e-12
+        changed = (lit.pixels != img.pixels).any(axis=2)
+        assert changed.any()
+        assert not (changed & ~on_pointer).any()
+        # a fully band-covered pixel moves from its band color toward white,
+        # also under the disc
+        band = mask == GREEN
+        assert (changed & band).sum() > 20
+        ys, xs = np.nonzero(changed & band)
+        assert (np.hypot(xs - center[0], ys - center[1]) < 10.0 - 1.0).sum() > 5
+        base = np.asarray(BAND_RGB[GREEN])
+        step = (lit.pixels[changed & band] - base) / (1.0 - base)
+        np.testing.assert_allclose(step, step[:, :1] * np.ones(3), atol=1e-9)
+        assert (step[:, 0] > 0).all()
+
+
 class TestClassMask:
     def test_mask_matches_band_pattern(self, test_spec):
         camera = CameraModel(

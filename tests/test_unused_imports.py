@@ -1,5 +1,6 @@
-"""Module-level imports in the package that no code reads; no linter runs
-on the source, so this test catches what a refactor leaves behind."""
+"""Module-level imports and private names in the package that no code
+reads; no linter runs on the source, so these tests catch what a refactor
+leaves behind."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bandpointer"
+TESTS = Path(__file__).resolve().parent
 
 
 def _bound_names(body: list[ast.stmt]) -> dict[str, int]:
@@ -48,3 +50,41 @@ def test_every_import_is_read(path):
     read = _read_names(tree)
     unused = {name: line for name, line in _bound_names(tree.body).items() if name not in read}
     assert unused == {}, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level private functions, classes and constants, with their
+    lines; dunder names are not private."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def test_every_private_name_is_read():
+    # a test reading a helper keeps it: criterion 4 checks against one
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = {
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _private_definitions(ast.parse(path.read_text())).items()
+        if name not in read
+    }
+    assert unread == set(), f"private names nothing reads: {sorted(unread)}"
