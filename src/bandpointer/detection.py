@@ -365,11 +365,13 @@ def _refine_subpixel(combined: np.ndarray, px: int, py: int) -> np.ndarray:
 def order_along_axis(pairs: np.ndarray) -> tuple[Line2D, np.ndarray, np.ndarray]:
     """Axis line, midpoint coordinates and order of (n, 2, 2) point pairs.
 
-    The line is the TLS fit through all 2n points; each pair's coordinate
-    is its midpoint's on that line, one axis_coord call per pair (a
-    stacked call rounds differently); the order is a stable sort of them.
+    The line is the TLS fit through the n pair midpoints, which follows
+    the axis even where a steep pointer's pairs are wider apart than its
+    junctions; each pair's coordinate is its midpoint's on that line, one
+    axis_coord call per pair (a stacked call rounds differently); the
+    order is a stable sort of them.
     """
-    line = fit_line_tls(pairs.reshape(-1, 2))
+    line = fit_line_tls(pairs.mean(axis=1))
     t = np.array([float(line.axis_coord(0.5 * (a + b))[0]) for a, b in pairs])
     return line, t, np.argsort(t, kind="stable")
 

@@ -578,7 +578,7 @@ def _extract_reference(regions, adjacency, params, size, fallback_axis):
         raw = [p for p, k in zip(raw, keep) if k]
     if len(raw) < 2:
         raise InsufficientEdgesError(f"{len(raw)} contour point pairs after filtering, need 2")
-    line2 = fit_line_tls(np.vstack([np.vstack(p) for p in raw]))
+    line2 = fit_line_tls(np.array([0.5 * (a + b) for a, b in raw]))
     edges = [(float(line2.axis_coord(0.5 * (a + b))[0]), a, b) for a, b in raw]
     return line2, sorted(edges, key=lambda e: e[0])
 
