@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InsufficientCalibrationDataError
-from .imaging import HUE_PERIOD, HueSatImage, RasterImage, rgb_to_hue_saturation
+from .imaging import (
+    HUE_PERIOD,
+    HueSatImage,
+    RasterImage,
+    _content_box,
+    rgb_to_hue_saturation,
+)
 
 LUT_BINS = 1024
 BACKGROUND_DENSITY = 1.0 / HUE_PERIOD
@@ -125,7 +131,7 @@ def calibrate_colors(
     if mask.shape != (img.height, img.width):
         raise ValueError("mask dimensions must match the image")
     hs = rgb_to_hue_saturation(img)
-    usable = hs.hue_valid & (hs.saturation >= min_saturation)
+    usable = hs.gate(min_saturation)
 
     labels = sorted(int(v) for v in np.unique(mask) if v != BACKGROUND_LABEL)
     per_class: list[tuple[int, np.ndarray, np.ndarray]] = []
@@ -136,7 +142,7 @@ def calibrate_colors(
         if count < MIN_CLASS_PIXELS:
             raise InsufficientCalibrationDataError(label, count, MIN_CLASS_PIXELS)
         hues = hs.hue_at(sel)
-        inv_sv = 1.0 / np.maximum(hs.saturation[sel] * hs.value[sel], 1e-6)
+        inv_sv = 1.0 / np.maximum(hs.saturation_value_at(sel), 1e-6)
         per_class.append((label, hues, inv_sv))
         inv_sv_all.append(inv_sv)
 
@@ -178,13 +184,22 @@ def classify_image_masked(
     roi_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Label raster: classify_hue where the hue is defined, the saturation
-    reaches s_min and the optional boolean roi_mask holds; 0 elsewhere."""
-    out = np.zeros(hs.saturation.shape, dtype=np.uint8)
-    valid = hs.hue_valid & (hs.saturation >= s_min)
+    reaches s_min and the optional boolean roi_mask holds; 0 elsewhere.
+
+    With a roi_mask, only the box of its set pixels is gated."""
+    out = np.zeros((hs.height, hs.width), dtype=np.uint8)
+    if roi_mask is None:
+        box = (slice(None), slice(None))
+    elif roi_mask.any():
+        box = _content_box(roi_mask)
+    else:
+        return out
+    window = hs.window(box)
+    valid = window.gate(s_min)
     if roi_mask is not None:
-        valid &= roi_mask
+        valid &= roi_mask[box]
     if valid.any():
-        out[valid] = classify_hue(color_set, hs.hue_at(valid))
+        out[box][valid] = classify_hue(color_set, window.hue_at(valid))
     return out
 
 

@@ -20,16 +20,25 @@ HUE_PERIOD = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class RasterImage:
-    """RGB image with channels normalized to [0, 1]."""
+    """8-bit RGB frame.
 
-    pixels: np.ndarray  # (H, W, 3) float64
+    A uint8 array is taken as it is. Any other array holds channels in
+    [0, 1] and is quantized once, here, to round(255 * value); a
+    non-finite or out-of-range channel raises ValueError.
+    """
+
+    pixels: np.ndarray  # (H, W, 3) uint8
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+        px = np.asarray(self.pixels)
         if px.ndim != 3 or px.shape[2] != 3 or px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("RasterImage needs an (H, W, 3) array")
-        if px.min() < 0.0 or px.max() > 1.0:
-            raise ValueError("channel values must lie in [0, 1]")
+        if px.dtype != np.uint8:
+            px = np.asarray(px, dtype=np.float64)
+            # NaN fails both comparisons
+            if not ((px >= 0.0) & (px <= 1.0)).all():
+                raise ValueError("channel values must be finite and lie in [0, 1]")
+            px = np.round(px * 255.0).astype(np.uint8)
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -40,46 +49,92 @@ class RasterImage:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    @classmethod
-    def from_bytes(cls, data: np.ndarray) -> "RasterImage":
-        """Map 8-bit channels onto [0, 1] by dividing by 255."""
-        return cls(np.asarray(data, dtype=np.float64) / 255.0)
+
+def _key_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Hue validity and hexcone saturation of every 8-bit (max channel, min
+    channel) pair, indexed by max << 8 | min.
+
+    They come from the k / 255.0 channel values by the float formula, so a
+    lookup gives the bits the formula gives on the pixel. Pairs with
+    min > max never occur in a pixel.
+    """
+    cmax, cmin = np.divmod(np.arange(1 << 16), 1 << 8)
+    cmax = cmax / 255.0
+    delta = cmax - cmin / 255.0
+    sat = np.zeros_like(cmax)
+    np.divide(delta, cmax, out=sat, where=cmax > 0.0)
+    valid = delta > 0.0
+    valid.setflags(write=False)
+    sat.setflags(write=False)
+    return valid, sat
+
+
+_HUE_VALID, _SATURATION = _key_tables()
 
 
 @dataclass(frozen=True)
 class HueSatImage:
-    """Per-pixel saturation, hue validity and value of an RGB frame.
+    """Hexcone hue and saturation of an 8-bit RGB frame, evaluated on demand.
 
-    Hue (radians in [0, 2pi)) is derived from the source pixels on demand:
-    ``hue_at(mask)`` evaluates it for the selected pixels only, which is
-    all the classifier reads; ``hue`` is the whole-frame raster, 0 where
-    hue is undefined.
+    Each pixel is reduced to one uint16 key, max channel << 8 | min channel,
+    which fixes its saturation and whether its hue is defined. ``gate``
+    thresholds the saturation by one table lookup per pixel; ``hue_at``
+    and ``saturation_value_at`` convert only the selected pixels to
+    float64. The whole-frame ``hue``, ``saturation``, ``hue_valid`` and
+    ``value`` rasters are built when read, for inspection; the pipeline
+    does not read them.
     """
 
-    rgb: np.ndarray  # (H, W, 3) source pixels, shared with the RasterImage
-    saturation: np.ndarray
-    hue_valid: np.ndarray
-    value: np.ndarray  # max channel, kept for hue-uncertainty bandwidths
+    rgb: np.ndarray  # (H, W, 3) uint8 source pixels, shared with the RasterImage
+    key: np.ndarray  # (H, W) uint16
 
-    @property
-    def hue(self) -> np.ndarray:
-        return _hexcone_hue(self.rgb, self.value, self.hue_valid)
+    def window(self, box: tuple[slice, slice]) -> "HueSatImage":
+        """The same image restricted to a (rows, cols) box, as views."""
+        return HueSatImage(rgb=self.rgb[box], key=self.key[box])
+
+    def gate(self, s_min: float) -> np.ndarray:
+        """Boolean raster: hue defined and saturation >= s_min."""
+        return np.take(_HUE_VALID & (_SATURATION >= s_min), self.key)
 
     def hue_at(self, mask: np.ndarray) -> np.ndarray:
         """Hue of the pixels selected by a boolean (H, W) mask, in row order."""
-        # flat indices gather ~10x faster than a 2D boolean mask on (H, W, 3)
+        # flat indices gather ~3x faster than a 2D boolean mask on (H, W, 3)
         idx = np.flatnonzero(mask)
+        key = self.key.ravel()[idx]
         return _hexcone_hue(
-            self.rgb.reshape(-1, 3)[idx], self.value.ravel()[idx], self.hue_valid.ravel()[idx]
+            self.rgb.reshape(-1, 3)[idx] / 255.0, (key >> 8) / 255.0, _HUE_VALID[key]
         )
+
+    def saturation_value_at(self, mask: np.ndarray) -> np.ndarray:
+        """Saturation times value of the selected pixels, in row order."""
+        key = self.key[mask]
+        return _SATURATION[key] * ((key >> 8) / 255.0)
+
+    @property
+    def hue(self) -> np.ndarray:
+        """Whole-frame hue, radians in [0, 2pi); 0 where it is undefined."""
+        return _hexcone_hue(self.rgb / 255.0, self.value, self.hue_valid)
+
+    @property
+    def saturation(self) -> np.ndarray:
+        return _SATURATION[self.key]
+
+    @property
+    def hue_valid(self) -> np.ndarray:
+        return _HUE_VALID[self.key]
+
+    @property
+    def value(self) -> np.ndarray:
+        """Max channel in [0, 1]."""
+        return (self.key >> 8) / 255.0
 
     @property
     def width(self) -> int:
-        return self.saturation.shape[1]
+        return self.key.shape[1]
 
     @property
     def height(self) -> int:
-        return self.saturation.shape[0]
+        return self.key.shape[0]
 
 
 @dataclass(frozen=True)
@@ -150,19 +205,12 @@ def _hexcone_hue(px: np.ndarray, cmax: np.ndarray, valid: np.ndarray) -> np.ndar
 
 
 def rgb_to_hue_saturation(img: RasterImage) -> HueSatImage:
-    """Hexcone saturation and value; hue is undefined where max = min channel.
-
-    Only the whole-frame parts are computed here; hue is left to
-    ``HueSatImage.hue_at`` so that callers pay for it only on the pixels
-    they classify.
-    """
+    """Key each pixel by its max and min channel; see ``HueSatImage``."""
     px = img.pixels
     r, g, b = px[..., 0], px[..., 1], px[..., 2]
     cmax = np.maximum(np.maximum(r, g), b)
-    delta = cmax - np.minimum(np.minimum(r, g), b)
-    sat = np.zeros_like(cmax)
-    np.divide(delta, cmax, out=sat, where=cmax > 0.0)
-    return HueSatImage(rgb=px, saturation=sat, hue_valid=delta > 0.0, value=cmax)
+    cmin = np.minimum(np.minimum(r, g), b)
+    return HueSatImage(rgb=px, key=(cmax.astype(np.uint16) << 8) | cmin)
 
 
 def erode_disk(bits: np.ndarray, radius: int) -> np.ndarray:
@@ -270,14 +318,13 @@ def undistort_points(pts: np.ndarray, model: DistortionModel, K: np.ndarray) -> 
 
 def load_ppm(path) -> RasterImage:
     """Read a binary PPM (P6, maxval 255)."""
-    return RasterImage.from_bytes(_read_pnm(path, b"P6"))
+    return RasterImage(_read_pnm(path, b"P6"))
 
 
 def save_ppm(img: RasterImage, path) -> None:
-    data = np.round(img.pixels * 255.0).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (img.width, img.height))
-        f.write(data.tobytes())
+        f.write(img.pixels.tobytes())
 
 
 def load_pgm(path) -> np.ndarray:
@@ -302,8 +349,7 @@ def load_image(path) -> RasterImage:
             raise ImageFormatError(
                 f"PNG support requires the optional pillow dependency: {spath}"
             ) from exc
-        arr = np.asarray(Image.open(spath).convert("RGB"))
-        return RasterImage.from_bytes(arr)
+        return RasterImage(np.asarray(Image.open(spath).convert("RGB")))
     return load_ppm(spath)
 
 

@@ -303,7 +303,8 @@ def _subpixel_bands(scene: SceneSpec, camera: CameraModel, gt: GroundTruth, size
 def render(
     scene: SceneSpec, camera: CameraModel, size: tuple[int, int]
 ) -> tuple[RasterImage, GroundTruth]:
-    """Rasterize the scene and return it with exact junction ground truth."""
+    """Rasterize the scene and return it, as the 8-bit frame a PPM of it
+    holds, with exact junction ground truth."""
     width, height = size
     gt = ground_truth(scene, camera, size)
     cam_depth = camera.to_camera(scene.pose.tip[None, :])[0, 2]

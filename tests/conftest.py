@@ -29,6 +29,33 @@ BAND_RGB = {
 }
 
 
+def quantize(rgb):
+    """8-bit channels of [0, 1] values, by RasterImage's rule."""
+    return np.round(np.asarray(rgb, dtype=np.float64) * 255.0).astype(np.uint8)
+
+
+def float_hsv(rgb8):
+    """Reference: hexcone hue, saturation, hue validity and value of 8-bit
+    pixels, by the float formula on rgb / 255, for every pixel at once."""
+    px = np.asarray(rgb8) / 255.0
+    r, g, b = px[..., 0], px[..., 1], px[..., 2]
+    cmax = np.maximum(np.maximum(r, g), b)
+    delta = cmax - np.minimum(np.minimum(r, g), b)
+    sat = np.zeros_like(cmax)
+    np.divide(delta, cmax, out=sat, where=cmax > 0.0)
+    valid = delta > 0.0
+    safe = np.where(valid, delta, 1.0)
+    h6 = np.zeros_like(cmax)
+    rmax = valid & (cmax == r)
+    gmax = valid & ~rmax & (cmax == g)
+    bmax = valid & ~rmax & ~gmax
+    h6 = np.where(rmax, (g - b) / safe, h6)
+    h6 = np.where(gmax, (b - r) / safe + 2.0, h6)
+    h6 = np.where(bmax, (r - g) / safe + 4.0, h6)
+    hue = np.mod(h6, 6.0) * (np.pi / 3.0)
+    return np.where(hue >= 2 * np.pi, 0.0, hue), sat, valid, cmax
+
+
 def build_spec(distances, bands, total_length, radius=1.5):
     side_labels = [(bands[i], bands[i + 1]) for i in range(len(distances))]
     return PointerSpec(

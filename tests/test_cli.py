@@ -420,7 +420,7 @@ class TestPipelineRobustness:
     )
     @settings(max_examples=150, deadline=None)
     def test_pose_or_typed_error(self, workspace, cli_colors, kind, seed):
-        frame = load_image(workspace["frame"]).pixels
+        frame = load_image(workspace["frame"]).pixels / 255.0
         img = RasterImage(_frame_of_kind(kind, np.random.default_rng(seed), frame))
         config = Config.from_dict(make_config_dict())
         try:

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import float_hsv
 
 from bandpointer.color_model import (
     BACKGROUND_DENSITY,
     BACKGROUND_LABEL,
+    BANDWIDTH_CAP,
+    BANDWIDTH_FLOOR,
+    MEDIAN_TARGET_BANDWIDTH,
+    MIN_CLASS_PIXELS,
     ColorClassSet,
     HueKde,
     LUT_BINS,
@@ -286,3 +293,58 @@ class TestClassifyImage:
         gate = hs.hue_valid & (hs.saturation >= s_min)
         expected = np.where(gate, classify_hue(cs, hs.hue), BACKGROUND_LABEL)
         assert np.array_equal(classify_image_masked(cs, hs, s_min), expected)
+
+
+# 8-bit frames whose channels often tie or saturate
+_frame = st.tuples(st.integers(1, 24), st.integers(1, 24)).flatmap(
+    lambda hw: arrays(np.uint8, hw + (3,), elements=st.one_of(
+        st.sampled_from([0, 1, 127, 128, 254, 255]), st.integers(0, 255))))
+
+
+class TestFloatFormulaEquivalence:
+    """Classification and calibration on 8-bit frames give the bits of
+    the float formula applied to rgb / 255."""
+
+    @given(_frame, st.floats(0, 1), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_classify_image_masked(self, rgb, s_min, seed, with_roi):
+        rng = np.random.default_rng(seed)
+        roi = rng.uniform(size=rgb.shape[:2]) < rng.uniform() if with_roi else None
+        cs = ColorClassSet(classes=(
+            (1, _kde(rng.uniform(0, 2 * np.pi, 3), 0.3)),
+            (2, _kde(rng.uniform(0, 2 * np.pi, 3), 0.3)),
+        ))
+        hue, sat, valid, _ = float_hsv(rgb)
+        gate = valid & (sat >= s_min)
+        if roi is not None:
+            gate &= roi
+        expected = np.zeros(rgb.shape[:2], dtype=np.uint8)
+        expected[gate] = classify_hue(cs, hue[gate])
+        got = classify_image_masked(cs, rgb_to_hue_saturation(RasterImage(rgb)), s_min, roi)
+        assert np.array_equal(got, expected)
+
+    @given(
+        arrays(np.uint8, (20, 24, 3)),
+        st.floats(0, 0.5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_calibrate_colors(self, rgb, s_min, seed):
+        mask = np.random.default_rng(seed).integers(0, 3, rgb.shape[:2]).astype(np.uint8)
+        hue, sat, valid, value = float_hsv(rgb)
+        usable = valid & (sat >= s_min)
+        sels = {label: (mask == label) & usable for label in (1, 2)}
+        if min(int(sel.sum()) for sel in sels.values()) < MIN_CLASS_PIXELS:
+            with pytest.raises(InsufficientCalibrationDataError):
+                calibrate_colors(RasterImage(rgb), mask, s_min)
+            return
+        inv_sv = {label: 1.0 / np.maximum(sat[sel] * value[sel], 1e-6)
+                  for label, sel in sels.items()}
+        scale = MEDIAN_TARGET_BANDWIDTH / float(np.median(np.concatenate(list(inv_sv.values()))))
+        cs = calibrate_colors(RasterImage(rgb), mask, s_min)
+        for label, kde in cs.classes:
+            bw = np.clip(scale * inv_sv[label], BANDWIDTH_FLOOR, BANDWIDTH_CAP)
+            expected = HueKde(samples=hue[sels[label]], bandwidths=bw)
+            assert np.array_equal(kde.samples, expected.samples)
+            assert np.array_equal(kde.bandwidths, expected.bandwidths)
+            assert np.array_equal(kde.lut, expected.lut)

@@ -757,7 +757,7 @@ class TestDetectPointer:
         results = []
         for dx, dy in ((0, 0), (23, 11)):
             shifted = canvas.copy()
-            shifted[dy : dy + SIZE_SMALL[1], dx : dx + SIZE_SMALL[0]] = img.pixels
+            shifted[dy : dy + SIZE_SMALL[1], dx : dx + SIZE_SMALL[0]] = img.pixels / 255.0
             res = detect_pointer(
                 RasterImage(shifted), small_colors, quad_spec, params
             )

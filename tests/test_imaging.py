@@ -8,6 +8,8 @@ from scipy import ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import float_hsv, quantize
+
 from bandpointer.errors import ImageFormatError, InvalidKernelError, NumericError
 from bandpointer.imaging import (
     DistortionModel,
@@ -29,6 +31,30 @@ from bandpointer.imaging import (
 
 def _single_pixel_image(rgb):
     return RasterImage(np.array([[rgb]], dtype=np.float64))
+
+
+class TestRasterImage:
+    def test_uint8_is_kept(self):
+        px = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
+        assert RasterImage(px).pixels is px
+
+    def test_float_is_quantized_once(self):
+        px = np.linspace(0.0, 1.0, 30).reshape(2, 5, 3)
+        img = RasterImage(px)
+        assert img.pixels.dtype == np.uint8
+        assert np.array_equal(img.pixels, quantize(px))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.01, 1.01])
+    def test_non_finite_or_out_of_range_rejected(self, bad):
+        px = np.full((2, 2, 3), 0.5)
+        px[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RasterImage(px)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4), (0, 4, 3)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="H, W, 3"):
+            RasterImage(np.zeros(shape, dtype=np.uint8))
 
 
 class TestHueSaturation:
@@ -59,7 +85,7 @@ class TestHueSaturation:
         hs = rgb_to_hue_saturation(img)
         assert hs.hue.min() >= 0.0 and hs.hue.max() < 2 * np.pi
         assert hs.saturation.min() >= 0.0 and hs.saturation.max() <= 1.0
-        np.testing.assert_allclose(hs.value, img.pixels.max(axis=2))
+        assert np.array_equal(hs.value, img.pixels.max(axis=2) / 255.0)
 
     @given(
         st.tuples(
@@ -81,32 +107,14 @@ class TestHueSaturation:
         assert abs(np.mod(turn + np.pi, 2 * np.pi) - np.pi) <= 1e-9
 
 
-def _whole_frame_hue_oracle(px):
-    """Reference: the hexcone hue computed for every pixel at once."""
-    r, g, b = px[..., 0], px[..., 1], px[..., 2]
-    cmax = px.max(axis=2)
-    delta = cmax - px.min(axis=2)
-    valid = delta > 0.0
-    safe = np.where(valid, delta, 1.0)
-    h6 = np.zeros_like(cmax)
-    rmax = valid & (cmax == r)
-    gmax = valid & ~rmax & (cmax == g)
-    bmax = valid & ~rmax & ~gmax
-    h6 = np.where(rmax, (g - b) / safe, h6)
-    h6 = np.where(gmax, (b - r) / safe + 2.0, h6)
-    h6 = np.where(bmax, (r - g) / safe + 4.0, h6)
-    hue = np.mod(h6, 6.0) * (np.pi / 3.0)
-    return np.where(hue >= 2 * np.pi, 0.0, hue)
-
-
-_unit = st.floats(0, 1, allow_nan=False)
+_level = st.integers(0, 255)
 _pixel = st.one_of(
-    _unit.map(lambda v: (v, v, v)),  # gray
-    st.just((0.0, 0.0, 0.0)),  # black
-    st.permutations([0.0, 1.0, 0.5]).map(tuple),  # saturated
-    st.tuples(_unit, _unit).map(lambda t: (max(t), max(t), min(t))),  # r = g = max
-    st.tuples(_unit, _unit).map(lambda t: (min(t), max(t), max(t))),  # g = b = max
-    st.tuples(_unit, _unit, _unit),
+    _level.map(lambda v: (v, v, v)),  # gray
+    st.just((0, 0, 0)),  # black
+    st.permutations([0, 255, 128]).map(tuple),  # saturated
+    st.tuples(_level, _level).map(lambda t: (max(t), max(t), min(t))),  # r = g = max
+    st.tuples(_level, _level).map(lambda t: (min(t), max(t), max(t))),  # g = b = max
+    st.tuples(_level, _level, _level),
 )
 
 
@@ -115,7 +123,7 @@ def _image_and_mask(draw):
     h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     px = draw(st.lists(_pixel, min_size=h * w, max_size=h * w))
     mask = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
-    return np.array(px, dtype=np.float64).reshape(h, w, 3), np.array(mask).reshape(h, w)
+    return np.array(px, dtype=np.uint8).reshape(h, w, 3), np.array(mask).reshape(h, w)
 
 
 class TestHueAt:
@@ -124,12 +132,52 @@ class TestHueAt:
     def test_masked_hue_equals_whole_frame_formula(self, case):
         px, mask = case
         hs = rgb_to_hue_saturation(RasterImage(px))
-        oracle = _whole_frame_hue_oracle(px)
+        oracle, _, valid, value = float_hsv(px)
         assert np.array_equal(hs.hue, oracle)
         assert np.array_equal(hs.hue_at(mask), hs.hue[mask])
         assert np.array_equal(hs.hue_at(mask), oracle[mask])
-        assert np.array_equal(hs.value, px.max(axis=2))
+        assert np.array_equal(hs.value, value)
+        assert np.array_equal(hs.hue_valid, valid)
         assert np.array_equal(hs.hue_valid, px.max(axis=2) > px.min(axis=2))
+
+
+# pixel (i, j, j) for every pair of 8-bit levels: 65 536 pixels whose
+# (max, min) channels take every value with max >= min
+_LEVELS = np.arange(256, dtype=np.uint8)
+_ALL_PAIRS = np.stack(np.broadcast_arrays(
+    _LEVELS[:, None], _LEVELS[None, :], _LEVELS[None, :]), axis=-1)
+_PAIR_SATURATIONS = np.unique(float_hsv(_ALL_PAIRS)[1])
+
+
+class TestSaturationGate:
+    """The gate's table lookup gives the float formula's bits."""
+
+    def test_rasters_equal_float_formula(self):
+        hs = rgb_to_hue_saturation(RasterImage(_ALL_PAIRS))
+        _, sat, valid, value = float_hsv(_ALL_PAIRS)
+        assert np.array_equal(hs.saturation, sat)
+        assert np.array_equal(hs.hue_valid, valid)
+        assert np.array_equal(hs.value, value)
+
+    @given(st.one_of(
+        st.sampled_from([0.25, 0.12]),  # the default pass thresholds s1, s2
+        st.sampled_from(_PAIR_SATURATIONS.tolist()),  # on a table entry
+        st.floats(-0.5, 1.5, allow_nan=False),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_gate_equals_float_formula(self, s_min):
+        hs = rgb_to_hue_saturation(RasterImage(_ALL_PAIRS))
+        _, sat, valid, _ = float_hsv(_ALL_PAIRS)
+        assert np.array_equal(hs.gate(s_min), valid & (sat >= s_min))
+
+    def test_window_gates_its_box(self):
+        rng = np.random.default_rng(5)
+        hs = rgb_to_hue_saturation(RasterImage(rng.integers(0, 256, (9, 7, 3), dtype=np.uint8)))
+        box = (slice(2, 8), slice(1, 4))
+        window = hs.window(box)
+        assert np.array_equal(window.gate(0.3), hs.gate(0.3)[box])
+        mask = window.gate(0.3)
+        assert np.array_equal(window.hue_at(mask), hs.hue[box][mask])
 
 
 def _brute_force_erode(bits: np.ndarray, radius: int) -> np.ndarray:
@@ -398,11 +446,13 @@ class TestDistortion:
 class TestImageIO:
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        img = RasterImage(np.round(rng.uniform(0, 1, (6, 5, 3)) * 255) / 255)
+        img = RasterImage(rng.integers(0, 256, (6, 5, 3), dtype=np.uint8))
         path = tmp_path / "img.ppm"
         save_ppm(img, path)
+        assert path.read_bytes() == b"P6\n5 6\n255\n" + img.pixels.tobytes()
         loaded = load_ppm(path)
-        np.testing.assert_allclose(loaded.pixels, img.pixels)
+        assert loaded.pixels.dtype == np.uint8
+        np.testing.assert_array_equal(loaded.pixels, img.pixels)
 
     def test_pgm_round_trip(self, tmp_path):
         mask = np.arange(20, dtype=np.uint8).reshape(4, 5)

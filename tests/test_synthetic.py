@@ -12,6 +12,7 @@ from conftest import (
     SIZE_SMALL,
     build_spec,
     pose_at,
+    quantize,
 )
 
 from bandpointer import synthetic
@@ -133,7 +134,7 @@ class TestRender:
         )
         scene = scene_for(spec, camera, angle=0.0)
         img, gt = synthetic.render(scene, camera, SIZE_SMALL)
-        diff = np.abs(img.pixels - np.asarray(scene.background)).max(axis=2)
+        diff = np.abs(img.pixels / 255.0 - np.asarray(scene.background)).max(axis=2)
         colored = diff > 0.02
         assert colored.any()
         ys, xs = np.nonzero(colored)
@@ -156,7 +157,7 @@ class TestRender:
         mid01 = 0.5 * (gt.edges[0].p_a + gt.edges[0].p_b)
         mid12 = 0.5 * (gt.edges[1].p_a + gt.edges[1].p_b)
         probe_red = (0.55 * mid01 + 0.45 * mid12).astype(int)
-        sample = img.pixels[probe_red[1], probe_red[0]]
+        sample = img.pixels[probe_red[1], probe_red[0]] / 255.0
         assert np.linalg.norm(sample - BAND_RGB[GREEN]) < 0.1
 
     def test_distractor_drawn(self, tilted_camera, test_spec):
@@ -168,7 +169,7 @@ class TestRender:
             distractors=(synthetic.Distractor((80.0, 60.0), 10.0, (0.9, 0.2, 0.2)),),
         )
         img, _ = synthetic.render(scene, tilted_camera, SIZE_SMALL)
-        np.testing.assert_allclose(img.pixels[60, 80], (0.9, 0.2, 0.2), atol=1e-9)
+        assert np.array_equal(img.pixels[60, 80], quantize((0.9, 0.2, 0.2)))
 
 
 class TestCompositing:
@@ -204,9 +205,10 @@ class TestCompositing:
         assert covered.sum() > 20
         assert np.array_equal(img.pixels[covered], img_plain.pixels[covered])
         # pixels no ray of which hits the pointer take the distractor color
-        off = in_disc & (np.abs(img_plain.pixels - plain.background).max(axis=2) < 1e-12)
+        # (one band subpixel moves a pixel many 8-bit steps off the background)
+        off = in_disc & (img_plain.pixels == quantize(plain.background)).all(axis=2)
         assert off.sum() > 20
-        assert np.abs(img.pixels[off] - self.DISC_RGB).max() < 1e-12
+        assert (img.pixels[off] == quantize(self.DISC_RGB)).all()
 
     def test_class_mask_ignores_distractor(self, test_spec, camera):
         plain, scene = self._junction_disc(test_spec, camera)
@@ -216,7 +218,7 @@ class TestCompositing:
         img, _ = synthetic.render(scene, camera, SIZE_SMALL)
         for label in (RED, GREEN):
             assert (mask == label).any()
-            assert np.abs(img.pixels[mask == label] - BAND_RGB[label]).max() < 1e-12
+            assert (img.pixels[mask == label] == quantize(BAND_RGB[label])).all()
 
     def test_side_highlight_whitens_only_the_pointer(self, test_spec, camera):
         # a stripe along one side of band 1, under a disc on the same band
@@ -229,20 +231,23 @@ class TestCompositing:
         lit, _ = synthetic.render(replace(scene, highlights=(stripe,)), camera, SIZE_SMALL)
         mask = synthetic.render_class_mask(scene, camera, SIZE_SMALL)
         img_plain, _ = synthetic.render(replace(scene, distractors=()), camera, SIZE_SMALL)
-        on_pointer = np.abs(img_plain.pixels - scene.background).max(axis=2) > 1e-12
+        on_pointer = (img_plain.pixels != quantize(scene.background)).any(axis=2)
         changed = (lit.pixels != img.pixels).any(axis=2)
         assert changed.any()
         assert not (changed & ~on_pointer).any()
         # a fully band-covered pixel moves from its band color toward white,
-        # also under the disc
+        # also under the disc: one step t > 0 in every channel, where each
+        # 8-bit channel q bounds its t by the value interval (q -+ 0.5) / 255
         band = mask == GREEN
         assert (changed & band).sum() > 20
         ys, xs = np.nonzero(changed & band)
         assert (np.hypot(xs - center[0], ys - center[1]) < 10.0 - 1.0).sum() > 5
         base = np.asarray(BAND_RGB[GREEN])
-        step = (lit.pixels[changed & band] - base) / (1.0 - base)
-        np.testing.assert_allclose(step, step[:, :1] * np.ones(3), atol=1e-9)
-        assert (step[:, 0] > 0).all()
+        q = lit.pixels[changed & band].astype(np.float64)
+        t_lo = ((q - 0.5) / 255.0 - base) / (1.0 - base)
+        t_hi = ((q + 0.5) / 255.0 - base) / (1.0 - base)
+        assert (t_lo.max(axis=1) <= t_hi.min(axis=1)).all()
+        assert (t_hi.min(axis=1) > 0).all()
 
 
 class TestClassMask:
@@ -256,7 +261,7 @@ class TestClassMask:
         assert set(np.unique(mask)) == {0, RED, GREEN}
         # away from boundaries the mask matches the rendered band color
         mid01 = (0.5 * (gt.edges[0].p_a + gt.edges[0].p_b)).astype(int)
-        probe = img.pixels[mid01[1], mid01[0] - 6]
+        probe = img.pixels[mid01[1], mid01[0] - 6] / 255.0
         label = mask[mid01[1], mid01[0] - 6]
         expected = BAND_RGB[RED] if label == RED else BAND_RGB[GREEN]
         assert label != 0

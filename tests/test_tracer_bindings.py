@@ -24,6 +24,9 @@ READ_ARGUMENTS = {
     ("detection", "ransac_centroid_line"): {"regions"},
     ("imaging", "rgb_to_hue_saturation"): {"img"},
 }
+# whole-frame rasters the tracer reads off the hue/saturation image
+# (`imaging.frame_mb`, the gated pixel counts); the pipeline never reads them
+HUE_SAT_RASTERS = ("hue", "saturation", "hue_valid", "value")
 
 
 def _traced():
@@ -46,6 +49,14 @@ def test_read_arguments_are_parameters():
     for (mod_name, fn_name), names in READ_ARGUMENTS.items():
         fn = getattr(importlib.import_module(f"bandpointer.{mod_name}"), fn_name)
         assert names <= set(inspect.signature(fn).parameters), f"{mod_name}.{fn_name}"
+
+
+def test_read_attributes_exist():
+    img = RasterImage(np.zeros((3, 4, 3), dtype=np.uint8))
+    assert img.pixels.nbytes == 3 * 4 * 3
+    hs = rgb_to_hue_saturation(img)
+    for name in HUE_SAT_RASTERS:
+        assert getattr(hs, name).shape == (3, 4), name
 
 
 def test_pass_one_binds_roi_mask_explicitly(monkeypatch):
