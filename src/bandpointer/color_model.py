@@ -9,10 +9,15 @@ by low saturation and low intensity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientCalibrationDataError
+from .errors import (
+    ConfigError,
+    InsufficientCalibrationDataError,
+    TooFewColorClassesError,
+)
 from .imaging import (
     HUE_PERIOD,
     HueSatImage,
@@ -34,21 +39,27 @@ def _wrapped_gaussian_lut(samples: np.ndarray, bandwidths: np.ndarray) -> np.nda
     """Mean wrapped-Gaussian density sampled on the hue lookup grid.
 
     Three period images bound the wrapping error below 1e-9 for
-    bandwidths under 1 radian.
+    bandwidths under 1 radian. Samples enter in blocks of 4096; a block
+    evaluates one kernel row per distinct (sample, bandwidth) pair and
+    sums the rows gathered back in sample order, which gives the bits of
+    summing one row per sample.
     """
     grid = np.arange(LUT_BINS, dtype=np.float64) * (HUE_PERIOD / LUT_BINS)
     lut = np.zeros(LUT_BINS, dtype=np.float64)
-    norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidths)
     block = 4096
     for start in range(0, len(samples), block):
-        mu = samples[start : start + block, None]
-        bw = bandwidths[start : start + block, None]
-        nm = norm[start : start + block, None]
+        pairs = np.stack(
+            (samples[start : start + block], bandwidths[start : start + block]), axis=1
+        )
+        distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        mu = distinct[:, :1]
+        bw = distinct[:, 1:]
+        nm = 1.0 / (np.sqrt(2.0 * np.pi) * bw)
         d = np.mod(grid[None, :] - mu + np.pi, HUE_PERIOD) - np.pi
         acc = np.zeros_like(d)
         for k in (-HUE_PERIOD, 0.0, HUE_PERIOD):
             acc += np.exp(-0.5 * ((d + k) / bw) ** 2)
-        lut += (nm * acc).sum(axis=0)
+        lut += (nm * acc)[inverse].sum(axis=0)
     return lut / len(samples)
 
 
@@ -63,6 +74,15 @@ class HueKde:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         bandwidths = np.asarray(self.bandwidths, dtype=np.float64)
+        if (
+            samples.ndim != 1
+            or bandwidths.shape != samples.shape
+            or not np.all(np.isfinite(samples))
+            or not np.all(np.isfinite(bandwidths) & (bandwidths > 0))
+        ):
+            raise ValueError(
+                "HueKde needs 1-D finite samples and as many finite positive bandwidths"
+            )
         lut = self.lut
         if lut is None:
             if len(samples) == 0:
@@ -90,20 +110,27 @@ class HueKde:
         return float(np.argmax(self.lut) * (HUE_PERIOD / LUT_BINS))
 
 
+def _span(labels: range) -> str:
+    return f"{labels.start}..{labels.stop - 1}"
+
+
 @dataclass(frozen=True)
 class ColorClassSet:
     """Band color KDEs (ordered by class label) plus the uniform background."""
 
     classes: tuple[tuple[int, HueKde], ...]
+    # labels fit the uint8 label rasters, where 0 is the background
+    label_range: ClassVar[range] = range(BACKGROUND_LABEL + 1, 256)
+    min_classes: ClassVar[int] = 2
 
     def __post_init__(self):
         labels = [label for label, _ in self.classes]
         if len(labels) != len(set(labels)):
             raise ValueError("class labels must be unique")
-        if len(labels) < 2:
-            raise ValueError("need at least 2 color classes")
-        if any(label <= BACKGROUND_LABEL for label in labels):
-            raise ValueError("class labels must be positive integers")
+        if len(labels) < self.min_classes:
+            raise ValueError(f"need at least {self.min_classes} color classes")
+        if any(label not in self.label_range for label in labels):
+            raise ValueError(f"class labels must be integers in {_span(self.label_range)}")
         ordered = tuple(sorted(self.classes, key=lambda c: c[0]))
         object.__setattr__(self, "classes", ordered)
 
@@ -125,7 +152,8 @@ def calibrate_colors(
 
     Mask value 0 marks unlabeled pixels; value n marks class n. Pixels
     with saturation below the threshold or without a defined hue are
-    unusable; each class needs at least 100 usable pixels.
+    unusable; each class needs at least 100 usable pixels, and the mask
+    at least two classes.
     """
     mask = np.asarray(mask)
     if mask.shape != (img.height, img.width):
@@ -146,8 +174,11 @@ def calibrate_colors(
         per_class.append((label, hues, inv_sv))
         inv_sv_all.append(inv_sv)
 
-    if not per_class:
-        raise InsufficientCalibrationDataError(BACKGROUND_LABEL, 0, MIN_CLASS_PIXELS)
+    if len(per_class) < ColorClassSet.min_classes:
+        raise TooFewColorClassesError(
+            f"calibration mask labels {len(labels)} color class(es), "
+            f"a color model needs {ColorClassSet.min_classes}"
+        )
 
     # scale the uncertainty proxy so the pooled median bandwidth lands on
     # the target, then clamp per sample
@@ -225,8 +256,11 @@ def deserialize_color_set(data: dict) -> ColorClassSet:
         classes = []
         for entry in data["classes"]:
             label = entry["label"]
-            if type(label) is not int or not 0 < label < 256:
-                raise ConfigError(f"color class label must be an int in 1..255, got {label!r}")
+            if type(label) is not int or label not in ColorClassSet.label_range:
+                raise ConfigError(
+                    f"color class label must be an int in "
+                    f"{_span(ColorClassSet.label_range)}, got {label!r}"
+                )
             lut = np.asarray(entry["lut"], dtype=np.float64)
             if lut.shape != (LUT_BINS,) or not np.all(np.isfinite(lut)) or np.any(lut < 0):
                 raise ConfigError(

@@ -30,6 +30,10 @@ class InsufficientCalibrationDataError(BandPointerError):
         )
 
 
+class TooFewColorClassesError(BandPointerError):
+    """A calibration mask labels fewer color classes than a color model needs."""
+
+
 class ConfigError(BandPointerError):
     """Configuration file is malformed or inconsistent with other inputs."""
 

@@ -260,6 +260,28 @@ class TestCalibrateCommand:
         ])
         assert code == EXIT_ERROR
 
+    def test_one_labeled_class_exits_with_one_line(self, workspace, tmp_path, capsys):
+        px = np.empty((SIZE_SMALL[1], SIZE_SMALL[0], 3))
+        px[:] = (0.9, 0.1, 0.1)
+        from bandpointer.imaging import RasterImage
+        img_path = tmp_path / "red.ppm"
+        mask_path = tmp_path / "mask.pgm"
+        out_path = tmp_path / "m.json"
+        save_ppm(RasterImage(px), img_path)
+        mask = np.zeros((SIZE_SMALL[1], SIZE_SMALL[0]), dtype=np.uint8)
+        mask[:100] = 1
+        save_pgm(mask, mask_path)
+        code = main([
+            "--config", str(workspace["config"]),
+            "calibrate", "--image", str(img_path),
+            "--mask", str(mask_path), "--out", str(out_path),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: calibration mask labels 1 color class")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_grayscale_image_insufficient(self, workspace, tmp_path):
         px = np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.5)
         from bandpointer.imaging import RasterImage

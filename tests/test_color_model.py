@@ -18,14 +18,19 @@ from bandpointer.color_model import (
     ColorClassSet,
     HueKde,
     LUT_BINS,
+    _wrapped_gaussian_lut,
     calibrate_colors,
     classify_hue,
     classify_image_masked,
     deserialize_color_set,
     serialize_color_set,
 )
-from bandpointer.errors import ConfigError, InsufficientCalibrationDataError
-from bandpointer.imaging import RasterImage, rgb_to_hue_saturation
+from bandpointer.errors import (
+    ConfigError,
+    InsufficientCalibrationDataError,
+    TooFewColorClassesError,
+)
+from bandpointer.imaging import HUE_PERIOD, RasterImage, rgb_to_hue_saturation
 
 
 def _kde(hues, bandwidth=0.1):
@@ -71,6 +76,75 @@ class TestHueKde:
             np.testing.assert_allclose(
                 restored.kde(label).density(theta), cs.kde(label).density(theta)
             )
+
+    @pytest.mark.parametrize(
+        "samples, bandwidths",
+        [
+            ([0.1, float("nan")], [0.1, 0.1]),
+            ([0.1, float("inf")], [0.1, 0.1]),
+            ([0.1, 0.2], [0.1, -0.1]),
+            ([0.1, 0.2], [0.1, 0.0]),
+            ([0.1, 0.2], [0.1, float("nan")]),
+            ([0.1, 0.2, 0.3], [0.1]),
+            ([0.1, 0.2], [0.1, 0.1, 0.1]),
+            ([[0.1, 0.2]], [[0.1, 0.1]]),
+        ],
+        ids=[
+            "nan-sample", "inf-sample", "negative-bandwidth", "zero-bandwidth",
+            "nan-bandwidth", "broadcast-bandwidth", "extra-bandwidth", "2d",
+        ],
+    )
+    def test_bad_samples_or_bandwidths_rejected(self, samples, bandwidths):
+        with pytest.raises(ValueError):
+            HueKde(samples=np.array(samples), bandwidths=np.array(bandwidths))
+
+
+def _reference_lut(samples, bandwidths):
+    """The kernel sum with one row per sample, in blocks of 4096."""
+    grid = np.arange(LUT_BINS, dtype=np.float64) * (HUE_PERIOD / LUT_BINS)
+    lut = np.zeros(LUT_BINS, dtype=np.float64)
+    norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidths)
+    block = 4096
+    for start in range(0, len(samples), block):
+        mu = samples[start : start + block, None]
+        bw = bandwidths[start : start + block, None]
+        nm = norm[start : start + block, None]
+        d = np.mod(grid[None, :] - mu + np.pi, HUE_PERIOD) - np.pi
+        acc = np.zeros_like(d)
+        for k in (-HUE_PERIOD, 0.0, HUE_PERIOD):
+            acc += np.exp(-0.5 * ((d + k) / bw) ** 2)
+        lut += (nm * acc).sum(axis=0)
+    return lut / len(samples)
+
+
+class TestDistinctPairLut:
+    """One kernel row per distinct (sample, bandwidth) pair gives the
+    bits of one row per sample, across the 4096-sample block bounds."""
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+    @pytest.mark.parametrize("distinct", [None, 7], ids=["all-distinct", "7-pairs"])
+    def test_equals_one_row_per_sample(self, n, distinct):
+        rng = np.random.default_rng(n)
+        m = n if distinct is None else distinct
+        hues = rng.uniform(0, HUE_PERIOD, m)
+        bws = rng.uniform(BANDWIDTH_FLOOR, BANDWIDTH_CAP, m)
+        bws[0], bws[-1] = BANDWIDTH_FLOOR, BANDWIDTH_CAP
+        pick = np.arange(n) if distinct is None else rng.integers(0, m, n)
+        samples, bandwidths = hues[pick], bws[pick]
+        assert np.array_equal(
+            _wrapped_gaussian_lut(samples, bandwidths), _reference_lut(samples, bandwidths)
+        )
+
+
+class TestColorClassSet:
+    @pytest.mark.parametrize("label", [0, -1, 256, 300])
+    def test_label_outside_uint8_classes_rejected(self, label):
+        with pytest.raises(ValueError):
+            ColorClassSet(classes=((1, _kde([0.1])), (label, _kde([2.0]))))
+
+    def test_label_range_ends_accepted(self):
+        cs = ColorClassSet(classes=((255, _kde([0.1])), (1, _kde([2.0]))))
+        assert cs.labels == [1, 255]
 
 
 def _model(**changes):
@@ -222,6 +296,34 @@ class TestCalibration:
         cs = calibrate_colors(img, mask, min_saturation=0.05)
         all_bw = np.concatenate([kde.bandwidths for _, kde in cs.classes])
         assert np.median(all_bw) == pytest.approx(0.05, rel=0.05)
+
+    def test_one_labeled_class_fails_before_any_lut(self, monkeypatch):
+        img, mask = self._two_patch_setup()
+        mask[mask == 2] = 0
+
+        def no_lut(*args):
+            raise AssertionError("lookup table built")
+
+        monkeypatch.setattr("bandpointer.color_model._wrapped_gaussian_lut", no_lut)
+        with pytest.raises(TooFewColorClassesError):
+            calibrate_colors(img, mask, min_saturation=0.2)
+        with pytest.raises(TooFewColorClassesError):
+            calibrate_colors(img, np.zeros_like(mask), min_saturation=0.2)
+
+    def test_luts_cross_block_bounds(self):
+        # 4900 usable pixels per class from 1024 distinct colors: blocks of
+        # 4096 samples with repeated (hue, bandwidth) pairs
+        rng = np.random.default_rng(5)
+        rgb = np.empty((70, 140, 3), dtype=np.uint8)
+        rgb[..., 0] = rng.integers(240, 256, (70, 140))
+        rgb[..., 1:] = rng.integers(0, 8, (70, 140, 2))
+        rgb[:, 70:] = rgb[:, 70:, ::-1]  # blue-dominant second class
+        mask = np.ones((70, 140), dtype=np.uint8)
+        mask[:, 70:] = 2
+        cs = calibrate_colors(RasterImage(rgb), mask, min_saturation=0.2)
+        for _, kde in cs.classes:
+            assert len(kde.samples) == 4900
+            assert np.array_equal(kde.lut, _reference_lut(kde.samples, kde.bandwidths))
 
 
 class TestClassifyImage:
