@@ -65,7 +65,8 @@ def _wrapped_gaussian_lut(samples: np.ndarray, bandwidths: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class HueKde:
-    """Circular hue density backed by a precomputed lookup table."""
+    """Circular hue density backed by a precomputed lookup table of
+    LUT_BINS finite, non-negative densities."""
 
     samples: np.ndarray  # hue radians, empty when deserialized
     bandwidths: np.ndarray
@@ -88,9 +89,12 @@ class HueKde:
             if len(samples) == 0:
                 raise ValueError("HueKde needs samples or a lookup table")
             lut = _wrapped_gaussian_lut(samples, bandwidths)
+        lut = np.asarray(lut, dtype=np.float64)
+        if lut.shape != (LUT_BINS,) or not np.all(np.isfinite(lut)) or np.any(lut < 0):
+            raise ValueError(f"lut needs {LUT_BINS} finite non-negative entries")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "bandwidths", bandwidths)
-        object.__setattr__(self, "lut", np.asarray(lut, dtype=np.float64))
+        object.__setattr__(self, "lut", lut)
 
     def density(self, theta) -> np.ndarray | float:
         """Linear interpolation on the 2pi-periodic lookup table."""
@@ -248,7 +252,7 @@ def deserialize_color_set(data: dict) -> ColorClassSet:
     """Inverse of serialize_color_set; ConfigError on a malformed model.
 
     Labels must fit the uint8 label rasters, and every lookup table must
-    hold LUT_BINS finite, non-negative densities.
+    be one HueKde accepts.
     """
     if not isinstance(data, dict) or data.get("lut_bins") != LUT_BINS:
         raise ConfigError(f"color model needs lut_bins = {LUT_BINS}")
@@ -262,13 +266,11 @@ def deserialize_color_set(data: dict) -> ColorClassSet:
                     f"{_span(ColorClassSet.label_range)}, got {label!r}"
                 )
             lut = np.asarray(entry["lut"], dtype=np.float64)
-            if lut.shape != (LUT_BINS,) or not np.all(np.isfinite(lut)) or np.any(lut < 0):
-                raise ConfigError(
-                    f"color class {label}: lut needs {LUT_BINS} finite non-negative entries"
-                )
-            classes.append(
-                (label, HueKde(samples=np.empty(0), bandwidths=np.empty(0), lut=lut))
-            )
+            try:
+                kde = HueKde(samples=np.empty(0), bandwidths=np.empty(0), lut=lut)
+            except ValueError as exc:
+                raise ConfigError(f"color class {label}: {exc}") from exc
+            classes.append((label, kde))
         return ColorClassSet(classes=tuple(classes))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad color model: {exc}") from exc

@@ -42,6 +42,8 @@ class CameraModel:
     R: np.ndarray = field(default_factory=lambda: np.eye(3))
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))  # mm
     distortion: DistortionModel = DistortionModel()
+    # camera center in the world frame, -R^T t, computed once
+    center: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=np.float64)
@@ -61,15 +63,11 @@ class CameraModel:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "center", -R.T @ t)
 
     @property
     def P(self) -> np.ndarray:
         return self.K @ np.hstack([self.R, self.t[:, None]])
-
-    @property
-    def center(self) -> np.ndarray:
-        """Camera center in the world frame."""
-        return -self.R.T @ self.t
 
     def to_camera(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
@@ -77,8 +75,11 @@ class CameraModel:
 
     def project(self, pts: np.ndarray) -> np.ndarray:
         """World points to ideal (undistorted) pixel coordinates."""
-        cam = self.to_camera(pts)
-        if np.any(cam[:, 2] <= 0):
+        return self.project_camera(self.to_camera(pts))
+
+    def project_camera(self, cam: np.ndarray) -> np.ndarray:
+        """Camera-frame points, (n, 3), to ideal pixel coordinates."""
+        if (cam[:, 2] <= 0).any():
             raise BehindCameraError("point has non-positive camera depth")
         hom = cam @ self.K.T
         return hom[:, :2] / hom[:, 2:3]
@@ -117,23 +118,40 @@ class PoseEstimate:
     cost_history: list[float] = field(default_factory=list)
 
 
-def _contour_normal(direction: np.ndarray, tip: np.ndarray, center: np.ndarray):
+def _cross(a, b):
+    """Cross product a x b with the 3-vector components on the first axis.
+
+    Each component is one rounded product minus another, as in np.cross,
+    without its axis handling; on arrays the components broadcast.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
+def _contour_normal(direction: np.ndarray, offset: np.ndarray):
     """Unit normal of the plane through the camera center and the axis,
-    and the length of the unnormalized normal d x (tip - center)."""
-    n = np.cross(direction, tip - center)
+    and the length of the unnormalized normal d x (tip - center), where
+    ``offset`` is tip - center."""
+    n = np.array(_cross(direction.tolist(), offset.tolist()))
     norm = np.linalg.norm(n)
-    scale = max(np.linalg.norm(tip - center), 1.0)
+    scale = max(np.linalg.norm(offset), 1.0)
     if norm < 1e-9 * scale:
         raise DegenerateGeometryError("pointer axis passes through camera center")
     return n / norm, norm
 
 
-def _contour_points(tip, direction, u_hat, b, w) -> np.ndarray:
-    """Silhouette points tip + b d -/+ w u of each junction circle, as an
-    (n, 2, 3) stack with the negative-offset side first."""
-    axis_points = tip + b[:, None] * direction
-    offsets = w[:, None] * u_hat
-    return np.stack([axis_points - offsets, axis_points + offsets], axis=1)
+def _point_rows(b: np.ndarray, w: np.ndarray):
+    """Axis distance and signed side offset of each silhouette point, as
+    (2n, 1) columns: rows 2i and 2i + 1 belong to junction i, the
+    negative-offset side first."""
+    return np.repeat(b, 2)[:, None], (np.array([-1.0, 1.0]) * w[:, None]).reshape(-1, 1)
+
+
+def _contour_points(tip, direction, u_hat, b_rows, w_rows) -> np.ndarray:
+    """Silhouette points tip + b d + w u, one row per point of _point_rows;
+    adding the signed -w u gives the bits of subtracting w u."""
+    return tip + b_rows * direction + w_rows * u_hat
 
 
 def project_pointer_edges(
@@ -150,11 +168,10 @@ def project_pointer_edges(
     each point as (u, v).
     """
     idx = slice(None) if edge_indices is None else list(edge_indices)
-    u_hat, _ = _contour_normal(pose.direction, pose.tip, camera.center)
-    points = _contour_points(
-        pose.tip, pose.direction, u_hat, spec.distances_mm[idx], spec.radii_mm[idx]
-    )
-    uv = camera.project(points.reshape(-1, 3)).reshape(-1, 2, 2)
+    u_hat, _ = _contour_normal(pose.direction, pose.tip - camera.center)
+    b_rows, w_rows = _point_rows(spec.distances_mm[idx], spec.radii_mm[idx])
+    points = _contour_points(pose.tip, pose.direction, u_hat, b_rows, w_rows)
+    uv = camera.project(points).reshape(-1, 2, 2)
     if not np.all(np.isfinite(uv)):
         raise NumericError("non-finite projection")
     return uv
@@ -209,10 +226,12 @@ def init_depths_linear(
     if np.ptp(t_mids) < 1e-9:
         raise DegenerateInitializationError("edge midpoints coincide on the axis")
 
-    alpha = (b[spec_idx] / b_n)[:, None]
-    a_mat = np.stack(
-        [(1.0 - alpha) * np.cross(mids, q0), alpha * np.cross(mids, qn)], axis=2
-    ).reshape(-1, 2)
+    # row 3i + k: component k of mid_i x q0 and of mid_i x qn, weighted by
+    # the depth ratios 1 - alpha_i and alpha_i
+    alpha = b[spec_idx] / b_n
+    weights = np.column_stack([1.0 - alpha, alpha])
+    crosses = np.stack(_cross(mids.T[:, :, None], q[:2].T[:, None, :]), axis=1)
+    a_mat = (weights[:, None, :] * crosses).reshape(-1, 2)
     _, svals, vt = np.linalg.svd(a_mat)
     if svals[0] < 1e-12:
         raise DegenerateInitializationError("rank-deficient depth system")
@@ -250,9 +269,9 @@ def _direction_basis(d0: np.ndarray) -> np.ndarray:
     helper = np.array([0.0, 0.0, 1.0])
     if abs(b0 @ helper) > 0.9:
         helper = np.array([0.0, 1.0, 0.0])
-    b1 = np.cross(b0, helper)
+    b1 = np.array(_cross(b0, helper))
     b1 /= np.linalg.norm(b1)
-    b2 = np.cross(b0, b1)
+    b2 = np.array(_cross(b0, b1))
     return np.column_stack([b0, b1, b2])
 
 
@@ -260,7 +279,7 @@ _EL_LIMIT = np.pi / 2 - 1e-6
 
 
 def _direction_from_angles(basis: np.ndarray, az: float, el: float):
-    el = float(np.clip(el, -_EL_LIMIT, _EL_LIMIT))
+    el = min(max(float(el), -_EL_LIMIT), _EL_LIMIT)
     ce, se = np.cos(el), np.sin(el)
     ca, sa = np.cos(az), np.sin(az)
     s = np.array([ce * ca, ce * sa, se])
@@ -270,46 +289,66 @@ def _direction_from_angles(basis: np.ndarray, az: float, el: float):
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
+    x, y, z = v.tolist()
     return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
+        [0.0, -z, y],
+        [z, 0.0, -x],
+        [-y, x, 0.0],
     ])
 
 
-def _residuals(params, camera, b, w, det, basis):
+def _residual_model(camera, b, w, det, basis):
     """Reprojection residual and analytic Jacobian over the 5 parameters.
 
-    ``params`` holds the tip (3) and the direction's azimuth/elevation
-    about ``basis``; ``det`` holds the detected, undistorted pairs as an
-    (n, 2, 2) array ordered like the predicted pairs. The 4n residual
-    rows are edge-major, the negative-offset side first, then (u, v);
-    the Jacobian is (4n, 5).
+    Returns ``evaluate(params) -> (res, jacobian)``: ``params`` holds the
+    tip (3) and the direction's azimuth/elevation about ``basis``, and
+    ``jacobian()`` builds the (4n, 5) Jacobian at those parameters on
+    request, so a rejected LM trial never builds one. ``det`` holds the
+    detected, undistorted pairs as an (n, 2, 2) array ordered like the
+    predicted pairs. The 4n residual rows are edge-major, the
+    negative-offset side first, then (u, v). What stays fixed over a run
+    is computed here once.
+
+    The LM stop rule turns a last-bit change into other step counts and
+    tips, so every float here keeps the operations and their order of the
+    plain formulas: products stay ungrouped and np.cross is written out.
     """
-    tip = params[:3]
-    d, dd_daz, dd_del = _direction_from_angles(basis, params[3], params[4])
-    a = tip - camera.center
-    u, n_norm = _contour_normal(d, tip, camera.center)
-    proj_u = (np.eye(3) - np.outer(u, u)) / n_norm
-    # d(u)/d(tip, az, el), and d(axis point)/d(params) per unit of b
-    dn = (_skew(d), -_skew(a) @ dd_daz, -_skew(a) @ dd_del)
-    du = np.column_stack([proj_u @ m for m in dn])
-    dd = np.column_stack([np.zeros((3, 3)), dd_daz, dd_del])
-
-    points = _contour_points(tip, d, u, b, w).reshape(-1, 3)
-    uv = camera.project(points)
-    res = (uv - det.reshape(-1, 2)).ravel()
-    if not np.all(np.isfinite(res)):
-        raise NumericError("non-finite residual")
-
-    # K's last row is (0, 0, 1), so the homogeneous depth is the camera z
     K, R = camera.K, camera.R
-    z = camera.to_camera(points)[:, 2]
-    dproj = (K[:2] - uv[:, :, None] * K[2]) / z[:, None, None]
-    jw = (np.array([-1.0, 1.0]) * w[:, None]).reshape(-1, 1, 1)
-    dx = np.eye(3, 5) + np.repeat(b, 2)[:, None, None] * dd + jw * du
-    jac = (dproj @ R @ dx).reshape(-1, 5)
-    return res, jac
+    b_rows, w_rows = _point_rows(b, w)
+    b_mats, w_mats = b_rows[:, :, None], w_rows[:, :, None]
+    detected = det.reshape(-1, 2)
+    eye3, dx0 = np.eye(3), np.eye(3, 5)
+
+    def evaluate(params):
+        tip = params[:3]
+        d, dd_daz, dd_del = _direction_from_angles(basis, params[3], params[4])
+        a = tip - camera.center
+        u, n_norm = _contour_normal(d, a)
+        cam = camera.to_camera(_contour_points(tip, d, u, b_rows, w_rows))
+        uv = camera.project_camera(cam)
+        res = (uv - detected).ravel()
+        if not np.isfinite(res).all():
+            raise NumericError("non-finite residual")
+
+        def jacobian():
+            proj_u = (eye3 - u[:, None] * u) / n_norm
+            # d(u)/d(tip, az, el), and d(axis point)/d(params) per unit of b
+            neg_skew_a = -_skew(a)
+            du = np.empty((3, 5))
+            du[:, :3] = proj_u @ _skew(d)
+            du[:, 3] = proj_u @ (neg_skew_a @ dd_daz)
+            du[:, 4] = proj_u @ (neg_skew_a @ dd_del)
+            dd = np.zeros((3, 5))
+            dd[:, 3] = dd_daz
+            dd[:, 4] = dd_del
+            # K's last row is (0, 0, 1), so the homogeneous depth is the camera z
+            dproj = (K[:2] - uv[:, :, None] * K[2]) / cam[:, 2, None, None]
+            dx = dx0 + b_mats * dd + w_mats * du
+            return (dproj @ R @ dx).reshape(-1, 5)
+
+        return res, jacobian
+
+    return evaluate
 
 
 def _match_sides(predicted: np.ndarray, det: np.ndarray):
@@ -337,7 +376,11 @@ def refine_pose_lm(
 
     Damping starts at 1e-3, grows tenfold on a rejected step and shrinks
     tenfold on an accepted one; iteration stops on a relative cost change
-    below 1e-10 or after 200 iterations.
+    below 1e-10 or after 200 iterations. That stop rule makes the step
+    count and the tip sensitive to the last bit of every residual, which
+    is why _residual_model keeps the operation order of the plain
+    formulas. The Jacobian and normal equations are built once per
+    accepted step and reused while steps are rejected.
     """
     det, spec_idx = _inlier_data(corr, result, camera)
     b = spec.distances_mm[spec_idx]
@@ -348,14 +391,19 @@ def refine_pose_lm(
     basis = _direction_basis(initial.direction)
     params = np.concatenate([initial.tip, [0.0, 0.0]])
 
-    res, jac = _residuals(params, camera, b, w, det, basis)
+    evaluate = _residual_model(camera, b, w, det, basis)
+    res, jacobian = evaluate(params)
     cost = float(res @ res)
     history = [cost]
     lam = LM_INITIAL_LAMBDA
+    jtj = None  # normal equations at params, built after each accepted step
     for _ in range(LM_MAX_ITERATIONS):
-        jtj = jac.T @ jac
-        g = jac.T @ res
-        damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
+        if jtj is None:
+            jac = jacobian()
+            jtj = jac.T @ jac
+            g = jac.T @ res
+            damping = np.diag(np.maximum(np.diag(jtj), 1e-12))
+        damped = jtj + lam * damping
         try:
             step = np.linalg.solve(damped, -g)
         except np.linalg.LinAlgError:
@@ -363,14 +411,14 @@ def refine_pose_lm(
             continue
         trial = params + step
         try:
-            trial_res, trial_jac = _residuals(trial, camera, b, w, det, basis)
+            trial_res, trial_jacobian = evaluate(trial)
             trial_cost = float(trial_res @ trial_res)
         except PoseError:
             trial_cost = np.inf
-            trial_res = trial_jac = None
         if trial_cost < cost:
             rel_change = (cost - trial_cost) / max(cost, 1e-300)
-            params, res, jac, cost = trial, trial_res, trial_jac, trial_cost
+            params, res, jacobian, cost = trial, trial_res, trial_jacobian, trial_cost
+            jtj = None
             history.append(cost)
             lam /= 10.0
             if rel_change < LM_RELATIVE_TOL:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from backend_reference import _labels_match
 from conftest import (
     BAND_RGB,
     FIXTURE_PARAMS,
@@ -29,7 +30,6 @@ from bandpointer.association import (
     associate_ransac,
     fit_homography_1d,
     _count_inliers,
-    _labels_match,
 )
 from bandpointer.cli import Config, PointCloud, evaluate_sweep, filter_point_cloud, write_ply
 from bandpointer.detection import DetectionParams, detect_pointer
@@ -37,7 +37,7 @@ from bandpointer.errors import BandPointerError
 from bandpointer.imaging import RasterImage, erode_disk, rgb_to_hue_saturation
 from bandpointer.pose import (
     _direction_basis,
-    _residuals,
+    _residual_model,
     estimate_pose,
     init_depths_linear,
     refine_pose_lm,
@@ -307,15 +307,13 @@ class TestCriterion5Jacobian:
             det = np.array([[e.p_a, e.p_b] for e in result.edges])
             basis = _direction_basis(pose.direction)
 
+            evaluate = _residual_model(
+                camera_full, skewer_spec.distances_mm, skewer_spec.radii_mm, det, basis
+            )
+
             def fn(params):
-                return _residuals(
-                    params,
-                    camera_full,
-                    skewer_spec.distances_mm,
-                    skewer_spec.radii_mm,
-                    det,
-                    basis,
-                )
+                res, jacobian = evaluate(params)
+                return res, jacobian()
 
             params = np.concatenate([
                 pose.tip + rng.normal(0, 10.0, 3), rng.normal(0, 0.08, 2)

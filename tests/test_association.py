@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import backend_reference as reference
+from backend_reference import _labels_match
 from test_acceptance import _random_instance
 
 from bandpointer.association import (
@@ -14,7 +17,8 @@ from bandpointer.association import (
     PointerEdge,
     PointerSpec,
     _fit_homographies,
-    _labels_match,
+    _match_table,
+    _prefix_scores,
     _reciprocal_matches,
     align_labels_dp,
     associate_ransac,
@@ -653,3 +657,32 @@ class TestAssociateRansacEquivalence:
         det = detection_from([(1.0, RED, GREEN), (2.0, GREEN, RED), (3.0, RED, GREEN),
                               (10.0, GREEN, RED)])
         _assert_same_hypotheses(det, spec)
+
+
+_LABEL_PAIRS = st.lists(
+    st.tuples(st.sampled_from([None, RED, GREEN, BLUE]), st.sampled_from([None, RED, GREEN, BLUE])),
+    max_size=12,
+)
+
+
+class TestAlignmentTablesEquivalence:
+    """The label table and the DP score table equal their per-cell
+    reference forms."""
+
+    @given(arrays(bool, st.tuples(st.integers(0, 12), st.integers(0, 12))))
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_scores(self, ok):
+        table = _prefix_scores(ok)
+        ref = reference._prefix_scores(ok)
+        assert table.dtype == ref.dtype and table.shape == ref.shape
+        assert table.tobytes() == ref.tobytes()
+        reversed_table = _prefix_scores(ok[::-1, ::-1])
+        assert reversed_table.tobytes() == reference._prefix_scores(ok[::-1, ::-1]).tobytes()
+
+    @given(_LABEL_PAIRS, _LABEL_PAIRS.filter(len), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_match_table(self, detected, spec_labels, reversed_flag):
+        table = _match_table(detected, spec_labels, reversed_flag)
+        ref = reference._match_table(detected, spec_labels, reversed_flag)
+        assert table.dtype == ref.dtype and table.shape == ref.shape
+        assert table.tobytes() == ref.tobytes()

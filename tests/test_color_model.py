@@ -98,6 +98,30 @@ class TestHueKde:
         with pytest.raises(ValueError):
             HueKde(samples=np.array(samples), bandwidths=np.array(bandwidths))
 
+    @pytest.mark.parametrize(
+        "lut",
+        [
+            np.ones(3),
+            np.ones(LUT_BINS + 1),
+            np.ones((1, LUT_BINS)),
+            np.full(LUT_BINS, np.nan),
+            np.full(LUT_BINS, np.inf),
+            np.r_[np.ones(LUT_BINS - 1), -1e-300],
+        ],
+        ids=["short", "long", "2d", "nan", "inf", "negative"],
+    )
+    def test_bad_lut_rejected(self, lut):
+        # a short table used to construct and fail later in density()
+        # with a raw IndexError
+        with pytest.raises(ValueError, match=f"lut needs {LUT_BINS} finite non-negative"):
+            HueKde(samples=np.empty(0), bandwidths=np.empty(0), lut=lut)
+
+    def test_given_lut_kept(self):
+        lut = np.linspace(0.0, 1.0, LUT_BINS)
+        kde = HueKde(samples=np.empty(0), bandwidths=np.empty(0), lut=list(lut))
+        assert kde.lut.tobytes() == lut.tobytes()
+        assert kde.density(0.0) == 0.0
+
 
 def _reference_lut(samples, bandwidths):
     """The kernel sum with one row per sample, in blocks of 4096."""
@@ -192,6 +216,14 @@ class TestDeserializeValidation:
     def test_malformed_model_is_config_error(self, data):
         with pytest.raises(ConfigError):
             deserialize_color_set(data)
+
+    def test_bad_lut_message_names_the_class(self):
+        data = _model(lut=[1.0] * 3)
+        with pytest.raises(ConfigError) as info:
+            deserialize_color_set(data)
+        assert str(info.value) == (
+            f"color class 1: lut needs {LUT_BINS} finite non-negative entries"
+        )
 
 
 class TestClassifyHue:

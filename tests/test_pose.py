@@ -1,10 +1,15 @@
 """Tests for projection, depth initialization and LM refinement."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import backend_reference as reference
 from conftest import (
-    BAND_RGB, GREEN, RED, SIZE_FULL, build_spec, detection_from_pose, pose_at,
+    BAND_RGB, BLUE, GREEN, RED, SIZE_FULL, build_spec, detection_from_pose, pose_at,
 )
 
 from bandpointer import synthetic
@@ -15,6 +20,7 @@ from bandpointer.association import (
     fit_homography_1d,
 )
 from bandpointer.errors import (
+    BandPointerError,
     BehindCameraError,
     DegenerateGeometryError,
     DegenerateInitializationError,
@@ -25,7 +31,7 @@ from bandpointer.pose import (
     CameraModel,
     PointerPose,
     _direction_basis,
-    _residuals,
+    _residual_model,
     estimate_pose,
     init_depths_linear,
     project_pointer_edges,
@@ -139,15 +145,13 @@ class TestJacobian:
             det = np.array([[e.p_a, e.p_b] for e in result.edges])
             basis = _direction_basis(pose.direction)
 
+            evaluate = _residual_model(
+                camera_full, skewer_spec.distances_mm, skewer_spec.radii_mm, det, basis
+            )
+
             def fn(params):
-                return _residuals(
-                    params,
-                    camera_full,
-                    skewer_spec.distances_mm,
-                    skewer_spec.radii_mm,
-                    det,
-                    basis,
-                )
+                res, jacobian = evaluate(params)
+                return res, jacobian()
 
             params = np.concatenate([
                 pose.tip + rng.normal(0, 5.0, 3),
@@ -361,3 +365,130 @@ class TestLensDistortion:
         camera = CameraModel(K=camera_full.K, distortion=DistortionModel())
         pts = np.array([[1300.0, 1000.0]])
         assert camera.undistort(pts).tolist() == pts.tolist()
+
+
+def _rotation(rng, max_deg):
+    """Rodrigues rotation about a random axis by up to max_deg."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = np.deg2rad(rng.uniform(0.0, max_deg))
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _random_camera(rng, distorted, f=None):
+    """A camera with a random pose in the world and, when distorted,
+    radial and tangential coefficients like TestLensDistortion's."""
+    f = rng.uniform(1500.0, 4000.0) if f is None else f
+    K = np.array([
+        [f, 0.0, rng.uniform(1150.0, 1300.0)],
+        [0.0, f * rng.uniform(0.98, 1.02), rng.uniform(950.0, 1100.0)],
+        [0.0, 0.0, 1.0],
+    ])
+    distortion = DistortionModel()
+    if distorted:
+        distortion = DistortionModel(
+            k1=rng.uniform(-0.2, 0.1), k2=rng.uniform(-0.05, 0.05),
+            p1=rng.uniform(-1e-3, 1e-3), p2=rng.uniform(-1e-3, 1e-3),
+        )
+    return CameraModel(
+        K=K, R=_rotation(rng, 30.0), t=rng.uniform(-50.0, 50.0, 3), distortion=distortion
+    )
+
+
+def _init_bits(init):
+    pose, v0, vn = init
+    return pose.tip.tobytes(), pose.direction.tobytes(), repr(v0), repr(vn)
+
+
+def _outcome(bits, fn, *args):
+    """bits(fn(*args)), or the type and message of the error it raises."""
+    try:
+        return bits(fn(*args))
+    except BandPointerError as exc:
+        return type(exc), str(exc)
+
+
+class TestBackEndEquivalence:
+    """The rewritten residual, direction basis, initialization and LM keep
+    the bits of the plain forms in backend_reference on random scenes:
+    250-900 mm, 0-85 deg tilt, pinhole and distorted cameras."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.floats(250.0, 900.0),
+        tilt=st.floats(0.0, 85.0),
+        n_edges=st.integers(3, 10),
+        distorted=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_residual_and_jacobian(self, seed, depth, tilt, n_edges, distorted):
+        rng = np.random.default_rng(seed)
+        camera = _random_camera(rng, distorted)
+        distances = np.sort(rng.choice(np.arange(5.0, 246.0), n_edges, replace=False))
+        # a blue tip band keeps the pattern distinct from its reversal
+        spec = build_spec(
+            list(distances), [BLUE] + [RED, GREEN] * 5, 251.0, radius=rng.uniform(0.5, 3.0)
+        )
+        pose = pose_at(depth, tilt, camera, spec, roll_deg=rng.uniform(-30.0, 30.0))
+        basis = _direction_basis(pose.direction)
+        assert basis.tobytes() == reference._direction_basis(pose.direction).tobytes()
+
+        b, w = spec.distances_mm, spec.radii_mm
+        det = project_pointer_edges(pose, camera, spec)
+        assert det.tobytes() == reference.project_pointer_edges(pose, camera, spec).tobytes()
+        det = det + rng.normal(0.0, 0.5, det.shape)
+        evaluate = _residual_model(camera, b, w, det, basis)
+        for scale in (0.0, 1.0, 10.0):
+            params = np.concatenate([
+                pose.tip + scale * rng.normal(0.0, 5.0, 3), scale * rng.normal(0.0, 0.05, 2)
+            ])
+            try:
+                ref_res, ref_jac = reference._residuals(params, camera, b, w, det, basis)
+            except BandPointerError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    evaluate(params)
+                continue
+            res, jacobian = evaluate(params)
+            assert res.tobytes() == ref_res.tobytes()
+            assert jacobian().tobytes() == ref_jac.tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.floats(250.0, 900.0),
+        tilt=st.floats(0.0, 85.0),
+        hidden=st.integers(0, 4),
+        blue=st.booleans(),
+        distorted=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_init_and_refinement(
+        self, skewer_spec, skewer_spec_blue, seed, depth, tilt, hidden, blue, distorted
+    ):
+        rng = np.random.default_rng(seed)
+        spec = skewer_spec_blue if blue else skewer_spec
+        camera = _random_camera(rng, distorted, f=3600.0)
+        pose = pose_at(depth, tilt, camera, spec, roll_deg=rng.uniform(-30.0, 30.0))
+        scene = synthetic.SceneSpec(pose=pose, spec=spec, band_colors=BAND_RGB)
+        gt = synthetic.ground_truth(scene, camera, SIZE_FULL)
+        shown = rng.permutation(len(spec.edges))[hidden:]
+        for e in gt.edges:
+            e.visible = e.visible and e.index in shown
+        try:
+            det = synthetic.ground_truth_detection(gt, spec, noise_px=0.5, rng=rng)
+            labels = [(e.left_label, e.right_label) for e in det.edges]
+            hypotheses = associate_ransac(det, spec, align_labels_dp(labels, spec))
+        except BandPointerError:
+            return
+        for corr in hypotheses:
+            args = (corr, det, camera, spec)
+            assert _outcome(_init_bits, init_depths_linear, *args) == _outcome(
+                _init_bits, reference.init_depths_linear, *args
+            )
+            try:
+                init, _, _ = reference.init_depths_linear(*args)
+            except BandPointerError:
+                continue
+            assert _outcome(reference.estimate_bits, refine_pose_lm, init, *args) == _outcome(
+                reference.estimate_bits, reference.refine_pose_lm, init, *args
+            )
