@@ -368,7 +368,6 @@ def associate_ransac(
     result: "DetectionResult",
     spec: PointerSpec,
     alignments: Sequence[Alignment],
-    max_triplets: int = MAX_TRIPLETS,
     seed: int = 0,
 ) -> list[Correspondence]:
     """Hypotheses tied at the maximal inlier count, one per distinct mapping.
@@ -399,9 +398,9 @@ def associate_ransac(
         reversed_flag = orientation == "reversed"
         direction = -1 if reversed_flag else 1
         triplets = _triplets(pairs, direction)
-        if len(triplets) > max_triplets:
+        if len(triplets) > MAX_TRIPLETS:
             rng = np.random.default_rng(seed)
-            idx = rng.choice(len(triplets), size=max_triplets, replace=False)
+            idx = rng.choice(len(triplets), size=MAX_TRIPLETS, replace=False)
             triplets = triplets[np.sort(idx)]
         label_ok = _match_table(detected_labels, spec.side_labels, reversed_flag)
         for start in range(0, len(triplets), _TRIPLET_CHUNK):

@@ -252,18 +252,11 @@ def cmd_calibrate(args) -> int:
     config = load_config(args.config)
     img = load_image(args.image)
     mask = load_pgm(args.mask)
-    if mask.shape != (img.height, img.width):
-        print("error: mask dimensions do not match the image", file=sys.stderr)
-        return EXIT_ERROR
     known_ids = set(config.color_names.values())
     present = {int(v) for v in np.unique(mask) if v != 0}
     unknown = present - known_ids
     if unknown:
-        print(
-            f"error: mask references class ids {sorted(unknown)} absent from config",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
+        raise ConfigError(f"mask references class ids {sorted(unknown)} absent from config")
     color_set = calibrate_colors(img, mask, min_saturation=config.detection.s2)
     save_color_model(color_set, args.out)
     id_to_name = {v: k for k, v in config.color_names.items()}
@@ -292,9 +285,20 @@ def format_pose_record(estimate: PoseEstimate) -> str:
     return f"tip_mm={','.join(f[:3])} dir={','.join(f[3:6])} rms_px={f[6]} inliers={f[7]}"
 
 
-def cmd_probe(args) -> int:
+def _load_config_and_colors(args) -> tuple[Config, ColorClassSet]:
+    """The config and a color model with a class for every band color."""
+    if args.color_model is None:
+        raise ConfigError(f"--color-model required (or ${ENV_COLOR_MODEL})")
     config = load_config(args.config)
     colors = load_color_model(args.color_model)
+    for name in config.band_names:
+        if name is not None and config.color_names[name] not in colors.labels:
+            raise ConfigError(f"color model has no class for band color {name!r}")
+    return config, colors
+
+
+def cmd_probe(args) -> int:
+    config, colors = _load_config_and_colors(args)
     img = load_image(args.image)
     try:
         estimate = run_pipeline(img, colors, config)
@@ -318,8 +322,7 @@ def _track_one(frame_path: str, config: Config, colors: ColorClassSet):
 
 
 def cmd_track(args) -> int:
-    config = load_config(args.config)
-    colors = load_color_model(args.color_model)
+    config, colors = _load_config_and_colors(args)
     frame_dir = Path(args.frames)
     frames = sorted(
         str(p) for p in frame_dir.iterdir()
@@ -450,8 +453,10 @@ def cmd_eval(args) -> int:
         if not (isinstance(depths, list) and isinstance(angles, list) and depths and angles):
             raise ValueError("depths_mm and angles_deg must be non-empty lists")
         trials = sweep_spec.get("trials", 1)
-        if type(trials) is not int or trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+        seed = sweep_spec.get("seed", args.seed)
+        for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         noise_px = float(sweep_spec.get("noise_px", 0.0))
         if not 0.0 <= noise_px < np.inf:
             raise ValueError(f"noise_px must be finite and >= 0, got {noise_px!r}")
@@ -460,7 +465,7 @@ def cmd_eval(args) -> int:
             angles_deg=[float(v) for v in angles],
             trials=trials,
             noise_px=noise_px,
-            seed=int(sweep_spec.get("seed", args.seed)),
+            seed=seed,
             roll_deg=float(sweep_spec.get("roll_deg", 4.0)),
         )
         if not np.isfinite(grid["depths_mm"] + grid["angles_deg"] + [grid["roll_deg"]]).all():

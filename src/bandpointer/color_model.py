@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     InsufficientCalibrationDataError,
+    MaskMismatchError,
     TooFewColorClassesError,
 )
 from .imaging import (
@@ -161,7 +162,7 @@ def calibrate_colors(
     """
     mask = np.asarray(mask)
     if mask.shape != (img.height, img.width):
-        raise ValueError("mask dimensions must match the image")
+        raise MaskMismatchError(f"mask shape {mask.shape} != image shape {img.pixels.shape[:2]}")
     hs = rgb_to_hue_saturation(img)
     usable = hs.gate(min_saturation)
 

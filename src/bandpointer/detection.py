@@ -47,52 +47,42 @@ from .imaging import (
 )
 
 
+# Detection settings that stay fixed while scale and lighting change
+MAJOR_EXPAND = 1.1  # pass-1 moment box stretch along the band
+MINOR_EXPAND = 1.5  # and across it
+BINARIZE_THRESHOLD = 0.3  # orientation-filtered halo level kept as junction
+ORIENTATION_SIGMA_A = np.pi / 12.0  # angular spread of the orientation kernel
+LINE_INLIER_SIGMAS = 3.0  # centroid-line inlier band
+PAIR_SEPARATION_SIGMAS = 5.0  # pair separations farther from the mean drop
+RANSAC_ITERATIONS = 200  # centroid pairs drawn per centroid line
+
+
 @dataclass(frozen=True)
 class DetectionParams:
-    """Tunable thresholds; the derived distances follow the erosion radii."""
+    """Thresholds and radii that change with scale and lighting; the seed."""
 
     s1: float = 0.25
     s2: float = 0.12
     r1: int = 5
     r2: int = 2
-    major_expand: float = 1.1
-    minor_expand: float = 1.5
-    binarize_threshold: float = 0.3
-    line_inlier_sigmas: float = 3.0
-    pair_separation_sigmas: float = 5.0
-    ransac_iterations: int = 200
     ransac_seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.s2 < self.s1 <= 1.0):
             raise ValueError("need 0 <= s2 < s1 <= 1")
-        for name in ("r1", "r2", "ransac_iterations", "ransac_seed"):
+        for name in ("r1", "r2", "ransac_seed"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and float(value).is_integer()):
                 raise ValueError(f"{name} must be an integer")
             object.__setattr__(self, name, int(value))  # 3.0 names 3
         if not (0 < self.r2 < self.r1):
             raise ValueError("need 0 < r2 < r1")
-        if self.ransac_iterations < 1 or self.ransac_seed < 0:
-            raise ValueError("need ransac_iterations >= 1 and ransac_seed >= 0")
-        for name in ("major_expand", "minor_expand", "line_inlier_sigmas",
-                     "pair_separation_sigmas"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 < self.binarize_threshold <= 1.0:
-            raise ValueError("need 0 < binarize_threshold <= 1")
+        if self.ransac_seed < 0:
+            raise ValueError("need ransac_seed >= 0")
 
     @property
     def edge_halo(self) -> int:
         return 2 * self.r2 + 1
-
-    @property
-    def sigma_d(self) -> float:
-        return float(self.edge_halo)
-
-    @property
-    def sigma_a(self) -> float:
-        return np.pi / 12.0
 
 
 @dataclass
@@ -239,7 +229,7 @@ def ransac_centroid_line(
     rng = np.random.default_rng(params.ransac_seed)
     draws = [
         tuple(rng.choice(len(regions), size=2, replace=False))
-        for _ in range(params.ransac_iterations)
+        for _ in range(RANSAC_ITERATIONS)
     ]
     # a repeated draw rebuilds the same line, which cannot beat the strict
     # best-so-far, so only the first of each is scored
@@ -269,13 +259,11 @@ def ransac_centroid_line(
     else:
         sigma = float(params.r2)
     sigma = max(sigma, 0.5)
-    keep = np.abs(dist) <= params.line_inlier_sigmas * sigma
+    keep = np.abs(dist) <= LINE_INLIER_SIGMAS * sigma
     return best_line, [reg for reg, k in zip(regions, keep) if k]
 
 
-def expand_bounding_boxes(
-    regions: list[Region], major: float, minor: float
-) -> list[OrientedBox]:
+def expand_bounding_boxes(regions: list[Region]) -> list[OrientedBox]:
     """Oriented boxes from moment ellipses, stretched per axis."""
     boxes = []
     for reg in regions:
@@ -284,13 +272,13 @@ def expand_bounding_boxes(
             OrientedBox(
                 center=center,
                 axes=axes,
-                half_extents=np.array([major * semi[0], minor * semi[1]]),
+                half_extents=np.array([MAJOR_EXPAND * semi[0], MINOR_EXPAND * semi[1]]),
             )
         )
     return boxes
 
 
-def _orientation_kernel(phi: float, sigma_d: float, sigma_a: float) -> np.ndarray:
+def _orientation_kernel(phi: float, sigma_d: float) -> np.ndarray:
     """Unit-sum kernel selective for lines at angle phi through each pixel.
 
     The angle term uses the undirected line angle, folded into a half
@@ -303,7 +291,7 @@ def _orientation_kernel(phi: float, sigma_d: float, sigma_a: float) -> np.ndarra
     ang = np.arctan2(y, x)
     diff = np.mod(ang - phi + np.pi / 2.0, np.pi) - np.pi / 2.0
     rad2 = x * x + y * y
-    h = np.exp(-rad2 / (2.0 * sigma_d**2) - diff**2 / (2.0 * sigma_a**2))
+    h = np.exp(-rad2 / (2.0 * sigma_d**2) - diff**2 / (2.0 * ORIENTATION_SIGMA_A**2))
     h[half, half] = 1.0  # radius 0, angle term defined as 0
     return h / h.sum()
 
@@ -318,7 +306,7 @@ def _junction_images(
     """The crop's (x, y) origin in the frame, the halo I_b1 and the
     orientation-filtered halo I_b2, both over the crop."""
     e = params.edge_halo
-    margin = e + int(np.ceil(3.0 * params.sigma_d)) + 2
+    margin = e + int(np.ceil(3.0 * e)) + 2  # the halo and the kernel's half width
     # crop covering all region pixels plus the margin, clipped to the frame
     all_px = np.vstack([reg.pixels for reg in regions])
     x0, y0 = np.maximum(all_px.min(axis=0) - margin, 0)
@@ -348,8 +336,8 @@ def _junction_images(
         phi = float(np.arctan2(d[1], d[0]) + np.pi / 2.0)
     phi = float(np.mod(phi + np.pi / 2.0, np.pi) - np.pi / 2.0)
 
-    kernel = _orientation_kernel(phi, params.sigma_d, params.sigma_a)
-    filtered = convolve_unit_sum(halo, kernel) >= params.binarize_threshold
+    kernel = _orientation_kernel(phi, e)
+    filtered = convolve_unit_sum(halo, kernel) >= BINARIZE_THRESHOLD
     return (int(x0), int(y0)), halo, filtered
 
 
@@ -427,7 +415,7 @@ def extract_edge_pairs(
         keep = (gap.argmin(axis=1) == partner).reshape(-1, 2).all(axis=1)
         pairs, sep = pairs[keep], sep[keep]
     if len(sep) >= 2 and sep.std() > 0:
-        pairs = pairs[np.abs(sep - sep.mean()) <= params.pair_separation_sigmas * sep.std()]
+        pairs = pairs[np.abs(sep - sep.mean()) <= PAIR_SEPARATION_SIGMAS * sep.std()]
     if len(pairs) < 2:
         raise InsufficientEdgesError(
             f"{len(pairs)} contour point pairs after filtering, need 2"
@@ -547,7 +535,7 @@ def detect_pointer(
     size = (img.width, img.height)
 
     _, surviving1 = _region_pass(1, hs, colors, adjacency, params.s1, params.r1, params)
-    boxes = expand_bounding_boxes(surviving1, params.major_expand, params.minor_expand)
+    boxes = expand_bounding_boxes(surviving1)
     line2_centroids, surviving2 = _region_pass(
         2, hs, colors, adjacency, params.s2, params.r2, params, roi=boxes
     )

@@ -34,6 +34,10 @@ class TooFewColorClassesError(BandPointerError):
     """A calibration mask labels fewer color classes than a color model needs."""
 
 
+class MaskMismatchError(BandPointerError, ValueError):
+    """A calibration mask's size differs from its image's."""
+
+
 class ConfigError(BandPointerError):
     """Configuration file is malformed or inconsistent with other inputs."""
 

@@ -174,16 +174,16 @@ class Region:
         centered = fpts - self.centroid
         self.moments = centered.T @ centered / self.area
 
-    def ellipse(self, floor: float = 0.5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def ellipse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Moment ellipse: (semi_axes desc, axis directions as rows, center).
 
         Semi-axes use sqrt(3 * eigenvalue) so a uniform rectangle maps to
-        an ellipse spanning its half extents; floored for tiny regions.
+        an ellipse spanning its half extents; floored at 0.5 px.
         """
         w, v = np.linalg.eigh(self.moments)
         order = np.argsort(w)[::-1]
         w = np.clip(w[order], 0.0, None)
-        semi = np.maximum(np.sqrt(3.0 * w), floor)
+        semi = np.maximum(np.sqrt(3.0 * w), 0.5)
         axes = v[:, order].T.copy()
         return semi, axes, self.centroid.copy()
 

@@ -12,6 +12,7 @@ import backend_reference as reference
 from backend_reference import _labels_match
 from test_acceptance import _random_instance
 
+from bandpointer import association
 from bandpointer.association import (
     Homography1D,
     PointerEdge,
@@ -441,8 +442,11 @@ class TestAssociateRansac:
         alignments = align_labels_dp(
             [(e.left_label, e.right_label) for e in det.edges], alternating_spec
         )
-        full = associate_ransac(det, alternating_spec, alignments, max_triplets=10**9)
-        sampled = associate_ransac(det, alternating_spec, alignments, max_triplets=40, seed=5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(association, "MAX_TRIPLETS", 10**9)
+            full = associate_ransac(det, alternating_spec, alignments)
+            mp.setattr(association, "MAX_TRIPLETS", 40)
+            sampled = associate_ransac(det, alternating_spec, alignments, seed=5)
         assert (
             full[0].inlier_flags.sum() == sampled[0].inlier_flags.sum()
         )
@@ -560,13 +564,15 @@ def _assert_same_hypotheses(det, spec, max_triplets=1000, seed=0):
         alignments = align_labels_dp(labels, spec)
     except NoAssociationError:
         return None
-    try:
-        ref = _associate_reference(det, spec, alignments, max_triplets, seed)
-    except InsufficientMatchesError as exc:
-        with pytest.raises(InsufficientMatchesError, match=str(exc)):
-            associate_ransac(det, spec, alignments, max_triplets, seed)
-        return None
-    got = associate_ransac(det, spec, alignments, max_triplets, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(association, "MAX_TRIPLETS", max_triplets)
+        try:
+            ref = _associate_reference(det, spec, alignments, max_triplets, seed)
+        except InsufficientMatchesError as exc:
+            with pytest.raises(InsufficientMatchesError, match=str(exc)):
+                associate_ransac(det, spec, alignments, seed)
+            return None
+        got = associate_ransac(det, spec, alignments, seed)
     assert len(got) == len(ref)
     for hyp, (orientation, pairs, flags, h) in zip(got, ref):
         assert hyp.orientation == orientation

@@ -1,6 +1,8 @@
 """Tests for the config, CLI commands and point-cloud handling."""
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from bandpointer.cli import (
     save_color_model,
     write_ply,
 )
+from bandpointer.detection import DetectionParams
 from bandpointer.errors import BandPointerError, NoEdgesError
 from bandpointer.imaging import RasterImage, load_image, save_pgm, save_ppm
 from bandpointer.pose import CameraModel, PoseEstimate
@@ -59,12 +62,6 @@ def make_config_dict():
             "s2": 0.12,
             "r1": 3,
             "r2": 2,
-            "major_expand": 1.1,
-            "minor_expand": 1.5,
-            "binarize_threshold": 0.3,
-            "line_inlier_sigmas": 3.0,
-            "pair_separation_sigmas": 5.0,
-            "ransac_iterations": 200,
             "ransac_seed": 0,
         },
     }
@@ -123,6 +120,13 @@ class TestConfig:
     def test_radii_are_half_diameters(self):
         config = Config.from_dict(make_config_dict())
         assert config.pointer.edges[0].radius_mm == pytest.approx(2.0)
+
+    def test_readme_config_parses_with_every_detection_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1]
+        data = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        Config.from_dict(data)
+        assert set(data["detection"]) == {f.name for f in fields(DetectionParams)}
 
     def test_unknown_band_color_rejected(self):
         data = make_config_dict()
@@ -202,6 +206,26 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("major_expand", 1.1), ("minor_expand", 1.5), ("binarize_threshold", 0.3),
+         ("line_inlier_sigmas", 3.0), ("pair_separation_sigmas", 5.0),
+         ("ransac_iterations", 200)],
+    )
+    def test_removed_detection_key_is_named(self, workspace, tmp_path, capsys, key, value):
+        # fixed settings are module constants, not config keys: a config
+        # naming one, at any value, is rejected by name rather than ignored
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(_set(("detection", key), value)))
+        code = main([
+            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
+            "--color-model", str(workspace["colors"]),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err
+
     def test_integral_float_radii_accepted(self, workspace, tmp_path, capsys):
         data = _set(("detection", "r1"), 3.0)
         data["detection"]["r2"] = 2.0
@@ -244,7 +268,7 @@ class TestCalibrateCommand:
         assert model.kde(1).modal_hue() == pytest.approx(0.80, abs=0.05)
         assert model.kde(2).modal_hue() == pytest.approx(1.29, abs=0.05)
 
-    def test_unknown_mask_class_is_config_mismatch(self, workspace, tmp_path):
+    def test_unknown_mask_class_is_config_mismatch(self, workspace, tmp_path, capsys):
         px = np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.5)
         img_path = tmp_path / "cal.ppm"
         mask_path = tmp_path / "mask.pgm"
@@ -259,6 +283,8 @@ class TestCalibrateCommand:
             "--mask", str(mask_path), "--out", str(tmp_path / "m.json"),
         ])
         assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mask references class ids [7]")
 
     def test_one_labeled_class_exits_with_one_line(self, workspace, tmp_path, capsys):
         px = np.empty((SIZE_SMALL[1], SIZE_SMALL[0], 3))
@@ -280,6 +306,22 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: calibration mask labels 1 color class")
         assert err.count("\n") == 1
+        assert not out_path.exists()
+
+    def test_mask_size_mismatch_exits_with_one_line(self, workspace, tmp_path, capsys):
+        mask_path = tmp_path / "mask.pgm"
+        mask = np.zeros((SIZE_SMALL[1] - 1, SIZE_SMALL[0]), dtype=np.uint8)
+        mask[:100] = 1
+        save_pgm(mask, mask_path)
+        out_path = tmp_path / "m.json"
+        code = main([
+            "--config", str(workspace["config"]),
+            "calibrate", "--image", str(workspace["frame"]),
+            "--mask", str(mask_path), "--out", str(out_path),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: mask shape") and err.count("\n") == 1
         assert not out_path.exists()
 
     def test_grayscale_image_insufficient(self, workspace, tmp_path):
@@ -373,6 +415,39 @@ class TestProbeCommand:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("bad image:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["probe", "track"])
+    def test_color_model_missing_band_color_exits_with_one_line(
+        self, workspace, tmp_path, capsys, command
+    ):
+        # the model's green class relabeled to a class the pattern never uses
+        data = json.loads(workspace["colors"].read_text())
+        for entry in data["classes"]:
+            if entry["label"] == GREEN:
+                entry["label"] = 3
+        path = tmp_path / "colors.json"
+        path.write_text(json.dumps(data))
+        args = {
+            "probe": ["--image", str(tmp_path / "never-read.ppm")],
+            "track": ["--frames", str(tmp_path / "never-read"),
+                      "--out-prefix", str(tmp_path / "out" / "run")],
+        }[command]
+        code = main([
+            "--config", str(workspace["config"]), command, "--color-model", str(path), *args,
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "'green'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_color_model_exits_with_one_line(self, workspace, monkeypatch, capsys):
+        monkeypatch.delenv("BANDPOINTER_COLOR_MODEL", raising=False)
+        code = main(["--config", str(workspace["config"]), "probe",
+                     "--image", str(workspace["frame"])])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --color-model required") and err.count("\n") == 1
 
     def test_malformed_color_model_exits_with_one_line(self, workspace, tmp_path, capsys):
         data = json.loads(workspace["colors"].read_text())
@@ -618,40 +693,45 @@ class TestEvalCommand:
         assert header.startswith("depth_mm,angle_deg,trials,failures")
 
     @pytest.mark.parametrize(
-        "text",
+        "text, flags",
         [
-            json.dumps({"angles_deg": [0.0]}),
-            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": "x"}),
-            json.dumps([330.0, 0.0]),
-            "{not json",
-            json.dumps({"depths_mm": [], "angles_deg": [0.0]}),
-            json.dumps({"depths_mm": [330.0], "angles_deg": []}),
-            json.dumps({"depths_mm": "330", "angles_deg": [0.0]}),
-            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": 2.7}),
-            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": 0}),
-            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": -3}),
-            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": -1}),
-            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": float("nan")}),
-            json.dumps({"depths_mm": [330.0, float("nan")], "angles_deg": [0.0]}),
-            json.dumps({"depths_mm": [330.0], "angles_deg": [float("inf")]}),
-            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "roll_deg": float("nan")}),
+            (json.dumps({"angles_deg": [0.0]}), []),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": "x"}), []),
+            (json.dumps([330.0, 0.0]), []),
+            ("{not json", []),
+            (json.dumps({"depths_mm": [], "angles_deg": [0.0]}), []),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": []}), []),
+            (json.dumps({"depths_mm": "330", "angles_deg": [0.0]}), []),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": 2.7}), []),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": 0}), []),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": -3}), []),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": -1}), []),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": float("nan")}), []),
+            (json.dumps({"depths_mm": [330.0, float("nan")], "angles_deg": [0.0]}), []),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": [float("inf")]}), []),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "roll_deg": float("nan")}), []),
+            (json.dumps({"depths_mm": [400.0], "angles_deg": [10.0], "seed": -3}), []),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0]}), ["--seed", "-1"]),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "seed": 1.5}), []),
+            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "seed": True}), []),
         ],
         ids=[
             "no-depths-key", "str-trials", "json-list", "not-json", "no-depths",
             "no-angles", "str-depths", "fractional-trials", "zero-trials",
             "negative-trials", "negative-noise", "nan-noise", "nan-depth",
-            "infinite-angle", "nan-roll",
+            "infinite-angle", "nan-roll", "negative-seed", "negative-seed-flag",
+            "fractional-seed", "bool-seed",
         ],
     )
     def test_malformed_sweep_spec_exits_with_one_line(
-        self, workspace, tmp_path, capsys, text
+        self, workspace, tmp_path, capsys, text, flags
     ):
         sweep_path = tmp_path / "sweep.json"
         sweep_path.write_text(text)
         out_path = tmp_path / "report.csv"
         code = main([
             "--config", str(workspace["config"]),
-            "eval", "--sweep", str(sweep_path), "--out", str(out_path),
+            "eval", "--sweep", str(sweep_path), "--out", str(out_path), *flags,
         ])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err

@@ -28,6 +28,7 @@ from bandpointer.color_model import (
 from bandpointer.errors import (
     ConfigError,
     InsufficientCalibrationDataError,
+    MaskMismatchError,
     TooFewColorClassesError,
 )
 from bandpointer.imaging import HUE_PERIOD, RasterImage, rgb_to_hue_saturation
@@ -299,6 +300,12 @@ class TestCalibration:
         with pytest.raises(InsufficientCalibrationDataError) as err:
             calibrate_colors(img, mask, min_saturation=0.2)
         assert err.value.label == 1
+
+    @pytest.mark.parametrize("shape", [(19, 20), (20, 21), (20, 20, 1), (400,)])
+    def test_mask_size_mismatch_is_typed(self, shape):
+        img, _ = self._two_patch_setup()
+        with pytest.raises(MaskMismatchError, match="mask shape"):
+            calibrate_colors(img, np.ones(shape, dtype=np.uint8), min_saturation=0.2)
 
     def test_too_few_pixels_fails_with_class_name(self):
         img, mask = self._two_patch_setup()

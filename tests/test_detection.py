@@ -19,9 +19,10 @@ from conftest import (
     pose_at,
 )
 
-from bandpointer import synthetic
+from bandpointer import detection, synthetic
 from bandpointer.color_model import ColorClassSet, HueKde, classify_image_masked
 from bandpointer.detection import (
+    PAIR_SEPARATION_SIGMAS,
     DetectionParams,
     EdgePointPair,
     _end_pixels,
@@ -241,7 +242,7 @@ def _ransac_reference(regions, params):
     centroids = np.array([r.centroid for r in regions])
     rng = np.random.default_rng(params.ransac_seed)
     best_line, best_crossing = None, []
-    for _ in range(params.ransac_iterations):
+    for _ in range(detection.RANSAC_ITERATIONS):
         i, j = rng.choice(len(regions), size=2, replace=False)
         try:
             line = line_through(centroids[i], centroids[j])
@@ -255,7 +256,7 @@ def _ransac_reference(regions, params):
         sigma = float(np.sqrt(np.mean(dist[best_crossing] ** 2)))
     else:
         sigma = float(params.r2)
-    keep = np.abs(dist) <= params.line_inlier_sigmas * max(sigma, 0.5)
+    keep = np.abs(dist) <= detection.LINE_INLIER_SIGMAS * max(sigma, 0.5)
     return best_line, [reg for reg, k in zip(regions, keep) if k]
 
 
@@ -358,15 +359,17 @@ class TestRansacCentroidLineEquivalence:
         # close for line_through, so such draws are skipped
         regions = [_irregular(*shape) for shape in shapes]
         regions = [Region(pixels=r.pixels + offset, label=r.label) for r in regions]
-        params = DetectionParams(r1=3, r2=2, ransac_iterations=iterations, ransac_seed=seed)
-        try:
-            line, keep = ransac_centroid_line(regions, params)
-        except DegenerateSampleError:
-            # no draw defined a line; the reference's best line stays None
-            with pytest.raises(AttributeError):
-                _ransac_reference(regions, params)
-            return
-        ref_line, ref_keep = _ransac_reference(regions, params)
+        params = DetectionParams(r1=3, r2=2, ransac_seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detection, "RANSAC_ITERATIONS", iterations)
+            try:
+                line, keep = ransac_centroid_line(regions, params)
+            except DegenerateSampleError:
+                # no draw defined a line; the reference's best line stays None
+                with pytest.raises(AttributeError):
+                    _ransac_reference(regions, params)
+                return
+            ref_line, ref_keep = _ransac_reference(regions, params)
         assert line.point.tobytes() == ref_line.point.tobytes()
         assert line.direction.tobytes() == ref_line.direction.tobytes()
         assert [id(r) for r in keep] == [id(r) for r in ref_keep]
@@ -399,7 +402,7 @@ class TestExpandBoundingBoxes:
     def test_rectangle_moment_oracle(self):
         # moments of a 10x4 rectangle: discrete variance (n^2 - 1) / 12
         region = region_from_rect(5, 5, 10, 4)
-        (box,) = expand_bounding_boxes([region], 1.1, 1.5)
+        (box,) = expand_bounding_boxes([region])
         semi_major = np.sqrt(3 * (10**2 - 1) / 12)
         semi_minor = np.sqrt(3 * (4**2 - 1) / 12)
         np.testing.assert_allclose(
@@ -416,13 +419,13 @@ class TestExpandBoundingBoxes:
             pixels=np.column_stack([xs[inside] + 20, ys[inside] + 20]),
             label=RED,
         )
-        (box,) = expand_bounding_boxes([region], 1.1, 1.5)
+        (box,) = expand_bounding_boxes([region])
         ratio = box.half_extents[0] / box.half_extents[1]
         assert ratio == pytest.approx(1.1 / 1.5, rel=1e-6)
 
     def test_single_pixel_floor(self):
         region = Region(pixels=np.array([[7, 9]]), label=RED)
-        (box,) = expand_bounding_boxes([region], 1.1, 1.5)
+        (box,) = expand_bounding_boxes([region])
         np.testing.assert_allclose(
             box.half_extents, [1.1 * 0.5, 1.5 * 0.5], atol=1e-12
         )
@@ -431,12 +434,12 @@ class TestExpandBoundingBoxes:
 class TestOrientationKernel:
     def test_unit_sum_and_point_symmetry(self):
         for phi in (0.0, 0.4, -1.2, np.pi / 2):
-            kernel = _orientation_kernel(phi, sigma_d=5.0, sigma_a=np.pi / 12)
+            kernel = _orientation_kernel(phi, sigma_d=5.0)
             assert kernel.sum() == pytest.approx(1.0)
             np.testing.assert_allclose(kernel, kernel[::-1, ::-1], atol=1e-15)
 
     def test_emphasizes_lines_at_phi(self):
-        kernel = _orientation_kernel(0.0, sigma_d=5.0, sigma_a=np.pi / 12)
+        kernel = _orientation_kernel(0.0, sigma_d=5.0)
         half = kernel.shape[0] // 2
         # along the x axis vs along the y axis at equal radius
         assert kernel[half, half + 4] > 20 * kernel[half + 4, half]
@@ -516,16 +519,14 @@ class TestExtractEdgePairs:
         assert (seps >= e).all()
         mu, sd = seps.mean(), seps.std()
         if sd > 0:
-            assert (np.abs(seps - mu) <= params.pair_separation_sigmas * sd).all()
+            assert (np.abs(seps - mu) <= PAIR_SEPARATION_SIGMAS * sd).all()
 
     def test_pass2_regions_inside_pass1_boxes(
         self, quad_scene, quad_spec, small_colors, params
     ):
         scene, img, gt = quad_scene
         result = detect_pointer(img, small_colors, quad_spec, params)
-        boxes = expand_bounding_boxes(
-            result.pass1_regions, params.major_expand, params.minor_expand
-        )
+        boxes = expand_bounding_boxes(result.pass1_regions)
         for reg in result.pass2_regions:
             pts = reg.pixels.astype(np.float64)
             inside = np.zeros(len(pts), dtype=bool)
@@ -574,7 +575,7 @@ def _extract_reference(regions, adjacency, params, size, fallback_axis):
         raw = mutual
     seps = np.array([np.linalg.norm(a - b) for a, b in raw])
     if len(seps) >= 2 and seps.std() > 0:
-        keep = np.abs(seps - seps.mean()) <= params.pair_separation_sigmas * seps.std()
+        keep = np.abs(seps - seps.mean()) <= PAIR_SEPARATION_SIGMAS * seps.std()
         raw = [p for p, k in zip(raw, keep) if k]
     if len(raw) < 2:
         raise InsufficientEdgesError(f"{len(raw)} contour point pairs after filtering, need 2")
