@@ -1,9 +1,9 @@
 """Matching detected band junctions to the pointer's measured junctions.
 
 Label alignment by dynamic programming supplies candidate pairings;
-RANSAC over pairing triplets fits 1D projective maps from image-axis
-coordinates to millimeters and keeps the hypotheses with the most
-reciprocal-nearest-neighbor inliers.
+every triplet of them fits a 1D projective map from image-axis
+coordinates to millimeters, and the hypotheses with the most
+reciprocal-nearest-neighbor inliers are kept.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ if TYPE_CHECKING:
     from .detection import DetectionResult
 
 LabelPair = tuple[Optional[int], Optional[int]]
-
-MAX_TRIPLETS = 1000
 
 
 @dataclass(frozen=True)
@@ -373,10 +371,10 @@ def associate_ransac(
     """Hypotheses tied at the maximal inlier count, one per distinct mapping.
 
     alignments holds at most one Alignment per orientation, as
-    align_labels_dp returns them. Triplets are drawn from the pairs on any
-    optimal label alignment of each orientation, exhaustively when few,
-    otherwise as a seeded random sample, and scored in chunks; the first
-    of the hypotheses with equal inliers is kept.
+    align_labels_dp returns them. Every triplet of the pairs on any
+    optimal label alignment of each orientation is scored, in chunks; the
+    first of the hypotheses with equal inliers is kept. seed is read by
+    nothing in the library: the search draws no sample.
     """
     t_coords = np.array([e.axis_coordinate for e in result.edges], dtype=np.float64)
     detected_labels = [(e.left_label, e.right_label) for e in result.edges]
@@ -398,10 +396,6 @@ def associate_ransac(
         reversed_flag = orientation == "reversed"
         direction = -1 if reversed_flag else 1
         triplets = _triplets(pairs, direction)
-        if len(triplets) > MAX_TRIPLETS:
-            rng = np.random.default_rng(seed)
-            idx = rng.choice(len(triplets), size=MAX_TRIPLETS, replace=False)
-            triplets = triplets[np.sort(idx)]
         label_ok = _match_table(detected_labels, spec.side_labels, reversed_flag)
         for start in range(0, len(triplets), _TRIPLET_CHUNK):
             trip = pairs[triplets[start:start + _TRIPLET_CHUNK]]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -225,14 +226,14 @@ def run_pipeline(
 ) -> PoseEstimate:
     """Detect, associate and estimate pose for one frame."""
     result = detect_pointer(img, colors, config.pointer, config.detection)
-    return _associate_and_pose(result, config, config.detection.ransac_seed)
+    return _associate_and_pose(result, config)
 
 
-def _associate_and_pose(result: DetectionResult, config: Config, seed: int) -> PoseEstimate:
+def _associate_and_pose(result: DetectionResult, config: Config) -> PoseEstimate:
     """Label alignment, RANSAC association and pose for one detection."""
     labels = [(e.left_label, e.right_label) for e in result.edges]
     alignments = align_labels_dp(labels, config.pointer)
-    hypotheses = associate_ransac(result, config.pointer, alignments, seed=seed)
+    hypotheses = associate_ransac(result, config.pointer, alignments)
     return estimate_pose(result, hypotheses, config.camera, config.pointer)
 
 
@@ -392,8 +393,12 @@ def evaluate_sweep(
     is exercised by its own tests); noise perturbs the detected points.
     Returns one record per grid cell. A trial that fails, and every trial
     of a cell whose ground truth cannot be projected (part of the pointer
-    behind the camera), counts as a failure.
+    behind the camera), counts as a failure. trials must be an integer
+    >= 1 and seed one >= 0, or ConfigError is raised.
     """
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     palette = {
         label: (0.5, 0.5, 0.5) for label in config.color_names.values()
     }
@@ -420,7 +425,7 @@ def evaluate_sweep(
                 det = synthetic.ground_truth_detection(
                     gt, config.pointer, noise_px=noise_px, rng=rng
                 )
-                tips.append(_associate_and_pose(det, config, seed + cell_idx).pose.tip)
+                tips.append(_associate_and_pose(det, config).pose.tip)
             except BandPointerError:
                 pass
         record = {
@@ -452,20 +457,15 @@ def cmd_eval(args) -> int:
         depths, angles = sweep_spec["depths_mm"], sweep_spec["angles_deg"]
         if not (isinstance(depths, list) and isinstance(angles, list) and depths and angles):
             raise ValueError("depths_mm and angles_deg must be non-empty lists")
-        trials = sweep_spec.get("trials", 1)
-        seed = sweep_spec.get("seed", args.seed)
-        for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         noise_px = float(sweep_spec.get("noise_px", 0.0))
         if not 0.0 <= noise_px < np.inf:
             raise ValueError(f"noise_px must be finite and >= 0, got {noise_px!r}")
         grid = dict(
             depths_mm=[float(v) for v in depths],
             angles_deg=[float(v) for v in angles],
-            trials=trials,
+            trials=sweep_spec.get("trials", 1),
             noise_px=noise_px,
-            seed=seed,
+            seed=sweep_spec.get("seed", args.seed),
             roll_deg=float(sweep_spec.get("roll_deg", 4.0)),
         )
         if not np.isfinite(grid["depths_mm"] + grid["angles_deg"] + [grid["roll_deg"]]).all():

@@ -54,12 +54,15 @@ BINARIZE_THRESHOLD = 0.3  # orientation-filtered halo level kept as junction
 ORIENTATION_SIGMA_A = np.pi / 12.0  # angular spread of the orientation kernel
 LINE_INLIER_SIGMAS = 3.0  # centroid-line inlier band
 PAIR_SEPARATION_SIGMAS = 5.0  # pair separations farther from the mean drop
-RANSAC_ITERATIONS = 200  # centroid pairs drawn per centroid line
 
 
 @dataclass(frozen=True)
 class DetectionParams:
-    """Thresholds and radii that change with scale and lighting; the seed."""
+    """Thresholds and radii that change with scale and lighting.
+
+    ransac_seed is read by nothing in the library: both searches are
+    exhaustive. It stays a validated field so configs that set it load.
+    """
 
     s1: float = 0.25
     s2: float = 0.12
@@ -168,50 +171,26 @@ def detect_band_regions(
     return [reg for reg in regions if near_adjacent_color(reg)]
 
 
-def _end_pixels(regions: list[Region]) -> tuple[np.ndarray, np.ndarray]:
-    """Each region's row-end or column-end pixels, whichever are fewer, as
-    float (x, y) rows grouped by region, plus each region's first row.
-
-    A line's signed distance has the same extremes over these pixels as
-    over all of the region's pixels: along a pixel row, y - p_y is one
-    float and the rounded (x - p_x) d_y is monotone in x, so the rounded
-    distance is monotone along the row; likewise along a column.
-    """
-    owner = np.repeat(np.arange(len(regions)), [reg.area for reg in regions])
-    pts = np.vstack([reg.pixels for reg in regions]).astype(np.int64)
-    rel = pts - pts.min(axis=0)
-    span = rel.max(axis=0) + 1
-    ends, runs = [], []
-    for run in (1, 0):  # pixel rows share y, pixel columns share x
-        strip = owner * span[run] + rel[:, run]  # one region's row or column
-        order = np.argsort(strip * span[1 - run] + rel[:, 1 - run])
-        strip = strip[order]
-        first = np.flatnonzero(np.r_[True, strip[1:] != strip[:-1]])
-        last = np.r_[first[1:], len(order)] - 1
-        ends.append(order[np.column_stack([first, last]).ravel()])
-        runs.append(np.bincount(owner[order[first]], minlength=len(regions)))
-    by_rows = runs[0] <= runs[1]
-    sel = np.concatenate([ends[0][by_rows[owner[ends[0]]]], ends[1][~by_rows[owner[ends[1]]]]])
-    sel = sel[np.argsort(owner[sel], kind="stable")]
-    starts = np.r_[0, np.cumsum(np.where(by_rows, runs[0], runs[1]))[:-1]] * 2
-    return pts[sel].astype(np.float64), starts
+# distances computed per block of lines: keeps each (lines, pixels)
+# temporary near 128 kB
+_CROSSING_BLOCK = 1 << 14
 
 
 def _regions_crossed(
-    pts: np.ndarray, starts: np.ndarray, point: np.ndarray, direction: np.ndarray
+    regions: list[Region], points: np.ndarray, directions: np.ndarray
 ) -> np.ndarray:
-    """Per region of a pixel stack (all its pixels, or its _end_pixels)
-    starting at starts: pixels lie strictly on both sides of the line;
-    (m, 1, 2) stacks of lines give an (m, n_regions) table."""
-    d = signed_distance(point, direction, pts)
-    hi = np.maximum.reduceat(d, starts, axis=-1)
-    lo = np.minimum.reduceat(d, starts, axis=-1)
-    return (hi > 0) & (lo < 0)
-
-
-# distances computed per block of lines: keeps each (lines, end pixels)
-# temporary near 128 kB
-_CROSSING_BLOCK = 1 << 14
+    """(m, n_regions) table of m lines, given as (m, 1, 2) points and unit
+    directions: the region has pixels strictly on both sides of the line."""
+    pts = np.vstack([reg.pixels for reg in regions]).astype(np.float64)
+    starts = np.r_[0, np.cumsum([reg.area for reg in regions])[:-1]]
+    step = max(1, _CROSSING_BLOCK // len(pts))
+    blocks = []
+    for k in range(0, len(points), step):
+        d = signed_distance(points[k:k + step], directions[k:k + step], pts)
+        hi = np.maximum.reduceat(d, starts, axis=-1)
+        lo = np.minimum.reduceat(d, starts, axis=-1)
+        blocks.append((hi > 0) & (lo < 0))
+    return np.concatenate(blocks)
 
 
 def ransac_centroid_line(
@@ -219,36 +198,25 @@ def ransac_centroid_line(
 ) -> tuple[Line2D, list[Region]]:
     """Line through two region centroids maximizing the crossed-region count.
 
-    Regions whose centroids sit within 3 sigma of the winning line are
-    returned; sigma comes from the crossing regions' perpendicular
-    distances, with a half-pixel floor against degenerate collinearity.
+    Every pair i < j of distinct centroids is scored, and the first of the
+    tied best wins. Regions whose centroids sit within 3 sigma of the
+    winning line are returned; sigma comes from the crossing regions'
+    perpendicular distances, with a half-pixel floor against degenerate
+    collinearity. Only params.r2 is read.
     """
     if len(regions) < 2:
         raise InsufficientRegionsError(f"{len(regions)} regions, need 2")
     centroids = np.array([r.centroid for r in regions])
-    rng = np.random.default_rng(params.ransac_seed)
-    draws = [
-        tuple(rng.choice(len(regions), size=2, replace=False))
-        for _ in range(RANSAC_ITERATIONS)
-    ]
-    # a repeated draw rebuilds the same line, which cannot beat the strict
-    # best-so-far, so only the first of each is scored
-    i, j = np.array(list(dict.fromkeys(draws))).T
+    i, j = np.triu_indices(len(regions), k=1)
     valid = ~coincident(centroids[i], centroids[j])
     if not valid.any():
-        raise DegenerateSampleError("all sampled centroid pairs coincide")
+        raise DegenerateSampleError("all centroid pairs coincide")
     i, j = i[valid], j[valid]
     # built as line_through builds them: np.linalg.norm goes through the BLAS
     # dot kernel, which a vectorized norm does not round like
     lines = [Line2D(centroids[a], centroids[b] - centroids[a]) for a, b in zip(i, j)]
-    points = centroids[i][:, None, :]
     directions = np.array([line.direction for line in lines])[:, None, :]
-    pts, starts = _end_pixels(regions)
-    step = max(1, _CROSSING_BLOCK // len(pts))
-    crossed = np.concatenate([
-        _regions_crossed(pts, starts, points[k:k + step], directions[k:k + step])
-        for k in range(0, len(lines), step)
-    ])
+    crossed = _regions_crossed(regions, centroids[i][:, None, :], directions)
     best = int(np.argmax(crossed.sum(axis=1)))  # the first of the tied best
     best_line = lines[best]
     best_crossing = np.flatnonzero(crossed[best])
@@ -446,10 +414,9 @@ def label_edge_pairs(
     pairs = sorted(pairs, key=lambda ep: ep.axis_coordinate)
     crossed = []
     if regions:
-        # one line: all pixels cost less than sorting out the end pixels
-        pts = np.vstack([reg.pixels for reg in regions]).astype(np.float64)
-        starts = np.r_[0, np.cumsum([reg.area for reg in regions])[:-1]]
-        crossed = _regions_crossed(pts, starts, line2.point, line2.direction)
+        crossed = _regions_crossed(
+            regions, line2.point[None, None], line2.direction[None, None]
+        )[0]
     crossing = [reg for reg, c in zip(regions, crossed) if c]
 
     junction_lines = []

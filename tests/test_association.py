@@ -12,7 +12,6 @@ import backend_reference as reference
 from backend_reference import _labels_match
 from test_acceptance import _random_instance
 
-from bandpointer import association
 from bandpointer.association import (
     Homography1D,
     PointerEdge,
@@ -435,21 +434,12 @@ class TestAssociateRansac:
         )
         assert scaled[0].pairs == base[0].pairs
 
-    def test_exhaustive_and_sampled_agree(self, alternating_spec):
+    def test_every_edge_seen_matches_reference(self, alternating_spec):
         h = Homography1D(a=3.0, c=50.0, g=0.001)
-        indices = [0, 1, 2, 3, 4, 5, 6, 7]
-        det = exact_detection(alternating_spec, indices, h)
-        alignments = align_labels_dp(
-            [(e.left_label, e.right_label) for e in det.edges], alternating_spec
-        )
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(association, "MAX_TRIPLETS", 10**9)
-            full = associate_ransac(det, alternating_spec, alignments)
-            mp.setattr(association, "MAX_TRIPLETS", 40)
-            sampled = associate_ransac(det, alternating_spec, alignments, seed=5)
-        assert (
-            full[0].inlier_flags.sum() == sampled[0].inlier_flags.sum()
-        )
+        det = exact_detection(alternating_spec, range(8), h)
+        got = _assert_same_hypotheses(det, alternating_spec)
+        assert any(hyp.pairs == [(k, k) for k in range(8)] for hyp in got)
+        assert all(hyp.inlier_flags.all() for hyp in got)
 
     def test_noiseless_projective_image_all_triplets_agree(self, anchored_spec):
         # every exhaustive triplet reaches all-inlier status and they agree
@@ -496,8 +486,8 @@ def _inliers_reference(h, t, labels, spec, reversed_flag):
     ]
 
 
-def _associate_reference(result, spec, alignments, max_triplets=1000, seed=0):
-    """Per-triplet loop form of associate_ransac: same triplets, same rules.
+def _associate_reference(result, spec, alignments):
+    """Per-triplet loop form of associate_ransac: every triplet, same rules.
 
     Returns (orientation, pairs, inlier flags, homography) per hypothesis.
     """
@@ -527,10 +517,6 @@ def _associate_reference(result, spec, alignments, max_triplets=1000, seed=0):
             and len({s for _, s in trip}) == 3
             and np.all(np.diff([s for _, s in sorted(trip)]) * direction > 0)
         ]
-        if len(triplets) > max_triplets:
-            rng = np.random.default_rng(seed)
-            idx = rng.choice(len(triplets), size=max_triplets, replace=False)
-            triplets = [triplets[i] for i in sorted(idx)]
         for trip in triplets:
             h = _fit_reference([(t_coords[d], b[s]) for d, s in trip])
             if h is None:
@@ -558,21 +544,19 @@ def _associate_reference(result, spec, alignments, max_triplets=1000, seed=0):
     return [v for _, v in ordered]
 
 
-def _assert_same_hypotheses(det, spec, max_triplets=1000, seed=0):
+def _assert_same_hypotheses(det, spec, seed=0):
     labels = [(e.left_label, e.right_label) for e in det.edges]
     try:
         alignments = align_labels_dp(labels, spec)
     except NoAssociationError:
         return None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(association, "MAX_TRIPLETS", max_triplets)
-        try:
-            ref = _associate_reference(det, spec, alignments, max_triplets, seed)
-        except InsufficientMatchesError as exc:
-            with pytest.raises(InsufficientMatchesError, match=str(exc)):
-                associate_ransac(det, spec, alignments, seed)
-            return None
-        got = associate_ransac(det, spec, alignments, seed)
+    try:
+        ref = _associate_reference(det, spec, alignments)
+    except InsufficientMatchesError as exc:
+        with pytest.raises(InsufficientMatchesError, match=str(exc)):
+            associate_ransac(det, spec, alignments, seed)
+        return None
+    got = associate_ransac(det, spec, alignments, seed)
     assert len(got) == len(ref)
     for hyp, (orientation, pairs, flags, h) in zip(got, ref):
         assert hyp.orientation == orientation
@@ -584,36 +568,53 @@ def _assert_same_hypotheses(det, spec, max_triplets=1000, seed=0):
 
 
 class TestAssociateRansacEquivalence:
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([1000, 20, 5, 1]),
-        st.sampled_from([None, 0.5, 4.0]),
-    )
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 0.5, 4.0]))
     @settings(max_examples=80, deadline=None)
-    def test_random_instances_match_reference(self, seed, max_triplets, grid):
+    def test_random_instances_match_reference(self, seed, grid):
         spec, det = _random_instance(np.random.default_rng(seed))
         if grid is not None:  # repeated axis coordinates: degenerate triplets
             for e in det.edges:
                 e.axis_coordinate = grid * round(e.axis_coordinate / grid)
-        _assert_same_hypotheses(det, spec, max_triplets, seed)
+        _assert_same_hypotheses(det, spec, seed)
 
     @given(
         st.lists(st.integers(0, 7), min_size=3, max_size=5, unique=True),
         st.floats(1.0, 4.0),
         st.floats(-0.001, 0.001),
         st.booleans(),
-        st.sampled_from([1000, 2]),
     )
-    @example([1, 2, 3], 2.0, 0.0, False, 1000)
+    @example([1, 2, 3], 2.0, 0.0, False)
     @settings(max_examples=60, deadline=None)
-    def test_orientation_ties_match_reference(self, indices, a, g, reversed_, max_triplets):
+    def test_orientation_ties_match_reference(self, indices, a, g, reversed_):
         # few edges of an alternating pattern fit both orientations
         distances = [20.0, 50.0, 66.0, 98.0, 120.0, 151.0, 163.0, 190.0]
         bands = [RED, GREEN, RED, GREEN, RED, GREEN, RED, GREEN, RED]
         spec = make_spec(distances, bands, total_length=210.0)
         h = Homography1D(a=a, c=10.0, g=g)
         det = exact_detection(spec, sorted(indices), h, reversed_=reversed_)
-        _assert_same_hypotheses(det, spec, max_triplets)
+        _assert_same_hypotheses(det, spec)
+
+    def test_clutter_scores_every_triplet(self):
+        # the README's 10-junction red/green pattern, every junction seen,
+        # plus two spurious junctions in each of three gaps that keep the
+        # colors alternating: 3768 triplets per orientation, and more tied
+        # hypotheses than a sample of 1000 of them finds
+        spec = make_spec([22.0, 47.0, 67.0, 95.0, 116.0, 142.0, 162.0, 186.0, 209.0, 231.0],
+                         [RED, GREEN] * 5 + [RED], total_length=251.0)
+        det = exact_detection(spec, range(10), Homography1D(a=3.0, c=50.0, g=0.001))
+        entries = [(e.axis_coordinate, e.left_label, e.right_label) for e in det.edges]
+        for i in (0, 2, 4):
+            t0, t1 = entries[i][0], entries[i + 1][0]
+            tip_side, tail_side = entries[i][1:]
+            entries += [(t0 + 0.3 * (t1 - t0), tail_side, tip_side),
+                        (t0 + 0.6 * (t1 - t0), tip_side, tail_side)]
+        det = detection_from(entries)
+        got = [_assert_same_hypotheses(det, spec, seed) for seed in (0, 5)]
+        assert len(got[0]) == 6
+        for a, b in zip(*got, strict=True):
+            assert (a.orientation, a.pairs) == (b.orientation, b.pairs)
+            assert a.inlier_flags.tolist() == b.inlier_flags.tolist()
+            assert a.homography == b.homography
 
     def test_orientation_tie_keeps_both(self, alternating_spec):
         det = exact_detection(alternating_spec, [1, 2, 3], Homography1D(a=2.0, c=10.0, g=0.0))

@@ -36,7 +36,7 @@ from bandpointer.cli import (
     write_ply,
 )
 from bandpointer.detection import DetectionParams
-from bandpointer.errors import BandPointerError, NoEdgesError
+from bandpointer.errors import BandPointerError, ConfigError, NoEdgesError
 from bandpointer.imaging import RasterImage, load_image, save_pgm, save_ppm
 from bandpointer.pose import CameraModel, PoseEstimate
 
@@ -737,6 +737,27 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(seed=-3), dict(seed=1.5), dict(seed=True), dict(seed="1"),
+         dict(trials=0), dict(trials=2.0), dict(trials=True)],
+        ids=["negative-seed", "fractional-seed", "bool-seed", "str-seed",
+             "zero-trials", "float-trials", "bool-trials"],
+    )
+    def test_sweep_rejects_bad_trials_and_seed(self, bad):
+        config = Config.from_dict(make_config_dict())
+        grid = dict(trials=1, noise_px=0.0, seed=0) | bad
+        name = next(iter(bad))
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer >= "):
+            evaluate_sweep(config, [400.0], [10.0], **grid)
+
+    def test_sweep_takes_numpy_integers(self):
+        config = Config.from_dict(make_config_dict())
+        got = evaluate_sweep(config, [400.0], [10.0], trials=np.int64(2), noise_px=0.5,
+                             seed=np.int64(3))
+        want = evaluate_sweep(config, [400.0], [10.0], trials=2, noise_px=0.5, seed=3)
+        assert got == want
 
     def test_unseeable_cell_counts_as_failures(self):
         # at 40 mm the 100 mm pointer overfills the 612 px frame, leaving
