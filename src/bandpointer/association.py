@@ -330,20 +330,6 @@ def _reciprocal_matches(
     return matched, nearest_spec
 
 
-def _count_inliers(
-    homog: Homography1D,
-    t_coords: np.ndarray,
-    detected_labels: Sequence[LabelPair],
-    spec: PointerSpec,
-    reversed_orientation: bool,
-) -> list[tuple[int, int]]:
-    """Reciprocal nearest-neighbor matches with consistent labels, in mm."""
-    mm = np.asarray(homog.map_mm(t_coords), dtype=np.float64)
-    label_ok = _match_table(detected_labels, spec.side_labels, reversed_orientation)
-    matched, nearest = _reciprocal_matches(mm[None], spec.distances_mm, label_ok)
-    return [(int(k), int(nearest[0, k])) for k in np.flatnonzero(matched[0])]
-
-
 def _triplets(pairs: np.ndarray, direction: int) -> np.ndarray:
     """Index triplets into the sorted (detected, spec) pairs, in
     itertools.combinations order, with three distinct detections and spec

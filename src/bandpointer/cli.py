@@ -323,6 +323,8 @@ def _track_one(frame_path: str, config: Config, colors: ColorClassSet):
 
 
 def cmd_track(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config, colors = _load_config_and_colors(args)
     frame_dir = Path(args.frames)
     frames = sorted(
@@ -333,8 +335,9 @@ def cmd_track(args) -> int:
         print(f"error: no frames in {frame_dir}", file=sys.stderr)
         return EXIT_ERROR
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(frames))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(_track_one, frames, repeat(config), repeat(colors))
             )
@@ -343,7 +346,7 @@ def cmd_track(args) -> int:
 
     out_prefix = Path(args.out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out_prefix.with_suffix(".csv")
+    csv_path = out_prefix.parent / (out_prefix.name + ".csv")
     points, rms = [], []
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)

@@ -9,7 +9,7 @@ kernel and reduced to sub-pixel contour point pairs.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ from .geometry import (
     coincident,
     fit_line_tls,
     line_through,
+    pixel_box,
     principal_axes,
     signed_distance,
 )
@@ -48,7 +49,7 @@ from .imaging import (
 
 
 # Detection settings that stay fixed while scale and lighting change
-MAJOR_EXPAND = 1.1  # pass-1 moment box stretch along the band
+MAJOR_EXPAND = 1.1  # pass-1 region box stretch along the band
 MINOR_EXPAND = 1.5  # and across it
 BINARIZE_THRESHOLD = 0.3  # orientation-filtered halo level kept as junction
 ORIENTATION_SIGMA_A = np.pi / 12.0  # angular spread of the orientation kernel
@@ -118,8 +119,6 @@ class DetectionResult:
 
     edges: list[EdgePointPair]
     line: Line2D  # L2, fit to the pair points
-    pass1_regions: list[Region] = field(default_factory=list)
-    pass2_regions: list[Region] = field(default_factory=list)
 
 
 def detect_band_regions(
@@ -232,14 +231,19 @@ def ransac_centroid_line(
 
 
 def expand_bounding_boxes(regions: list[Region]) -> list[OrientedBox]:
-    """Oriented boxes from moment ellipses, stretched per axis."""
+    """Oriented boxes along each region's principal axes, stretched per axis.
+
+    The semi-axes are sqrt(3 * eigenvalue) of the pixel scatter, so a
+    uniform rectangle gives its half extents, floored at 0.5 px.
+    """
     boxes = []
     for reg in regions:
-        semi, axes, center = reg.ellipse()
+        w, v = principal_axes(reg.pixels)
+        semi = np.maximum(np.sqrt(3.0 * np.clip(w, 0.0, None)), 0.5)
         boxes.append(
             OrientedBox(
-                center=center,
-                axes=axes,
+                center=reg.centroid,
+                axes=v.T,
                 half_extents=np.array([MAJOR_EXPAND * semi[0], MINOR_EXPAND * semi[1]]),
             )
         )
@@ -277,8 +281,7 @@ def _junction_images(
     margin = e + int(np.ceil(3.0 * e)) + 2  # the halo and the kernel's half width
     # crop covering all region pixels plus the margin, clipped to the frame
     all_px = np.vstack([reg.pixels for reg in regions])
-    x0, y0 = np.maximum(all_px.min(axis=0) - margin, 0)
-    x1, y1 = np.minimum(all_px.max(axis=0) + margin + 1, image_size)
+    x0, y0, x1, y1 = pixel_box(all_px, margin, (0, 0), image_size)
     masks: dict[int, np.ndarray] = {}
     for reg in regions:
         mask = masks.setdefault(reg.label, np.zeros((y1 - y0, x1 - x0), dtype=bool))
@@ -306,7 +309,7 @@ def _junction_images(
 
     kernel = _orientation_kernel(phi, e)
     filtered = convolve_unit_sum(halo, kernel) >= BINARIZE_THRESHOLD
-    return (int(x0), int(y0)), halo, filtered
+    return (x0, y0), halo, filtered
 
 
 def _refine_subpixel(combined: np.ndarray, px: int, py: int) -> np.ndarray:
@@ -510,7 +513,4 @@ def detect_pointer(
     extracted = extract_edge_pairs(
         surviving2, adjacency, params, size, fallback_axis=line2_centroids
     )
-    result = label_edge_pairs(extracted.edges, surviving2, extracted.line)
-    result.pass1_regions = surviving1
-    result.pass2_regions = surviving2
-    return result
+    return label_edge_pairs(extracted.edges, surviving2, extracted.line)

@@ -130,15 +130,27 @@ class OrientedBox:
         ])
 
 
+def pixel_box(
+    points: np.ndarray, margin: float, lo: tuple[int, int], hi: tuple[int, int]
+) -> tuple[int, int, int, int]:
+    """(x0, y0, x1, y1): the pixels from floor(min - margin) through
+    ceil(max + margin) of (n, 2) points, clipped to [lo, hi) per axis.
+
+    The box is empty, x0 >= x1 or y0 >= y1, when it misses the window.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    first = np.floor(pts.min(axis=0) - margin)
+    last = np.ceil(pts.max(axis=0) + margin)
+    x0, y0 = (max(int(f), bound) for f, bound in zip(first, lo))
+    x1, y1 = (min(int(c) + 1, bound) for c, bound in zip(last, hi))
+    return x0, y0, x1, y1
+
+
 def boxes_mask(boxes: list[OrientedBox], width: int, height: int) -> np.ndarray:
     """Boolean raster of pixels whose centers fall inside any box."""
     mask = np.zeros((height, width), dtype=bool)
     for box in boxes:
-        corners = box.corners()
-        x0 = max(int(np.floor(corners[:, 0].min())), 0)
-        x1 = min(int(np.ceil(corners[:, 0].max())) + 1, width)
-        y0 = max(int(np.floor(corners[:, 1].min())), 0)
-        y1 = min(int(np.ceil(corners[:, 1].max())) + 1, height)
+        x0, y0, x1, y1 = pixel_box(box.corners(), 0.0, (0, 0), (width, height))
         if x0 >= x1 or y0 >= y1:
             continue
         ys, xs = np.mgrid[y0:y1, x0:x1]

@@ -154,14 +154,12 @@ class DistortionModel:
 
 @dataclass
 class Region:
-    """Connected pixel set with area-weighted first and second moments."""
+    """Connected pixel set with its centroid and pixel count."""
 
     pixels: np.ndarray  # (N, 2) int32 (x, y)
     label: int | None = None
     centroid: np.ndarray = field(init=False)
     area: int = field(init=False)
-    # second central moments per unit area: [[mu_xx, mu_xy], [mu_xy, mu_yy]]
-    moments: np.ndarray = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.pixels)
@@ -169,23 +167,7 @@ class Region:
             raise ValueError("Region needs an (N, 2) pixel array")
         self.pixels = pts.astype(np.int32)
         self.area = len(pts)
-        fpts = pts.astype(np.float64)
-        self.centroid = fpts.mean(axis=0)
-        centered = fpts - self.centroid
-        self.moments = centered.T @ centered / self.area
-
-    def ellipse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Moment ellipse: (semi_axes desc, axis directions as rows, center).
-
-        Semi-axes use sqrt(3 * eigenvalue) so a uniform rectangle maps to
-        an ellipse spanning its half extents; floored at 0.5 px.
-        """
-        w, v = np.linalg.eigh(self.moments)
-        order = np.argsort(w)[::-1]
-        w = np.clip(w[order], 0.0, None)
-        semi = np.maximum(np.sqrt(3.0 * w), 0.5)
-        axes = v[:, order].T.copy()
-        return semi, axes, self.centroid.copy()
+        self.centroid = pts.astype(np.float64).mean(axis=0)
 
 
 def _hexcone_hue(px: np.ndarray, cmax: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -239,10 +221,10 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 def connected_components(bits: np.ndarray, origin: tuple[int, int] = (0, 0)) -> list[Region]:
     """8-connected components of a boolean array, in the scan order of
-    their first pixel, with centroid and second central moments.
+    their first pixel.
 
     ``origin`` is the (x, y) of the array's first pixel in the frame; it is
-    added to the pixel coordinates before the moments are taken.
+    added to the pixel coordinates before the centroids are taken.
     """
     labeled, _ = ndimage.label(bits, structure=_EIGHT_CONNECTED)
     regions = []

@@ -42,8 +42,9 @@ class CameraModel:
     R: np.ndarray = field(default_factory=lambda: np.eye(3))
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))  # mm
     distortion: DistortionModel = DistortionModel()
-    # camera center in the world frame, -R^T t, computed once
+    # camera center in the world frame, -R^T t, and K^-1, computed once
     center: np.ndarray = field(init=False, repr=False, compare=False)
+    K_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=np.float64)
@@ -64,6 +65,7 @@ class CameraModel:
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "center", -R.T @ t)
+        object.__setattr__(self, "K_inv", np.linalg.inv(K))
 
     @property
     def P(self) -> np.ndarray:
@@ -237,9 +239,8 @@ def init_depths_linear(
         raise DegenerateInitializationError("rank-deficient depth system")
     v0, vn = vt[-1]
 
-    k_inv = np.linalg.inv(camera.K)
-    r0 = k_inv @ q0
-    rn = k_inv @ qn
+    r0 = camera.K_inv @ q0
+    rn = camera.K_inv @ qn
     baseline = np.linalg.norm(vn * rn - v0 * r0)
     if baseline < 1e-12:
         raise DegenerateInitializationError("tip and tail rays coincide")

@@ -19,6 +19,7 @@ from scipy import ndimage
 from .association import PointerSpec
 from .detection import DetectionResult, EdgePointPair, order_along_axis
 from .errors import BehindCameraError, DegenerateGeometryError, InsufficientEdgesError
+from .geometry import pixel_box
 from .imaging import RasterImage
 from .pose import CameraModel, PointerPose
 
@@ -49,6 +50,10 @@ class Occluder:
     y0: float
     x1: float
     y1: float
+
+    def __post_init__(self):
+        if not (self.x0 <= self.x1 and self.y0 <= self.y1):
+            raise ValueError("occluder needs x0 <= x1 and y0 <= y1")
 
     def contains(self, pt: np.ndarray) -> bool:
         return bool(
@@ -173,7 +178,6 @@ def _stations(spec: PointerSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _roi(gt: GroundTruth, scene: SceneSpec, camera: CameraModel, size) -> tuple[int, int, int, int]:
-    width, height = size
     pts = [e.p_a for e in gt.edges] + [e.p_b for e in gt.edges]
     # tip and tail axis points, through the same path
     ends = _silhouette_uv(
@@ -190,11 +194,7 @@ def _roi(gt: GroundTruth, scene: SceneSpec, camera: CameraModel, size) -> tuple[
     margin += 4.0 * float(scene.spec.radii_mm.max()) * camera.K[0, 0] / max(
         1.0, float(camera.to_camera(scene.pose.tip[None, :])[0, 2])
     )
-    x0 = max(int(np.floor(pts[:, 0].min() - margin)), 0)
-    y0 = max(int(np.floor(pts[:, 1].min() - margin)), 0)
-    x1 = min(int(np.ceil(pts[:, 0].max() + margin)) + 1, width)
-    y1 = min(int(np.ceil(pts[:, 1].max() + margin)) + 1, height)
-    return x0, y0, x1, y1
+    return pixel_box(pts, margin, (0, 0), size)
 
 
 def _subpixel_rays(camera: CameraModel, px0, py0, px1, py1):
@@ -205,8 +205,7 @@ def _subpixel_rays(camera: CameraModel, px0, py0, px1, py1):
     px, py = np.meshgrid(xs, ys)
     flat = np.column_stack([px.ravel(), py.ravel()])
     flat = camera.undistort(flat)
-    k_inv = np.linalg.inv(camera.K)
-    hom = np.column_stack([flat, np.ones(len(flat))]) @ k_inv.T
+    hom = np.column_stack([flat, np.ones(len(flat))]) @ camera.K_inv.T
     dirs = hom @ camera.R  # R^T applied to rows
     return dirs.reshape(py.shape[0], px.shape[1], 3)
 
@@ -239,12 +238,9 @@ def _raycast(
     bulge = float(r_list.max()) * camera.K[0, 0] / max(depth_min, 1.0)
 
     for k in range(len(s_list) - 1):
-        box_pts = np.vstack([uv[k], uv[k + 1]])
-        margin = 3.0 + bulge
-        bx0 = max(int(np.floor(box_pts[:, 0].min() - margin)), x0)
-        by0 = max(int(np.floor(box_pts[:, 1].min() - margin)), y0)
-        bx1 = min(int(np.ceil(box_pts[:, 0].max() + margin)) + 1, x1)
-        by1 = min(int(np.ceil(box_pts[:, 1].max() + margin)) + 1, y1)
+        bx0, by0, bx1, by1 = pixel_box(
+            np.vstack([uv[k], uv[k + 1]]), 3.0 + bulge, (x0, y0), (x1, y1)
+        )
         if bx1 <= bx0 or by1 <= by0:
             continue
         dirs = _subpixel_rays(camera, bx0, by0, bx1, by1)
@@ -341,10 +337,7 @@ def render(
         image[y0:y1, x0:x1] = down
 
     for occ in scene.occluders:
-        ox0 = max(int(np.floor(occ.x0)), 0)
-        oy0 = max(int(np.floor(occ.y0)), 0)
-        ox1 = min(int(np.ceil(occ.x1)) + 1, width)
-        oy1 = min(int(np.ceil(occ.y1)) + 1, height)
+        ox0, oy0, ox1, oy1 = pixel_box([(occ.x0, occ.y0), (occ.x1, occ.y1)], 0.0, (0, 0), size)
         if ox1 > ox0 and oy1 > oy0:
             image[oy0:oy1, ox0:ox1] = np.asarray(scene.occluder_color)
 

@@ -1,4 +1,5 @@
-"""Reference back end: label alignment and pose in their plain form.
+"""Reference forms: label alignment, triplet scoring, pose and the
+pass-1 region ellipse in their plain form.
 
 These are the association and pose functions written with np.cross, two
 camera transforms per residual, a per-cell label table and a NumPy DP
@@ -10,6 +11,7 @@ other step counts and tips, so nothing here may be "simplified".
 
 import numpy as np
 
+from bandpointer.association import Homography1D
 from bandpointer.errors import (
     BehindCameraError,
     DegenerateGeometryError,
@@ -276,3 +278,54 @@ def estimate_bits(estimate):
         repr(estimate.cost_history),
         correspondence_bits(estimate.correspondence),
     )
+
+
+def _fit_reference(pairs):
+    """The one-triplet fit, solved alone; None for a degenerate triplet."""
+    t = np.array([p[0] for p in pairs], dtype=np.float64)
+    b = np.array([p[1] for p in pairs], dtype=np.float64)
+    if len(np.unique(t)) < 3 or len(np.unique(b)) < 3:
+        return None
+    m = np.column_stack([t, np.ones(3), -b * t])
+    try:
+        a, c, g = np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite([a, c, g])):
+        return None
+    return Homography1D(a=float(a), c=float(c), g=float(g))
+
+
+def _inliers_reference(h, t, labels, spec, reversed_flag):
+    """Reciprocal nearest neighbors with consistent labels, one at a time."""
+    mm = (h.a * t + h.c) / (h.g * t + 1.0)
+    if not np.all(np.isfinite(mm)):
+        return []
+    b = spec.distances_mm
+    nearest_spec = [int(np.argmin(np.abs(x - b))) for x in mm]
+    nearest_det = [int(np.argmin(np.abs(mm - y))) for y in b]
+    return [
+        (k, j)
+        for k, j in enumerate(nearest_spec)
+        if nearest_det[j] == k
+        and _labels_match(labels[k], spec.side_labels[j], reversed_flag)
+    ]
+
+
+def moment_ellipse(pixels):
+    """A pixel set's moment ellipse as regions carried it: semi-axes in
+    descending order, axis directions as rows, and the centroid.
+
+    Semi-axes are sqrt(3 * eigenvalue) of the second central moments per
+    unit area, floored at 0.5 px.
+    """
+    fpts = np.asarray(pixels).astype(np.float64)
+    centroid = fpts.mean(axis=0)
+    centered = fpts - centroid
+    moments = centered.T @ centered / len(fpts)
+    w, v = np.linalg.eigh(moments)
+    order = np.argsort(w)[::-1]
+    w = np.clip(w[order], 0.0, None)
+    semi = np.maximum(np.sqrt(3.0 * w), 0.5)
+    axes = v[:, order].T.copy()
+    return semi, axes, centroid.copy()

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from backend_reference import _labels_match
+from backend_reference import _inliers_reference, _labels_match
 from conftest import (
     BAND_RGB,
     FIXTURE_PARAMS,
@@ -29,7 +29,6 @@ from bandpointer.association import (
     align_labels_dp,
     associate_ransac,
     fit_homography_1d,
-    _count_inliers,
 )
 from bandpointer.cli import Config, PointCloud, evaluate_sweep, filter_point_cloud, write_ply
 from bandpointer.detection import DetectionParams, detect_pointer
@@ -256,7 +255,7 @@ def _oracle_max_inliers(det, spec):
                     continue
                 if not h.monotone_over(t_lo, t_hi):
                     continue
-                matches = _count_inliers(h, t, labels, spec, reversed_flag)
+                matches = _inliers_reference(h, t, labels, spec, reversed_flag)
                 if len(matches) < 3:
                     continue
                 seq = [s for _, s in sorted(matches)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import backend_reference as reference
-from backend_reference import _labels_match
+from backend_reference import _fit_reference, _inliers_reference
 from test_acceptance import _random_instance
 
 from bandpointer.association import (
@@ -452,38 +452,6 @@ class TestAssociateRansac:
         hypotheses = associate_ransac(det, anchored_spec, alignments)
         assert len(hypotheses) == 1
         assert hypotheses[0].inlier_flags.all()
-
-
-def _fit_reference(pairs):
-    """The one-triplet fit, solved alone; None for a degenerate triplet."""
-    t = np.array([p[0] for p in pairs], dtype=np.float64)
-    b = np.array([p[1] for p in pairs], dtype=np.float64)
-    if len(np.unique(t)) < 3 or len(np.unique(b)) < 3:
-        return None
-    m = np.column_stack([t, np.ones(3), -b * t])
-    try:
-        a, c, g = np.linalg.solve(m, b)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite([a, c, g])):
-        return None
-    return Homography1D(a=float(a), c=float(c), g=float(g))
-
-
-def _inliers_reference(h, t, labels, spec, reversed_flag):
-    """Reciprocal nearest neighbors with consistent labels, one at a time."""
-    mm = (h.a * t + h.c) / (h.g * t + 1.0)
-    if not np.all(np.isfinite(mm)):
-        return []
-    b = spec.distances_mm
-    nearest_spec = [int(np.argmin(np.abs(x - b))) for x in mm]
-    nearest_det = [int(np.argmin(np.abs(mm - y))) for y in b]
-    return [
-        (k, j)
-        for k, j in enumerate(nearest_spec)
-        if nearest_det[j] == k
-        and _labels_match(labels[k], spec.side_labels[j], reversed_flag)
-    ]
 
 
 def _associate_reference(result, spec, alignments):

@@ -19,7 +19,7 @@ from conftest import (
     pose_at,
 )
 
-from bandpointer import synthetic
+from bandpointer import cli, synthetic
 from bandpointer.cli import (
     Config,
     EXIT_ERROR,
@@ -637,6 +637,78 @@ class TestTrackCommand:
             assert code == EXIT_OK
             csvs.append(prefix.with_suffix(".csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_workers_capped_at_frame_count(self, workspace, tmp_path, monkeypatch):
+        made = []
+
+        class RecordingExecutor:
+            """Runs the map in-process and records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        src = workspace["frame"].read_bytes()
+        for i in range(3):
+            (frames_dir / f"f{i}.ppm").write_bytes(src)
+        single_dir = tmp_path / "single"
+        single_dir.mkdir()
+        (single_dir / "f0.ppm").write_bytes(src)
+        for frames, jobs in ((frames_dir, 8), (frames_dir, 2), (single_dir, 4)):
+            code = main([
+                "--config", str(workspace["config"]),
+                "track", "--frames", str(frames),
+                "--color-model", str(workspace["colors"]),
+                "--out-prefix", str(tmp_path / "out" / f"j{jobs}"), "--jobs", str(jobs),
+            ])
+            assert code == EXIT_OK
+        # one frame runs in-process: no pool at all
+        assert made == [3, 2]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, workspace, tmp_path, monkeypatch, capsys, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        prefix = tmp_path / "out" / "run"
+        code = main([
+            "--config", str(workspace["config"]),
+            "track", "--frames", str(workspace["root"]),
+            "--color-model", str(workspace["colors"]),
+            "--out-prefix", str(prefix), "--jobs", str(jobs),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "--jobs" in err[0]
+        assert not prefix.parent.exists()
+
+    def test_dotted_prefix_kept_in_every_output(self, workspace, tmp_path):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        (frames_dir / "f0.ppm").write_bytes(workspace["frame"].read_bytes())
+        out = tmp_path / "out"
+        code = main([
+            "--config", str(workspace["config"]),
+            "track", "--frames", str(frames_dir),
+            "--color-model", str(workspace["colors"]),
+            "--out-prefix", str(out / "run.v2"),
+        ])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "run.v2.csv", "run.v2_filtered.ply", "run.v2_raw.ply",
+        ]
 
 
 class TestEvalCommand:

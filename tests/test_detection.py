@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from backend_reference import moment_ellipse
 from conftest import (
     BAND_RGB,
     BLUE,
@@ -23,12 +24,15 @@ from conftest import (
 from bandpointer import detection, synthetic
 from bandpointer.color_model import ColorClassSet, HueKde, classify_image_masked
 from bandpointer.detection import (
+    MAJOR_EXPAND,
+    MINOR_EXPAND,
     PAIR_SEPARATION_SIGMAS,
     DetectionParams,
     EdgePointPair,
     _junction_images,
     _orientation_kernel,
     _refine_subpixel,
+    _region_pass,
     detect_band_regions,
     detect_pointer,
     expand_bounding_boxes,
@@ -44,7 +48,14 @@ from bandpointer.errors import (
     NoEdgesError,
     PointerNotFoundError,
 )
-from bandpointer.geometry import Line2D, OrientedBox, boxes_mask, fit_line_tls, line_through
+from bandpointer.geometry import (
+    Line2D,
+    OrientedBox,
+    boxes_mask,
+    fit_line_tls,
+    line_through,
+    pixel_box,
+)
 from bandpointer.imaging import (
     RasterImage,
     Region,
@@ -369,7 +380,56 @@ class TestRansacCentroidLineEquivalence:
         assert [id(r) for r in keep] == [id(r) for r in ref_keep]
 
 
+class TestPixelBox:
+    def test_floor_and_ceil_with_margin(self):
+        pts = np.array([[2.5, 3.2], [7.1, 4.0]])
+        assert pixel_box(pts, 1.0, (0, 0), (100, 100)) == (1, 2, 10, 6)
+        assert pixel_box(pts, 0.0, (0, 0), (100, 100)) == (2, 3, 9, 5)
+
+    def test_clipped_to_window(self):
+        assert pixel_box([(2.5, 3.2)], 5.0, (0, 0), (4, 100)) == (0, 0, 4, 10)
+        assert pixel_box([(2.5, 3.2)], 5.0, (1, 2), (100, 100)) == (1, 2, 9, 10)
+
+    def test_outside_window_is_empty(self):
+        x0, y0, x1, y1 = pixel_box([(50, 50)], 1, (0, 0), (10, 10))
+        assert x0 >= x1 and y0 >= y1
+
+
+@st.composite
+def pixel_sets(draw):
+    """Region pixels: one pixel, a collinear run, a filled rectangle or a
+    random blob in shuffled order, anywhere in a 2448 x 2048 frame."""
+    kind = draw(st.sampled_from(["pixel", "run", "rect", "blob"]))
+    x0, y0 = draw(st.integers(0, 2447)), draw(st.integers(0, 2047))
+    if kind == "pixel":
+        return np.array([[x0, y0]])
+    if kind == "run":
+        step = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 3)]))
+        k = np.arange(draw(st.integers(2, 80)))[:, None]
+        return np.array([x0, y0]) + k * np.array(step)
+    w, h = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+    ys, xs = np.mgrid[y0:y0 + h, x0:x0 + w]
+    pixels = np.column_stack([xs.ravel(), ys.ravel()])
+    if kind == "blob":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        keep = rng.random(len(pixels)) < draw(st.floats(0.05, 0.95))
+        keep[rng.integers(len(pixels))] = True
+        pixels = rng.permutation(pixels[keep])
+    return pixels
+
+
 class TestExpandBoundingBoxes:
+    @settings(max_examples=300, deadline=None)
+    @given(pixels=pixel_sets())
+    def test_matches_moment_ellipse(self, pixels):
+        region = Region(pixels=pixels, label=RED)
+        (box,) = expand_bounding_boxes([region])
+        semi, axes, center = moment_ellipse(region.pixels)
+        half_extents = np.array([MAJOR_EXPAND * semi[0], MINOR_EXPAND * semi[1]])
+        assert box.center.tobytes() == center.tobytes()
+        assert box.axes.tobytes() == axes.tobytes()
+        assert box.half_extents.tobytes() == half_extents.tobytes()
+
     def test_rectangle_moment_oracle(self):
         # moments of a 10x4 rectangle: discrete variance (n^2 - 1) / 12
         region = region_from_rect(5, 5, 10, 4)
@@ -496,14 +556,25 @@ class TestExtractEdgePairs:
         self, quad_scene, quad_spec, small_colors, params
     ):
         scene, img, gt = quad_scene
-        result = detect_pointer(img, small_colors, quad_spec, params)
-        boxes = expand_bounding_boxes(result.pass1_regions)
-        for reg in result.pass2_regions:
+        boxes, pass2 = _two_passes(img, small_colors, quad_spec, params)
+        assert pass2
+        for reg in pass2:
             pts = reg.pixels.astype(np.float64)
             inside = np.zeros(len(pts), dtype=bool)
             for box in boxes:
                 inside |= box.contains(pts)
             assert inside.all()
+
+
+def _two_passes(img, colors, spec, params):
+    """The pass-1 boxes and the surviving pass-2 regions, as detect_pointer
+    finds them."""
+    hs = rgb_to_hue_saturation(img)
+    adjacency = spec.adjacent_label_pairs()
+    _, pass1 = _region_pass(1, hs, colors, adjacency, params.s1, params.r1, params)
+    boxes = expand_bounding_boxes(pass1)
+    _, pass2 = _region_pass(2, hs, colors, adjacency, params.s2, params.r2, params, roi=boxes)
+    return boxes, pass2
 
 
 
@@ -719,12 +790,8 @@ class TestDetectPointer:
         pose = pose_at(330.0, 10.0, small_camera, quad_spec, roll_deg=6.0)
         scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB)
         img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
-        results = [
-            detect_pointer(img, small_colors, quad_spec,
-                           DetectionParams(**{**FIXTURE_PARAMS, "ransac_seed": seed}))
-            for seed in (0, 7)
-        ]
-        base, other = results
+        seeded = [DetectionParams(**{**FIXTURE_PARAMS, "ransac_seed": seed}) for seed in (0, 7)]
+        base, other = (detect_pointer(img, small_colors, quad_spec, p) for p in seeded)
         assert len(base.edges) >= 2
         assert base.line.point.tobytes() == other.line.point.tobytes()
         assert base.line.direction.tobytes() == other.line.direction.tobytes()
@@ -732,8 +799,9 @@ class TestDetectPointer:
             assert e0.p_a.tobytes() == e1.p_a.tobytes()
             assert e0.p_b.tobytes() == e1.p_b.tobytes()
             assert (e0.left_label, e0.right_label) == (e1.left_label, e1.right_label)
-        assert [r.pixels.tobytes() for r in base.pass2_regions] == [
-            r.pixels.tobytes() for r in other.pass2_regions
+        base_pass2, other_pass2 = (_two_passes(img, small_colors, quad_spec, p)[1] for p in seeded)
+        assert [r.pixels.tobytes() for r in base_pass2] == [
+            r.pixels.tobytes() for r in other_pass2
         ]
 
     def test_translation_equivariance(

@@ -105,6 +105,11 @@ class TestGroundTruth:
         gt = synthetic.ground_truth(scene2, camera, SIZE_SMALL)
         assert gt.edges[1].visible  # both points must fall inside to occlude
 
+    @pytest.mark.parametrize("corners", [(10.0, 0.0, 5.0, 5.0), (0.0, 10.0, 5.0, 5.0)])
+    def test_inverted_occluder_rejected(self, corners):
+        with pytest.raises(ValueError, match="x0 <= x1"):
+            synthetic.Occluder(*corners)
+
 
 class TestRender:
     def test_deterministic_bit_identical(self, tilted_camera, test_spec):
