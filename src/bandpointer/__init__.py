@@ -8,7 +8,6 @@ from .association import (
     PointerSpec,
     align_labels_dp,
     associate_ransac,
-    fit_homography_1d,
 )
 from .color_model import (
     ColorClassSet,
@@ -68,7 +67,6 @@ __all__ = [
     "classify_hue",
     "detect_pointer",
     "estimate_pose",
-    "fit_homography_1d",
     "init_depths_linear",
     "project_pointer_edges",
     "refine_pose_lm",

@@ -13,11 +13,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateSampleError,
-    InsufficientMatchesError,
-    NoAssociationError,
-)
+from .errors import InsufficientMatchesError, NoAssociationError
 
 if TYPE_CHECKING:
     from .detection import DetectionResult
@@ -128,27 +124,11 @@ class Homography1D:
     c: float
     g: float
 
-    def map_mm(self, t) -> np.ndarray | float:
-        out = _projective(self.a, self.c, self.g, np.asarray(t, dtype=np.float64))
-        return float(out) if out.ndim == 0 else out
-
     def inverse_mm(self, b) -> np.ndarray | float:
         b = np.asarray(b, dtype=np.float64)
         denom = self.a - self.g * b
         out = (b - self.c) / denom
         return float(out) if out.ndim == 0 else out
-
-    def monotone_over(self, t_lo: float, t_hi: float) -> bool:
-        """True when the pole g t + 1 = 0 stays outside [t_lo, t_hi]."""
-        return bool(_pole_outside(self.a, self.g, t_lo, t_hi))
-
-
-# why _fit_homographies rejects a triplet, by its status code
-_DEGENERATE = {
-    1: "triplet has repeated coordinates",
-    2: "singular homography system",
-    3: "non-finite homography solution",
-}
 
 
 def _repeated(x: np.ndarray) -> np.ndarray:
@@ -163,13 +143,14 @@ def _fit_homographies(t: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Exact 1D projective interpolation through n triplets of (t, b) pairs.
 
     t and b are (n, 3). Returns the (n, 3) rows (a, c, g) and an (n,)
-    status: 0 for a valid map, otherwise the _DEGENERATE code.
+    mask of the valid maps: a triplet with repeated coordinates, a
+    singular system or a non-finite solution gives none.
     """
-    status = np.where(_repeated(t) | _repeated(b), 1, 0)
+    valid = ~(_repeated(t) | _repeated(b))
     # b (g t + 1) = a t + c  =>  [t, 1, -b t] . [a, c, g] = b
     m = np.stack([t, np.ones_like(t), -b * t], axis=-1)
     abc = np.full(t.shape, np.nan)
-    rows = np.flatnonzero(status == 0)
+    rows = np.flatnonzero(valid)
     try:
         abc[rows] = np.linalg.solve(m[rows], b[rows, :, None])[..., 0]
     except np.linalg.LinAlgError:
@@ -178,21 +159,9 @@ def _fit_homographies(t: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
             try:
                 abc[r] = np.linalg.solve(m[r], b[r])
             except np.linalg.LinAlgError:
-                status[r] = 2
-    status[(status == 0) & ~np.isfinite(abc).all(axis=1)] = 3
-    return abc, status
-
-
-def fit_homography_1d(pairs: Sequence[tuple[float, float]]) -> Homography1D:
-    """Exact 1D projective interpolation through three (t, b) pairs."""
-    if len(pairs) != 3:
-        raise ValueError("exactly three pairs define the map")
-    t = np.array([[p[0] for p in pairs]], dtype=np.float64)
-    b = np.array([[p[1] for p in pairs]], dtype=np.float64)
-    abc, status = _fit_homographies(t, b)
-    if status[0]:
-        raise DegenerateSampleError(_DEGENERATE[status[0]])
-    return Homography1D(*(float(v) for v in abc[0]))
+                valid[r] = False
+    valid &= np.isfinite(abc).all(axis=1)
+    return abc, valid
 
 
 @dataclass(frozen=True)
@@ -208,13 +177,12 @@ class Alignment:
     score: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Correspondence:
     """Detected-to-spec edge mapping induced by one homography hypothesis."""
 
     pairs: list[tuple[int, int]]
     homography: Homography1D
-    inlier_flags: np.ndarray  # per detected edge
     orientation: str
 
     def __post_init__(self):
@@ -385,8 +353,8 @@ def associate_ransac(
         label_ok = _match_table(detected_labels, spec.side_labels, reversed_flag)
         for start in range(0, len(triplets), _TRIPLET_CHUNK):
             trip = pairs[triplets[start:start + _TRIPLET_CHUNK]]
-            abc, status = _fit_homographies(t_coords[trip[..., 0]], b[trip[..., 1]])
-            rows = np.flatnonzero(status == 0)
+            abc, valid = _fit_homographies(t_coords[trip[..., 0]], b[trip[..., 1]])
+            rows = np.flatnonzero(valid)
             rows = rows[_pole_outside(abc[rows, 0], abc[rows, 2], t_lo, t_hi)]
             a, c, g = abc[rows, :, None].transpose(1, 0, 2)
             matched, nearest = _reciprocal_matches(_projective(a, c, g, t_coords), b, label_ok)
@@ -414,7 +382,6 @@ def associate_ransac(
                 best[key] = Correspondence(
                     pairs=matches,
                     homography=Homography1D(*(float(v) for v in abc[rows[r]])),
-                    inlier_flags=matched[r].copy(),
                     orientation=orientation,
                 )
     if not best:

@@ -30,6 +30,7 @@ from .association import (
 )
 from .color_model import (
     ColorClassSet,
+    _span,
     calibrate_colors,
     deserialize_color_set,
     serialize_color_set,
@@ -43,7 +44,7 @@ from .errors import (
     ImageFormatError,
     PoseError,
 )
-from .imaging import DistortionModel, load_image, load_pgm
+from .imaging import DistortionModel, RasterImage, load_image, load_pgm
 from .pose import CameraModel, PoseEstimate, estimate_pose
 
 EXIT_OK = 0
@@ -84,9 +85,12 @@ class Config:
             if not isinstance(data["colors"], dict):
                 raise ConfigError("colors must map color names to class ids")
             colors = {str(k2): v for k2, v in data["colors"].items()}
+            ids = ColorClassSet.label_range
             for name, v in colors.items():
-                if type(v) is not int or not 0 < v < 256:
-                    raise ConfigError(f"color {name!r} needs a class id in 1..255, got {v!r}")
+                if type(v) is not int or v not in ids:
+                    raise ConfigError(
+                        f"color {name!r} needs a class id in {_span(ids)}, got {v!r}"
+                    )
             band_names = list(ptr["band_colors"])
             band_ids = [
                 colors[name] if name is not None else None for name in band_names
@@ -298,9 +302,20 @@ def _load_config_and_colors(args) -> tuple[Config, ColorClassSet]:
     return config, colors
 
 
+def _load_frame(path, config: Config) -> RasterImage:
+    """A frame of the size the config's camera model was calibrated at."""
+    img = load_image(path)
+    if (img.width, img.height) != config.image_size:
+        w, h = config.image_size
+        raise ImageFormatError(
+            f"{path} is {img.width}x{img.height} px, the config's camera takes {w}x{h}"
+        )
+    return img
+
+
 def cmd_probe(args) -> int:
     config, colors = _load_config_and_colors(args)
-    img = load_image(args.image)
+    img = _load_frame(args.image, config)
     try:
         estimate = run_pipeline(img, colors, config)
     except BandPointerError as exc:
@@ -313,7 +328,7 @@ def cmd_probe(args) -> int:
 
 def _track_one(frame_path: str, config: Config, colors: ColorClassSet):
     try:
-        img = load_image(frame_path)
+        img = _load_frame(frame_path, config)
         estimate = run_pipeline(img, colors, config)
     except BandPointerError as exc:
         return (frame_path, _classify_error(exc)[1], None)

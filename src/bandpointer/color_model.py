@@ -107,10 +107,6 @@ class HueKde:
         out = self.lut[i0] * (1.0 - frac) + self.lut[i1] * frac
         return float(out) if out.ndim == 0 else out
 
-    def integral(self) -> float:
-        """Numeric integral over one period (trapezoid on the LUT)."""
-        return float(self.lut.mean() * HUE_PERIOD)
-
     def modal_hue(self) -> float:
         return float(np.argmax(self.lut) * (HUE_PERIOD / LUT_BINS))
 
@@ -142,12 +138,6 @@ class ColorClassSet:
     @property
     def labels(self) -> list[int]:
         return [label for label, _ in self.classes]
-
-    def kde(self, label: int) -> HueKde:
-        for lbl, kde in self.classes:
-            if lbl == label:
-                return kde
-        raise KeyError(label)
 
 
 def calibrate_colors(

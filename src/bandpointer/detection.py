@@ -89,7 +89,7 @@ class DetectionParams:
         return 2 * self.r2 + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgePointPair:
     """Two sub-pixel contour points of one band junction."""
 
@@ -103,12 +103,8 @@ class EdgePointPair:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.p_a + self.p_b)
 
-    @property
-    def separation(self) -> float:
-        return float(np.linalg.norm(self.p_a - self.p_b))
 
-
-@dataclass
+@dataclass(frozen=True)
 class DetectionResult:
     """Contour point pairs in the order of their axis coordinates.
 
@@ -150,9 +146,7 @@ def detect_band_regions(
         mask = window == label
         if not mask.any():
             continue
-        for reg in connected_components(erode_disk(mask, r), origin):
-            reg.label = label
-            regions.append(reg)
+        regions += connected_components(erode_disk(mask, r), origin, label)
 
     trees = {
         label: cKDTree(np.vstack([reg.pixels for reg in regions if reg.label == label]))
@@ -362,8 +356,8 @@ def extract_edge_pairs(
     line1 = fit_line_tls(np.column_stack([xs, ys]) + offset)
 
     pairs = []
-    for comp in connected_components(filtered, origin):
-        local = comp.pixels - origin  # (x, y) in the crop, row-major
+    for comp in connected_components(filtered):
+        local = comp.pixels  # (x, y) in the crop, row-major
         local = local[combined[local[:, 1], local[:, 0]]]
         if len(local) == 0:
             continue

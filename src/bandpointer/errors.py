@@ -66,7 +66,7 @@ class InsufficientRegionsError(DetectionError):
 
 
 class DegenerateSampleError(BandPointerError):
-    """A minimal sample (line pair, homography triplet) is degenerate."""
+    """A minimal sample for a line (a point pair, a point set) is degenerate."""
 
 
 class NoEdgesError(DetectionError):

@@ -152,7 +152,7 @@ class DistortionModel:
         return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Region:
     """Connected pixel set with its centroid and pixel count."""
 
@@ -165,9 +165,9 @@ class Region:
         pts = np.asarray(self.pixels)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
             raise ValueError("Region needs an (N, 2) pixel array")
-        self.pixels = pts.astype(np.int32)
-        self.area = len(pts)
-        self.centroid = pts.astype(np.float64).mean(axis=0)
+        object.__setattr__(self, "pixels", pts.astype(np.int32))
+        object.__setattr__(self, "area", len(pts))
+        object.__setattr__(self, "centroid", pts.astype(np.float64).mean(axis=0))
 
 
 def _hexcone_hue(px: np.ndarray, cmax: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -219,9 +219,11 @@ def _content_box(bits: np.ndarray) -> tuple[slice, slice]:
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
-def connected_components(bits: np.ndarray, origin: tuple[int, int] = (0, 0)) -> list[Region]:
+def connected_components(
+    bits: np.ndarray, origin: tuple[int, int] = (0, 0), label: int | None = None
+) -> list[Region]:
     """8-connected components of a boolean array, in the scan order of
-    their first pixel.
+    their first pixel, each a Region carrying ``label``.
 
     ``origin`` is the (x, y) of the array's first pixel in the frame; it is
     added to the pixel coordinates before the centroids are taken.
@@ -232,7 +234,7 @@ def connected_components(bits: np.ndarray, origin: tuple[int, int] = (0, 0)) -> 
         ys, xs = np.nonzero(labeled[sl] == idx)
         xs = xs + (sl[1].start + origin[0])
         ys = ys + (sl[0].start + origin[1])
-        regions.append(Region(pixels=np.column_stack([xs, ys])))
+        regions.append(Region(pixels=np.column_stack([xs, ys]), label=label))
     return regions
 
 

@@ -111,11 +111,10 @@ class PointerPose:
         object.__setattr__(self, "direction", d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoseEstimate:
     pose: PointerPose
     rms_px: float
-    per_edge_residuals_px: dict[int, float]  # keyed by spec edge index
     correspondence: Correspondence
     cost_history: list[float] = field(default_factory=list)
 
@@ -439,9 +438,6 @@ def refine_pose_lm(
     return PoseEstimate(
         pose=pose,
         rms_px=float(np.sqrt(sq.sum() / (2 * len(sq)))),
-        per_edge_residuals_px={
-            int(j): float(np.sqrt(e / 2.0)) for j, e in zip(spec_idx, sq)
-        },
         correspondence=corr,
         cost_history=history,
     )

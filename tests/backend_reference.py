@@ -217,9 +217,6 @@ def refine_pose_lm(initial, corr, result, camera, spec):
     return PoseEstimate(
         pose=pose,
         rms_px=float(np.sqrt(sq.sum() / (2 * len(sq)))),
-        per_edge_residuals_px={
-            int(j): float(np.sqrt(e / 2.0)) for j, e in zip(spec_idx, sq)
-        },
         correspondence=corr,
         cost_history=history,
     )
@@ -265,7 +262,7 @@ def _prefix_scores(ok):
 def correspondence_bits(corr):
     """A Correspondence as reprs and bytes: equal values mean equal bits."""
     h = corr.homography
-    return repr(corr.pairs), repr((h.a, h.c, h.g)), corr.inlier_flags.tobytes(), corr.orientation
+    return repr(corr.pairs), repr((h.a, h.c, h.g)), corr.orientation
 
 
 def estimate_bits(estimate):
@@ -274,7 +271,6 @@ def estimate_bits(estimate):
         estimate.pose.tip.tobytes(),
         estimate.pose.direction.tobytes(),
         repr(estimate.rms_px),
-        repr(sorted(estimate.per_edge_residuals_px.items())),
         repr(estimate.cost_history),
         correspondence_bits(estimate.correspondence),
     )
@@ -294,6 +290,14 @@ def _fit_reference(pairs):
     if not np.all(np.isfinite([a, c, g])):
         return None
     return Homography1D(a=float(a), c=float(c), g=float(g))
+
+
+def _monotone_reference(h, t_lo, t_hi):
+    """The map's pole -1 / g stays outside [t_lo, t_hi]; with g = 0 there
+    is no pole, and the map is monotone unless a = 0."""
+    if h.g == 0.0:
+        return h.a != 0.0
+    return not (min(t_lo, t_hi) <= -1.0 / h.g <= max(t_lo, t_hi))
 
 
 def _inliers_reference(h, t, labels, spec, reversed_flag):

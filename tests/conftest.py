@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
+from backend_reference import _fit_reference
+
 from bandpointer import synthetic
-from bandpointer.association import (
-    Correspondence,
-    PointerEdge,
-    PointerSpec,
-    fit_homography_1d,
-)
+from bandpointer.association import Correspondence, PointerEdge, PointerSpec
 from bandpointer.detection import DetectionResult, EdgePointPair, order_along_axis
 from bandpointer.pose import CameraModel, project_pointer_edges
 
@@ -208,13 +205,12 @@ def detection_from_pose(
 
     b = spec.distances_mm
     sample = [mapping[0], mapping[len(mapping) // 2], mapping[-1]]
-    homog = fit_homography_1d(
+    homog = _fit_reference(
         [(result.edges[k].axis_coordinate, b[i]) for k, i in sample]
     )
     corr = Correspondence(
         pairs=mapping,
         homography=homog,
-        inlier_flags=np.ones(len(edges), dtype=bool),
         orientation="forward" if forward else "reversed",
     )
     return result, corr

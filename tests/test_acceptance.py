@@ -13,7 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from backend_reference import _inliers_reference, _labels_match
+from backend_reference import (
+    _fit_reference,
+    _inliers_reference,
+    _labels_match,
+    _monotone_reference,
+)
 from conftest import (
     BAND_RGB,
     FIXTURE_PARAMS,
@@ -26,9 +31,10 @@ from conftest import (
 from bandpointer import synthetic
 from bandpointer.association import (
     Homography1D,
+    _fit_homographies,
+    _projective,
     align_labels_dp,
     associate_ransac,
-    fit_homography_1d,
 )
 from bandpointer.cli import Config, PointCloud, evaluate_sweep, filter_point_cloud, write_ply
 from bandpointer.detection import DetectionParams, detect_pointer
@@ -158,7 +164,7 @@ class TestCriterion3Occlusion:
             got = sorted(i for _, i in estimate.correspondence.pairs)
             if got == expected:
                 successes += 1
-            elif estimate.correspondence.inlier_flags.all():
+            elif len(estimate.correspondence.pairs) == len(expected):  # all inliers
                 silent += 1
             else:
                 detected_failures += 1
@@ -247,13 +253,8 @@ def _oracle_max_inliers(det, spec):
                 ordered = spec_trip[::-1] if reversed_flag else spec_trip
                 if not all(match[d, s] for d, s in zip(det_trip, ordered)):
                     continue
-                try:
-                    h = fit_homography_1d(
-                        [(t[d], b[s]) for d, s in zip(det_trip, ordered)]
-                    )
-                except BandPointerError:
-                    continue
-                if not h.monotone_over(t_lo, t_hi):
+                h = _fit_reference([(t[d], b[s]) for d, s in zip(det_trip, ordered)])
+                if h is None or not _monotone_reference(h, t_lo, t_hi):
                     continue
                 matches = _inliers_reference(h, t, labels, spec, reversed_flag)
                 if len(matches) < 3:
@@ -277,7 +278,7 @@ class TestCriterion4AssociationOracle:
             try:
                 alignments = align_labels_dp(labels, spec)
                 hypotheses = associate_ransac(det, spec, alignments)
-                got = max(int(h.inlier_flags.sum()) for h in hypotheses)
+                got = max(len(h.pairs) for h in hypotheses)
             except BandPointerError:
                 got = 0
             assert got == oracle, (
@@ -529,10 +530,11 @@ class TestCriterion9InvariantSuites:
         # translation equivariance run on rendered scenes in test_detection
 
         # homography exactness
-        pts = [(0.0, 10.0), (5.0, 60.0), (11.0, 95.0)]
-        h = fit_homography_1d(pts)
-        for t, b in pts:
-            assert h.map_mm(t) == pytest.approx(b, rel=1e-6)
+        t = np.array([[0.0, 5.0, 11.0]])
+        b = np.array([[10.0, 60.0, 95.0]])
+        abc, valid = _fit_homographies(t, b)
+        assert valid.tolist() == [True]
+        np.testing.assert_allclose(_projective(*abc[0], t[0]), b[0], rtol=1e-6)
 
         # LM monotonicity
         pose = pose_at(500.0, 25.0, camera_full, skewer_spec, ROLL_DEG)

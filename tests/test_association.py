@@ -1,6 +1,7 @@
 """Tests for label alignment, 1D homographies and association RANSAC."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import backend_reference as reference
-from backend_reference import _fit_reference, _inliers_reference
+from backend_reference import _fit_reference, _inliers_reference, _monotone_reference
 from test_acceptance import _random_instance
 
 from bandpointer.association import (
@@ -18,18 +19,15 @@ from bandpointer.association import (
     PointerSpec,
     _fit_homographies,
     _match_table,
+    _pole_outside,
     _prefix_scores,
+    _projective,
     _reciprocal_matches,
     align_labels_dp,
     associate_ransac,
-    fit_homography_1d,
 )
 from bandpointer.detection import DetectionResult, EdgePointPair
-from bandpointer.errors import (
-    DegenerateSampleError,
-    InsufficientMatchesError,
-    NoAssociationError,
-)
+from bandpointer.errors import InsufficientMatchesError, NoAssociationError
 from bandpointer.geometry import Line2D
 
 RED, GREEN, BLUE = 1, 2, 3
@@ -113,43 +111,100 @@ class TestPointerSpec:
         assert alternating_spec.adjacent_label_pairs() == {frozenset((RED, GREEN))}
 
 
+def fit_one(pairs):
+    """The (a, c, g) of one triplet of (t, b) pairs, fitted as
+    associate_ransac fits its stacks; None for a degenerate triplet."""
+    t, b = np.array([pairs], dtype=np.float64).transpose(2, 0, 1)
+    abc, valid = _fit_homographies(t, b)
+    return tuple(abc[0]) if valid[0] else None
+
+
 class TestHomography1D:
     def test_identity_from_three_points(self):
-        h = fit_homography_1d([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
-        assert h.map_mm(5.0) == pytest.approx(5.0, abs=1e-9)
+        abc = fit_one([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+        assert _projective(*abc, 5.0) == pytest.approx(5.0, abs=1e-9)
 
     def test_projective_example(self):
         # solves to b = 100 t / (t + 1)
-        h = fit_homography_1d([(0.0, 0.0), (1.0, 50.0), (3.0, 75.0)])
-        assert h.map_mm(4.0) == pytest.approx(80.0, abs=1e-9)
-        for t, b in [(0.0, 0.0), (1.0, 50.0), (3.0, 75.0)]:
-            assert h.map_mm(t) == pytest.approx(b, abs=1e-6)
+        abc = fit_one([(0.0, 0.0), (1.0, 50.0), (3.0, 75.0)])
+        assert _projective(*abc, 4.0) == pytest.approx(80.0, abs=1e-9)
+        t = np.array([0.0, 1.0, 3.0])
+        np.testing.assert_allclose(_projective(*abc, t), [0.0, 50.0, 75.0], atol=1e-6)
 
     def test_repeated_coordinate_degenerate(self):
-        with pytest.raises(DegenerateSampleError):
-            fit_homography_1d([(0.0, 0.0), (1.0, 1.0), (1.0, 2.0)])
-        with pytest.raises(DegenerateSampleError):
-            fit_homography_1d([(0.0, 0.0), (1.0, 2.0), (2.0, 2.0)])
+        t = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 3.0]])
+        b = np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 2.0], [0.0, 50.0, 75.0]])
+        abc, valid = _fit_homographies(t, b)
+        assert valid.tolist() == [False, False, True]
+        assert np.isnan(abc[:2]).all()
 
     def test_inverse(self):
-        h = fit_homography_1d([(0.0, 0.0), (1.0, 50.0), (3.0, 75.0)])
+        h = Homography1D(*fit_one([(0.0, 0.0), (1.0, 50.0), (3.0, 75.0)]))
         for b in (10.0, 40.0, 70.0):
-            assert h.map_mm(h.inverse_mm(b)) == pytest.approx(b, abs=1e-9)
+            assert _projective(h.a, h.c, h.g, h.inverse_mm(b)) == pytest.approx(b, abs=1e-9)
 
     def test_monotonicity_detection(self):
-        h = Homography1D(a=1.0, c=0.0, g=-0.1)  # pole at t = 10
-        assert h.monotone_over(0.0, 5.0)
-        assert not h.monotone_over(5.0, 15.0)
+        # pole at t = 10
+        assert _pole_outside(1.0, -0.1, 0.0, 5.0)
+        assert not _pole_outside(1.0, -0.1, 5.0, 15.0)
+        assert not _pole_outside(1.0, -0.1, 15.0, 5.0)
+        # no pole: monotone unless the map is constant
+        assert _pole_outside(np.array([2.0, 0.0]), np.zeros(2), 0.0, 5.0).tolist() == [True, False]
 
     def test_composition_recovery(self):
         # points transformed by a known projective map refit exactly
-        inner = Homography1D(a=2.0, c=5.0, g=0.01)
         t = np.array([0.0, 10.0, 30.0])
         b = np.array([12.0, 80.0, 160.0])
-        warped = [(float(inner.map_mm(ti)), float(bi)) for ti, bi in zip(t, b)]
-        h = fit_homography_1d(warped)
-        for (tw, bw) in warped:
-            assert h.map_mm(tw) == pytest.approx(bw, rel=1e-6)
+        warped = _projective(2.0, 5.0, 0.01, t)
+        abc = fit_one(list(zip(warped, b)))
+        np.testing.assert_allclose(_projective(*abc, warped), b, rtol=1e-6)
+
+
+# coordinates on a few scales, so that rows repeat, nearly repeat and
+# overflow
+_COORD = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(-1e200, 1e200, allow_nan=False),
+)
+
+
+@st.composite
+def _triplet_row(draw):
+    """One (t, b) triplet: random, with a coordinate repeated or moved by
+    one ulp, or on b = p + q / t, where [t, 1, -b t] is exactly singular."""
+    kind = draw(st.sampled_from(["random", "repeated", "near", "singular"]))
+    if kind == "singular":
+        t = np.array(draw(st.permutations([1.0, 2.0, 3.0, 4.0, 6.0, 12.0]))[:3])
+        t *= draw(st.sampled_from([1.0, -1.0]))
+        p, q = draw(st.integers(-50, 50)), 12 * draw(st.integers(-5, 5).filter(bool))
+        return t, p + q / t
+    t = np.array(draw(st.lists(_COORD, min_size=3, max_size=3)))
+    b = np.array(draw(st.lists(_COORD, min_size=3, max_size=3)))
+    if kind != "random":
+        row = draw(st.sampled_from([t, b]))
+        i, j = draw(st.permutations(range(3)))[:2]
+        row[j] = row[i] if kind == "repeated" else np.nextafter(row[i], np.inf)
+    return t, b
+
+
+class TestFitHomographiesEquivalence:
+    @given(st.lists(_triplet_row(), min_size=1, max_size=8))
+    @example([(np.array([1.0, 2.0, 3.0]), np.array([4.0, 7.0, 8.0])),
+              (np.array([1.0, 2.0, 10.0]), np.array([4.0, 7.0, 20.0]))])
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_fit_matches_reference(self, rows):
+        # a singular row fails the stacked solve and sends its stack row
+        # by row; either way each row's bits equal the lone solve's
+        t = np.array([r[0] for r in rows])
+        b = np.array([r[1] for r in rows])
+        with np.errstate(all="ignore"):
+            abc, valid = _fit_homographies(t, b)
+            refs = [_fit_reference(list(zip(ti, bi))) for ti, bi in zip(t, b)]
+        assert valid.dtype == bool
+        assert valid.tolist() == [h is not None for h in refs]
+        for row, h in zip(abc[valid], (h for h in refs if h is not None)):
+            assert row.tobytes() == np.array([h.a, h.c, h.g]).tobytes()
 
 
 def brute_force_alignments(detected, spec_labels):
@@ -341,7 +396,7 @@ class TestAssociateRansac:
             [(e.left_label, e.right_label) for e in det.edges], alternating_spec
         )
         hypotheses = associate_ransac(det, alternating_spec, alignments)
-        assert all(h2.inlier_flags.sum() == len(indices) for h2 in hypotheses)
+        assert all(len(h2.pairs) == len(indices) for h2 in hypotheses)
         # the true forward mapping ties at the maximum; ambiguous
         # alternating patterns leave the final pick to the pose stage
         true_pairs = list(enumerate(indices))
@@ -358,7 +413,7 @@ class TestAssociateRansac:
         assert len(hypotheses) == 1
         winner = hypotheses[0]
         assert [s for _, s in winner.pairs] == indices
-        assert winner.inlier_flags.sum() == len(indices)
+        assert len(winner.pairs) == len(indices)
 
     def test_spurious_edge_not_inlier(self, anchored_spec):
         h = Homography1D(a=3.0, c=50.0, g=0.001)
@@ -376,8 +431,8 @@ class TestAssociateRansac:
         hypotheses = associate_ransac(det_with_spur, anchored_spec, alignments)
         spur_idx = next(i for i, e in enumerate(edges) if e is spur)
         best = hypotheses[0]
-        assert best.inlier_flags.sum() == len(indices)
-        assert not best.inlier_flags[spur_idx]
+        assert len(best.pairs) == len(indices)
+        assert spur_idx not in {d for d, _ in best.pairs}
 
     def test_three_detections_trivial(self, alternating_spec):
         h = Homography1D(a=2.0, c=10.0, g=0.0)
@@ -386,7 +441,7 @@ class TestAssociateRansac:
             [(e.left_label, e.right_label) for e in det.edges], alternating_spec
         )
         hypotheses = associate_ransac(det, alternating_spec, alignments)
-        assert max(h2.inlier_flags.sum() for h2 in hypotheses) == 3
+        assert max(len(h2.pairs) for h2 in hypotheses) == 3
 
     def test_fewer_than_three_matches_raises(self, alternating_spec):
         det = detection_from([(0.0, RED, GREEN), (10.0, GREEN, RED)])
@@ -429,9 +484,7 @@ class TestAssociateRansac:
             )
         det_scaled = DetectionResult(edges=scaled_edges, line=det.line)
         scaled = associate_ransac(det_scaled, alternating_spec, alignments)
-        assert (
-            scaled[0].inlier_flags.sum() == base[0].inlier_flags.sum()
-        )
+        assert len(scaled[0].pairs) == len(base[0].pairs)
         assert scaled[0].pairs == base[0].pairs
 
     def test_every_edge_seen_matches_reference(self, alternating_spec):
@@ -439,7 +492,7 @@ class TestAssociateRansac:
         det = exact_detection(alternating_spec, range(8), h)
         got = _assert_same_hypotheses(det, alternating_spec)
         assert any(hyp.pairs == [(k, k) for k in range(8)] for hyp in got)
-        assert all(hyp.inlier_flags.all() for hyp in got)
+        assert all({d for d, _ in hyp.pairs} == set(range(8)) for hyp in got)
 
     def test_noiseless_projective_image_all_triplets_agree(self, anchored_spec):
         # every exhaustive triplet reaches all-inlier status and they agree
@@ -451,13 +504,13 @@ class TestAssociateRansac:
         )
         hypotheses = associate_ransac(det, anchored_spec, alignments)
         assert len(hypotheses) == 1
-        assert hypotheses[0].inlier_flags.all()
+        assert {d for d, _ in hypotheses[0].pairs} == set(range(len(det.edges)))
 
 
 def _associate_reference(result, spec, alignments):
     """Per-triplet loop form of associate_ransac: every triplet, same rules.
 
-    Returns (orientation, pairs, inlier flags, homography) per hypothesis.
+    Returns (orientation, pairs, homography) per hypothesis.
     """
     t_coords = np.array([e.axis_coordinate for e in result.edges], dtype=np.float64)
     labels = [(e.left_label, e.right_label) for e in result.edges]
@@ -489,11 +542,7 @@ def _associate_reference(result, spec, alignments):
             h = _fit_reference([(t_coords[d], b[s]) for d, s in trip])
             if h is None:
                 continue
-            if h.g == 0.0:
-                monotone = h.a != 0.0
-            else:
-                monotone = not (min(t_lo, t_hi) <= -1.0 / h.g <= max(t_lo, t_hi))
-            if not monotone:
+            if not _monotone_reference(h, t_lo, t_hi):
                 continue
             matches = _inliers_reference(h, t_coords, labels, spec, reversed_flag)
             if len(matches) < best_count or len(matches) < 3:
@@ -504,8 +553,7 @@ def _associate_reference(result, spec, alignments):
                 best_count, best = len(matches), {}
             key = (orientation, tuple(sorted(matches)))
             if key not in best:
-                flags = [any(k == m for m, _ in matches) for k in range(len(t_coords))]
-                best[key] = (orientation, sorted(matches), flags, h)
+                best[key] = (orientation, sorted(matches), h)
     if not best:
         raise InsufficientMatchesError("no hypothesis reached three inliers")
     ordered = sorted(best.items(), key=lambda kv: (kv[0][0] != "forward", kv[0][1]))
@@ -526,10 +574,9 @@ def _assert_same_hypotheses(det, spec, seed=0):
         return None
     got = associate_ransac(det, spec, alignments, seed)
     assert len(got) == len(ref)
-    for hyp, (orientation, pairs, flags, h) in zip(got, ref):
+    for hyp, (orientation, pairs, h) in zip(got, ref):
         assert hyp.orientation == orientation
         assert hyp.pairs == pairs
-        assert hyp.inlier_flags.tolist() == flags
         bits = np.array([hyp.homography.a, hyp.homography.c, hyp.homography.g]).tobytes()
         assert bits == np.array([h.a, h.c, h.g]).tobytes()
     return got
@@ -541,8 +588,10 @@ class TestAssociateRansacEquivalence:
     def test_random_instances_match_reference(self, seed, grid):
         spec, det = _random_instance(np.random.default_rng(seed))
         if grid is not None:  # repeated axis coordinates: degenerate triplets
-            for e in det.edges:
-                e.axis_coordinate = grid * round(e.axis_coordinate / grid)
+            det = replace(det, edges=[
+                replace(e, axis_coordinate=grid * round(e.axis_coordinate / grid))
+                for e in det.edges
+            ])
         _assert_same_hypotheses(det, spec, seed)
 
     @given(
@@ -581,7 +630,6 @@ class TestAssociateRansacEquivalence:
         assert len(got[0]) == 6
         for a, b in zip(*got, strict=True):
             assert (a.orientation, a.pairs) == (b.orientation, b.pairs)
-            assert a.inlier_flags.tolist() == b.inlier_flags.tolist()
             assert a.homography == b.homography
 
     def test_orientation_tie_keeps_both(self, alternating_spec):
@@ -623,12 +671,12 @@ class TestAssociateRansacEquivalence:
         # t = (1, 2, 3) against b = (4, 7, 8): b = 10 - 6 / t makes the
         # system [t, 1, -b t] exactly singular, failing its whole chunk
         spec = make_spec([4.0, 7.0, 8.0, 20.0], [RED, GREEN, RED, GREEN, RED], 30.0)
-        with pytest.raises(DegenerateSampleError, match="singular"):
-            fit_homography_1d([(1.0, 4.0), (2.0, 7.0), (3.0, 8.0)])
         t = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 10.0]])
         b = np.array([[4.0, 7.0, 8.0], [4.0, 7.0, 20.0]])
-        _, status = _fit_homographies(t, b)
-        assert status.tolist() == [2, 0]
+        with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+            np.linalg.solve(np.stack([t[0], np.ones(3), -b[0] * t[0]], axis=-1), b[0])
+        _, valid = _fit_homographies(t, b)
+        assert valid.tolist() == [False, True]
         det = detection_from([(1.0, RED, GREEN), (2.0, GREEN, RED), (3.0, RED, GREEN),
                               (10.0, GREEN, RED)])
         _assert_same_hypotheses(det, spec)

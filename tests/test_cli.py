@@ -265,8 +265,8 @@ class TestCalibrateCommand:
         model = load_color_model(out_path)
         assert model.labels == [1, 2]
         # modal hues land near the rendered band hues
-        assert model.kde(1).modal_hue() == pytest.approx(0.80, abs=0.05)
-        assert model.kde(2).modal_hue() == pytest.approx(1.29, abs=0.05)
+        assert dict(model.classes)[1].modal_hue() == pytest.approx(0.80, abs=0.05)
+        assert dict(model.classes)[2].modal_hue() == pytest.approx(1.29, abs=0.05)
 
     def test_unknown_mask_class_is_config_mismatch(self, workspace, tmp_path, capsys):
         px = np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.5)
@@ -398,6 +398,22 @@ class TestProbeCommand:
         err = capsys.readouterr().err
         assert code == EXIT_NO_ASSOCIATION
         assert "three" in err or "insufficient" in err.lower()
+
+    def test_frame_of_other_size_is_bad_image(self, workspace, tmp_path, capsys):
+        # one pixel narrower than the config's camera: its K does not apply
+        narrow = RasterImage(load_image(workspace["frame"]).pixels[:, 1:])
+        path = tmp_path / "narrow.ppm"
+        save_ppm(narrow, path)
+        code = main([
+            "--config", str(workspace["config"]),
+            "probe", "--image", str(path),
+            "--color-model", str(workspace["colors"]),
+        ])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad image:") and captured.err.count("\n") == 1
+        assert "611x512" in captured.err and "612x512" in captured.err
 
     @pytest.mark.parametrize(
         "data",
@@ -531,11 +547,13 @@ class TestPipelineRobustness:
     def test_single_junction_pixel_is_pointer_not_found(self, cli_colors, tmp_path, capsys):
         # a banded bar whose junction filter keeps one pixel: no line fits
         px = _frame_of_kind("bands", np.random.default_rng(1748), None)
-        config = Config.from_dict(make_config_dict())
+        data = make_config_dict()
+        data["camera"]["image_size_px"] = [px.shape[1], px.shape[0]]
+        config = Config.from_dict(data)
         with pytest.raises(NoEdgesError, match="one junction pixel"):
             run_pipeline(RasterImage(px), cli_colors, config)
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(make_config_dict()))
+        config_path.write_text(json.dumps(data))
         colors_path = tmp_path / "colors.json"
         save_color_model(cli_colors, colors_path)
         save_ppm(RasterImage(px), tmp_path / "bar.ppm")
@@ -595,6 +613,25 @@ class TestTrackCommand:
         assert [r.split(",")[:2] for r in rows] == [
             ["a_16bit.ppm", "bad-image"], ["b_good.ppm", "ok"],
         ]
+
+    def test_frame_of_other_size_does_not_abort_batch(self, workspace, tmp_path):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        narrow = RasterImage(load_image(workspace["frame"]).pixels[:, 1:])
+        save_ppm(narrow, frames_dir / "a_narrow.ppm")
+        (frames_dir / "b_good.ppm").write_bytes(workspace["frame"].read_bytes())
+        prefix = tmp_path / "out" / "run"
+        code = main([
+            "--config", str(workspace["config"]),
+            "track", "--frames", str(frames_dir),
+            "--color-model", str(workspace["colors"]),
+            "--out-prefix", str(prefix),
+        ])
+        assert code == EXIT_OK
+        rows = prefix.with_suffix(".csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",") for r in rows][0] == ["a_narrow.ppm", "bad-image"] + [""] * 8
+        assert rows[1].split(",")[:2] == ["b_good.ppm", "ok"]
+        assert "element vertex 1" in (prefix.parent / "run_raw.ply").read_text()
 
     def test_outputs_byte_identical_across_runs(self, workspace, tmp_path):
         frames_dir = tmp_path / "frames"

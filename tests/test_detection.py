@@ -546,7 +546,7 @@ class TestExtractEdgePairs:
         scene, img, gt = quad_scene
         result = detect_pointer(img, small_colors, quad_spec, params)
         e = params.edge_halo
-        seps = np.array([edge.separation for edge in result.edges])
+        seps = np.array([np.linalg.norm(edge.p_a - edge.p_b) for edge in result.edges])
         assert (seps >= e).all()
         mu, sd = seps.mean(), seps.std()
         if sd > 0:
@@ -646,9 +646,7 @@ def _strip_regions(seed):
     raster[stray] = rng.choice([RED, GREEN], size=int(stray.sum()))
     regions = []
     for label in (RED, GREEN):
-        for reg in connected_components(raster == label):
-            reg.label = label
-            regions.append(reg)
+        regions += connected_components(raster == label, label=label)
     fallback = None if seed % 3 == 0 else Line2D(center, axis)
     return regions, fallback, (w, h)
 

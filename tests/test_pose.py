@@ -1,6 +1,7 @@
 """Tests for projection, depth initialization and LM refinement."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +14,7 @@ from conftest import (
 )
 
 from bandpointer import synthetic
-from bandpointer.association import (
-    Correspondence,
-    align_labels_dp,
-    associate_ransac,
-    fit_homography_1d,
-)
+from bandpointer.association import Correspondence, align_labels_dp, associate_ransac
 from bandpointer.errors import (
     BandPointerError,
     BehindCameraError,
@@ -81,21 +77,6 @@ class TestProjection:
             project_pointer_edges(pose, identity_camera, spec, [0])
 
 
-def corr_for(result, indices, spec):
-    b = spec.distances_mm
-    mapping = list(enumerate(indices))
-    sample = [mapping[0], mapping[len(mapping) // 2], mapping[-1]]
-    homog = fit_homography_1d(
-        [(result.edges[k].axis_coordinate, b[i]) for k, i in sample]
-    )
-    return Correspondence(
-        pairs=mapping,
-        homography=homog,
-        inlier_flags=np.ones(len(result.edges), dtype=bool),
-        orientation="forward",
-    )
-
-
 class TestInitDepthsLinear:
     def test_parallel_pointer_recovers_depths(self, identity_camera):
         spec = simple_spec([150.0, 420.0, 600.0, 800.0], 1000.0, radius=2.0)
@@ -124,10 +105,12 @@ class TestInitDepthsLinear:
         spec = simple_spec([150.0, 420.0, 600.0], 800.0)
         pose = PointerPose(tip=[0.0, 0.0, 4000.0], direction=[1.0, 0.0, 0.0])
         result, corr = detection_from_pose(pose, identity_camera, spec)
-        for e in result.edges:
-            e.p_a = result.edges[0].p_a.copy()
-            e.p_b = result.edges[0].p_b.copy()
-            e.axis_coordinate = result.edges[0].axis_coordinate
+        first = result.edges[0]
+        result = replace(result, edges=[
+            replace(e, p_a=first.p_a.copy(), p_b=first.p_b.copy(),
+                    axis_coordinate=first.axis_coordinate)
+            for e in result.edges
+        ])
         with pytest.raises(DegenerateInitializationError):
             init_depths_linear(corr, result, identity_camera, spec)
 
@@ -227,16 +210,16 @@ class TestRefinePoseLm:
         predicted = project_pointer_edges(
             estimate.pose, camera_full, skewer_spec, indices
         )
-        for (det_k, spec_i), (lo, hi) in zip(corr.pairs, predicted):
+        minima = []
+        for (det_k, _), (lo, hi) in zip(corr.pairs, predicted):
             det = camera_full.undistort(
                 np.vstack([result.edges[det_k].p_a, result.edges[det_k].p_b])
             )
             direct = np.sum((lo - det[0]) ** 2) + np.sum((hi - det[1]) ** 2)
             swapped = np.sum((lo - det[1]) ** 2) + np.sum((hi - det[0]) ** 2)
-            expected = np.sqrt(min(direct, swapped) / 2.0)
-            assert estimate.per_edge_residuals_px[spec_i] == pytest.approx(
-                expected, abs=1e-12
-            )
+            minima.append(min(direct, swapped))
+        expected = np.sqrt(sum(minima) / (2 * len(minima)))
+        assert estimate.rms_px == pytest.approx(expected, abs=1e-12)
 
     def test_frame_covariance(self, camera_full, skewer_spec):
         rng = np.random.default_rng(5)
@@ -291,14 +274,13 @@ class TestEstimatePose:
         # shift the correspondence by one band: same labels, wrong geometry
         wrong_pairs = [(k, i + 1) for k, i in corr.pairs]
         b = skewer_spec.distances_mm
-        wrong_h = fit_homography_1d([
+        wrong_h = reference._fit_reference([
             (result.edges[k].axis_coordinate, b[i])
             for k, i in (wrong_pairs[0], wrong_pairs[4], wrong_pairs[-1])
         ])
         wrong = Correspondence(
             pairs=wrong_pairs,
             homography=wrong_h,
-            inlier_flags=corr.inlier_flags.copy(),
             orientation="forward",
         )
         estimate = estimate_pose(result, [wrong, corr], camera_full, skewer_spec)
@@ -311,7 +293,6 @@ class TestEstimatePose:
         broken = Correspondence(
             pairs=corr.pairs[:2],
             homography=corr.homography,
-            inlier_flags=corr.inlier_flags,
             orientation="forward",
         )
         estimate = estimate_pose(result, [broken, corr], camera_full, skewer_spec)
@@ -323,7 +304,6 @@ class TestEstimatePose:
         broken = Correspondence(
             pairs=corr.pairs[:2],
             homography=corr.homography,
-            inlier_flags=corr.inlier_flags,
             orientation="forward",
         )
         with pytest.raises(PoseFailureError) as err:

@@ -1,6 +1,7 @@
 """Module-level imports and private names in the package that no package
-code reads; no linter runs on the source, so these tests catch what a
-refactor leaves behind."""
+code reads, and public members that neither the package nor the
+benchmark reads; no linter runs on the source, so these tests catch what
+a refactor leaves behind."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,62 @@ def test_every_private_name_is_read():
         if name not in read
     }
     assert unread == set(), f"private names nothing reads: {sorted(unread)}"
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+# read only by tests: criterion 9 checks that a config survives
+# to_dict -> from_dict unchanged
+READ_BY_TESTS = {"Config.to_dict"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list)
+
+
+def _public_members(tree: ast.Module) -> dict[str, int]:
+    """Methods, properties and dataclass fields of the module's classes,
+    as ``Class.member``, and its public functions, with their lines;
+    dunder methods are called by Python."""
+    members = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                members[node.name] = node.lineno
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                elif (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and _is_dataclass(node)
+                ):
+                    name = item.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    members[f"{node.name}.{name}"] = item.lineno
+    return members
+
+
+def test_every_public_member_is_read():
+    # the program and the benchmark are the readers; a member that only
+    # tests read restates something the program has in another form. A
+    # class member is read through an attribute, so a local variable of
+    # the same name does not count for it.
+    names, attrs = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    unread = {
+        f"{path.name}:{line} {member}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for member, line in _public_members(ast.parse(path.read_text())).items()
+        if member not in READ_BY_TESTS
+        and member.rpartition(".")[2] not in (attrs if "." in member else attrs | names)
+    }
+    assert unread == set(), f"members only tests read: {sorted(unread)}"
