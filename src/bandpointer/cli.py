@@ -57,6 +57,19 @@ ENV_CONFIG = "BANDPOINTER_CONFIG"
 ENV_COLOR_MODEL = "BANDPOINTER_COLOR_MODEL"
 
 
+def _reject_booleans(value, field: str = "") -> None:
+    """Raise ValueError naming the first JSON true/false inside value: no
+    config or sweep field takes one, and Python would read it as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{field} must not be a boolean, got {json.dumps(value)}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_booleans(item, f"{field}.{key}" if field else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_booleans(item, f"{field}[{i}]")
+
+
 @dataclass
 class Config:
     """Typed view of the JSON config; to_dict/from_dict round-trip exactly."""
@@ -71,6 +84,7 @@ class Config:
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
         try:
+            _reject_booleans(data)
             cam = data["camera"]
             k = np.array(cam["k_row_major"], dtype=np.float64).reshape(3, 3)
             rot = np.array(cam["rotation_row_major"], dtype=np.float64).reshape(3, 3)
@@ -472,6 +486,7 @@ def cmd_eval(args) -> int:
     config = load_config(args.config)
     sweep_spec = _load_json(args.sweep)
     try:
+        _reject_booleans(sweep_spec)
         depths, angles = sweep_spec["depths_mm"], sweep_spec["angles_deg"]
         if not (isinstance(depths, list) and isinstance(angles, list) and depths and angles):
             raise ValueError("depths_mm and angles_deg must be non-empty lists")

@@ -72,6 +72,9 @@ class DetectionParams:
     ransac_seed: int = 0
 
     def __post_init__(self):
+        for name in ("s1", "s2", "r1", "r2", "ransac_seed"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if not (0.0 <= self.s2 < self.s1 <= 1.0):
             raise ValueError("need 0 <= s2 < s1 <= 1")
         for name in ("r1", "r2", "ransac_seed"):

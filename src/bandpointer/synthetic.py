@@ -5,7 +5,9 @@ conical frusta (piecewise-linear radius between measured edges), so band
 boundaries land exactly where the projection equations put them. Exact
 junction contour points come from a projection path written separately
 from the pose module, giving the tests two independent implementations
-to cross-check.
+to cross-check. That one silhouette projection also bounds the ray-cast
+and places highlight stripes, and every pixel box (ROI, ray-cast
+segments, occluders, distractors, blur crop) comes from `pixel_box`.
 """
 
 from __future__ import annotations
@@ -30,16 +32,30 @@ SUPERSAMPLE = 4
 class HighlightStripe:
     """Desaturated patch on the pointer surface.
 
-    Covers an axial interval; `side_fraction` optionally restricts it to a
-    band of the visible width (perpendicular image offset over the local
-    silhouette half-width, in [-1, 1]), the shape of a specular line
-    running along the cylinder. None covers the full circumference.
+    Covers the axial interval [start_mm, end_mm]. `side_fraction` (lo, hi)
+    optionally restricts it to a band of the visible width, the shape of
+    a specular line running along the cylinder: a subpixel whose ray hits
+    station s is lit when lo <= f <= hi, f being the offset of its centre
+    from the midpoint of the silhouette pair (p_a, p_b) at s, along
+    p_a - p_b, over half the pair length: +1 at p_a, -1 at p_b. The pair
+    is projected as the ground-truth junctions are, at the radius
+    interpolated between the edges. None covers the full circumference.
     """
 
     start_mm: float
     end_mm: float
     desaturation: float  # 0 = untouched, 1 = white
     side_fraction: Optional[tuple[float, float]] = None
+
+    def __post_init__(self):
+        if not self.start_mm <= self.end_mm:
+            raise ValueError("highlight needs start_mm <= end_mm")
+        if not 0.0 <= self.desaturation <= 1.0:
+            raise ValueError("highlight desaturation must lie in [0, 1]")
+        if self.side_fraction is not None:
+            lo, hi = self.side_fraction
+            if not -1.0 <= lo <= hi <= 1.0:
+                raise ValueError("highlight side_fraction needs -1 <= lo <= hi <= 1")
 
 
 @dataclass(frozen=True)
@@ -86,9 +102,10 @@ class SceneSpec:
     def __post_init__(self):
         if self.blur_sigma < 0 or self.noise_sigma < 0:
             raise ValueError("blur and noise sigmas must be non-negative")
-        for rgb in list(self.band_colors.values()) + [self.background]:
+        painted = [self.background, self.bare_color, self.occluder_color]
+        for rgb in [*self.band_colors.values(), *painted, *(d.color for d in self.distractors)]:
             arr = np.asarray(rgb, dtype=np.float64)
-            if arr.min() < 0 or arr.max() > 1:
+            if not ((arr >= 0) & (arr <= 1)).all():
                 raise ValueError("colors must lie in [0, 1]")
 
 
@@ -319,39 +336,27 @@ def render(
             dtype=np.float64,
         )
         colors = palette[band_idx]
-        hit = band_idx >= 0
-        _paint_distractors(scene, colors, ~hit, x0, y0)
-        for stripe in scene.highlights:
-            in_stripe = hit & (s_hit >= stripe.start_mm) & (s_hit <= stripe.end_mm)
-            if stripe.side_fraction is not None and in_stripe.any():
-                frac = _silhouette_fraction(scene, camera, s_hit, x0, y0)
-                lo, hi = stripe.side_fraction
-                in_stripe &= (frac >= lo) & (frac <= hi)
-            colors[in_stripe] = (
-                colors[in_stripe] * (1.0 - stripe.desaturation) + stripe.desaturation
-            )
-
+        _paint_distractors(scene, colors, band_idx < 0, x0, y0)
+        _paint_highlights(scene, camera, colors, s_hit, x0, y0)
         down = colors.reshape(
             y1 - y0, SUPERSAMPLE, x1 - x0, SUPERSAMPLE, 3
         ).mean(axis=(1, 3))
         image[y0:y1, x0:x1] = down
 
+    # everything outside the content box and the occluders is constant
+    # background, so blurring the box of their corners grown by the
+    # filter's support matches the full-image filter
+    corners = [(x0, y0), (x1 - 1, y1 - 1)] if s_hit is not None else []
     for occ in scene.occluders:
-        ox0, oy0, ox1, oy1 = pixel_box([(occ.x0, occ.y0), (occ.x1, occ.y1)], 0.0, (0, 0), size)
+        occ_corners = [(occ.x0, occ.y0), (occ.x1, occ.y1)]
+        ox0, oy0, ox1, oy1 = pixel_box(occ_corners, 0.0, (0, 0), size)
         if ox1 > ox0 and oy1 > oy0:
             image[oy0:oy1, ox0:ox1] = np.asarray(scene.occluder_color)
+        corners += occ_corners
 
-    if scene.blur_sigma > 0:
-        # everything outside the content box is constant background, so
-        # blurring an expanded crop matches the full-image filter
+    if scene.blur_sigma > 0 and corners:
         pad = int(np.ceil(4.0 * scene.blur_sigma)) + 1
-        bx0, by0 = max(x0 - pad, 0), max(y0 - pad, 0)
-        bx1, by1 = min(x1 + pad, width), min(y1 + pad, height)
-        for occ in scene.occluders:
-            bx0 = min(bx0, max(int(occ.x0) - pad, 0))
-            by0 = min(by0, max(int(occ.y0) - pad, 0))
-            bx1 = max(bx1, min(int(occ.x1) + pad + 1, width))
-            by1 = max(by1, min(int(occ.y1) + pad + 1, height))
+        bx0, by0, bx1, by1 = pixel_box(corners, pad, (0, 0), size)
         for ch in range(3):
             image[by0:by1, bx0:bx1, ch] = ndimage.gaussian_filter(
                 image[by0:by1, bx0:bx1, ch], scene.blur_sigma, mode="nearest"
@@ -363,39 +368,35 @@ def render(
     return RasterImage(image), gt
 
 
-def _silhouette_fraction(
-    scene: SceneSpec, camera: CameraModel, s_hit: np.ndarray, x0: int, y0: int
+def _side_fraction(
+    scene: SceneSpec, camera: CameraModel, s: np.ndarray, pts: np.ndarray
 ) -> np.ndarray:
-    """Perpendicular image offset over the local silhouette half-width.
+    """Where image points pts lie across the silhouette at stations s: the
+    offset from the pair midpoint along p_a - p_b over half the pair
+    length, +1 at p_a and -1 at p_b."""
+    radii = np.interp(s, scene.spec.distances_mm, scene.spec.radii_mm)
+    pair = _silhouette_uv(scene, camera, s, radii)
+    across = pair[:, 0] - pair[:, 1]
+    offset = pts - 0.5 * (pair[:, 0] + pair[:, 1])
+    return 2.0 * np.einsum("ij,ij->i", offset, across) / np.einsum("ij,ij->i", across, across)
 
-    Approximate (axis-depth based), used only to place highlight stripes.
-    """
-    ss = SUPERSAMPLE
-    h, w = s_hit.shape
-    xs = x0 + (np.arange(w) + 0.5) / ss - 0.5
-    ys = y0 + (np.arange(h) + 0.5) / ss - 0.5
-    px, py = np.meshgrid(xs, ys)
 
-    p_mat = camera.P
-    tip = scene.pose.tip
-    a0 = _project_p(p_mat, tip[None, :])[0]
-    a1 = _project_p(
-        p_mat, (tip + scene.spec.total_length_mm * scene.pose.direction)[None, :]
-    )[0]
-    d = a1 - a0
-    d = d / np.linalg.norm(d)
-    perp = (py - a0[1]) * d[0] - (px - a0[0]) * d[1]
-
-    s_safe = np.where(np.isfinite(s_hit), s_hit, 0.0)
-    radius = np.interp(
-        s_safe, scene.spec.distances_mm, scene.spec.radii_mm
-    )
-    axis_pts = tip[None, None, :] + s_safe[..., None] * scene.pose.direction
-    depth = (
-        axis_pts.reshape(-1, 3) @ camera.R.T + camera.t
-    )[:, 2].reshape(s_hit.shape)
-    halfwidth = radius * camera.K[0, 0] / np.maximum(depth, 1.0)
-    return perp / np.maximum(halfwidth, 1e-9)
+def _paint_highlights(
+    scene: SceneSpec, camera: CameraModel, colors: np.ndarray, s_hit: np.ndarray,
+    x0: int, y0: int,
+):
+    """Whiten each highlight stripe, in order, on the subpixels whose ray
+    hit the pointer inside it (a missed ray's nan station is in none)."""
+    for stripe in scene.highlights:
+        lit = (s_hit >= stripe.start_mm) & (s_hit <= stripe.end_mm)
+        if stripe.side_fraction is not None and lit.any():
+            rows, cols = np.nonzero(lit)
+            # subpixel centres, as _subpixel_rays places them
+            centres = (x0, y0) + (np.column_stack([cols, rows]) + 0.5) / SUPERSAMPLE - 0.5
+            frac = _side_fraction(scene, camera, s_hit[rows, cols], centres)
+            lo, hi = stripe.side_fraction
+            lit[rows, cols] = (frac >= lo) & (frac <= hi)
+        colors[lit] = colors[lit] * (1.0 - stripe.desaturation) + stripe.desaturation
 
 
 def _paint_distractors(
@@ -409,10 +410,7 @@ def _paint_distractors(
         cx = (d.center[0] - x0 + 0.5) * ss - 0.5
         cy = (d.center[1] - y0 + 0.5) * ss - 0.5
         rad = d.radius_px * ss
-        ax0 = max(int(cx - rad) - 1, 0)
-        ay0 = max(int(cy - rad) - 1, 0)
-        ax1 = min(int(cx + rad) + 2, ss_w)
-        ay1 = min(int(cy + rad) + 2, ss_h)
+        ax0, ay0, ax1, ay1 = pixel_box((cx, cy), rad, (0, 0), (ss_w, ss_h))
         if ax1 <= ax0 or ay1 <= ay0:
             continue
         ys, xs = np.mgrid[ay0:ay1, ax0:ax1]

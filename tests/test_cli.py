@@ -239,6 +239,44 @@ class TestConfigValidation:
         assert out[0] == out[1]
 
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("camera", "image_size_px"), [True, True], "camera.image_size_px[0]"),
+            (("detection", "ransac_seed"), True, "detection.ransac_seed"),
+            (("detection", "s1"), True, "detection.s1"),
+            (("pointer", "edge_distances_mm", 1), True, "pointer.edge_distances_mm[1]"),
+            (("camera", "distortion", "k1"), True, "camera.distortion.k1"),
+            (("pointer", "total_length_mm"), False, "pointer.total_length_mm"),
+        ],
+        ids=["bool-size", "bool-ransac-seed", "bool-s1", "bool-edge-distance",
+             "bool-k1", "bool-length"],
+    )
+    def test_boolean_number_rejected_by_name(
+        self, workspace, tmp_path, capsys, path, value, field
+    ):
+        # JSON true/false would otherwise load as 1/0, e.g. a 1x1 camera
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(_set(path, value)))
+        code = main([
+            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
+            "--color-model", str(workspace["colors"]),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{field} must not be a boolean" in err
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("s1", True), ("s2", False), ("r1", True), ("r2", True), ("ransac_seed", False)],
+    )
+    def test_detection_params_reject_booleans(self, name, value):
+        kwargs = dict(s1=0.25, s2=0.12, r1=3, r2=2, ransac_seed=0) | {name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a number, not a boolean"):
+            DetectionParams(**kwargs)
+
+
 class TestCalibrateCommand:
     def test_calibrate_writes_model(
         self, workspace, cli_spec, cli_camera, capsys, tmp_path
@@ -845,6 +883,32 @@ class TestEvalCommand:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": True}, "noise_px"),
+            ({"depths_mm": [True], "angles_deg": [0.0]}, "depths_mm[0]"),
+            ({"depths_mm": [330.0], "angles_deg": [0.0, False]}, "angles_deg[1]"),
+            ({"depths_mm": [330.0], "angles_deg": [0.0], "roll_deg": True}, "roll_deg"),
+        ],
+        ids=["bool-noise", "bool-depth", "bool-angle", "bool-roll"],
+    )
+    def test_boolean_sweep_number_rejected_by_name(
+        self, workspace, tmp_path, capsys, spec, field
+    ):
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps(spec))
+        out_path = tmp_path / "report.csv"
+        code = main([
+            "--config", str(workspace["config"]),
+            "eval", "--sweep", str(sweep_path), "--out", str(out_path),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{field} must not be a boolean" in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize(

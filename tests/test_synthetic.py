@@ -111,6 +111,45 @@ class TestGroundTruth:
             synthetic.Occluder(*corners)
 
 
+class TestSceneValidation:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(bare_color=(0.5, 1.2, 0.5)),
+            dict(occluder_color=(-0.1, 0.3, 0.3)),
+            dict(distractors=(synthetic.Distractor((80.0, 60.0), 10.0, (0.9, 0.2, 1.5)),)),
+            dict(background=(0.5, float("nan"), 0.5)),
+        ],
+        ids=["bare", "occluder", "distractor", "nan-background"],
+    )
+    def test_unpaintable_color_rejected(self, test_spec, kw):
+        pose = PointerPose(tip=[0.0, 0.0, 300.0], direction=[1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="colors must lie in"):
+            synthetic.SceneSpec(pose=pose, spec=test_spec, band_colors=BAND_RGB, **kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(start_mm=30.0, end_mm=20.0),
+            dict(desaturation=-0.1),
+            dict(desaturation=1.5),
+            dict(desaturation=float("nan")),
+            dict(side_fraction=(-1.5, 0.0)),
+            dict(side_fraction=(0.0, 1.01)),
+            dict(side_fraction=(0.5, 0.2)),
+        ],
+        ids=["reversed-range", "negative-desat", "desat-above-one", "nan-desat",
+             "fraction-below-minus-one", "fraction-above-one", "fraction-lo-above-hi"],
+    )
+    def test_bad_highlight_rejected(self, kw):
+        with pytest.raises(ValueError, match="^highlight"):
+            synthetic.HighlightStripe(**(dict(start_mm=20.0, end_mm=30.0, desaturation=0.5) | kw))
+
+    def test_highlight_bounds_accepted(self):
+        synthetic.HighlightStripe(20.0, 20.0, 0.0, side_fraction=(-1.0, 1.0))
+        synthetic.HighlightStripe(20.0, 30.0, 1.0, side_fraction=(0.3, 0.3))
+
+
 class TestRender:
     def test_deterministic_bit_identical(self, tilted_camera, test_spec):
         scene = scene_for(
@@ -253,6 +292,50 @@ class TestCompositing:
         t_hi = ((q + 0.5) / 255.0 - base) / (1.0 - base)
         assert (t_lo.max(axis=1) <= t_hi.min(axis=1)).all()
         assert (t_hi.min(axis=1) > 0).all()
+
+
+class TestSideFraction:
+    """A stripe's side fraction is the offset from the silhouette pair's
+    midpoint along p_a - p_b over half the pair length."""
+
+    @pytest.fixture(scope="class")
+    def cameras(self, tilted_camera):
+        lens = DistortionModel(k1=-0.1, k2=0.02, p1=1e-3, p2=-5e-4)
+        return tilted_camera, replace(tilted_camera, distortion=lens)
+
+    @pytest.mark.parametrize("angle, roll", [(10.0, 5.0), (40.0, -30.0), (65.0, 120.0)])
+    def test_junction_points_read_plus_minus_one(self, cameras, test_spec, angle, roll):
+        for camera in cameras:
+            pose = pose_at(330.0, angle, camera, test_spec, roll_deg=roll)
+            scene = synthetic.SceneSpec(pose=pose, spec=test_spec, band_colors=BAND_RGB)
+            gt = synthetic.ground_truth(scene, camera, SIZE_SMALL)
+            assert len(gt.visible_edges()) == 3
+            for edge in gt.visible_edges():
+                s = np.full(3, test_spec.distances_mm[edge.index])
+                pts = np.vstack([edge.p_a, edge.p_b, 0.5 * (edge.p_a + edge.p_b)])
+                frac = synthetic._side_fraction(scene, camera, s, pts)
+                np.testing.assert_allclose(frac, [1.0, -1.0, 0.0], rtol=0, atol=1e-9)
+
+    def test_half_stripe_lights_only_its_side(self, cameras, test_spec):
+        for camera in cameras:
+            scene = scene_for(test_spec, camera, angle=30.0)
+            img, gt = synthetic.render(scene, camera, SIZE_SMALL)
+            for edge in gt.edges:
+                d = test_spec.distances_mm[edge.index]
+                across = edge.p_a - edge.p_b
+                half = 0.5 * np.linalg.norm(across)
+                mid = 0.5 * (edge.p_a + edge.p_b)
+                # (0, 1) is the p_a side, (-1, 0) the p_b side
+                for sign, side in ((1.0, (0.0, 1.0)), (-1.0, (-1.0, 0.0))):
+                    stripe = synthetic.HighlightStripe(d - 0.5, d + 0.5, 1.0, side_fraction=side)
+                    lit, _ = synthetic.render(replace(scene, highlights=(stripe,)), camera, SIZE_SMALL)
+                    ys, xs = np.nonzero((lit.pixels != img.pixels).any(axis=2))
+                    offset = sign * (np.column_stack([xs, ys]) - mid) @ across / (2.0 * half)
+                    assert len(offset) > 5
+                    # a pixel changes when one of its subpixels is lit, and
+                    # subpixel centres lie within 0.53 px of the pixel centre
+                    assert offset.min() > -0.6
+                    assert offset.max() > 0.5 * half
 
 
 class TestClassMask:
