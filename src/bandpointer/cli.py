@@ -43,6 +43,7 @@ from .errors import (
     DetectionError,
     ImageFormatError,
     PoseError,
+    _reject_booleans,
 )
 from .imaging import DistortionModel, RasterImage, load_image, load_pgm
 from .pose import CameraModel, PoseEstimate, estimate_pose
@@ -55,19 +56,6 @@ EXIT_POSE_FAILURE = 4
 
 ENV_CONFIG = "BANDPOINTER_CONFIG"
 ENV_COLOR_MODEL = "BANDPOINTER_COLOR_MODEL"
-
-
-def _reject_booleans(value, field: str = "") -> None:
-    """Raise ValueError naming the first JSON true/false inside value: no
-    config or sweep field takes one, and Python would read it as 1 or 0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{field} must not be a boolean, got {json.dumps(value)}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_booleans(item, f"{field}.{key}" if field else str(key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _reject_booleans(item, f"{field}[{i}]")
 
 
 @dataclass
@@ -126,6 +114,12 @@ class Config:
             )
             det = data.get("detection", {})
             params = DetectionParams(**det)
+            # erode_disk builds a (2 r1 + 1)^2 footprint
+            if 2 * params.r1 + 1 > min(size):
+                raise ConfigError(
+                    f"detection.r1 must be at most {(min(size) - 1) // 2} for a "
+                    f"{size[0]}x{size[1]} frame, got {params.r1}"
+                )
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

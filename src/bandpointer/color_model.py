@@ -18,6 +18,7 @@ from .errors import (
     InsufficientCalibrationDataError,
     MaskMismatchError,
     TooFewColorClassesError,
+    _reject_booleans,
 )
 from .imaging import (
     HUE_PERIOD,
@@ -256,8 +257,9 @@ def deserialize_color_set(data: dict) -> ColorClassSet:
                     f"color class label must be an int in "
                     f"{_span(ColorClassSet.label_range)}, got {label!r}"
                 )
-            lut = np.asarray(entry["lut"], dtype=np.float64)
             try:
+                _reject_booleans(entry["lut"], "lut")
+                lut = np.asarray(entry["lut"], dtype=np.float64)
                 kde = HueKde(samples=np.empty(0), bandwidths=np.empty(0), lut=lut)
             except ValueError as exc:
                 raise ConfigError(f"color class {label}: {exc}") from exc

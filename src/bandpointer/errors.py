@@ -1,8 +1,11 @@
-"""Exception hierarchy for the tracking pipeline.
+"""Exception hierarchy for the tracking pipeline, and the boolean check
+its JSON loaders share.
 
 The CLI maps these onto distinct exit codes, so failure causes stay
 separable all the way out of the process.
 """
+
+import json
 
 
 class BandPointerError(Exception):
@@ -117,3 +120,17 @@ class PoseFailureError(PoseError):
         self.causes = causes
         summary = "; ".join(f"{type(c).__name__}: {c}" for c in causes)
         super().__init__(f"all {len(causes)} hypotheses failed ({summary})")
+
+
+def _reject_booleans(value, field: str = "") -> None:
+    """Raise ValueError naming the first JSON true/false inside value: no
+    config, sweep or color-model field takes one, and Python would read
+    it as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{field} must not be a boolean, got {json.dumps(value)}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_booleans(item, f"{field}.{key}" if field else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_booleans(item, f"{field}[{i}]")

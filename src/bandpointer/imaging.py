@@ -7,7 +7,8 @@ operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import ndimage
@@ -147,6 +148,12 @@ class DistortionModel:
     k3: float = 0.0
     p1: float = 0.0
     p2: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"distortion.{f.name} must be a number, got {value!r}")
 
     def is_identity(self) -> bool:
         return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0

@@ -5,9 +5,11 @@ conical frusta (piecewise-linear radius between measured edges), so band
 boundaries land exactly where the projection equations put them. Exact
 junction contour points come from a projection path written separately
 from the pose module, giving the tests two independent implementations
-to cross-check. That one silhouette projection also bounds the ray-cast
-and places highlight stripes, and every pixel box (ROI, ray-cast
-segments, occluders, distractors, blur crop) comes from `pixel_box`.
+to cross-check. That one silhouette projection also places highlight
+stripes and bounds each conical segment's ray-cast box; the render box
+is the box of those segment boxes and the distractor discs, and the
+segment a ray hits names its band. Every pixel box (segments, render,
+occluders, distractors, blur crop) comes from `pixel_box`.
 """
 
 from __future__ import annotations
@@ -185,33 +187,14 @@ def ground_truth(
 
 
 def _stations(spec: PointerSpec) -> tuple[np.ndarray, np.ndarray]:
-    b = spec.distances_mm
-    w = spec.radii_mm
-    s = np.concatenate([[0.0], b, [spec.total_length_mm]])
-    r = np.concatenate([[w[0]], w, [w[-1]]])
-    # a final edge exactly at the pointer end would duplicate a station
-    keep = np.concatenate([[True], np.diff(s) > 1e-12])
-    return s[keep], r[keep]
-
-
-def _roi(gt: GroundTruth, scene: SceneSpec, camera: CameraModel, size) -> tuple[int, int, int, int]:
-    pts = [e.p_a for e in gt.edges] + [e.p_b for e in gt.edges]
-    # tip and tail axis points, through the same path
-    ends = _silhouette_uv(
-        scene, camera, np.array([0.0, scene.spec.total_length_mm]), np.zeros(2)
-    )
-    pts += [ends[0, 0], ends[1, 0]]
-    for d in scene.distractors:
-        c = np.asarray(d.center, dtype=np.float64)
-        pts.append(c - d.radius_px)
-        pts.append(c + d.radius_px)
-    pts = np.vstack(pts)
-    # cover the widest possible silhouette plus blur support
-    margin = 8.0 + 4.0 * scene.blur_sigma
-    margin += 4.0 * float(scene.spec.radii_mm.max()) * camera.K[0, 0] / max(
-        1.0, float(camera.to_camera(scene.pose.tip[None, :])[0, 2])
-    )
-    return pixel_box(pts, margin, (0, 0), size)
+    """Tip, edge and end stations with their radii: the conical segment
+    between stations k and k + 1 is band k. An edge at the very end adds
+    no end station (its band is empty)."""
+    b, w = spec.distances_mm, spec.radii_mm
+    n_end = int(b[-1] < spec.total_length_mm)
+    s = np.concatenate([[0.0], b, [spec.total_length_mm] * n_end])
+    r = np.concatenate([[w[0]], w, [w[-1]] * n_end])
+    return s, r
 
 
 def _subpixel_rays(camera: CameraModel, px0, py0, px1, py1):
@@ -228,17 +211,21 @@ def _subpixel_rays(camera: CameraModel, px0, py0, px1, py1):
 
 
 def _raycast(
-    scene: SceneSpec, camera: CameraModel, x0: int, y0: int, x1: int, y1: int
-) -> np.ndarray:
-    """Axial station of the nearest frustum hit per subpixel ray (nan = miss).
+    scene: SceneSpec, camera: CameraModel, box: tuple[int, int, int, int],
+    segment_boxes: Sequence[tuple[int, int, int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Axial station (nan = miss) and band (-1 = miss) of the nearest
+    frustum hit per subpixel ray of box.
 
-    Each conical segment is intersected only inside its own projected
-    bounding box; a z-buffer merges overlapping segments.
+    Segment k, band k, is intersected only inside segment_boxes[k], which
+    must lie in box; a z-buffer merges overlapping segments.
     """
+    x0, y0, x1, y1 = box
     ss = SUPERSAMPLE
     h, w = (y1 - y0) * ss, (x1 - x0) * ss
     t_buf = np.full((h, w), np.inf)
     s_buf = np.full((h, w), np.nan)
+    band_buf = np.full((h, w), -1, dtype=np.intp)
 
     center = camera.center
     tip = scene.pose.tip
@@ -246,18 +233,9 @@ def _raycast(
     q = center - tip
     s0 = q @ d_axis
     q2 = q @ q
-
     s_list, r_list = _stations(scene.spec)
-    uv = _silhouette_uv(scene, camera, s_list, r_list)
-    depth_min = camera.to_camera(
-        np.vstack([tip, tip + scene.spec.total_length_mm * d_axis])
-    )[:, 2].min()
-    bulge = float(r_list.max()) * camera.K[0, 0] / max(depth_min, 1.0)
 
-    for k in range(len(s_list) - 1):
-        bx0, by0, bx1, by1 = pixel_box(
-            np.vstack([uv[k], uv[k + 1]]), 3.0 + bulge, (x0, y0), (x1, y1)
-        )
+    for k, (bx0, by0, bx1, by1) in enumerate(segment_boxes):
         if bx1 <= bx0 or by1 <= by0:
             continue
         dirs = _subpixel_rays(camera, bx0, by0, bx1, by1)
@@ -284,6 +262,7 @@ def _raycast(
         sx = slice((bx0 - x0) * ss, (bx1 - x0) * ss)
         t_loc = t_buf[sy, sx]
         s_loc = s_buf[sy, sx]
+        band_loc = band_buf[sy, sx]
         for sign in (-1.0, 1.0):
             t = np.where(valid, (-b + sign * sq) / (2.0 * a_safe), np.inf)
             s_hit = s0 + np.where(valid, t, 0.0) * d_dot_axis
@@ -296,21 +275,43 @@ def _raycast(
             )
             t_loc[ok] = t[ok]
             s_loc[ok] = s_hit[ok]
-    return s_buf
+            band_loc[ok] = k
+    return s_buf, band_buf
 
 
-def _subpixel_bands(scene: SceneSpec, camera: CameraModel, gt: GroundTruth, size):
-    """The scene's ROI box and, per subpixel ray in it, the axial station
-    hit (nan = miss) and its band index (-1 = miss); both None when the
-    box is empty."""
-    box = _roi(gt, scene, camera, size)
+def _subpixel_bands(scene: SceneSpec, camera: CameraModel, size):
+    """The scene's render box and, per subpixel ray in it, the axial
+    station hit (nan = miss) and its band index (-1 = miss); both None
+    when the box is empty.
+
+    Each segment's box holds its end silhouettes, grown by the widest
+    projected radius plus 3 px and clipped to the frame. The render box
+    is the box of those segment boxes and the distractor discs, so no
+    hit or disc lies outside it.
+    """
+    s_list, r_list = _stations(scene.spec)
+    uv = _silhouette_uv(scene, camera, s_list, r_list)
+    tip = scene.pose.tip
+    depth_min = camera.to_camera(
+        np.vstack([tip, tip + scene.spec.total_length_mm * scene.pose.direction])
+    )[:, 2].min()
+    bulge = float(r_list.max()) * camera.K[0, 0] / max(depth_min, 1.0)
+    segment_boxes = [
+        pixel_box(np.vstack([uv[k], uv[k + 1]]), 3.0 + bulge, (0, 0), size)
+        for k in range(len(uv) - 1)
+    ]
+    corners = []
+    for bx0, by0, bx1, by1 in segment_boxes:
+        if bx1 > bx0 and by1 > by0:
+            corners += [(bx0, by0), (bx1 - 1, by1 - 1)]
+    for d in scene.distractors:
+        c = np.asarray(d.center, dtype=np.float64)
+        corners += [c - d.radius_px, c + d.radius_px]
+    box = pixel_box(corners, 0.0, (0, 0), size) if corners else (0, 0, 0, 0)
     x0, y0, x1, y1 = box
     if x1 <= x0 or y1 <= y0:
         return box, None, None
-    s_hit = _raycast(scene, camera, *box)
-    hit = np.isfinite(s_hit)
-    band_idx = np.searchsorted(scene.spec.distances_mm, np.where(hit, s_hit, 0.0), side="right")
-    return box, s_hit, np.where(hit, band_idx, -1)
+    return (box, *_raycast(scene, camera, box, segment_boxes))
 
 
 def render(
@@ -320,14 +321,10 @@ def render(
     holds, with exact junction ground truth."""
     width, height = size
     gt = ground_truth(scene, camera, size)
-    cam_depth = camera.to_camera(scene.pose.tip[None, :])[0, 2]
-    if cam_depth <= 0:
-        raise BehindCameraError("pointer tip behind camera")
-
     image = np.empty((height, width, 3), dtype=np.float64)
     image[:] = np.asarray(scene.background)
 
-    (x0, y0, x1, y1), s_hit, band_idx = _subpixel_bands(scene, camera, gt, size)
+    (x0, y0, x1, y1), s_hit, band_idx = _subpixel_bands(scene, camera, size)
     if s_hit is not None:
         # band -1 (a missed ray) reads the background, the last entry
         palette = np.array(
@@ -425,9 +422,8 @@ def render_class_mask(
     """Calibration mask: a pixel carries a band's class only when every
     subpixel hits that same band (junction and silhouette blends stay 0)."""
     width, height = size
-    gt = ground_truth(scene, camera, size)
     mask = np.zeros((height, width), dtype=np.uint8)
-    (x0, y0, x1, y1), _, band_idx = _subpixel_bands(scene, camera, gt, size)
+    (x0, y0, x1, y1), _, band_idx = _subpixel_bands(scene, camera, size)
     if band_idx is None:
         return mask
     # an unlabeled band reads 0, a missed ray (band -1) the last entry, -1

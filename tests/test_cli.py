@@ -276,6 +276,32 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be a number, not a boolean"):
             DetectionParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("k1", "x"), ("p2", None), ("k3", [0.1]), ("k2", "0.1")],
+        ids=["string-k1", "null-p2", "list-k3", "numeric-string-k2"],
+    )
+    def test_non_number_distortion_named(self, workspace, tmp_path, capsys, name, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(_set(("camera", "distortion", name), value)))
+        code = main([
+            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
+            "--color-model", str(workspace["colors"]),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"distortion.{name} must be a number, got {value!r}" in err
+
+    @pytest.mark.parametrize("r1", [256, 1e308], ids=["one-past-frame", "huge"])
+    def test_erosion_radius_must_fit_the_frame(self, r1):
+        # loading only: erode_disk would allocate the (2 r1 + 1)^2 footprint
+        with pytest.raises(ConfigError, match=r"^detection\.r1 must be at most 255 for a 612x512 frame"):
+            Config.from_dict(_set(("detection", "r1"), r1))
+
+    def test_largest_erosion_radius_accepted(self):
+        assert Config.from_dict(_set(("detection", "r1"), 255)).detection.r1 == 255
+
 
 class TestCalibrateCommand:
     def test_calibrate_writes_model(
@@ -502,6 +528,35 @@ class TestProbeCommand:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("config error: --color-model required") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "entry, index, value",
+        [(0, None, True), (1, 7, True), (0, 500, False)],
+        ids=["all-true", "one-true", "one-false"],
+    )
+    def test_boolean_color_model_density_named(
+        self, workspace, tmp_path, capsys, entry, index, value
+    ):
+        # JSON true/false would otherwise load as a density of 1.0 or 0.0
+        data = json.loads(workspace["colors"].read_text())
+        cls = data["classes"][entry]
+        if index is None:
+            cls["lut"] = [value] * len(cls["lut"])
+            index = 0
+        else:
+            cls["lut"][index] = value
+        path = tmp_path / "colors.json"
+        path.write_text(json.dumps(data))
+        code = main([
+            "--config", str(workspace["config"]),
+            "probe", "--image", str(workspace["frame"]),
+            "--color-model", str(path),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        word = json.dumps(value)
+        assert f"color class {cls['label']}: lut[{index}] must not be a boolean, got {word}" in err
 
     def test_malformed_color_model_exits_with_one_line(self, workspace, tmp_path, capsys):
         data = json.loads(workspace["colors"].read_text())

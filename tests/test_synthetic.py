@@ -338,6 +338,89 @@ class TestSideFraction:
                     assert offset.max() > 0.5 * half
 
 
+class TestRayCastFootprint:
+    """The render box bounds every hit, and a hit's band is the segment it
+    lies on, on a 160 x 128 camera small enough to cast the full frame."""
+
+    SIZE = (160, 128)
+    LENS = DistortionModel(k1=-0.1, k2=0.02, p1=1e-3, p2=-5e-4)
+
+    @pytest.fixture(scope="class")
+    def cameras(self, tilted_camera):
+        K = np.array([[250.0, 0.0, 79.5], [0.0, 250.0, 63.5], [0.0, 0.0, 1.0]])
+        tilted = replace(tilted_camera, K=K)
+        return {
+            "plain": CameraModel(K=K),
+            "tilted": tilted,
+            "lens": replace(tilted, distortion=self.LENS),
+        }
+
+    CASES = {
+        # camera, angle, roll, extra scene fields
+        "tilted": ("tilted", 10.0, 5.0, {}),
+        "rolled": ("plain", 20.0, 40.0, {}),
+        "lens": ("lens", 30.0, -20.0, {}),
+        "steep-75": ("plain", 75.0, 4.0, {}),
+        "steep-81-lens": ("lens", 81.0, 30.0, {}),
+        "steep-87": ("tilted", 87.0, 4.0, {}),
+        "off-frame": ("plain", 15.0, 10.0, {"shift": (85.0, 20.0, 0.0)}),
+        "distractors": ("plain", 10.0, 5.0, {"distractors": (
+            synthetic.Distractor((12.0, 15.0), 6.0, (0.2, 0.3, 0.9)),
+            synthetic.Distractor((80.0, 64.0), 5.0, (0.9, 0.2, 0.2)),
+            synthetic.Distractor((158.0, 125.0), 9.0, (0.2, 0.9, 0.2)),
+        )}),
+        "edge-at-end": ("tilted", 25.0, 15.0, {"end_edge": True}),
+    }
+
+    def _scene(self, case, cameras, test_spec):
+        name, angle, roll, extra = self.CASES[case]
+        camera = cameras[name]
+        spec = test_spec
+        if extra.get("end_edge"):  # a final edge exactly at the pointer end
+            spec = build_spec([25.0, 55.0, 100.0], [RED, GREEN, RED, GREEN], 100.0, radius=2.0)
+        pose = pose_at(330.0, angle, camera, spec, roll_deg=roll)
+        if "shift" in extra:
+            pose = PointerPose(tip=pose.tip + np.asarray(extra["shift"]), direction=pose.direction)
+        scene = synthetic.SceneSpec(
+            pose=pose, spec=spec, band_colors=BAND_RGB,
+            distractors=extra.get("distractors", ()),
+        )
+        return scene, camera
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_full_frame_cast_hits_only_inside_the_box(self, cameras, test_spec, case):
+        scene, camera = self._scene(case, cameras, test_spec)
+        (x0, y0, x1, y1), s_box, band_box = synthetic._subpixel_bands(scene, camera, self.SIZE)
+        frame = (0, 0, *self.SIZE)
+        segments = len(synthetic._stations(scene.spec)[0]) - 1
+        s_full, band_full = synthetic._raycast(scene, camera, frame, [frame] * segments)
+        ss = synthetic.SUPERSAMPLE
+        inside = (slice(y0 * ss, y1 * ss), slice(x0 * ss, x1 * ss))
+        outside = np.ones(band_full.shape, dtype=bool)
+        outside[inside] = False
+        assert (band_full >= 0).sum() > 200
+        assert (band_full[outside] == -1).all()
+        assert np.isnan(s_full[outside]).all()
+        np.testing.assert_array_equal(band_full[inside], band_box)
+        np.testing.assert_array_equal(s_full[inside], s_box)
+        if case == "off-frame":  # the pointer leaves the frame
+            gt = synthetic.ground_truth(scene, camera, self.SIZE)
+            assert 0 < len(gt.visible_edges()) < len(gt.edges)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_band_is_the_sorted_position_of_the_station(self, cameras, test_spec, case):
+        scene, camera = self._scene(case, cameras, test_spec)
+        _, s_hit, band = synthetic._subpixel_bands(scene, camera, self.SIZE)
+        hit = band >= 0
+        assert (hit == np.isfinite(s_hit)).all()
+        s, b = s_hit[hit], band[hit]
+        distances = scene.spec.distances_mm
+        away = np.abs(s[:, None] - distances[None, :]).min(axis=1) > 1e-9
+        assert away.sum() > 200
+        expected = np.searchsorted(distances, s[away], side="right")
+        np.testing.assert_array_equal(b[away], expected)
+
+
 class TestClassMask:
     def test_mask_matches_band_pattern(self, test_spec):
         camera = CameraModel(

@@ -148,3 +148,39 @@ def test_every_public_member_is_read():
         and member.rpartition(".")[2] not in (attrs if "." in member else attrs | names)
     }
     assert unread == set(), f"members only tests read: {sorted(unread)}"
+
+
+def _scope_nodes(func: ast.AST):
+    """Nodes of func's own scope: nested functions, lambdas and classes are
+    left out, since each is checked, or read, on its own."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    # a value a function stores and never reads is a leftover of a refactor;
+    # reads in nested functions count, and a leading _ marks a name unused
+    # on purpose
+    dead = set()
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        shared = {
+            name for node in _scope_nodes(func)
+            if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names
+        }
+        read = {
+            node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        dead |= {
+            f"{func.name}:{node.lineno} {node.id}" for node in _scope_nodes(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and not node.id.startswith("_") and node.id not in read | shared
+        }
+    assert dead == set(), f"{path.name}: locals nothing reads {sorted(dead)}"
