@@ -79,11 +79,19 @@ class Config:
             trans = np.array(cam["translation_mm"], dtype=np.float64)
             distortion = DistortionModel(**cam.get("distortion", {}))
             camera = CameraModel(K=k, R=rot, t=trans, distortion=distortion)
-            size = tuple(int(v) for v in cam["image_size_px"])
-            if len(size) != 2 or min(size) <= 0 or list(size) != list(cam["image_size_px"]):
+            # checked before int(), which raises OverflowError on infinity
+            raw_size = list(cam["image_size_px"])
+            if len(raw_size) != 2 or not all(
+                isinstance(v, numbers.Real) and float(v).is_integer() and v > 0 for v in raw_size
+            ):
                 raise ConfigError("image_size_px must be two positive integers")
+            size = tuple(int(v) for v in raw_size)
 
             ptr = data["pointer"]
+            # a string would otherwise be read one character per entry
+            for key in ("edge_distances_mm", "edge_diameters_mm", "band_colors"):
+                if not isinstance(ptr[key], list):
+                    raise ConfigError(f"pointer.{key} must be a list, got {ptr[key]!r}")
             if not isinstance(data["colors"], dict):
                 raise ConfigError("colors must map color names to class ids")
             colors = {str(k2): v for k2, v in data["colors"].items()}

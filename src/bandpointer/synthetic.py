@@ -9,7 +9,7 @@ to cross-check. That one silhouette projection also places highlight
 stripes and bounds each conical segment's ray-cast box; the render box
 is the box of those segment boxes and the distractor discs, and the
 segment a ray hits names its band. Every pixel box (segments, render,
-occluders, distractors, blur crop) comes from `pixel_box`.
+occluders, distractors, crop) comes from `pixel_box`.
 """
 
 from __future__ import annotations
@@ -95,15 +95,13 @@ class SceneSpec:
     bare_color: tuple[float, float, float] = (0.52, 0.48, 0.42)
     occluder_color: tuple[float, float, float] = (0.35, 0.35, 0.35)
     blur_sigma: float = 0.0
-    noise_sigma: float = 0.0
-    noise_seed: int = 0
     highlights: tuple[HighlightStripe, ...] = ()
     occluders: tuple[Occluder, ...] = ()
     distractors: tuple[Distractor, ...] = ()
 
     def __post_init__(self):
-        if self.blur_sigma < 0 or self.noise_sigma < 0:
-            raise ValueError("blur and noise sigmas must be non-negative")
+        if self.blur_sigma < 0:
+            raise ValueError("blur sigma must be non-negative")
         painted = [self.background, self.bare_color, self.occluder_color]
         for rgb in [*self.band_colors.values(), *painted, *(d.color for d in self.distractors)]:
             arr = np.asarray(rgb, dtype=np.float64)
@@ -318,13 +316,25 @@ def render(
     scene: SceneSpec, camera: CameraModel, size: tuple[int, int]
 ) -> tuple[RasterImage, GroundTruth]:
     """Rasterize the scene and return it, as the 8-bit frame a PPM of it
-    holds, with exact junction ground truth."""
-    width, height = size
+    holds, with exact junction ground truth. Only one crop is composed in
+    floats; every pixel outside it holds the background's byte."""
     gt = ground_truth(scene, camera, size)
-    image = np.empty((height, width, 3), dtype=np.float64)
-    image[:] = np.asarray(scene.background)
+    background = np.asarray(scene.background, dtype=np.float64)
+    frame = np.tile(RasterImage(background[None, None]).pixels, (size[1], size[0], 1))
 
     (x0, y0, x1, y1), s_hit, band_idx = _subpixel_bands(scene, camera, size)
+    corners = [(x0, y0), (x1 - 1, y1 - 1)] if s_hit is not None else []
+    occluders = [((occ.x0, occ.y0), (occ.x1, occ.y1)) for occ in scene.occluders]
+    # everything outside the render box and the occluders is constant
+    # background, so blurring the box of their corners grown by the
+    # filter's support matches the full-frame filter
+    pad = int(np.ceil(4.0 * scene.blur_sigma)) + 1 if scene.blur_sigma > 0 else 0
+    corners += [c for pair in occluders for c in pair]
+    cx0, cy0, cx1, cy1 = pixel_box(corners, pad, (0, 0), size) if corners else (0, 0, 0, 0)
+    if cx1 <= cx0 or cy1 <= cy0:
+        return RasterImage(frame), gt
+    crop = np.tile(background, (cy1 - cy0, cx1 - cx0, 1))
+
     if s_hit is not None:
         # band -1 (a missed ray) reads the background, the last entry
         palette = np.array(
@@ -338,31 +348,16 @@ def render(
         down = colors.reshape(
             y1 - y0, SUPERSAMPLE, x1 - x0, SUPERSAMPLE, 3
         ).mean(axis=(1, 3))
-        image[y0:y1, x0:x1] = down
-
-    # everything outside the content box and the occluders is constant
-    # background, so blurring the box of their corners grown by the
-    # filter's support matches the full-image filter
-    corners = [(x0, y0), (x1 - 1, y1 - 1)] if s_hit is not None else []
-    for occ in scene.occluders:
-        occ_corners = [(occ.x0, occ.y0), (occ.x1, occ.y1)]
-        ox0, oy0, ox1, oy1 = pixel_box(occ_corners, 0.0, (0, 0), size)
+        crop[y0 - cy0:y1 - cy0, x0 - cx0:x1 - cx0] = down
+    for pair in occluders:
+        ox0, oy0, ox1, oy1 = pixel_box(pair, 0.0, (cx0, cy0), (cx1, cy1))
         if ox1 > ox0 and oy1 > oy0:
-            image[oy0:oy1, ox0:ox1] = np.asarray(scene.occluder_color)
-        corners += occ_corners
-
-    if scene.blur_sigma > 0 and corners:
-        pad = int(np.ceil(4.0 * scene.blur_sigma)) + 1
-        bx0, by0, bx1, by1 = pixel_box(corners, pad, (0, 0), size)
-        for ch in range(3):
-            image[by0:by1, bx0:bx1, ch] = ndimage.gaussian_filter(
-                image[by0:by1, bx0:bx1, ch], scene.blur_sigma, mode="nearest"
-            )
-    if scene.noise_sigma > 0:
-        rng = np.random.default_rng(scene.noise_seed)
-        image += rng.normal(0.0, scene.noise_sigma, image.shape)
-    np.clip(image, 0.0, 1.0, out=image)
-    return RasterImage(image), gt
+            crop[oy0 - cy0:oy1 - cy0, ox0 - cx0:ox1 - cx0] = np.asarray(scene.occluder_color)
+    if scene.blur_sigma > 0:
+        sigma = scene.blur_sigma
+        crop = ndimage.gaussian_filter(crop, (sigma, sigma, 0.0), mode="nearest")
+    frame[cy0:cy1, cx0:cx1] = RasterImage(np.clip(crop, 0.0, 1.0)).pixels
+    return RasterImage(frame), gt
 
 
 def _side_fraction(
@@ -516,16 +511,14 @@ def sweep(
     camera: CameraModel,
     roll_deg: float = 0.0,
 ) -> list[SweepCell]:
-    """One scene per grid cell (depth-major), posed by pose_on_axis; cell
-    k adds k to the template's noise seed."""
+    """One scene per grid cell (depth-major), the template posed by
+    pose_on_axis."""
     if len(depths_mm) == 0 or len(angles_deg) == 0:
         raise ValueError("sweep grid must be non-empty")
-    cells = []
-    for depth in depths_mm:
-        for angle in angles_deg:
-            pose = pose_on_axis(depth, angle, camera, template.spec, roll_deg)
-            scene = replace(
-                template, pose=pose, noise_seed=template.noise_seed + len(cells)
-            )
-            cells.append(SweepCell(depth_mm=depth, angle_deg=angle, scene=scene))
-    return cells
+    return [
+        SweepCell(depth, angle, replace(
+            template, pose=pose_on_axis(depth, angle, camera, template.spec, roll_deg)
+        ))
+        for depth in depths_mm
+        for angle in angles_deg
+    ]

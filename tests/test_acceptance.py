@@ -78,7 +78,7 @@ class TestCriterion1NoiselessRoundTrip:
                 scene = synthetic.SceneSpec(
                     pose=pose, spec=skewer_spec, band_colors=BAND_RGB
                 )
-                img, gt = synthetic.render(scene, camera_full, SIZE_FULL)
+                gt = synthetic.ground_truth(scene, camera_full, SIZE_FULL)
                 estimate = run_estimation(gt, skewer_spec, camera_full)
                 tip_err = float(np.linalg.norm(estimate.pose.tip - pose.tip))
                 dir_err = direction_error_deg(

@@ -43,9 +43,9 @@ def _trials(specs, camera):
 
 def _run(trial, camera):
     """Every back-end output of one trial, as bits, up to the first error."""
-    spec, gt, noise_seed = trial
+    spec, gt, seed = trial
     det = synthetic.ground_truth_detection(
-        gt, spec, noise_px=0.5, rng=np.random.default_rng(noise_seed)
+        gt, spec, noise_px=0.5, rng=np.random.default_rng(seed)
     )
     out = {}
     try:

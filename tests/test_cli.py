@@ -154,6 +154,8 @@ class TestConfigValidation:
             (("camera", "image_size_px"), [612]),
             (("camera", "image_size_px"), [612.5, 512]),
             (("camera", "image_size_px"), [612, 0]),
+            (("camera", "image_size_px"), [float("inf"), 512]),
+            (("camera", "image_size_px"), [612, float("nan")]),
             (("colors",), [1, 2]),
             (("detection", "ransac_iterations"), 0),
             (("detection", "ransac_iterations"), 200.5),
@@ -183,6 +185,7 @@ class TestConfigValidation:
             (("camera", "distortion", "k_1"), 0.0),
         ],
         ids=["fractional-r1", "one-size", "fractional-size", "zero-size",
+             "infinite-size", "nan-size",
              "colors-list", "zero-ransac-iterations", "fractional-ransac-iterations",
              "negative-seed", "fractional-color-id", "bool-color-id",
              "background-color-id", "wide-color-id", "negative-major-expand",
@@ -205,6 +208,32 @@ class TestConfigValidation:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"edge_distances_mm": "123", "edge_diameters_mm": "333"}, "edge_distances_mm"),
+            ({"edge_diameters_mm": "444"}, "edge_diameters_mm"),
+            ({"band_colors": "rgrg"}, "band_colors"),
+        ],
+        ids=["str-distances", "str-diameters", "str-band-colors"],
+    )
+    def test_pointer_lists_must_be_arrays(self, workspace, tmp_path, capsys, changes, field):
+        # a string is iterable: "123" would load as edges at 1, 2 and 3 mm
+        data = make_config_dict()
+        data["pointer"].update(changes)
+        data["colors"] = {"r": 1, "g": 2}
+        data["pointer"]["band_colors"] = changes.get("band_colors", list("rgrg"))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        code = main([
+            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
+            "--color-model", str(workspace["colors"]),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"pointer.{field} must be a list" in err
 
     @pytest.mark.parametrize(
         "key, value",

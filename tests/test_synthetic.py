@@ -1,9 +1,11 @@
 """Tests for the ground-truth renderer and scene sweeps."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from conftest import (
     BAND_RGB,
@@ -18,7 +20,8 @@ from conftest import (
 from bandpointer import synthetic
 from bandpointer.association import align_labels_dp, associate_ransac
 from bandpointer.errors import BehindCameraError
-from bandpointer.imaging import DistortionModel
+from bandpointer.geometry import pixel_box
+from bandpointer.imaging import DistortionModel, RasterImage
 from bandpointer.pose import CameraModel, PointerPose, estimate_pose, project_pointer_edges
 
 
@@ -152,21 +155,23 @@ class TestSceneValidation:
 
 class TestRender:
     def test_deterministic_bit_identical(self, tilted_camera, test_spec):
-        scene = scene_for(
-            test_spec, tilted_camera, blur_sigma=1.5, noise_sigma=0.02
-        )
+        scene = scene_for(test_spec, tilted_camera, blur_sigma=1.5)
         img1, _ = synthetic.render(scene, tilted_camera, SIZE_SMALL)
         img2, _ = synthetic.render(scene, tilted_camera, SIZE_SMALL)
         assert np.array_equal(img1.pixels, img2.pixels)
 
-    def test_noise_seed_changes_image(self, tilted_camera, test_spec):
-        scene = scene_for(test_spec, tilted_camera, noise_sigma=0.02)
-        img1, _ = synthetic.render(scene, tilted_camera, SIZE_SMALL)
-        from dataclasses import replace
-        img2, _ = synthetic.render(
-            replace(scene, noise_seed=99), tilted_camera, SIZE_SMALL
-        )
-        assert not np.array_equal(img1.pixels, img2.pixels)
+    def test_peak_memory_below_one_float_frame(self, camera_small, test_spec):
+        # the frame is uint8 and floats live only in the crop around the
+        # pointer, so the peak stays below a float64 RGB frame (7.5 MB)
+        scene = scene_for(test_spec, camera_small, depth=600.0, angle=40.0, blur_sigma=1.5)
+        tracemalloc.start()
+        try:
+            img, _ = synthetic.render(scene, camera_small, SIZE_SMALL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (img.pixels != quantize(scene.background)).any()
+        assert peak < SIZE_SMALL[0] * SIZE_SMALL[1] * 3 * 8
 
     def test_vanishing_radius_degenerates_to_antialiased_line(self):
         # limiting geometry: a sub-pixel radius leaves a thin blended line
@@ -421,6 +426,97 @@ class TestRayCastFootprint:
         np.testing.assert_array_equal(b[away], expected)
 
 
+def whole_frame_render(scene, camera, size):
+    """Reference: the frame composed whole in float64, background
+    everywhere, then the render box, the occluders and the blur crop,
+    clipped and quantized as one image."""
+    width, height = size
+    image = np.empty((height, width, 3), dtype=np.float64)
+    image[:] = np.asarray(scene.background)
+    (x0, y0, x1, y1), s_hit, band_idx = synthetic._subpixel_bands(scene, camera, size)
+    if s_hit is not None:
+        palette = np.array(
+            [scene.band_colors.get(lbl, scene.bare_color) for lbl in scene.spec.band_labels]
+            + [scene.background],
+            dtype=np.float64,
+        )
+        colors = palette[band_idx]
+        synthetic._paint_distractors(scene, colors, band_idx < 0, x0, y0)
+        synthetic._paint_highlights(scene, camera, colors, s_hit, x0, y0)
+        ss = synthetic.SUPERSAMPLE
+        image[y0:y1, x0:x1] = colors.reshape(y1 - y0, ss, x1 - x0, ss, 3).mean(axis=(1, 3))
+    corners = [(x0, y0), (x1 - 1, y1 - 1)] if s_hit is not None else []
+    for occ in scene.occluders:
+        occ_corners = [(occ.x0, occ.y0), (occ.x1, occ.y1)]
+        ox0, oy0, ox1, oy1 = pixel_box(occ_corners, 0.0, (0, 0), size)
+        if ox1 > ox0 and oy1 > oy0:
+            image[oy0:oy1, ox0:ox1] = np.asarray(scene.occluder_color)
+        corners += occ_corners
+    if scene.blur_sigma > 0 and corners:
+        pad = int(np.ceil(4.0 * scene.blur_sigma)) + 1
+        bx0, by0, bx1, by1 = pixel_box(corners, pad, (0, 0), size)
+        for ch in range(3):
+            image[by0:by1, bx0:bx1, ch] = ndimage.gaussian_filter(
+                image[by0:by1, bx0:bx1, ch], scene.blur_sigma, mode="nearest"
+            )
+    np.clip(image, 0.0, 1.0, out=image)
+    return RasterImage(image)
+
+
+class TestCropMatchesWholeFrame:
+    """render composes floats only in one crop; its bytes equal those of
+    the whole frame composed in floats, on a 160 x 128 camera."""
+
+    SIZE = (160, 128)
+    LENS = DistortionModel(k1=-0.1, k2=0.02, p1=1e-3, p2=-5e-4)
+    AWAY = (400.0, 0.0, 0.0)  # shifts the pointer out of view
+    DISC = synthetic.Distractor((40.0, 30.0), 8.0, (0.2, 0.3, 0.9))
+    ACROSS_EDGE = synthetic.Occluder(-10.0, 55.0, 50.5, 70.2)
+    OFF_FRAME = synthetic.Occluder(-50.0, -40.0, -20.0, -10.0)
+    STRIPES = (
+        synthetic.HighlightStripe(25.0, 55.0, 0.5, side_fraction=(0.2, 0.8)),
+        synthetic.HighlightStripe(60.0, 70.0, 1.0, side_fraction=(-1.0, 0.0)),
+    )
+
+    CASES = {
+        # lens, angle, roll, pointer shift, extra scene fields
+        "blur-occluder-across-edge": (False, 10.0, 5.0, None, dict(
+            blur_sigma=1.5, occluders=(ACROSS_EDGE,))),
+        "occluder-off-frame": (False, 10.0, 5.0, None, dict(occluders=(OFF_FRAME,))),
+        "blur-occluder-off-frame": (False, 10.0, 5.0, None, dict(
+            blur_sigma=2.0, occluders=(OFF_FRAME,))),
+        "out-of-view": (False, 10.0, 5.0, AWAY, {}),
+        "out-of-view-occluders-blur": (False, 10.0, 5.0, AWAY, dict(
+            blur_sigma=2.0, occluders=(ACROSS_EDGE, OFF_FRAME))),
+        "out-of-view-off-frame-occluder-blur": (False, 10.0, 5.0, AWAY, dict(
+            blur_sigma=2.0, occluders=(OFF_FRAME,))),
+        "distractor-alone": (False, 10.0, 5.0, AWAY, dict(distractors=(DISC,))),
+        "side-stripes": (False, 30.0, 5.0, None, dict(
+            highlights=STRIPES, distractors=(DISC,), blur_sigma=0.8)),
+        "lens": (True, 30.0, -20.0, None, dict(blur_sigma=1.0, highlights=STRIPES)),
+        "rolled": (False, 20.0, 40.0, None, {}),
+        "steep-75-blur": (False, 75.0, 4.0, None, dict(blur_sigma=1.5)),
+        "steep-87-lens": (True, 87.0, 4.0, None, {}),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes_equal_whole_frame_composition(self, test_spec, case):
+        lens, angle, roll, shift, extra = self.CASES[case]
+        camera = CameraModel(K=np.array([[250.0, 0, 79.5], [0, 250.0, 63.5], [0, 0, 1.0]]))
+        if lens:
+            camera = replace(camera, distortion=self.LENS)
+        pose = pose_at(330.0, angle, camera, test_spec, roll_deg=roll)
+        if shift is not None:
+            pose = PointerPose(tip=pose.tip + np.asarray(shift), direction=pose.direction)
+        scene = synthetic.SceneSpec(pose=pose, spec=test_spec, band_colors=BAND_RGB, **extra)
+        img, _ = synthetic.render(scene, camera, self.SIZE)
+        reference = whole_frame_render(scene, camera, self.SIZE)
+        assert img.pixels.dtype == np.uint8
+        np.testing.assert_array_equal(img.pixels, reference.pixels)
+        in_view = synthetic._subpixel_bands(scene, camera, self.SIZE)[1] is not None
+        assert in_view == (shift is None or "distractors" in extra)
+
+
 class TestClassMask:
     def test_mask_matches_band_pattern(self, test_spec):
         camera = CameraModel(
@@ -509,6 +605,8 @@ class TestSweep:
         f = 1000.0
         half = test_spec.total_length_mm / 2.0
         for cell, angle in zip(cells, angles):
+            # a cell differs from the template only in its pose
+            assert cell.scene == replace(template, pose=cell.scene.pose)
             gt = synthetic.ground_truth(cell.scene, camera, SIZE_SMALL)
             p0 = 0.5 * (gt.edges[0].p_a + gt.edges[0].p_b)
             p1 = 0.5 * (gt.edges[-1].p_a + gt.edges[-1].p_b)
