@@ -4,7 +4,6 @@ from .association import (
     Alignment,
     Correspondence,
     Homography1D,
-    PointerEdge,
     PointerSpec,
     align_labels_dp,
     associate_ransac,
@@ -55,7 +54,6 @@ __all__ = [
     "Homography1D",
     "HueKde",
     "HueSatImage",
-    "PointerEdge",
     "PointerPose",
     "PointerSpec",
     "PoseEstimate",

@@ -21,84 +21,70 @@ if TYPE_CHECKING:
 LabelPair = tuple[Optional[int], Optional[int]]
 
 
-@dataclass(frozen=True)
-class PointerEdge:
-    distance_mm: float  # from the tip, along the axis
-    radius_mm: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointerSpec:
-    """Measured band pattern: junction distances, radii and side colors.
+    """Measured band pattern of the pointer, tip to tail.
 
-    ``side_labels[i]`` holds the color class on the tip side and the tail
-    side of junction i; ``None`` stands for an uncolored stretch.
+    ``distances_mm[i]`` is junction i's distance from the tip along the
+    axis and ``radii_mm[i]`` the pointer's radius there; both are
+    read-only float64 arrays. ``band_labels`` holds the color class of
+    each of the n + 1 bands the n junctions separate, tip band first;
+    ``None`` stands for an uncolored band. ``total_length_mm`` runs from
+    the tip to the tail end.
     """
 
-    edges: tuple[PointerEdge, ...]
-    side_labels: tuple[LabelPair, ...]
+    distances_mm: np.ndarray
+    radii_mm: np.ndarray
+    band_labels: tuple[Optional[int], ...]
     total_length_mm: float
 
     def __post_init__(self):
-        edges = tuple(self.edges)
-        side_labels = tuple((l, r) for l, r in self.side_labels)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "side_labels", side_labels)
-        if len(edges) != len(side_labels):
-            raise ValueError("one side-label pair per edge required")
-        if len(edges) < 1:
+        b = np.array(self.distances_mm, dtype=np.float64)
+        w = np.array(self.radii_mm, dtype=np.float64)
+        b.flags.writeable = w.flags.writeable = False
+        object.__setattr__(self, "distances_mm", b)
+        object.__setattr__(self, "radii_mm", w)
+        object.__setattr__(self, "band_labels", tuple(self.band_labels))
+        if len(b) < 1:
             raise ValueError("pointer needs at least one edge")
-        b = self.distances_mm
-        if not np.isfinite(np.r_[b, self.radii_mm, self.total_length_mm]).all():
+        if w.shape != b.shape:
+            raise ValueError("one radius per edge required")
+        if len(self.band_labels) != len(b) + 1:
+            raise ValueError("one band color per band (edges + 1) required")
+        if not np.isfinite(np.r_[b, w, self.total_length_mm]).all():
             raise ValueError("edge distances, radii and total length must be finite")
         if b[0] <= 0.0:
             raise ValueError("first edge must sit strictly past the tip")
-        if np.any(np.diff(b) <= 0.0):
+        spacing = np.diff(b)
+        if np.any(spacing <= 0.0):
             raise ValueError("edge distances must be strictly increasing")
         if b[-1] > self.total_length_mm:
             raise ValueError("edges cannot lie past the pointer end")
-        if any(e.radius_mm <= 0.0 for e in edges):
+        if np.any(w <= 0.0):
             raise ValueError("edge radii must be positive")
-        for left, right in side_labels:
+        for left, right in self.side_labels:
             if left is not None and left == right:
                 raise ValueError("adjacent bands must differ in color")
-        for i in range(len(side_labels) - 1):
-            if side_labels[i][1] != side_labels[i + 1][0]:
-                raise ValueError(
-                    f"edge {i} tail label disagrees with edge {i + 1} tip label"
-                )
-        if self._is_reversal_symmetric():
-            raise ValueError(
-                "band pattern is indistinguishable from its reversal"
-            )
+        # neither the colors nor the junction spacings break the symmetry
+        if self.band_labels == self.band_labels[::-1] and np.allclose(
+            spacing, spacing[::-1], atol=1e-9
+        ):
+            raise ValueError("band pattern is indistinguishable from its reversal")
 
-    def _is_reversal_symmetric(self) -> bool:
-        """Neither the colors nor the junction spacings break the symmetry."""
-        labels_rev = tuple((r, l) for (l, r) in reversed(self.side_labels))
-        if labels_rev != self.side_labels:
-            return False
-        spacing = np.diff(self.distances_mm)
-        return bool(np.allclose(spacing, spacing[::-1], atol=1e-9))
+    def __reduce__(self):
+        # rebuilt through __post_init__, so a copy in a worker process
+        # keeps its arrays read-only
+        return PointerSpec, (
+            self.distances_mm, self.radii_mm, self.band_labels, self.total_length_mm
+        )
 
     @property
-    def distances_mm(self) -> np.ndarray:
-        return np.array([e.distance_mm for e in self.edges], dtype=np.float64)
-
-    @property
-    def radii_mm(self) -> np.ndarray:
-        return np.array([e.radius_mm for e in self.edges], dtype=np.float64)
-
-    @property
-    def band_labels(self) -> list[Optional[int]]:
-        """Colors of the bands the edges separate, tip band first."""
-        return [self.side_labels[0][0]] + [r for _, r in self.side_labels]
+    def side_labels(self) -> tuple[LabelPair, ...]:
+        """The (tip side, tail side) band colors of each junction."""
+        return tuple(zip(self.band_labels[:-1], self.band_labels[1:]))
 
     def adjacent_label_pairs(self) -> set[frozenset[int]]:
-        pairs = set()
-        for left, right in self.side_labels:
-            if left is not None and right is not None:
-                pairs.add(frozenset((left, right)))
-        return pairs
+        return {frozenset(pair) for pair in self.side_labels if None not in pair}
 
 
 def _projective(a, c, g, t):

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import synthetic
 from .association import (
-    PointerEdge,
     PointerSpec,
     align_labels_dp,
     associate_ransac,
@@ -102,22 +101,10 @@ class Config:
                         f"color {name!r} needs a class id in {_span(ids)}, got {v!r}"
                     )
             band_names = list(ptr["band_colors"])
-            band_ids = [
-                colors[name] if name is not None else None for name in band_names
-            ]
-            distances = [float(v) for v in ptr["edge_distances_mm"]]
-            diameters = [float(v) for v in ptr["edge_diameters_mm"]]
-            if len(band_ids) != len(distances) + 1:
-                raise ConfigError("need one band color per band (edges + 1)")
-            if len(diameters) != len(distances):
-                raise ConfigError("need one diameter per edge")
             spec = PointerSpec(
-                edges=tuple(
-                    PointerEdge(d, w / 2.0) for d, w in zip(distances, diameters)
-                ),
-                side_labels=tuple(
-                    (band_ids[i], band_ids[i + 1]) for i in range(len(distances))
-                ),
+                distances_mm=[float(v) for v in ptr["edge_distances_mm"]],
+                radii_mm=[float(v) / 2.0 for v in ptr["edge_diameters_mm"]],
+                band_labels=[colors[name] if name is not None else None for name in band_names],
                 total_length_mm=float(ptr["total_length_mm"]),
             )
             det = data.get("detection", {})
@@ -152,9 +139,9 @@ class Config:
             },
             "pointer": {
                 "total_length_mm": self.pointer.total_length_mm,
-                "edge_distances_mm": [e.distance_mm for e in self.pointer.edges],
+                "edge_distances_mm": self.pointer.distances_mm.tolist(),
                 # exact: from_dict halves the diameters
-                "edge_diameters_mm": [2.0 * e.radius_mm for e in self.pointer.edges],
+                "edge_diameters_mm": (2.0 * self.pointer.radii_mm).tolist(),
                 "band_colors": list(self.band_names),
             },
             "colors": dict(self.color_names),
@@ -163,9 +150,17 @@ class Config:
 
 
 def _load_json(path):
+    def parse_int(text: str) -> int:
+        # every number is read as a float64 later, where float() would
+        # raise OverflowError
+        value = int(text)
+        if abs(value) > sys.float_info.max:
+            raise ConfigError(f"{path}: an integer of {len(text)} digits is too large")
+        return value
+
     with open(path) as f:
         try:
-            return json.load(f)
+            return json.load(f, parse_int=parse_int)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -500,7 +495,7 @@ def cmd_eval(args) -> int:
             angles_deg=[float(v) for v in angles],
             trials=sweep_spec.get("trials", 1),
             noise_px=noise_px,
-            seed=sweep_spec.get("seed", args.seed),
+            seed=sweep_spec.get("seed", 0),
             roll_deg=float(sweep_spec.get("roll_deg", 4.0)),
         )
         if not np.isfinite(grid["depths_mm"] + grid["angles_deg"] + [grid["roll_deg"]]).all():
@@ -563,13 +558,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="synthetic sweep evaluation")
     p_eval.add_argument("--sweep", required=True, help="sweep spec JSON")
     p_eval.add_argument("--out", required=True, help="report CSV path")
-    p_eval.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help or a usage error
+        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     if args.config is None:
         print("error: --config required", file=sys.stderr)
         return EXIT_ERROR

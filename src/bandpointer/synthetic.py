@@ -85,6 +85,12 @@ class Distractor:
     radius_px: float
     color: tuple[float, float, float]
 
+    def __post_init__(self):
+        if not np.isfinite(self.center).all():
+            raise ValueError("distractor center must be finite")
+        if not 0.0 <= self.radius_px < np.inf:
+            raise ValueError("distractor radius_px must be finite and >= 0")
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -100,8 +106,8 @@ class SceneSpec:
     distractors: tuple[Distractor, ...] = ()
 
     def __post_init__(self):
-        if self.blur_sigma < 0:
-            raise ValueError("blur sigma must be non-negative")
+        if not 0.0 <= self.blur_sigma < np.inf:
+            raise ValueError("blur_sigma must be finite and >= 0")
         painted = [self.background, self.bare_color, self.occluder_color]
         for rgb in [*self.band_colors.values(), *painted, *(d.color for d in self.distractors)]:
             arr = np.asarray(rgb, dtype=np.float64)

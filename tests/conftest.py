@@ -6,7 +6,7 @@ import pytest
 from backend_reference import _fit_reference
 
 from bandpointer import synthetic
-from bandpointer.association import Correspondence, PointerEdge, PointerSpec
+from bandpointer.association import Correspondence, PointerSpec
 from bandpointer.detection import DetectionResult, EdgePointPair, order_along_axis
 from bandpointer.pose import CameraModel, project_pointer_edges
 
@@ -54,10 +54,12 @@ def float_hsv(rgb8):
 
 
 def build_spec(distances, bands, total_length, radius=1.5):
-    side_labels = [(bands[i], bands[i + 1]) for i in range(len(distances))]
+    """A spec of one radius; bands past the last edge's tail band are
+    ignored, so one band list serves every edge count."""
     return PointerSpec(
-        edges=tuple(PointerEdge(d, radius) for d in distances),
-        side_labels=tuple(side_labels),
+        distances_mm=distances,
+        radii_mm=[radius] * len(distances),
+        band_labels=bands[: len(distances) + 1],
         total_length_mm=total_length,
     )
 
@@ -181,7 +183,7 @@ def detection_from_pose(
     happens in the synthetic tests.
     """
     if indices is None:
-        indices = list(range(len(spec.edges)))
+        indices = list(range(len(spec.distances_mm)))
     pairs = project_pointer_edges(pose, camera, spec, indices)
     if noise_px > 0:
         pairs += rng.normal(0, noise_px, pairs.shape)

@@ -206,7 +206,7 @@ def _random_instance(rng):
 
     entries = []
     for i in visible:
-        t = float(homog.inverse_mm(spec.edges[i].distance_mm))
+        t = float(homog.inverse_mm(spec.distances_mm[i]))
         t += float(rng.normal(0.0, 0.03))  # tiny jitter in axis coords
         left, right = spec.side_labels[i]
         if reversed_view:
@@ -283,7 +283,7 @@ class TestCriterion4AssociationOracle:
                 got = 0
             assert got == oracle, (
                 f"ransac found {got} inliers, oracle {oracle} "
-                f"(n_det={len(det.edges)}, n_spec={len(spec.edges)})"
+                f"(n_det={len(det.edges)}, n_spec={len(spec.distances_mm)})"
             )
             checked += 1
         elapsed = time.time() - t0
@@ -350,7 +350,7 @@ class TestCriterion6Initialization:
                 corr, result, camera_full, skewer_spec
             )
             cam_tip = camera_full.to_camera(pose.tip[None, :])[0, 2]
-            b_n = skewer_spec.edges[-1].distance_mm
+            b_n = skewer_spec.distances_mm[-1]
             tail = pose.tip + b_n * pose.direction
             cam_tail = camera_full.to_camera(tail[None, :])[0, 2]
             rel0 = abs(v0 - cam_tip) / cam_tip

@@ -1,6 +1,7 @@
 """Tests for label alignment, 1D homographies and association RANSAC."""
 
 import itertools
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,6 @@ from test_acceptance import _random_instance
 
 from bandpointer.association import (
     Homography1D,
-    PointerEdge,
     PointerSpec,
     _fit_homographies,
     _match_table,
@@ -36,12 +36,10 @@ RED, GREEN, BLUE = 1, 2, 3
 def make_spec(distances, band_labels, total_length=None, radius=1.5):
     if total_length is None:
         total_length = distances[-1] + 10.0
-    side_labels = [
-        (band_labels[i], band_labels[i + 1]) for i in range(len(distances))
-    ]
     return PointerSpec(
-        edges=tuple(PointerEdge(d, radius) for d in distances),
-        side_labels=tuple(side_labels),
+        distances_mm=distances,
+        radii_mm=[radius] * len(distances),
+        band_labels=band_labels,
         total_length_mm=total_length,
     )
 
@@ -97,7 +95,7 @@ class TestPointerSpec:
             make_spec([10.0, 20.0], [RED, GREEN, RED], total_length=30.0)
 
     def test_reversal_broken_by_spacing_accepted(self, alternating_spec):
-        assert len(alternating_spec.edges) == 8
+        assert len(alternating_spec.distances_mm) == 8
 
     def test_adjacent_same_color_rejected(self):
         with pytest.raises(ValueError, match="differ"):
@@ -109,6 +107,38 @@ class TestPointerSpec:
 
     def test_adjacency_pairs(self, alternating_spec):
         assert alternating_spec.adjacent_label_pairs() == {frozenset((RED, GREEN))}
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(band_labels=(RED, GREEN)), "one band color per band"),
+            (dict(radii_mm=[1.5]), "one radius per edge"),
+            (dict(distances_mm=[], radii_mm=[], band_labels=(RED,)), "at least one edge"),
+            (dict(distances_mm=[0.0, 20.0]), "past the tip"),
+            (dict(distances_mm=[10.0, 30.5]), "past the pointer end"),
+            (dict(radii_mm=[1.5, 0.0]), "radii must be positive"),
+        ],
+        ids=["missing-band-color", "missing-radius", "no-edges", "edge-at-tip",
+             "edge-past-end", "zero-radius"],
+    )
+    def test_malformed_pattern_rejected(self, changes, message):
+        kwargs = dict(distances_mm=[10.0, 25.0], radii_mm=[1.5, 1.5],
+                      band_labels=(RED, GREEN, BLUE), total_length_mm=30.0)
+        PointerSpec(**kwargs)
+        with pytest.raises(ValueError, match=message):
+            PointerSpec(**(kwargs | changes))
+
+    def test_arrays_are_read_only_copies(self):
+        distances = np.array([10.0, 25.0])
+        spec = PointerSpec(distances, [1.5, 1.5], [RED, GREEN, BLUE], 30.0)
+        distances[0] = 5.0
+        assert spec.distances_mm.tolist() == [10.0, 25.0]
+        for copy in (spec, pickle.loads(pickle.dumps(spec))):
+            for arr in (copy.distances_mm, copy.radii_mm):
+                assert arr.dtype == np.float64
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
+        assert spec.band_labels == (RED, GREEN, BLUE)
 
 
 def fit_one(pairs):
@@ -378,7 +408,7 @@ def exact_detection(spec, indices, homography, reversed_=False):
     """Detected edges at exactly homography-consistent positions."""
     entries = []
     for i in indices:
-        b = spec.edges[i].distance_mm
+        b = spec.distances_mm[i]
         t = homography.inverse_mm(b)
         left, right = spec.side_labels[i]
         if reversed_:

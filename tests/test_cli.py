@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -119,7 +119,7 @@ class TestConfig:
 
     def test_radii_are_half_diameters(self):
         config = Config.from_dict(make_config_dict())
-        assert config.pointer.edges[0].radius_mm == pytest.approx(2.0)
+        assert config.pointer.radii_mm[0] == pytest.approx(2.0)
 
     def test_readme_config_parses_with_every_detection_field(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -127,6 +127,33 @@ class TestConfig:
         data = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
         Config.from_dict(data)
         assert set(data["detection"]) == {f.name for f in fields(DetectionParams)}
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_band_colors_round_trip_and_side_labels_chain(self, data):
+        names = st.sampled_from(["red", "green", "blue", None])
+        band_names = [data.draw(names)]
+        n = data.draw(st.integers(1, 9))
+        for _ in range(n):
+            band_names.append(data.draw(names.filter(lambda c: c is None or c != band_names[-1])))
+        spacings = data.draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+        cfg = make_config_dict()
+        cfg["colors"] = {"red": 1, "green": 2, "blue": 3}
+        cfg["pointer"] = {
+            "total_length_mm": float(sum(spacings) + 5),
+            "edge_distances_mm": [float(d) for d in np.cumsum(spacings)],
+            "edge_diameters_mm": [4.0] * n,
+            "band_colors": band_names,
+        }
+        try:
+            config = Config.from_dict(cfg)
+        except ConfigError as exc:  # indistinguishable from its reversal
+            assert "reversal" in str(exc)
+            reject()
+        assert config.to_dict() == cfg
+        ids = [cfg["colors"][name] if name else None for name in band_names]
+        assert config.pointer.band_labels == tuple(ids)
+        assert config.pointer.side_labels == tuple(zip(ids, ids[1:]))
 
     def test_unknown_band_color_rejected(self):
         data = make_config_dict()
@@ -183,6 +210,12 @@ class TestConfigValidation:
             (("camera", "distortion"), [0.0, 0.0, 0.0, 0.0, 0.0]),
             (("camera", "distortion"), None),
             (("camera", "distortion", "k_1"), 0.0),
+            (("pointer", "band_colors"), ["red", "green", "red"]),
+            (("pointer", "edge_diameters_mm"), [4.0, 4.0]),
+            (("pointer", "edge_distances_mm"), []),
+            (("pointer", "edge_distances_mm", 0), 0.0),
+            (("pointer", "edge_distances_mm", 2), 100.5),
+            (("pointer", "edge_diameters_mm", 1), 0.0),
         ],
         ids=["fractional-r1", "one-size", "fractional-size", "zero-size",
              "infinite-size", "nan-size",
@@ -194,7 +227,9 @@ class TestConfigValidation:
              "nan-edge-distance", "nan-diameter", "infinite-diameter",
              "infinite-length", "nan-length", "infinite-focal-length",
              "nan-translation", "nan-k1", "infinite-p2", "distortion-list",
-             "distortion-null", "unknown-distortion-key"],
+             "distortion-null", "unknown-distortion-key", "missing-band-color",
+             "missing-diameter", "no-edges", "edge-at-tip", "edge-past-end",
+             "zero-diameter"],
     )
     def test_bad_config_exits_with_one_line(
         self, workspace, tmp_path, capsys, path, value
@@ -330,6 +365,71 @@ class TestConfigValidation:
 
     def test_largest_erosion_radius_accepted(self):
         assert Config.from_dict(_set(("detection", "r1"), 255)).detection.r1 == 255
+
+    @pytest.mark.parametrize(
+        "source, path",
+        [
+            ("config", ("detection", "r1")),
+            ("config", ("detection", "ransac_seed")),
+            ("config", ("camera", "image_size_px", 1)),
+            ("sweep", ("depths_mm", 0)),
+            ("colors", ("classes", 0, "lut", 3)),
+        ],
+        ids=["config-r1", "config-ransac-seed", "config-image-size", "sweep-depth",
+             "color-model-lut"],
+    )
+    def test_integer_too_large_for_a_float_exits_with_one_line(
+        self, workspace, tmp_path, capsys, source, path
+    ):
+        # float() of a 401-digit integer raises OverflowError
+        data = {
+            "config": make_config_dict(),
+            "sweep": {"depths_mm": [330.0], "angles_deg": [0.0]},
+            "colors": json.loads(workspace["colors"].read_text()),
+        }
+        node = data[source]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 10**400
+        paths = {"config": workspace["config"], "colors": workspace["colors"]}
+        paths[source] = tmp_path / f"{source}.json"
+        paths[source].write_text(json.dumps(data[source]))
+        sweep_path = tmp_path / "sweep.json"
+        if source != "sweep":
+            sweep_path.write_text(json.dumps(data["sweep"]))
+        command = {
+            "sweep": ["eval", "--sweep", str(sweep_path), "--out", str(tmp_path / "r.csv")],
+        }.get(source, ["probe", "--image", str(workspace["frame"]),
+                       "--color-model", str(paths["colors"])])
+        code = main(["--config", str(paths["config"]), *command])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{paths[source]}: an integer of 401 digits is too large" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["probe", "--color-model", "colors.json"],
+            ["track", "--frames", "f", "--out-prefix", "o", "--jobs", "x"],
+            ["eval", "--sweep", "s.json", "--out", "r.csv", "--seed", "3"],
+            ["fly"],
+            [],
+        ],
+        ids=["probe-without-image", "non-integer-jobs", "removed-seed-flag",
+             "unknown-command", "no-command"],
+    )
+    def test_usage_error_exits_1(self, workspace, capsys, args):
+        # exit 2 means "pointer not found"; argparse would exit 2 here too
+        assert main(["--config", str(workspace["config"]), *args]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "usage:" in err and "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestCalibrateCommand:
@@ -924,45 +1024,43 @@ class TestEvalCommand:
         assert header.startswith("depth_mm,angle_deg,trials,failures")
 
     @pytest.mark.parametrize(
-        "text, flags",
+        "text",
         [
-            (json.dumps({"angles_deg": [0.0]}), []),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": "x"}), []),
-            (json.dumps([330.0, 0.0]), []),
-            ("{not json", []),
-            (json.dumps({"depths_mm": [], "angles_deg": [0.0]}), []),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": []}), []),
-            (json.dumps({"depths_mm": "330", "angles_deg": [0.0]}), []),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": 2.7}), []),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": 0}), []),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": -3}), []),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": -1}), []),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": float("nan")}), []),
-            (json.dumps({"depths_mm": [330.0, float("nan")], "angles_deg": [0.0]}), []),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": [float("inf")]}), []),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "roll_deg": float("nan")}), []),
-            (json.dumps({"depths_mm": [400.0], "angles_deg": [10.0], "seed": -3}), []),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0]}), ["--seed", "-1"]),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "seed": 1.5}), []),
-            (json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "seed": True}), []),
+            json.dumps({"angles_deg": [0.0]}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": "x"}),
+            json.dumps([330.0, 0.0]),
+            "{not json",
+            json.dumps({"depths_mm": [], "angles_deg": [0.0]}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": []}),
+            json.dumps({"depths_mm": "330", "angles_deg": [0.0]}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": 2.7}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": 0}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "trials": -3}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": -1}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": float("nan")}),
+            json.dumps({"depths_mm": [330.0, float("nan")], "angles_deg": [0.0]}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [float("inf")]}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "roll_deg": float("nan")}),
+            json.dumps({"depths_mm": [400.0], "angles_deg": [10.0], "seed": -3}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "seed": 1.5}),
+            json.dumps({"depths_mm": [330.0], "angles_deg": [0.0], "seed": True}),
         ],
         ids=[
             "no-depths-key", "str-trials", "json-list", "not-json", "no-depths",
             "no-angles", "str-depths", "fractional-trials", "zero-trials",
             "negative-trials", "negative-noise", "nan-noise", "nan-depth",
-            "infinite-angle", "nan-roll", "negative-seed", "negative-seed-flag",
-            "fractional-seed", "bool-seed",
+            "infinite-angle", "nan-roll", "negative-seed", "fractional-seed", "bool-seed",
         ],
     )
     def test_malformed_sweep_spec_exits_with_one_line(
-        self, workspace, tmp_path, capsys, text, flags
+        self, workspace, tmp_path, capsys, text
     ):
         sweep_path = tmp_path / "sweep.json"
         sweep_path.write_text(text)
         out_path = tmp_path / "report.csv"
         code = main([
             "--config", str(workspace["config"]),
-            "eval", "--sweep", str(sweep_path), "--out", str(out_path), *flags,
+            "eval", "--sweep", str(sweep_path), "--out", str(out_path),
         ])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err

@@ -451,7 +451,7 @@ class TestBackEndEquivalence:
         pose = pose_at(depth, tilt, camera, spec, roll_deg=rng.uniform(-30.0, 30.0))
         scene = synthetic.SceneSpec(pose=pose, spec=spec, band_colors=BAND_RGB)
         gt = synthetic.ground_truth(scene, camera, SIZE_FULL)
-        shown = rng.permutation(len(spec.edges))[hidden:]
+        shown = rng.permutation(len(spec.distances_mm))[hidden:]
         for e in gt.edges:
             e.visible = e.visible and e.index in shown
         try:

@@ -148,6 +148,33 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match="^highlight"):
             synthetic.HighlightStripe(**(dict(start_mm=20.0, end_mm=30.0, desaturation=0.5) | kw))
 
+    @pytest.mark.parametrize(
+        "blur", [float("nan"), float("inf"), -0.5], ids=["nan", "infinite", "negative"]
+    )
+    def test_bad_blur_rejected(self, test_spec, blur):
+        pose = PointerPose(tip=[0.0, 0.0, 300.0], direction=[1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^blur_sigma must be finite and >= 0"):
+            synthetic.SceneSpec(pose=pose, spec=test_spec, band_colors=BAND_RGB, blur_sigma=blur)
+
+    @pytest.mark.parametrize(
+        "center, radius, field",
+        [
+            ((float("nan"), 60.0), 10.0, "center"),
+            ((80.0, float("inf")), 10.0, "center"),
+            ((80.0, 60.0), -1.0, "radius_px"),
+            ((80.0, 60.0), float("nan"), "radius_px"),
+            ((80.0, 60.0), float("inf"), "radius_px"),
+        ],
+        ids=["nan-center", "infinite-center", "negative-radius", "nan-radius",
+             "infinite-radius"],
+    )
+    def test_bad_distractor_rejected(self, center, radius, field):
+        with pytest.raises(ValueError, match=f"^distractor {field} must be finite"):
+            synthetic.Distractor(center, radius, (0.9, 0.2, 0.2))
+
+    def test_zero_radius_distractor_accepted(self):
+        synthetic.Distractor((80.0, 60.0), 0.0, (0.9, 0.2, 0.2))
+
     def test_highlight_bounds_accepted(self):
         synthetic.HighlightStripe(20.0, 20.0, 0.0, side_fraction=(-1.0, 1.0))
         synthetic.HighlightStripe(20.0, 30.0, 1.0, side_fraction=(0.3, 0.3))
@@ -613,7 +640,7 @@ class TestSweep:
             lengths.append(np.linalg.norm(p1 - p0))
             # analytic perspective projection of the two junction stations
             a = np.deg2rad(angle)
-            b0, b1 = test_spec.edges[0].distance_mm, test_spec.edges[-1].distance_mm
+            b0, b1 = test_spec.distances_mm[0], test_spec.distances_mm[-1]
             u = []
             for b in (b0, b1):
                 x = (b - half) * np.cos(a)
