@@ -14,7 +14,7 @@ import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
@@ -70,6 +70,8 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
+        if not isinstance(data, dict):
+            raise ConfigError(f"the config must be a JSON object, got {type(data).__name__}")
         try:
             _reject_booleans(data)
             cam = data["camera"]
@@ -101,6 +103,11 @@ class Config:
                         f"color {name!r} needs a class id in {_span(ids)}, got {v!r}"
                     )
             band_names = list(ptr["band_colors"])
+            for name in band_names:
+                if name is not None and name not in colors:
+                    raise ConfigError(
+                        f"pointer.band_colors uses {name!r}, which colors does not define"
+                    )
             spec = PointerSpec(
                 distances_mm=[float(v) for v in ptr["edge_distances_mm"]],
                 radii_mm=[float(v) / 2.0 for v in ptr["edge_diameters_mm"]],
@@ -178,43 +185,21 @@ def load_color_model(path) -> ColorClassSet:
     return deserialize_color_set(_load_json(path))
 
 
-@dataclass
-class PointCloud:
-    points: np.ndarray  # (N, 3) mm
-    rms_px: np.ndarray
-    filtered_flags: np.ndarray = field(default=None)  # type: ignore[assignment]
-    filter_skipped: bool = False
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        self.rms_px = np.asarray(self.rms_px, dtype=np.float64)
-        if self.filtered_flags is None:
-            self.filtered_flags = np.zeros(len(self.points), dtype=bool)
-
-
 MAD_FILTER_FACTOR = 5.0
 MAD_FILTER_MIN_POINTS = 5
 
 
-def filter_point_cloud(cloud: PointCloud) -> PointCloud:
-    """Flag points far from the componentwise median.
+def outlier_flags(points: np.ndarray) -> Optional[np.ndarray]:
+    """Flag the (N, 3) points far from the componentwise median.
 
     A point is an outlier when its distance to the median point exceeds
     five times the median of those distances. Fewer than five points
-    skips filtering with a warning flag.
+    give None: too few to filter.
     """
-    n = len(cloud.points)
-    if n < MAD_FILTER_MIN_POINTS:
-        return replace(
-            cloud,
-            filtered_flags=np.zeros(n, dtype=bool),
-            filter_skipped=True,
-        )
-    median = np.median(cloud.points, axis=0)
-    dist = np.linalg.norm(cloud.points - median, axis=1)
-    mad = float(np.median(dist))
-    flags = dist > MAD_FILTER_FACTOR * mad
-    return replace(cloud, filtered_flags=flags, filter_skipped=False)
+    if len(points) < MAD_FILTER_MIN_POINTS:
+        return None
+    dist = np.linalg.norm(points - np.median(points, axis=0), axis=1)
+    return dist > MAD_FILTER_FACTOR * np.median(dist)
 
 
 def write_ply(points: np.ndarray, quality: np.ndarray, path) -> None:
@@ -372,38 +357,28 @@ def cmd_track(args) -> int:
 
     out_prefix = Path(args.out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out_prefix.parent / (out_prefix.name + ".csv")
-    points, rms = [], []
-    with open(csv_path, "w", newline="") as f:
+    with open(out_prefix.parent / (out_prefix.name + ".csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow([
             "frame", "status", "tip_x_mm", "tip_y_mm", "tip_z_mm",
             "dir_x", "dir_y", "dir_z", "rms_px", "inliers",
         ])
         for frame, status, estimate in results:
-            name = Path(frame).name
-            if estimate is None:
-                writer.writerow([name, status] + [""] * 8)
-                continue
-            writer.writerow([name, "ok"] + _pose_fields(estimate))
-            points.append(estimate.pose.tip)
-            rms.append(estimate.rms_px)
+            fields = [""] * 8 if estimate is None else _pose_fields(estimate)
+            writer.writerow([Path(frame).name, status] + fields)
 
-    cloud = PointCloud(
-        points=np.array(points).reshape(-1, 3),
-        rms_px=np.array(rms),
-    )
-    cloud = filter_point_cloud(cloud)
-    if cloud.filter_skipped:
+    posed = [estimate for _, _, estimate in results if estimate is not None]
+    points = np.array([estimate.pose.tip for estimate in posed]).reshape(-1, 3)
+    rms = np.array([estimate.rms_px for estimate in posed])
+    flags = outlier_flags(points)
+    if flags is None:
         print("warning: too few points for outlier filtering", file=sys.stderr)
-    write_ply(cloud.points, cloud.rms_px, out_prefix.parent / (out_prefix.name + "_raw.ply"))
-    keep = ~cloud.filtered_flags
+        flags = np.zeros(len(points), dtype=bool)
+    write_ply(points, rms, out_prefix.parent / (out_prefix.name + "_raw.ply"))
     write_ply(
-        cloud.points[keep], cloud.rms_px[keep],
-        out_prefix.parent / (out_prefix.name + "_filtered.ply"),
+        points[~flags], rms[~flags], out_prefix.parent / (out_prefix.name + "_filtered.ply")
     )
-    ok = sum(1 for _, status, _ in results if status == "ok")
-    print(f"{ok}/{len(frames)} frames tracked; outputs at {out_prefix}*")
+    print(f"{len(posed)}/{len(frames)} frames tracked; outputs at {out_prefix}*")
     return EXIT_OK
 
 
@@ -411,9 +386,9 @@ def evaluate_sweep(
     config: Config,
     depths_mm: Sequence[float],
     angles_deg: Sequence[float],
-    trials: int,
-    noise_px: float,
-    seed: int,
+    trials: int = 1,
+    noise_px: float = 0.0,
+    seed: int = 0,
     roll_deg: float = 4.0,
 ) -> list[dict]:
     """Monte-Carlo pose evaluation on exact rendered-geometry junctions.
@@ -423,18 +398,20 @@ def evaluate_sweep(
     Returns one record per grid cell. A trial that fails, and every trial
     of a cell whose ground truth cannot be projected (part of the pointer
     behind the camera), counts as a failure. trials must be an integer
-    >= 1 and seed one >= 0, or ConfigError is raised.
+    >= 1, seed one >= 0, noise_px finite and >= 0, and the depths, angles
+    and roll finite, or ConfigError is raised.
     """
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    palette = {
-        label: (0.5, 0.5, 0.5) for label in config.color_names.values()
-    }
+    if not 0.0 <= noise_px < np.inf:
+        raise ConfigError(f"noise_px must be finite and >= 0, got {noise_px!r}")
+    if not np.isfinite([*depths_mm, *angles_deg, roll_deg]).all():
+        raise ConfigError("depths_mm, angles_deg and roll_deg must be finite")
     template = synthetic.SceneSpec(
         pose=None,  # type: ignore[arg-type]  # replaced by sweep()
         spec=config.pointer,
-        band_colors=palette,
+        band_colors={},  # ground_truth reads no colors
     )
     cells = synthetic.sweep(
         depths_mm, angles_deg, template, config.camera, roll_deg=roll_deg
@@ -487,22 +464,14 @@ def cmd_eval(args) -> int:
         depths, angles = sweep_spec["depths_mm"], sweep_spec["angles_deg"]
         if not (isinstance(depths, list) and isinstance(angles, list) and depths and angles):
             raise ValueError("depths_mm and angles_deg must be non-empty lists")
-        noise_px = float(sweep_spec.get("noise_px", 0.0))
-        if not 0.0 <= noise_px < np.inf:
-            raise ValueError(f"noise_px must be finite and >= 0, got {noise_px!r}")
-        grid = dict(
-            depths_mm=[float(v) for v in depths],
-            angles_deg=[float(v) for v in angles],
-            trials=sweep_spec.get("trials", 1),
-            noise_px=noise_px,
-            seed=sweep_spec.get("seed", 0),
-            roll_deg=float(sweep_spec.get("roll_deg", 4.0)),
-        )
-        if not np.isfinite(grid["depths_mm"] + grid["angles_deg"] + [grid["roll_deg"]]).all():
-            raise ValueError("depths_mm, angles_deg and roll_deg must be finite")
+        grid = {key: sweep_spec[key] for key in ("trials", "seed") if key in sweep_spec}
+        grid |= {
+            key: float(sweep_spec[key]) for key in ("noise_px", "roll_deg") if key in sweep_spec
+        }
+        depths, angles = [float(v) for v in depths], [float(v) for v in angles]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad sweep spec {args.sweep}: {exc}") from exc
-    records = evaluate_sweep(config, **grid)
+    records = evaluate_sweep(config, depths, angles, **grid)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as f:
@@ -541,19 +510,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_probe = sub.add_parser("probe", help="estimate the pose in one image")
     p_probe.add_argument("--image", required=True)
-    p_probe.add_argument(
-        "--color-model",
-        default=os.environ.get(ENV_COLOR_MODEL),
-        help=f"color model JSON (or ${ENV_COLOR_MODEL})",
-    )
 
     p_track = sub.add_parser("track", help="track a directory of frames")
     p_track.add_argument("--frames", required=True)
-    p_track.add_argument(
-        "--color-model", default=os.environ.get(ENV_COLOR_MODEL)
-    )
     p_track.add_argument("--out-prefix", required=True)
     p_track.add_argument("--jobs", type=int, default=1)
+    for p_sub in (p_probe, p_track):
+        p_sub.add_argument(
+            "--color-model",
+            default=os.environ.get(ENV_COLOR_MODEL),
+            help=f"color model JSON (or ${ENV_COLOR_MODEL})",
+        )
 
     p_eval = sub.add_parser("eval", help="synthetic sweep evaluation")
     p_eval.add_argument("--sweep", required=True, help="sweep spec JSON")

@@ -311,9 +311,7 @@ def _junction_images(
 
 def _refine_subpixel(combined: np.ndarray, px: int, py: int) -> np.ndarray:
     """Centroid of the junction pixels in the 3x3 neighborhood."""
-    h, w = combined.shape
-    y0, y1 = max(py - 1, 0), min(py + 2, h)
-    x0, x1 = max(px - 1, 0), min(px + 2, w)
+    x0, y0, x1, y1 = pixel_box([px, py], 1.0, (0, 0), combined.shape[::-1])
     ys, xs = np.nonzero(combined[y0:y1, x0:x1])
     return np.array([xs.mean() + x0, ys.mean() + y0])
 

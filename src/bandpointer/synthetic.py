@@ -70,6 +70,10 @@ class Occluder:
     y1: float
 
     def __post_init__(self):
+        for name in ("x0", "y0", "x1", "y1"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"occluder {name} must be finite, got {value!r}")
         if not (self.x0 <= self.x1 and self.y0 <= self.y1):
             raise ValueError("occluder needs x0 <= x1 and y0 <= y1")
 

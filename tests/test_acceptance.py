@@ -11,7 +11,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from backend_reference import (
     _fit_reference,
@@ -36,7 +35,7 @@ from bandpointer.association import (
     align_labels_dp,
     associate_ransac,
 )
-from bandpointer.cli import Config, PointCloud, evaluate_sweep, filter_point_cloud, write_ply
+from bandpointer.cli import Config, evaluate_sweep, outlier_flags, write_ply
 from bandpointer.detection import DetectionParams, detect_pointer
 from bandpointer.errors import BandPointerError
 from bandpointer.imaging import RasterImage, erode_disk, rgb_to_hue_saturation
@@ -487,20 +486,17 @@ class TestCriterion8SquareTracing:
             except BandPointerError:
                 frame_failures += 1
 
-        cloud = PointCloud(
-            points=np.array(points),
-            rms_px=np.zeros(len(points)),
-        )
-        cloud = filter_point_cloud(cloud)
-        kept = cloud.points[~cloud.filtered_flags]
+        points = np.array(points)
+        flags = outlier_flags(points)
+        kept = points[~flags]
         plane_dist = np.abs(kept[:, 2] - plane_z)
         within = float(np.mean(plane_dist < 5.0))
-        gross = (frame_failures + int(cloud.filtered_flags.sum())) / n_frames
+        gross = (frame_failures + int(flags.sum())) / n_frames
         print(
             f"\nACCEPTANCE 8 square-tracing: "
             f"{within * 100:.1f}% of {len(kept)} kept points within 5 mm of the "
             f"plane; gross failure rate {gross * 100:.1f}% "
-            f"({frame_failures} frame failures, {int(cloud.filtered_flags.sum())} filtered)"
+            f"({frame_failures} frame failures, {int(flags.sum())} filtered)"
         )
         assert within >= 0.90
         assert gross < 0.10

@@ -26,11 +26,10 @@ from bandpointer.cli import (
     EXIT_NO_ASSOCIATION,
     EXIT_OK,
     EXIT_POINTER_NOT_FOUND,
-    PointCloud,
     evaluate_sweep,
-    filter_point_cloud,
     load_color_model,
     main,
+    outlier_flags,
     run_pipeline,
     save_color_model,
     write_ply,
@@ -158,13 +157,21 @@ class TestConfig:
     def test_unknown_band_color_rejected(self):
         data = make_config_dict()
         data["pointer"]["band_colors"][0] = "purple"
-        from bandpointer.errors import ConfigError
-        with pytest.raises((ConfigError, KeyError)):
+        with pytest.raises(
+            ConfigError, match="^pointer.band_colors uses 'purple', which colors does not define$"
+        ):
             Config.from_dict(data)
+
+    def test_config_that_is_not_an_object_rejected(self):
+        with pytest.raises(ConfigError, match="^the config must be a JSON object, got list$"):
+            Config.from_dict([make_config_dict()])
 
 
 def _set(path, value):
-    """Copy of the test config with the key at `path` set to `value`."""
+    """Copy of the test config with the key at `path` set to `value`; the
+    empty path replaces the whole config."""
+    if not path:
+        return value
     data = make_config_dict()
     node = data
     for key in path[:-1]:
@@ -216,6 +223,8 @@ class TestConfigValidation:
             (("pointer", "edge_distances_mm", 0), 0.0),
             (("pointer", "edge_distances_mm", 2), 100.5),
             (("pointer", "edge_diameters_mm", 1), 0.0),
+            (("pointer", "band_colors", 0), "purple"),
+            ((), [make_config_dict()]),
         ],
         ids=["fractional-r1", "one-size", "fractional-size", "zero-size",
              "infinite-size", "nan-size",
@@ -229,7 +238,7 @@ class TestConfigValidation:
              "nan-translation", "nan-k1", "infinite-p2", "distortion-list",
              "distortion-null", "unknown-distortion-key", "missing-band-color",
              "missing-diameter", "no-edges", "edge-at-tip", "edge-past-end",
-             "zero-diameter"],
+             "zero-diameter", "unknown-band-color", "list-config"],
     )
     def test_bad_config_exits_with_one_line(
         self, workspace, tmp_path, capsys, path, value
@@ -1107,6 +1116,23 @@ class TestEvalCommand:
         with pytest.raises(ConfigError, match=f"^{name} must be an integer >= "):
             evaluate_sweep(config, [400.0], [10.0], **grid)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(noise_px=-1.0), "noise_px must be finite and >= 0"),
+            (dict(noise_px=float("nan")), "noise_px must be finite and >= 0"),
+            (dict(depths_mm=[400.0, float("nan")]), "depths_mm, angles_deg and roll_deg must be"),
+            (dict(angles_deg=[float("-inf")]), "depths_mm, angles_deg and roll_deg must be"),
+            (dict(roll_deg=float("inf")), "depths_mm, angles_deg and roll_deg must be"),
+        ],
+        ids=["negative-noise", "nan-noise", "nan-depth", "infinite-angle", "infinite-roll"],
+    )
+    def test_sweep_rejects_bad_noise_and_grid(self, bad, message):
+        config = Config.from_dict(make_config_dict())
+        grid = dict(depths_mm=[400.0], angles_deg=[10.0]) | bad
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            evaluate_sweep(config, **grid)
+
     def test_sweep_takes_numpy_integers(self):
         config = Config.from_dict(make_config_dict())
         got = evaluate_sweep(config, [400.0], [10.0], trials=np.int64(2), noise_px=0.5,
@@ -1150,31 +1176,23 @@ class TestEvalCommand:
 
 
 class TestFilterPointCloud:
-    def make_cloud(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        return PointCloud(
-            points=points,
-            rms_px=np.zeros(len(points)),
-        )
-
     def test_identical_points_keep_all(self):
-        cloud = self.make_cloud(np.tile([1.0, 2.0, 3.0], (8, 1)))
-        out = filter_point_cloud(cloud)
-        assert not out.filtered_flags.any()
-        assert not out.filter_skipped
+        flags = outlier_flags(np.tile([1.0, 2.0, 3.0], (8, 1)))
+        assert flags is not None
+        assert not flags.any()
 
     def test_single_far_outlier_flagged(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(0, 1.0, (99, 3))
         pts = np.vstack([pts, [500.0, 0.0, 0.0]])
-        out = filter_point_cloud(self.make_cloud(pts))
+        flags = outlier_flags(pts)
         # oracle: distance to componentwise median over 5x median distance
         med = np.median(pts, axis=0)
         d = np.linalg.norm(pts - med, axis=1)
         expected = d > 5 * np.median(d)
-        np.testing.assert_array_equal(out.filtered_flags, expected)
-        assert out.filtered_flags.sum() == 1
-        assert out.filtered_flags[-1]
+        np.testing.assert_array_equal(flags, expected)
+        assert flags.sum() == 1
+        assert flags[-1]
 
     def test_square_perimeter_none_filtered(self):
         # points spread over a 37 mm square boundary
@@ -1192,14 +1210,17 @@ class TestFilterPointCloud:
                 edges.append(np.column_stack([np.zeros(50), side - t * side]))
         xy = np.vstack(edges)
         pts = np.column_stack([xy, np.full(len(xy), 480.0)])
-        out = filter_point_cloud(self.make_cloud(pts))
-        assert not out.filtered_flags.any()
+        assert not outlier_flags(pts).any()
 
     def test_too_few_points_skips(self):
-        cloud = self.make_cloud(np.zeros((4, 3)))
-        out = filter_point_cloud(cloud)
-        assert out.filter_skipped
-        assert not out.filtered_flags.any()
+        assert outlier_flags(np.zeros((4, 3))) is None
+
+    def test_five_points_are_filtered(self):
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                        [-1.0, 0.0, 0.0], [500.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(
+            outlier_flags(pts), [False, False, False, False, True]
+        )
 
     def test_ply_written(self, tmp_path):
         pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])

@@ -172,6 +172,20 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match=f"^distractor {field} must be finite"):
             synthetic.Distractor(center, radius, (0.9, 0.2, 0.2))
 
+    @pytest.mark.parametrize(
+        "corners, field",
+        [
+            ((float("-inf"), 0.0, 10.0, 10.0), "x0"),
+            ((0.0, float("nan"), 10.0, 10.0), "y0"),
+            ((0.0, 0.0, float("inf"), 10.0), "x1"),
+            ((0.0, 0.0, 10.0, float("inf")), "y1"),
+        ],
+        ids=["infinite-x0", "nan-y0", "infinite-x1", "infinite-y1"],
+    )
+    def test_bad_occluder_rejected(self, corners, field):
+        with pytest.raises(ValueError, match=f"^occluder {field} must be finite"):
+            synthetic.Occluder(*corners)
+
     def test_zero_radius_distractor_accepted(self):
         synthetic.Distractor((80.0, 60.0), 0.0, (0.9, 0.2, 0.2))
 

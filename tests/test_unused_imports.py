@@ -1,7 +1,8 @@
-"""Module-level imports and private names in the package that no package
-code reads, and public members that neither the package nor the
-benchmark reads; no linter runs on the source, so these tests catch what
-a refactor leaves behind."""
+"""Module-level imports in the package and the tests that their module
+never reads, private names in the package that no package code reads,
+and public members that neither the package nor the benchmark reads; no
+linter runs on the source, so these tests catch what a refactor leaves
+behind."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bandpointer"
+TESTS = Path(__file__).resolve().parent
 
 
 def _bound_names(body: list[ast.stmt]) -> dict[str, int]:
@@ -44,7 +46,11 @@ def _read_names(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
+)
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text())
     read = _read_names(tree)
