@@ -10,7 +10,6 @@ from .association import (
 )
 from .color_model import (
     ColorClassSet,
-    HueKde,
     calibrate_colors,
     classify_hue,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "EdgePointPair",
     "GroundTruth",
     "Homography1D",
-    "HueKde",
     "HueSatImage",
     "PointerPose",
     "PointerSpec",

@@ -29,7 +29,6 @@ from .association import (
 )
 from .color_model import (
     ColorClassSet,
-    _span,
     calibrate_colors,
     deserialize_color_set,
     serialize_color_set,
@@ -42,6 +41,7 @@ from .errors import (
     DetectionError,
     ImageFormatError,
     PoseError,
+    _json_floats,
     _reject_booleans,
 )
 from .imaging import DistortionModel, RasterImage, load_image, load_pgm
@@ -75,9 +75,11 @@ class Config:
         try:
             _reject_booleans(data)
             cam = data["camera"]
-            k = np.array(cam["k_row_major"], dtype=np.float64).reshape(3, 3)
-            rot = np.array(cam["rotation_row_major"], dtype=np.float64).reshape(3, 3)
-            trans = np.array(cam["translation_mm"], dtype=np.float64)
+            k, rot = (
+                _json_floats(cam[key], f"camera.{key}", listed=True).reshape(3, 3)
+                for key in ("k_row_major", "rotation_row_major")
+            )
+            trans = _json_floats(cam["translation_mm"], "camera.translation_mm", listed=True)
             distortion = DistortionModel(**cam.get("distortion", {}))
             camera = CameraModel(K=k, R=rot, t=trans, distortion=distortion)
             # checked before int(), which raises OverflowError on infinity
@@ -90,18 +92,13 @@ class Config:
 
             ptr = data["pointer"]
             # a string would otherwise be read one character per entry
-            for key in ("edge_distances_mm", "edge_diameters_mm", "band_colors"):
-                if not isinstance(ptr[key], list):
-                    raise ConfigError(f"pointer.{key} must be a list, got {ptr[key]!r}")
+            if not isinstance(ptr["band_colors"], list):
+                raise ConfigError(f"pointer.band_colors must be a list, got {ptr['band_colors']!r}")
             if not isinstance(data["colors"], dict):
                 raise ConfigError("colors must map color names to class ids")
             colors = {str(k2): v for k2, v in data["colors"].items()}
-            ids = ColorClassSet.label_range
             for name, v in colors.items():
-                if type(v) is not int or v not in ids:
-                    raise ConfigError(
-                        f"color {name!r} needs a class id in {_span(ids)}, got {v!r}"
-                    )
+                ColorClassSet.check_label(v, f"colors.{name}")
             band_names = list(ptr["band_colors"])
             for name in band_names:
                 if name is not None and name not in colors:
@@ -109,10 +106,14 @@ class Config:
                         f"pointer.band_colors uses {name!r}, which colors does not define"
                     )
             spec = PointerSpec(
-                distances_mm=[float(v) for v in ptr["edge_distances_mm"]],
-                radii_mm=[float(v) / 2.0 for v in ptr["edge_diameters_mm"]],
+                distances_mm=_json_floats(
+                    ptr["edge_distances_mm"], "pointer.edge_distances_mm", listed=True
+                ),
+                radii_mm=_json_floats(
+                    ptr["edge_diameters_mm"], "pointer.edge_diameters_mm", listed=True
+                ) / 2.0,
                 band_labels=[colors[name] if name is not None else None for name in band_names],
-                total_length_mm=float(ptr["total_length_mm"]),
+                total_length_mm=_json_floats(ptr["total_length_mm"], "pointer.total_length_mm"),
             )
             det = data.get("detection", {})
             params = DetectionParams(**det)
@@ -261,12 +262,8 @@ def cmd_calibrate(args) -> int:
     color_set = calibrate_colors(img, mask, min_saturation=config.detection.s2)
     save_color_model(color_set, args.out)
     id_to_name = {v: k for k, v in config.color_names.items()}
-    for label, kde in color_set.classes:
-        name = id_to_name.get(label, str(label))
-        print(
-            f"class {label} ({name}): {len(kde.samples)} samples, "
-            f"modal hue {kde.modal_hue():.3f} rad"
-        )
+    for label, hue in zip(color_set.labels, color_set.modal_hues()):
+        print(f"class {label} ({id_to_name.get(label, str(label))}): modal hue {hue:.3f} rad")
     print(f"color model written to {args.out}")
     return EXIT_OK
 
@@ -398,12 +395,22 @@ def evaluate_sweep(
     Returns one record per grid cell. A trial that fails, and every trial
     of a cell whose ground truth cannot be projected (part of the pointer
     behind the camera), counts as a failure. trials must be an integer
-    >= 1, seed one >= 0, noise_px finite and >= 0, and the depths, angles
-    and roll finite, or ConfigError is raised.
+    >= 1, seed one >= 0, depths_mm and angles_deg non-empty lists of
+    finite numbers, noise_px a finite number >= 0 and roll_deg a finite
+    number, or ConfigError is raised.
     """
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    try:
+        depths_mm = _json_floats(depths_mm, "depths_mm", listed=True)
+        angles_deg = _json_floats(angles_deg, "angles_deg", listed=True)
+        noise_px = _json_floats(noise_px, "noise_px")
+        roll_deg = _json_floats(roll_deg, "roll_deg")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not (depths_mm.size and angles_deg.size):
+        raise ConfigError("depths_mm and angles_deg must be non-empty lists")
     if not 0.0 <= noise_px < np.inf:
         raise ConfigError(f"noise_px must be finite and >= 0, got {noise_px!r}")
     if not np.isfinite([*depths_mm, *angles_deg, roll_deg]).all():
@@ -462,13 +469,8 @@ def cmd_eval(args) -> int:
     try:
         _reject_booleans(sweep_spec)
         depths, angles = sweep_spec["depths_mm"], sweep_spec["angles_deg"]
-        if not (isinstance(depths, list) and isinstance(angles, list) and depths and angles):
-            raise ValueError("depths_mm and angles_deg must be non-empty lists")
-        grid = {key: sweep_spec[key] for key in ("trials", "seed") if key in sweep_spec}
-        grid |= {
-            key: float(sweep_spec[key]) for key in ("noise_px", "roll_deg") if key in sweep_spec
-        }
-        depths, angles = [float(v) for v in depths], [float(v) for v in angles]
+        keys = ("trials", "seed", "noise_px", "roll_deg")
+        grid = {key: sweep_spec[key] for key in keys if key in sweep_spec}
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad sweep spec {args.sweep}: {exc}") from exc
     records = evaluate_sweep(config, depths, angles, **grid)

@@ -1,14 +1,14 @@
 """Hue density models for the pointer's band colors.
 
-One circular kernel density estimator per band color, built from a single
-annotated image; pixels classify to the densest class or to a uniform
-background. Bandwidths vary per sample with the hue uncertainty implied
-by low saturation and low intensity.
+One circular kernel density estimate per band color, built from a single
+annotated image and kept as a lookup table; pixels classify to the
+densest class or to a uniform background. Bandwidths vary per sample
+with the hue uncertainty implied by low saturation and low intensity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -18,7 +18,7 @@ from .errors import (
     InsufficientCalibrationDataError,
     MaskMismatchError,
     TooFewColorClassesError,
-    _reject_booleans,
+    _json_floats,
 )
 from .imaging import (
     HUE_PERIOD,
@@ -65,86 +65,53 @@ def _wrapped_gaussian_lut(samples: np.ndarray, bandwidths: np.ndarray) -> np.nda
     return lut / len(samples)
 
 
-@dataclass(frozen=True)
-class HueKde:
-    """Circular hue density backed by a precomputed lookup table of
-    LUT_BINS finite, non-negative densities."""
-
-    samples: np.ndarray  # hue radians, empty when deserialized
-    bandwidths: np.ndarray
-    lut: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        bandwidths = np.asarray(self.bandwidths, dtype=np.float64)
-        if (
-            samples.ndim != 1
-            or bandwidths.shape != samples.shape
-            or not np.all(np.isfinite(samples))
-            or not np.all(np.isfinite(bandwidths) & (bandwidths > 0))
-        ):
-            raise ValueError(
-                "HueKde needs 1-D finite samples and as many finite positive bandwidths"
-            )
-        lut = self.lut
-        if lut is None:
-            if len(samples) == 0:
-                raise ValueError("HueKde needs samples or a lookup table")
-            lut = _wrapped_gaussian_lut(samples, bandwidths)
-        lut = np.asarray(lut, dtype=np.float64)
-        if lut.shape != (LUT_BINS,) or not np.all(np.isfinite(lut)) or np.any(lut < 0):
-            raise ValueError(f"lut needs {LUT_BINS} finite non-negative entries")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "bandwidths", bandwidths)
-        object.__setattr__(self, "lut", lut)
-
-    def density(self, theta) -> np.ndarray | float:
-        """Linear interpolation on the 2pi-periodic lookup table."""
-        theta = np.asarray(theta, dtype=np.float64)
-        pos = np.mod(theta, HUE_PERIOD) * (LUT_BINS / HUE_PERIOD)
-        i0 = np.floor(pos).astype(np.int64) % LUT_BINS
-        i1 = (i0 + 1) % LUT_BINS
-        frac = pos - np.floor(pos)
-        out = self.lut[i0] * (1.0 - frac) + self.lut[i1] * frac
-        return float(out) if out.ndim == 0 else out
-
-    def modal_hue(self) -> float:
-        return float(np.argmax(self.lut) * (HUE_PERIOD / LUT_BINS))
-
-
-def _span(labels: range) -> str:
-    return f"{labels.start}..{labels.stop - 1}"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColorClassSet:
-    """Band color KDEs (ordered by class label) plus the uniform background."""
+    """The color model: labels ascend, and row i of luts is band color
+    class labels[i]'s hue density at LUT_BINS hues evenly spaced over the
+    period. Hues no class outweighs go to the uniform background."""
 
-    classes: tuple[tuple[int, HueKde], ...]
+    labels: tuple[int, ...]
+    luts: np.ndarray  # (len(labels), LUT_BINS) float64, read-only
     # labels fit the uint8 label rasters, where 0 is the background
     label_range: ClassVar[range] = range(BACKGROUND_LABEL + 1, 256)
     min_classes: ClassVar[int] = 2
 
-    def __post_init__(self):
-        labels = [label for label, _ in self.classes]
-        if len(labels) != len(set(labels)):
-            raise ValueError("class labels must be unique")
-        if len(labels) < self.min_classes:
-            raise ValueError(f"need at least {self.min_classes} color classes")
-        if any(label not in self.label_range for label in labels):
-            raise ValueError(f"class labels must be integers in {_span(self.label_range)}")
-        ordered = tuple(sorted(self.classes, key=lambda c: c[0]))
-        object.__setattr__(self, "classes", ordered)
+    @classmethod
+    def check_label(cls, label, field: str) -> None:
+        """ValueError naming the field unless label is an int class id."""
+        if type(label) is not int or label not in cls.label_range:
+            span = f"{cls.label_range.start}..{cls.label_range.stop - 1}"
+            raise ValueError(f"{field} must be an int in {span}, got {label!r}")
 
-    @property
-    def labels(self) -> list[int]:
-        return [label for label, _ in self.classes]
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        for label in labels:
+            self.check_label(label, "color class label")
+        if len(set(labels)) != len(labels):
+            raise ValueError("color class labels must be unique")
+        if len(labels) < self.min_classes:
+            raise ValueError(f"a color model needs at least {self.min_classes} color classes")
+        for label, lut in zip(labels, self.luts, strict=True):
+            lut = np.asarray(lut, dtype=np.float64)
+            if lut.shape != (LUT_BINS,) or not np.all(np.isfinite(lut)) or np.any(lut < 0):
+                raise ValueError(
+                    f"color class {label}: lut needs {LUT_BINS} finite non-negative entries"
+                )
+        luts = np.array(self.luts, dtype=np.float64)[np.argsort(labels)]
+        luts.flags.writeable = False
+        object.__setattr__(self, "labels", tuple(sorted(labels)))
+        object.__setattr__(self, "luts", luts)
+
+    def modal_hues(self) -> np.ndarray:
+        """Per class, the hue (radians) of its lookup table's first maximum."""
+        return np.argmax(self.luts, axis=1) * (HUE_PERIOD / LUT_BINS)
 
 
 def calibrate_colors(
     img: RasterImage, mask: np.ndarray, min_saturation: float
 ) -> ColorClassSet:
-    """Build one hue KDE per labeled class in the calibration mask.
+    """Build one hue density table per labeled class in the calibration mask.
 
     Mask value 0 marks unlabeled pixels; value n marks class n. Pixels
     with saturation below the threshold or without a defined hue are
@@ -158,19 +125,15 @@ def calibrate_colors(
     usable = hs.gate(min_saturation)
 
     labels = sorted(int(v) for v in np.unique(mask) if v != BACKGROUND_LABEL)
-    per_class: list[tuple[int, np.ndarray, np.ndarray]] = []
-    inv_sv_all: list[np.ndarray] = []
+    per_class: list[tuple[np.ndarray, np.ndarray]] = []  # hues, 1 / (s v)
     for label in labels:
         sel = (mask == label) & usable
         count = int(sel.sum())
         if count < MIN_CLASS_PIXELS:
             raise InsufficientCalibrationDataError(label, count, MIN_CLASS_PIXELS)
-        hues = hs.hue_at(sel)
-        inv_sv = 1.0 / np.maximum(hs.saturation_value_at(sel), 1e-6)
-        per_class.append((label, hues, inv_sv))
-        inv_sv_all.append(inv_sv)
+        per_class.append((hs.hue_at(sel), 1.0 / np.maximum(hs.saturation_value_at(sel), 1e-6)))
 
-    if len(per_class) < ColorClassSet.min_classes:
+    if len(labels) < ColorClassSet.min_classes:
         raise TooFewColorClassesError(
             f"calibration mask labels {len(labels)} color class(es), "
             f"a color model needs {ColorClassSet.min_classes}"
@@ -178,13 +141,13 @@ def calibrate_colors(
 
     # scale the uncertainty proxy so the pooled median bandwidth lands on
     # the target, then clamp per sample
-    pooled = np.concatenate(inv_sv_all)
+    pooled = np.concatenate([inv_sv for _, inv_sv in per_class])
     scale = MEDIAN_TARGET_BANDWIDTH / float(np.median(pooled))
-    classes = []
-    for label, hues, inv_sv in per_class:
-        bw = np.clip(scale * inv_sv, BANDWIDTH_FLOOR, BANDWIDTH_CAP)
-        classes.append((label, HueKde(samples=hues, bandwidths=bw)))
-    return ColorClassSet(classes=tuple(classes))
+    luts = [
+        _wrapped_gaussian_lut(hues, np.clip(scale * inv_sv, BANDWIDTH_FLOOR, BANDWIDTH_CAP))
+        for hues, inv_sv in per_class
+    ]
+    return ColorClassSet(labels=tuple(labels), luts=luts)
 
 
 def classify_hue(color_set: ColorClassSet, hues: np.ndarray) -> np.ndarray:
@@ -194,13 +157,21 @@ def classify_hue(color_set: ColorClassSet, hues: np.ndarray) -> np.ndarray:
     background resolves to the background.
     """
     hues = np.asarray(hues, dtype=np.float64)
-    stack = np.empty((len(color_set.classes) + 1,) + hues.shape, dtype=np.float64)
+    stack = np.empty((len(color_set.labels) + 1,) + hues.shape, dtype=np.float64)
     stack[0] = BACKGROUND_DENSITY
-    for i, (_, kde) in enumerate(color_set.classes):
-        stack[i + 1] = kde.density(hues)
+    # linear interpolation on the periodic table; the bin index and
+    # fraction are rebuilt and freed per class, since holding them across
+    # classes raises the peak memory
+    for i, lut in enumerate(color_set.luts):
+        pos = np.mod(hues, HUE_PERIOD) * (LUT_BINS / HUE_PERIOD)
+        i0 = np.floor(pos).astype(np.int64) % LUT_BINS
+        i1 = (i0 + 1) % LUT_BINS
+        frac = pos - np.floor(pos)
+        stack[i + 1] = lut[i0] * (1.0 - frac) + lut[i1] * frac
+        del pos, i0, i1, frac
     # background first and classes by label, so argmax's first-maximum
     # rule implements both tie breaks
-    labels = np.array([BACKGROUND_LABEL] + color_set.labels, dtype=np.uint8)
+    labels = np.array((BACKGROUND_LABEL,) + color_set.labels, dtype=np.uint8)
     return labels[stack.argmax(axis=0)]
 
 
@@ -234,8 +205,8 @@ def serialize_color_set(color_set: ColorClassSet) -> dict:
     return {
         "lut_bins": LUT_BINS,
         "classes": [
-            {"label": label, "lut": kde.lut.tolist()}
-            for label, kde in color_set.classes
+            {"label": label, "lut": lut.tolist()}
+            for label, lut in zip(color_set.labels, color_set.luts)
         ],
     }
 
@@ -243,27 +214,21 @@ def serialize_color_set(color_set: ColorClassSet) -> dict:
 def deserialize_color_set(data: dict) -> ColorClassSet:
     """Inverse of serialize_color_set; ConfigError on a malformed model.
 
-    Labels must fit the uint8 label rasters, and every lookup table must
-    be one HueKde accepts.
+    Each lookup table must be a list of JSON numbers; ColorClassSet
+    checks the labels and the tables' values.
     """
     if not isinstance(data, dict) or data.get("lut_bins") != LUT_BINS:
         raise ConfigError(f"color model needs lut_bins = {LUT_BINS}")
     try:
-        classes = []
-        for entry in data["classes"]:
-            label = entry["label"]
-            if type(label) is not int or label not in ColorClassSet.label_range:
-                raise ConfigError(
-                    f"color class label must be an int in "
-                    f"{_span(ColorClassSet.label_range)}, got {label!r}"
-                )
-            try:
-                _reject_booleans(entry["lut"], "lut")
-                lut = np.asarray(entry["lut"], dtype=np.float64)
-                kde = HueKde(samples=np.empty(0), bandwidths=np.empty(0), lut=lut)
-            except ValueError as exc:
-                raise ConfigError(f"color class {label}: {exc}") from exc
-            classes.append((label, kde))
-        return ColorClassSet(classes=tuple(classes))
-    except (KeyError, TypeError, ValueError) as exc:
+        classes = [(entry["label"], entry["lut"]) for entry in data["classes"]]
+        return ColorClassSet(
+            labels=tuple(label for label, _ in classes),
+            luts=[
+                _json_floats(lut, f"color class {label}: lut", listed=True)
+                for label, lut in classes
+            ],
+        )
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad color model: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

@@ -196,9 +196,10 @@ def ransac_centroid_line(
 
     Every pair i < j of distinct centroids is scored, and the first of the
     tied best wins. Regions whose centroids sit within 3 sigma of the
-    winning line are returned; sigma comes from the crossing regions'
-    perpendicular distances, with a half-pixel floor against degenerate
-    collinearity. Only params.r2 is read.
+    winning line are returned, so never none: the line passes through two
+    of them. Sigma comes from the crossing regions' perpendicular
+    distances, with a half-pixel floor against degenerate collinearity.
+    Only params.r2 is read.
     """
     if len(regions) < 2:
         raise InsufficientRegionsError(f"{len(regions)} regions, need 2")
@@ -480,12 +481,9 @@ def _region_pass(
     if not regions:
         raise PointerNotFoundError(f"pass{n}-regions")
     try:
-        line, surviving = ransac_centroid_line(regions, params)
+        return ransac_centroid_line(regions, params)
     except (InsufficientRegionsError, DegenerateSampleError) as exc:
         raise PointerNotFoundError(f"pass{n}-line", str(exc)) from exc
-    if not surviving:
-        raise PointerNotFoundError(f"pass{n}-line", "no regions near the axis")
-    return line, surviving
 
 
 def detect_pointer(

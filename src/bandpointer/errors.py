@@ -1,11 +1,14 @@
-"""Exception hierarchy for the tracking pipeline, and the boolean check
-its JSON loaders share.
+"""Exception hierarchy for the tracking pipeline, and the boolean and
+number checks its JSON loaders share.
 
 The CLI maps these onto distinct exit codes, so failure causes stay
 separable all the way out of the process.
 """
 
 import json
+import numbers
+
+import numpy as np
 
 
 class BandPointerError(Exception):
@@ -134,3 +137,21 @@ def _reject_booleans(value, field: str = "") -> None:
     elif isinstance(value, list):
         for i, item in enumerate(value):
             _reject_booleans(item, f"{field}[{i}]")
+
+
+def _json_floats(value, field: str, listed: bool = False):
+    """The float64 value of a JSON number or, when listed, the float64
+    array of a list of numbers.
+
+    ValueError names the field (and the index in a list) for a boolean,
+    a string, null or a nested list; no field reads a number from text.
+    """
+    _reject_booleans(value, field)
+    if listed and not isinstance(value, (list, tuple, np.ndarray)):
+        raise ValueError(f"{field} must be a list of numbers, got {value!r}")
+    for i, item in enumerate(value if listed else [value]):
+        if isinstance(item, bool) or not isinstance(item, numbers.Real):
+            name = f"{field}[{i}]" if listed else field
+            shown = "a list" if isinstance(item, (list, tuple)) else repr(item)
+            raise ValueError(f"{name} must be a number, got {shown}")
+    return np.array(value, dtype=np.float64) if listed else float(value)

@@ -7,6 +7,7 @@ from backend_reference import _fit_reference
 
 from bandpointer import synthetic
 from bandpointer.association import Correspondence, PointerSpec
+from bandpointer.color_model import _wrapped_gaussian_lut
 from bandpointer.detection import DetectionResult, EdgePointPair, order_along_axis
 from bandpointer.pose import CameraModel, project_pointer_edges
 
@@ -51,6 +52,13 @@ def float_hsv(rgb8):
     h6 = np.where(bmax, (r - g) / safe + 4.0, h6)
     hue = np.mod(h6, 6.0) * (np.pi / 3.0)
     return np.where(hue >= 2 * np.pi, 0.0, hue), sat, valid, cmax
+
+
+def kde_lut(hues, bandwidth=0.1):
+    """A class's lookup table: the wrapped-Gaussian density of the hues,
+    each with the one bandwidth."""
+    hues = np.atleast_1d(np.asarray(hues, dtype=np.float64))
+    return _wrapped_gaussian_lut(hues, np.full(len(hues), bandwidth))
 
 
 def build_spec(distances, bands, total_length, radius=1.5):

@@ -34,9 +34,16 @@ from bandpointer.cli import (
     save_color_model,
     write_ply,
 )
+from bandpointer.color_model import calibrate_colors, classify_image_masked
 from bandpointer.detection import DetectionParams
 from bandpointer.errors import BandPointerError, ConfigError, NoEdgesError
-from bandpointer.imaging import RasterImage, load_image, save_pgm, save_ppm
+from bandpointer.imaging import (
+    RasterImage,
+    load_image,
+    rgb_to_hue_saturation,
+    save_pgm,
+    save_ppm,
+)
 from bandpointer.pose import CameraModel, PoseEstimate
 
 
@@ -181,6 +188,64 @@ def _set(path, value):
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "doc, path, value, message",
+        [
+            ("config", ("pointer", "edge_distances_mm", 1), "55",
+             "pointer.edge_distances_mm[1] must be a number, got '55'"),
+            ("config", ("pointer", "edge_diameters_mm", 0), "4",
+             "pointer.edge_diameters_mm[0] must be a number, got '4'"),
+            ("config", ("pointer", "total_length_mm"), "100",
+             "pointer.total_length_mm must be a number, got '100'"),
+            ("config", ("camera", "k_row_major", 0), "1000",
+             "camera.k_row_major[0] must be a number, got '1000'"),
+            ("config", ("camera", "rotation_row_major", 4), "1",
+             "camera.rotation_row_major[4] must be a number, got '1'"),
+            ("config", ("camera", "translation_mm", 2), "0",
+             "camera.translation_mm[2] must be a number, got '0'"),
+            ("config", ("camera", "k_row_major"), [[1000.0, 0.0, 305.5]] * 3,
+             "camera.k_row_major[0] must be a number, got a list"),
+            ("config", ("pointer", "total_length_mm"), None,
+             "pointer.total_length_mm must be a number, got None"),
+            ("colors", ("classes", 1, "lut", 3), "0.5",
+             "color class 2: lut[3] must be a number, got '0.5'"),
+            ("sweep", ("depths_mm", 0), "330", "depths_mm[0] must be a number, got '330'"),
+            ("sweep", ("angles_deg", 0), "0", "angles_deg[0] must be a number, got '0'"),
+            ("sweep", ("noise_px",), "0.5", "noise_px must be a number, got '0.5'"),
+            ("sweep", ("roll_deg",), "4", "roll_deg must be a number, got '4'"),
+        ],
+        ids=["str-edge-distance", "str-diameter", "str-length", "str-focal-length",
+             "str-rotation", "str-translation", "nested-k", "null-length", "str-lut",
+             "str-depth", "str-angle", "str-noise", "str-roll"],
+    )
+    def test_number_read_from_text_named(
+        self, workspace, tmp_path, capsys, doc, path, value, message
+    ):
+        docs = {
+            "config": make_config_dict(),
+            "colors": json.loads(workspace["colors"].read_text()),
+            "sweep": {"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": 0.0, "roll_deg": 4.0},
+        }
+        node = docs[doc]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        for name, data in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        out_path = tmp_path / "report.csv"
+        command = (
+            ["eval", "--sweep", str(tmp_path / "sweep.json"), "--out", str(out_path)]
+            if doc == "sweep" else
+            ["probe", "--image", str(workspace["frame"]),
+             "--color-model", str(tmp_path / "colors.json")]
+        )
+        code = main(["--config", str(tmp_path / "config.json")] + command)
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert message in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -441,16 +506,19 @@ class TestUsageErrors:
         assert "usage:" in capsys.readouterr().out
 
 
+def _calibration_frame(spec, camera):
+    """A blurred rendered frame of the pointer and its exact class mask."""
+    pose = pose_at(330.0, 5.0, camera, spec, roll_deg=3.0)
+    scene = synthetic.SceneSpec(pose=pose, spec=spec, band_colors=BAND_RGB, blur_sigma=2.0)
+    img, _ = synthetic.render(scene, camera, SIZE_SMALL)
+    return img, synthetic.render_class_mask(scene, camera, SIZE_SMALL)
+
+
 class TestCalibrateCommand:
     def test_calibrate_writes_model(
         self, workspace, cli_spec, cli_camera, capsys, tmp_path
     ):
-        pose = pose_at(330.0, 5.0, cli_camera, cli_spec, roll_deg=3.0)
-        scene = synthetic.SceneSpec(
-            pose=pose, spec=cli_spec, band_colors=BAND_RGB, blur_sigma=2.0
-        )
-        img, _ = synthetic.render(scene, cli_camera, SIZE_SMALL)
-        mask = synthetic.render_class_mask(scene, cli_camera, SIZE_SMALL)
+        img, mask = _calibration_frame(cli_spec, cli_camera)
         img_path = tmp_path / "cal.ppm"
         mask_path = tmp_path / "cal_mask.pgm"
         out_path = tmp_path / "model.json"
@@ -462,13 +530,29 @@ class TestCalibrateCommand:
             "--mask", str(mask_path), "--out", str(out_path),
         ])
         assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "class 1" in out and "class 2" in out
         model = load_color_model(out_path)
-        assert model.labels == [1, 2]
+        assert model.labels == (1, 2)
         # modal hues land near the rendered band hues
-        assert dict(model.classes)[1].modal_hue() == pytest.approx(0.80, abs=0.05)
-        assert dict(model.classes)[2].modal_hue() == pytest.approx(1.29, abs=0.05)
+        red, green = model.modal_hues()
+        assert red == pytest.approx(0.80, abs=0.05)
+        assert green == pytest.approx(1.29, abs=0.05)
+        assert capsys.readouterr().out.splitlines() == [
+            f"class 1 (red): modal hue {red:.3f} rad",
+            f"class 2 (green): modal hue {green:.3f} rad",
+            f"color model written to {out_path}",
+        ]
+
+    def test_model_round_trips_through_json(self, cli_spec, cli_camera, tmp_path):
+        img, mask = _calibration_frame(cli_spec, cli_camera)
+        model = calibrate_colors(img, mask, min_saturation=0.12)
+        save_color_model(model, tmp_path / "model.json")
+        loaded = load_color_model(tmp_path / "model.json")
+        assert loaded.labels == model.labels
+        assert loaded.luts.tobytes() == model.luts.tobytes()
+        hs = rgb_to_hue_saturation(img)
+        raster = classify_image_masked(model, hs, 0.12)
+        assert set(np.unique(raster).tolist()) == {0, 1, 2}
+        assert np.array_equal(classify_image_masked(loaded, hs, 0.12), raster)
 
     def test_unknown_mask_class_is_config_mismatch(self, workspace, tmp_path, capsys):
         px = np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.5)
@@ -1124,8 +1208,18 @@ class TestEvalCommand:
             (dict(depths_mm=[400.0, float("nan")]), "depths_mm, angles_deg and roll_deg must be"),
             (dict(angles_deg=[float("-inf")]), "depths_mm, angles_deg and roll_deg must be"),
             (dict(roll_deg=float("inf")), "depths_mm, angles_deg and roll_deg must be"),
+            (dict(depths_mm=[]), "depths_mm and angles_deg must be non-empty lists"),
+            (dict(angles_deg=()), "depths_mm and angles_deg must be non-empty lists"),
+            (dict(depths_mm=400.0), "depths_mm must be a list of numbers, got 400.0"),
+            (dict(depths_mm=["330"]), r"depths_mm\[0\] must be a number, got '330'"),
+            (dict(angles_deg=[[10.0]]), r"angles_deg\[0\] must be a number, got a list"),
+            (dict(noise_px="0.5"), "noise_px must be a number, got '0.5'"),
+            (dict(roll_deg=None), "roll_deg must be a number, got None"),
+            (dict(depths_mm=(400.0, True)), r"depths_mm\[1\] must be a number, got True"),
         ],
-        ids=["negative-noise", "nan-noise", "nan-depth", "infinite-angle", "infinite-roll"],
+        ids=["negative-noise", "nan-noise", "nan-depth", "infinite-angle", "infinite-roll",
+             "empty-depths", "empty-angles", "scalar-depths", "str-depth", "nested-angles",
+             "str-noise", "none-roll", "bool-in-tuple"],
     )
     def test_sweep_rejects_bad_noise_and_grid(self, bad, message):
         config = Config.from_dict(make_config_dict())

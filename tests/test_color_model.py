@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import float_hsv
+from conftest import float_hsv, kde_lut
 
 from bandpointer.color_model import (
     BACKGROUND_DENSITY,
@@ -16,7 +16,6 @@ from bandpointer.color_model import (
     MEDIAN_TARGET_BANDWIDTH,
     MIN_CLASS_PIXELS,
     ColorClassSet,
-    HueKde,
     LUT_BINS,
     _wrapped_gaussian_lut,
     calibrate_colors,
@@ -34,9 +33,12 @@ from bandpointer.errors import (
 from bandpointer.imaging import HUE_PERIOD, RasterImage, rgb_to_hue_saturation
 
 
-def _kde(hues, bandwidth=0.1):
-    hues = np.atleast_1d(np.asarray(hues, dtype=np.float64))
-    return HueKde(samples=hues, bandwidths=np.full(len(hues), bandwidth))
+def _set(*modes, bandwidth=0.1):
+    """Classes 1, 2, ... with one single-sample density per mode."""
+    return ColorClassSet(
+        labels=tuple(range(1, len(modes) + 1)),
+        luts=[kde_lut(mode, bandwidth) for mode in modes],
+    )
 
 
 def _patch_image(rgb, shape=(12, 12)):
@@ -45,60 +47,62 @@ def _patch_image(rgb, shape=(12, 12)):
     return RasterImage(px)
 
 
-class TestHueKde:
+def _calibration_hues_and_bandwidths(rgb, mask, s_min):
+    """Per mask class: the usable pixels' hues and bandwidths by the float
+    formula, scaled to the pooled median target and clipped."""
+    hue, sat, valid, value = float_hsv(rgb)
+    sels = {int(label): (mask == label) & valid & (sat >= s_min)
+            for label in np.unique(mask) if label != BACKGROUND_LABEL}
+    inv_sv = {label: 1.0 / np.maximum(sat[sel] * value[sel], 1e-6) for label, sel in sels.items()}
+    scale = MEDIAN_TARGET_BANDWIDTH / float(np.median(np.concatenate(list(inv_sv.values()))))
+    return {
+        label: (hue[sel], np.clip(scale * inv_sv[label], BANDWIDTH_FLOOR, BANDWIDTH_CAP))
+        for label, sel in sels.items()
+    }
+
+
+class TestColorClassSet:
     def test_normalization_by_quadrature(self):
         rng = np.random.default_rng(1)
-        kde = _kde(rng.uniform(0, 2 * np.pi, 50), bandwidth=0.2)
-        assert 0.999 <= kde.lut.mean() * HUE_PERIOD <= 1.001
+        lut = kde_lut(rng.uniform(0, 2 * np.pi, 50), bandwidth=0.2)
+        assert 0.999 <= lut.mean() * HUE_PERIOD <= 1.001
 
     def test_normalization_at_bandwidth_floor(self):
-        kde = _kde([1.0, 4.0], bandwidth=0.01)
-        assert 0.999 <= kde.lut.mean() * HUE_PERIOD <= 1.001
+        lut = kde_lut([1.0, 4.0], bandwidth=0.01)
+        assert 0.999 <= lut.mean() * HUE_PERIOD <= 1.001
 
     def test_periodicity(self):
-        kde = _kde([0.3, 2.0], bandwidth=0.15)
-        thetas = np.linspace(0, 2 * np.pi, 17, endpoint=False)
-        np.testing.assert_allclose(
-            kde.density(thetas), kde.density(thetas + 2 * np.pi), rtol=1e-12
-        )
+        cs = ColorClassSet(labels=(1, 2), luts=[kde_lut([0.3, 2.0], 0.15), kde_lut([1.1], 0.15)])
+        thetas = np.linspace(0, 2 * np.pi, 97, endpoint=False)
+        got = classify_hue(cs, thetas)
+        assert set(got.tolist()) == {BACKGROUND_LABEL, 1, 2}
+        for period in (-1, 1, 2):
+            assert np.array_equal(classify_hue(cs, thetas + period * HUE_PERIOD), got)
 
     def test_single_sample_peak_value(self):
         # wrapped Gaussian peak: 1 / (sqrt(2 pi) * 0.1) ~ 3.9894
-        kde = _kde([0.0], bandwidth=0.1)
+        cs = _set(0.0, 3.0)
         expected = 1.0 / (np.sqrt(2 * np.pi) * 0.1)
-        assert kde.density(0.0) == pytest.approx(expected, abs=5e-3)
-        assert kde.density(0.0) > BACKGROUND_DENSITY
+        assert cs.luts[0, 0] == pytest.approx(expected, abs=5e-3)
+        assert cs.luts[0, 0] > BACKGROUND_DENSITY
+
+    def test_modal_hues_at_the_modes(self):
+        np.testing.assert_allclose(
+            _set(0.0, 3.0).modal_hues(), [0.0, 3.0], atol=HUE_PERIOD / LUT_BINS
+        )
 
     def test_serialization_round_trip(self):
-        cs = ColorClassSet(classes=((1, _kde([0.1])), (2, _kde([2.0]))))
+        cs = _set(0.1, 2.0)
         restored = deserialize_color_set(serialize_color_set(cs))
-        theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        for label in (1, 2):
-            np.testing.assert_allclose(
-                dict(restored.classes)[label].density(theta),
-                dict(cs.classes)[label].density(theta),
-            )
+        assert restored.labels == cs.labels
+        assert restored.luts.tobytes() == cs.luts.tobytes()
 
-    @pytest.mark.parametrize(
-        "samples, bandwidths",
-        [
-            ([0.1, float("nan")], [0.1, 0.1]),
-            ([0.1, float("inf")], [0.1, 0.1]),
-            ([0.1, 0.2], [0.1, -0.1]),
-            ([0.1, 0.2], [0.1, 0.0]),
-            ([0.1, 0.2], [0.1, float("nan")]),
-            ([0.1, 0.2, 0.3], [0.1]),
-            ([0.1, 0.2], [0.1, 0.1, 0.1]),
-            ([[0.1, 0.2]], [[0.1, 0.1]]),
-        ],
-        ids=[
-            "nan-sample", "inf-sample", "negative-bandwidth", "zero-bandwidth",
-            "nan-bandwidth", "broadcast-bandwidth", "extra-bandwidth", "2d",
-        ],
-    )
-    def test_bad_samples_or_bandwidths_rejected(self, samples, bandwidths):
-        with pytest.raises(ValueError):
-            HueKde(samples=np.array(samples), bandwidths=np.array(bandwidths))
+    def test_rows_follow_ascending_labels(self):
+        a, b = kde_lut([0.1]), kde_lut([2.0])
+        cs = ColorClassSet(labels=[255, 1], luts=[a, b])
+        assert cs.labels == (1, 255)
+        assert cs.luts.tobytes() == np.stack([b, a]).tobytes()
+        assert not cs.luts.flags.writeable
 
     @pytest.mark.parametrize(
         "lut",
@@ -113,16 +117,47 @@ class TestHueKde:
         ids=["short", "long", "2d", "nan", "inf", "negative"],
     )
     def test_bad_lut_rejected(self, lut):
-        # a short table used to construct and fail later in density()
+        # a short table used to construct and fail later in classify_hue
         # with a raw IndexError
-        with pytest.raises(ValueError, match=f"lut needs {LUT_BINS} finite non-negative"):
-            HueKde(samples=np.empty(0), bandwidths=np.empty(0), lut=lut)
+        message = f"^color class 2: lut needs {LUT_BINS} finite non-negative"
+        with pytest.raises(ValueError, match=message):
+            ColorClassSet(labels=(1, 2), luts=[kde_lut([0.1]), lut])
 
     def test_given_lut_kept(self):
         lut = np.linspace(0.0, 1.0, LUT_BINS)
-        kde = HueKde(samples=np.empty(0), bandwidths=np.empty(0), lut=list(lut))
-        assert kde.lut.tobytes() == lut.tobytes()
-        assert kde.density(0.0) == 0.0
+        cs = ColorClassSet(labels=(1, 2), luts=[list(lut), lut])
+        assert cs.luts[0].tobytes() == lut.tobytes()
+        assert classify_hue(cs, np.array([0.0])).tolist() == [BACKGROUND_LABEL]
+
+    @pytest.mark.parametrize("label", [0, -1, 256, 300])
+    def test_label_outside_uint8_classes_rejected(self, label):
+        with pytest.raises(ValueError, match="^color class label must be an int in 1..255"):
+            ColorClassSet(labels=(1, label), luts=[kde_lut([0.1]), kde_lut([2.0])])
+
+    @pytest.mark.parametrize(
+        "label", [2.0, True, "2", np.int64(2), None],
+        ids=["float", "bool", "str", "numpy-int", "none"],
+    )
+    def test_label_that_is_not_an_int_rejected(self, label):
+        with pytest.raises(ValueError, match="^color class label must be an int in 1..255"):
+            ColorClassSet(labels=(1, label), luts=[kde_lut([0.1]), kde_lut([2.0])])
+
+    def test_label_range_ends_accepted(self):
+        cs = ColorClassSet(labels=(255, 1), luts=[kde_lut([0.1]), kde_lut([2.0])])
+        assert cs.labels == (1, 255)
+
+    @pytest.mark.parametrize(
+        "labels, count, message",
+        [
+            ((1, 1), 2, "color class labels must be unique"),
+            ((1,), 1, "a color model needs at least 2 color classes"),
+            ((1, 2), 3, "zip"),
+        ],
+        ids=["duplicate", "one-class", "lut-count"],
+    )
+    def test_class_set_shape_rejected(self, labels, count, message):
+        with pytest.raises(ValueError, match=message):
+            ColorClassSet(labels=labels, luts=[kde_lut([0.1])] * count)
 
 
 def _reference_lut(samples, bandwidths):
@@ -162,24 +197,12 @@ class TestDistinctPairLut:
         )
 
 
-class TestColorClassSet:
-    @pytest.mark.parametrize("label", [0, -1, 256, 300])
-    def test_label_outside_uint8_classes_rejected(self, label):
-        with pytest.raises(ValueError):
-            ColorClassSet(classes=((1, _kde([0.1])), (label, _kde([2.0]))))
-
-    def test_label_range_ends_accepted(self):
-        cs = ColorClassSet(classes=((255, _kde([0.1])), (1, _kde([2.0]))))
-        assert cs.labels == [1, 255]
-
-
 def _model(**changes):
     """Serialized two-class model with top-level or class-1 keys replaced.
 
     A class-1 key given as None is deleted.
     """
-    cs = ColorClassSet(classes=((1, _kde([0.1])), (2, _kde([2.0]))))
-    data = serialize_color_set(cs)
+    data = serialize_color_set(_set(0.1, 2.0))
     for key, value in changes.items():
         if key in data:
             data[key] = value
@@ -230,48 +253,35 @@ class TestDeserializeValidation:
 
 class TestClassifyHue:
     def test_background_wins_when_all_densities_low(self):
-        # two distant narrow kdes evaluated far from both modes
-        cs = ColorClassSet(classes=((1, _kde([0.0], 0.05)), (2, _kde([2.0], 0.05))))
+        # two distant narrow densities evaluated far from both modes
+        cs = _set(0.0, 2.0, bandwidth=0.05)
         assert classify_hue(cs, np.array([1.0])).tolist() == [BACKGROUND_LABEL]
 
     def test_single_sample_class_beats_background_at_mode(self):
-        cs = ColorClassSet(classes=((1, _kde([0.0], 0.1)), (2, _kde([3.0], 0.1))))
+        cs = _set(0.0, 3.0)
         assert classify_hue(cs, np.array([0.0])).tolist() == [1]
 
     def test_exact_tie_goes_to_lower_class_when_above_background(self):
-        # identical kdes give bit-identical densities at every hue
-        cs = ColorClassSet(classes=((1, _kde([1.0], 0.3)), (2, _kde([1.0], 0.3))))
+        # identical tables give bit-identical densities at every hue
+        cs = _set(1.0, 1.0, bandwidth=0.3)
         assert classify_hue(cs, np.array([1.0])).tolist() == [1]
 
     def test_exact_tie_with_background_goes_to_background(self):
-        flat = HueKde(
-            samples=np.empty(0),
-            bandwidths=np.empty(0),
-            lut=np.full(1024, BACKGROUND_DENSITY),
-        )
-        cs = ColorClassSet(classes=((1, flat), (2, flat)))
+        flat = np.full(LUT_BINS, BACKGROUND_DENSITY)
+        cs = ColorClassSet(labels=(1, 2), luts=[flat, flat])
         assert classify_hue(cs, np.array([2.0])).tolist() == [BACKGROUND_LABEL]
 
     def test_midpoint_tie_goes_to_background_when_densities_tiny(self):
-        cs = ColorClassSet(classes=((1, _kde([0.0], 0.01)), (2, _kde([2.0], 0.01))))
+        cs = _set(0.0, 2.0, bandwidth=0.01)
         assert classify_hue(cs, np.array([1.0])).tolist() == [BACKGROUND_LABEL]
 
     @given(st.floats(0, 2 * np.pi), st.floats(0.05, 0.4))
     @settings(max_examples=60, deadline=None)
     def test_circular_shift_equivariance(self, shift, bandwidth):
         base_samples = np.array([0.2, 0.9, 4.0])
-        cs0 = ColorClassSet(
-            classes=(
-                (1, _kde(base_samples[:2], bandwidth)),
-                (2, _kde(base_samples[2:], bandwidth)),
-            )
-        )
-        cs1 = ColorClassSet(
-            classes=(
-                (1, _kde(np.mod(base_samples[:2] + shift, 2 * np.pi), bandwidth)),
-                (2, _kde(np.mod(base_samples[2:] + shift, 2 * np.pi), bandwidth)),
-            )
-        )
+        cs0 = _set(base_samples[:2], base_samples[2:], bandwidth=bandwidth)
+        shifted = np.mod(base_samples + shift, 2 * np.pi)
+        cs1 = _set(shifted[:2], shifted[2:], bandwidth=bandwidth)
         theta = np.array([0.1, 1.0, 2.5, 5.0])
         assert np.array_equal(
             classify_hue(cs0, theta),
@@ -320,9 +330,12 @@ class TestCalibration:
     def test_bandwidths_respect_floor_and_cap(self):
         img, mask = self._two_patch_setup()
         cs = calibrate_colors(img, mask, min_saturation=0.2)
-        for _, kde in cs.classes:
-            assert kde.bandwidths.min() >= 0.01 - 1e-12
-            assert kde.bandwidths.max() <= 0.5 + 1e-12
+        expected = _calibration_hues_and_bandwidths(img.pixels, mask, 0.2)
+        for label, lut in zip(cs.labels, cs.luts):
+            hues, bw = expected[label]
+            assert bw.min() >= 0.01 - 1e-12
+            assert bw.max() <= 0.5 + 1e-12
+            assert np.array_equal(lut, _wrapped_gaussian_lut(hues, bw))
 
     def test_median_bandwidth_hits_target(self):
         rng = np.random.default_rng(8)
@@ -334,8 +347,11 @@ class TestCalibration:
         mask = np.full((30, 30), 1, dtype=np.uint8)
         mask[:, 15:] = 2
         cs = calibrate_colors(img, mask, min_saturation=0.05)
-        all_bw = np.concatenate([kde.bandwidths for _, kde in cs.classes])
+        expected = _calibration_hues_and_bandwidths(img.pixels, mask, 0.05)
+        all_bw = np.concatenate([bw for _, bw in expected.values()])
         assert np.median(all_bw) == pytest.approx(0.05, rel=0.05)
+        for label, lut in zip(cs.labels, cs.luts):
+            assert np.array_equal(lut, _wrapped_gaussian_lut(*expected[label]))
 
     def test_one_labeled_class_fails_before_any_lut(self, monkeypatch):
         img, mask = self._two_patch_setup()
@@ -361,16 +377,16 @@ class TestCalibration:
         mask = np.ones((70, 140), dtype=np.uint8)
         mask[:, 70:] = 2
         cs = calibrate_colors(RasterImage(rgb), mask, min_saturation=0.2)
-        for _, kde in cs.classes:
-            assert len(kde.samples) == 4900
-            assert np.array_equal(kde.lut, _reference_lut(kde.samples, kde.bandwidths))
+        expected = _calibration_hues_and_bandwidths(rgb, mask, 0.2)
+        for label, lut in zip(cs.labels, cs.luts):
+            hues, bw = expected[label]
+            assert len(hues) == 4900
+            assert np.array_equal(lut, _reference_lut(hues, bw))
 
 
 class TestClassifyImage:
     def _set(self):
-        return ColorClassSet(
-            classes=((1, _kde([0.0], 0.1)), (2, _kde([2 * np.pi / 3], 0.1)))
-        )
+        return _set(0.0, 2 * np.pi / 3)
 
     def test_saturation_gate(self):
         img = _patch_image((0.9, 0.5, 0.5))  # saturated below 1
@@ -394,7 +410,7 @@ class TestClassifyImage:
         px = np.empty((5, 5, 3))
         px[:] = (1.0, g, 0.0)
         hs = rgb_to_hue_saturation(RasterImage(px))
-        cs = ColorClassSet(classes=((1, _kde([0.0], 0.05)), (2, _kde([1.0], 0.05))))
+        cs = _set(0.0, 1.0, bandwidth=0.05)
         labels = classify_image_masked(cs, hs, s_min=0.3)
         assert (labels == BACKGROUND_LABEL).all()
 
@@ -431,7 +447,7 @@ class TestClassifyImage:
         px = rng.uniform(0, 1, (h, w, 3))
         px[rng.uniform(size=(h, w)) < 0.2] = 0.4  # gray: hue undefined
         hs = rgb_to_hue_saturation(RasterImage(px))
-        cs = ColorClassSet(classes=((1, _kde([mode1], bw)), (2, _kde([mode2], bw))))
+        cs = _set(mode1, mode2, bandwidth=bw)
         gate = hs.hue_valid & (hs.saturation >= s_min)
         expected = np.where(gate, classify_hue(cs, hs.hue), BACKGROUND_LABEL)
         assert np.array_equal(classify_image_masked(cs, hs, s_min), expected)
@@ -452,10 +468,7 @@ class TestFloatFormulaEquivalence:
     def test_classify_image_masked(self, rgb, s_min, seed, with_roi):
         rng = np.random.default_rng(seed)
         roi = rng.uniform(size=rgb.shape[:2]) < rng.uniform() if with_roi else None
-        cs = ColorClassSet(classes=(
-            (1, _kde(rng.uniform(0, 2 * np.pi, 3), 0.3)),
-            (2, _kde(rng.uniform(0, 2 * np.pi, 3), 0.3)),
-        ))
+        cs = _set(rng.uniform(0, 2 * np.pi, 3), rng.uniform(0, 2 * np.pi, 3), bandwidth=0.3)
         hue, sat, valid, _ = float_hsv(rgb)
         gate = valid & (sat >= s_min)
         if roi is not None:
@@ -473,20 +486,14 @@ class TestFloatFormulaEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_calibrate_colors(self, rgb, s_min, seed):
         mask = np.random.default_rng(seed).integers(0, 3, rgb.shape[:2]).astype(np.uint8)
-        hue, sat, valid, value = float_hsv(rgb)
+        _, sat, valid, _ = float_hsv(rgb)
         usable = valid & (sat >= s_min)
-        sels = {label: (mask == label) & usable for label in (1, 2)}
-        if min(int(sel.sum()) for sel in sels.values()) < MIN_CLASS_PIXELS:
+        if min(int(((mask == label) & usable).sum()) for label in (1, 2)) < MIN_CLASS_PIXELS:
             with pytest.raises(InsufficientCalibrationDataError):
                 calibrate_colors(RasterImage(rgb), mask, s_min)
             return
-        inv_sv = {label: 1.0 / np.maximum(sat[sel] * value[sel], 1e-6)
-                  for label, sel in sels.items()}
-        scale = MEDIAN_TARGET_BANDWIDTH / float(np.median(np.concatenate(list(inv_sv.values()))))
+        expected = _calibration_hues_and_bandwidths(rgb, mask, s_min)
         cs = calibrate_colors(RasterImage(rgb), mask, s_min)
-        for label, kde in cs.classes:
-            bw = np.clip(scale * inv_sv[label], BANDWIDTH_FLOOR, BANDWIDTH_CAP)
-            expected = HueKde(samples=hue[sels[label]], bandwidths=bw)
-            assert np.array_equal(kde.samples, expected.samples)
-            assert np.array_equal(kde.bandwidths, expected.bandwidths)
-            assert np.array_equal(kde.lut, expected.lut)
+        assert cs.labels == (1, 2)
+        for label, lut in zip(cs.labels, cs.luts):
+            assert np.array_equal(lut, _wrapped_gaussian_lut(*expected[label]))

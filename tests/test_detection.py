@@ -18,11 +18,12 @@ from conftest import (
     RED,
     SIZE_FULL,
     SIZE_SMALL,
+    kde_lut,
     pose_at,
 )
 
 from bandpointer import detection, synthetic
-from bandpointer.color_model import ColorClassSet, HueKde, classify_image_masked
+from bandpointer.color_model import ColorClassSet, classify_image_masked
 from bandpointer.detection import (
     MAJOR_EXPAND,
     MINOR_EXPAND,
@@ -76,10 +77,8 @@ def hs_of(pixels):
 
 @pytest.fixture
 def rg_colors():
-    """Narrow single-sample KDEs at the fixture band hues."""
-    def kde(hue):
-        return HueKde(samples=np.array([hue]), bandwidths=np.array([0.08]))
-    return ColorClassSet(classes=((RED, kde(0.798)), (GREEN, kde(1.294))))
+    """Narrow single-sample densities at the fixture band hues."""
+    return ColorClassSet(labels=(RED, GREEN), luts=[kde_lut(0.798, 0.08), kde_lut(1.294, 0.08)])
 
 
 ADJ_RG = {frozenset((RED, GREEN))}
@@ -213,10 +212,9 @@ class TestBandRegionsWindow:
         for label in (RED, GREEN):
             px[grid == label] = BAND_RGB[label]
         hs = hs_of(px)
-        def kde(hue):
-            return HueKde(samples=np.array([hue]), bandwidths=np.array([0.08]))
-        colors = ColorClassSet(classes=((RED, kde(0.798)), (GREEN, kde(1.294)),
-                                        (BLUE, kde(2.09))))
+        colors = ColorClassSet(
+            labels=(RED, GREEN, BLUE), luts=[kde_lut(hue, 0.08) for hue in (0.798, 1.294, 2.09)]
+        )
         adjacency = {frozenset((RED, GREEN)), frozenset((GREEN, BLUE))}
         roi = None
         if with_roi:  # pass 2: classification only inside oriented boxes

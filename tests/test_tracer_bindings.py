@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import kde_lut
+
 from bandpointer import detection
-from bandpointer.color_model import ColorClassSet, HueKde, classify_image_masked
+from bandpointer.color_model import ColorClassSet, classify_image_masked
 from bandpointer.imaging import RasterImage, rgb_to_hue_saturation
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -74,7 +76,7 @@ def test_pass_one_binds_roi_mask_explicitly(monkeypatch):
     px[:, :4] = (1.0, 0.0, 0.0)
     px[:, 4:] = (0.0, 1.0, 0.0)
     hs = rgb_to_hue_saturation(RasterImage(px))
-    kde = HueKde(samples=np.array([0.0]), bandwidths=np.array([0.1]))
-    colors = ColorClassSet(classes=((1, kde), (2, kde)))
+    lut = kde_lut([0.0], 0.1)
+    colors = ColorClassSet(labels=(1, 2), luts=[lut, lut])
     detection.detect_band_regions(hs, colors, {frozenset((1, 2))}, 0.25, 1)
     assert len(bound) == 1 and {"hs", "s_min", "roi_mask"} <= set(bound[0])
