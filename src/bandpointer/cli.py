@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -42,7 +41,7 @@ from .errors import (
     ImageFormatError,
     PoseError,
     _json_floats,
-    _reject_booleans,
+    _json_int,
 )
 from .imaging import DistortionModel, RasterImage, load_image, load_pgm
 from .pose import CameraModel, PoseEstimate, estimate_pose
@@ -70,40 +69,41 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
-        if not isinstance(data, dict):
-            raise ConfigError(f"the config must be a JSON object, got {type(data).__name__}")
+        data = _json_object(data, "the config")
         try:
-            _reject_booleans(data)
-            cam = data["camera"]
-            k, rot = (
-                _json_floats(cam[key], f"camera.{key}", listed=True).reshape(3, 3)
-                for key in ("k_row_major", "rotation_row_major")
-            )
-            trans = _json_floats(cam["translation_mm"], "camera.translation_mm", listed=True)
-            distortion = DistortionModel(**cam.get("distortion", {}))
-            camera = CameraModel(K=k, R=rot, t=trans, distortion=distortion)
-            # checked before int(), which raises OverflowError on infinity
-            raw_size = list(cam["image_size_px"])
-            if len(raw_size) != 2 or not all(
-                isinstance(v, numbers.Real) and float(v).is_integer() and v > 0 for v in raw_size
-            ):
-                raise ConfigError("image_size_px must be two positive integers")
-            size = tuple(int(v) for v in raw_size)
+            cam = _json_object(data["camera"], "camera")
 
-            ptr = data["pointer"]
+            def camera_numbers(key: str, count: int) -> np.ndarray:
+                values = _json_floats(cam[key], f"camera.{key}", listed=True)
+                if len(values) != count:
+                    raise ConfigError(f"camera.{key} must hold {count} numbers, got {len(values)}")
+                return values
+
+            distortion = cam.get("distortion", {})
+            camera = CameraModel(
+                K=camera_numbers("k_row_major", 9).reshape(3, 3),
+                R=camera_numbers("rotation_row_major", 9).reshape(3, 3),
+                t=camera_numbers("translation_mm", 3),
+                distortion=_json_object(distortion, "camera.distortion", DistortionModel),
+            )
+            size = cam["image_size_px"]
+            if not isinstance(size, list) or len(size) != 2:
+                raise ConfigError(f"camera.image_size_px must hold 2 integers, got {size!r}")
+            size = tuple(_json_int(v, f"camera.image_size_px[{i}]", 1) for i, v in enumerate(size))
+
+            ptr = _json_object(data["pointer"], "pointer")
             # a string would otherwise be read one character per entry
             if not isinstance(ptr["band_colors"], list):
                 raise ConfigError(f"pointer.band_colors must be a list, got {ptr['band_colors']!r}")
-            if not isinstance(data["colors"], dict):
-                raise ConfigError("colors must map color names to class ids")
-            colors = {str(k2): v for k2, v in data["colors"].items()}
-            for name, v in colors.items():
-                ColorClassSet.check_label(v, f"colors.{name}")
+            colors = {
+                name: ColorClassSet.check_label(v, f"colors.{name}")
+                for name, v in _json_object(data["colors"], "colors").items()
+            }
             band_names = list(ptr["band_colors"])
-            for name in band_names:
-                if name is not None and name not in colors:
+            for i, name in enumerate(band_names):
+                if name is not None and not (isinstance(name, str) and name in colors):
                     raise ConfigError(
-                        f"pointer.band_colors uses {name!r}, which colors does not define"
+                        f"pointer.band_colors[{i}] must be null or a name in colors, got {name!r}"
                     )
             spec = PointerSpec(
                 distances_mm=_json_floats(
@@ -115,8 +115,7 @@ class Config:
                 band_labels=[colors[name] if name is not None else None for name in band_names],
                 total_length_mm=_json_floats(ptr["total_length_mm"], "pointer.total_length_mm"),
             )
-            det = data.get("detection", {})
-            params = DetectionParams(**det)
+            params = _json_object(data.get("detection", {}), "detection", DetectionParams)
             # erode_disk builds a (2 r1 + 1)^2 footprint
             if 2 * params.r1 + 1 > min(size):
                 raise ConfigError(
@@ -157,18 +156,21 @@ class Config:
         }
 
 
-def _load_json(path):
-    def parse_int(text: str) -> int:
-        # every number is read as a float64 later, where float() would
-        # raise OverflowError
-        value = int(text)
-        if abs(value) > sys.float_info.max:
-            raise ConfigError(f"{path}: an integer of {len(text)} digits is too large")
-        return value
+def _json_object(value, field: str, cls=None):
+    """The JSON object at field, or cls(**value); ConfigError names the
+    field for a non-object, and a ValueError of cls gets it as a prefix."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field} must be a JSON object, got {type(value).__name__}")
+    try:
+        return value if cls is None else cls(**value)
+    except ValueError as exc:
+        raise ValueError(f"{field}.{exc}") from exc
 
+
+def _load_json(path):
     with open(path) as f:
         try:
-            return json.load(f, parse_int=parse_int)
+            return json.load(f)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -399,10 +401,9 @@ def evaluate_sweep(
     finite numbers, noise_px a finite number >= 0 and roll_deg a finite
     number, or ConfigError is raised.
     """
-    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     try:
+        trials = _json_int(trials, "trials", 1)
+        seed = _json_int(seed, "seed", 0)
         depths_mm = _json_floats(depths_mm, "depths_mm", listed=True)
         angles_deg = _json_floats(angles_deg, "angles_deg", listed=True)
         noise_px = _json_floats(noise_px, "noise_px")
@@ -465,15 +466,11 @@ def evaluate_sweep(
 
 def cmd_eval(args) -> int:
     config = load_config(args.config)
-    sweep_spec = _load_json(args.sweep)
-    try:
-        _reject_booleans(sweep_spec)
-        depths, angles = sweep_spec["depths_mm"], sweep_spec["angles_deg"]
-        keys = ("trials", "seed", "noise_px", "roll_deg")
-        grid = {key: sweep_spec[key] for key in keys if key in sweep_spec}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sweep spec {args.sweep}: {exc}") from exc
-    records = evaluate_sweep(config, depths, angles, **grid)
+    sweep_spec = _json_object(_load_json(args.sweep), f"the sweep spec {args.sweep}")
+    if not {"depths_mm", "angles_deg"} <= sweep_spec.keys():
+        raise ConfigError(f"the sweep spec {args.sweep} needs depths_mm and angles_deg")
+    keys = ("depths_mm", "angles_deg", "trials", "seed", "noise_px", "roll_deg")
+    records = evaluate_sweep(config, **{key: sweep_spec[key] for key in keys if key in sweep_spec})
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as f:

@@ -19,6 +19,7 @@ from .errors import (
     MaskMismatchError,
     TooFewColorClassesError,
     _json_floats,
+    _json_int,
 )
 from .imaging import (
     HUE_PERIOD,
@@ -78,16 +79,15 @@ class ColorClassSet:
     min_classes: ClassVar[int] = 2
 
     @classmethod
-    def check_label(cls, label, field: str) -> None:
-        """ValueError naming the field unless label is an int class id."""
-        if type(label) is not int or label not in cls.label_range:
-            span = f"{cls.label_range.start}..{cls.label_range.stop - 1}"
-            raise ValueError(f"{field} must be an int in {span}, got {label!r}")
+    def check_label(cls, label, field: str) -> int:
+        """label as an int class id, a whole number in label_range."""
+        label = _json_int(label, field, cls.label_range.start)
+        if label not in cls.label_range:
+            raise ValueError(f"{field} must be at most {cls.label_range.stop - 1}, got {label}")
+        return label
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        for label in labels:
-            self.check_label(label, "color class label")
+        labels = tuple(self.check_label(label, "color class label") for label in self.labels)
         if len(set(labels)) != len(labels):
             raise ValueError("color class labels must be unique")
         if len(labels) < self.min_classes:

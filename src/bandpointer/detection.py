@@ -8,7 +8,6 @@ kernel and reduced to sub-pixel contour point pairs.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -24,6 +23,8 @@ from .errors import (
     InsufficientRegionsError,
     NoEdgesError,
     PointerNotFoundError,
+    _json_floats,
+    _json_int,
 )
 from .geometry import (
     Line2D,
@@ -72,20 +73,13 @@ class DetectionParams:
     ransac_seed: int = 0
 
     def __post_init__(self):
-        for name in ("s1", "s2", "r1", "r2", "ransac_seed"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, not a boolean")
-        if not (0.0 <= self.s2 < self.s1 <= 1.0):
-            raise ValueError("need 0 <= s2 < s1 <= 1")
-        for name in ("r1", "r2", "ransac_seed"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-                raise ValueError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(value))  # 3.0 names 3
-        if not (0 < self.r2 < self.r1):
-            raise ValueError("need 0 < r2 < r1")
-        if self.ransac_seed < 0:
-            raise ValueError("need ransac_seed >= 0")
+        s1, s2 = (_json_floats(getattr(self, name), name) for name in ("s1", "s2"))
+        if not 0.0 <= s2 < s1 <= 1.0:
+            raise ValueError(f"s1 and s2 must satisfy 0 <= s2 < s1 <= 1, got {s1} and {s2}")
+        for name, least in (("r1", 1), ("r2", 1), ("ransac_seed", 0)):
+            object.__setattr__(self, name, _json_int(getattr(self, name), name, least))
+        if not self.r2 < self.r1:
+            raise ValueError(f"r2 must be below r1, got {self.r2} and {self.r1}")
 
     @property
     def edge_halo(self) -> int:

@@ -1,5 +1,5 @@
-"""Exception hierarchy for the tracking pipeline, and the boolean and
-number checks its JSON loaders share.
+"""Exception hierarchy for the tracking pipeline, and the number and
+integer rules its JSON loaders share.
 
 The CLI maps these onto distinct exit codes, so failure causes stay
 separable all the way out of the process.
@@ -7,6 +7,7 @@ separable all the way out of the process.
 
 import json
 import numbers
+import sys
 
 import numpy as np
 
@@ -125,33 +126,31 @@ class PoseFailureError(PoseError):
         super().__init__(f"all {len(causes)} hypotheses failed ({summary})")
 
 
-def _reject_booleans(value, field: str = "") -> None:
-    """Raise ValueError naming the first JSON true/false inside value: no
-    config, sweep or color-model field takes one, and Python would read
-    it as 1 or 0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{field} must not be a boolean, got {json.dumps(value)}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_booleans(item, f"{field}.{key}" if field else str(key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _reject_booleans(item, f"{field}[{i}]")
-
-
 def _json_floats(value, field: str, listed: bool = False):
     """The float64 value of a JSON number or, when listed, the float64
     array of a list of numbers.
 
-    ValueError names the field (and the index in a list) for a boolean,
-    a string, null or a nested list; no field reads a number from text.
+    ValueError names the field (and the index in a list) for a boolean, a
+    string, null, a nested list or an integer too large for a float64: no
+    field reads a boolean as 1 or 0, nor a number from text.
     """
-    _reject_booleans(value, field)
     if listed and not isinstance(value, (list, tuple, np.ndarray)):
         raise ValueError(f"{field} must be a list of numbers, got {value!r}")
     for i, item in enumerate(value if listed else [value]):
-        if isinstance(item, bool) or not isinstance(item, numbers.Real):
-            name = f"{field}[{i}]" if listed else field
+        name = f"{field}[{i}]" if listed else field
+        if isinstance(item, bool):
+            raise ValueError(f"{name} must not be a boolean, got {json.dumps(item)}")
+        if not isinstance(item, numbers.Real):
             shown = "a list" if isinstance(item, (list, tuple)) else repr(item)
             raise ValueError(f"{name} must be a number, got {shown}")
+        if isinstance(item, int) and abs(item) > sys.float_info.max:
+            raise ValueError(f"{name} is an integer too large for a float64")
     return np.array(value, dtype=np.float64) if listed else float(value)
+
+
+def _json_int(value, field: str, least: int) -> int:
+    """The int value of a whole JSON number >= least (3.0 reads as 3);
+    ValueError names the field, as _json_floats does."""
+    if not (_json_floats(value, field).is_integer() and value >= least):
+        raise ValueError(f"{field} must be an integer >= {least}, got {value!r}")
+    return int(value)

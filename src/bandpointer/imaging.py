@@ -7,14 +7,13 @@ operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import ndimage
 from scipy.signal import fftconvolve
 
-from .errors import ImageFormatError, InvalidKernelError, NumericError
+from .errors import ImageFormatError, InvalidKernelError, NumericError, _json_floats
 
 HUE_PERIOD = 2.0 * np.pi
 
@@ -151,9 +150,7 @@ class DistortionModel:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"distortion.{f.name} must be a number, got {value!r}")
+            _json_floats(getattr(self, f.name), f.name)
 
     def is_identity(self) -> bool:
         return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0

@@ -1,6 +1,7 @@
 """Tests for the config, CLI commands and point-cloud handling."""
 
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from bandpointer.cli import (
     save_color_model,
     write_ply,
 )
-from bandpointer.color_model import calibrate_colors, classify_image_masked
+from bandpointer.color_model import ColorClassSet, calibrate_colors, classify_image_masked
 from bandpointer.detection import DetectionParams
 from bandpointer.errors import BandPointerError, ConfigError, NoEdgesError
 from bandpointer.imaging import (
@@ -165,7 +166,8 @@ class TestConfig:
         data = make_config_dict()
         data["pointer"]["band_colors"][0] = "purple"
         with pytest.raises(
-            ConfigError, match="^pointer.band_colors uses 'purple', which colors does not define$"
+            ConfigError,
+            match=r"^pointer\.band_colors\[0\] must be null or a name in colors, got 'purple'$",
         ):
             Config.from_dict(data)
 
@@ -185,6 +187,40 @@ def _set(path, value):
         node = node[key]
     node[path[-1]] = value
     return data
+
+
+def _assert_named_error_line(workspace, tmp_path, capsys, doc, path, value, message):
+    """Run probe (eval for the sweep doc) with the key at path of the test
+    config, color model or sweep spec set to value, the empty path
+    replacing the document, and check that it exits 1 with one config
+    error line holding the message."""
+    docs = {
+        "config": make_config_dict(),
+        "colors": json.loads(workspace["colors"].read_text()),
+        "sweep": {"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": 0.0, "roll_deg": 4.0},
+    }
+    if path:
+        node = docs[doc]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        docs[doc] = value
+    for name, data in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    out_path = tmp_path / "report.csv"
+    command = (
+        ["eval", "--sweep", str(tmp_path / "sweep.json"), "--out", str(out_path)]
+        if doc == "sweep" else
+        ["probe", "--image", str(workspace["frame"]),
+         "--color-model", str(tmp_path / "colors.json")]
+    )
+    code = main(["--config", str(tmp_path / "config.json")] + command)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert message in err
+    assert not out_path.exists()
 
 
 class TestConfigValidation:
@@ -213,38 +249,39 @@ class TestConfigValidation:
             ("sweep", ("angles_deg", 0), "0", "angles_deg[0] must be a number, got '0'"),
             ("sweep", ("noise_px",), "0.5", "noise_px must be a number, got '0.5'"),
             ("sweep", ("roll_deg",), "4", "roll_deg must be a number, got '4'"),
+            ("config", ("detection", "s1"), "0.25", "detection.s1 must be a number, got '0.25'"),
         ],
         ids=["str-edge-distance", "str-diameter", "str-length", "str-focal-length",
              "str-rotation", "str-translation", "nested-k", "null-length", "str-lut",
-             "str-depth", "str-angle", "str-noise", "str-roll"],
+             "str-depth", "str-angle", "str-noise", "str-roll", "str-s1"],
     )
     def test_number_read_from_text_named(
         self, workspace, tmp_path, capsys, doc, path, value, message
     ):
-        docs = {
-            "config": make_config_dict(),
-            "colors": json.loads(workspace["colors"].read_text()),
-            "sweep": {"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": 0.0, "roll_deg": 4.0},
-        }
-        node = docs[doc]
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        for name, data in docs.items():
-            (tmp_path / f"{name}.json").write_text(json.dumps(data))
-        out_path = tmp_path / "report.csv"
-        command = (
-            ["eval", "--sweep", str(tmp_path / "sweep.json"), "--out", str(out_path)]
-            if doc == "sweep" else
-            ["probe", "--image", str(workspace["frame"]),
-             "--color-model", str(tmp_path / "colors.json")]
-        )
-        code = main(["--config", str(tmp_path / "config.json")] + command)
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert message in err
-        assert not out_path.exists()
+        _assert_named_error_line(workspace, tmp_path, capsys, doc, path, value, message)
+
+    @pytest.mark.parametrize(
+        "doc, path, value, message",
+        [
+            ("config", ("camera",), [1], "camera must be a JSON object, got list"),
+            ("config", ("detection",), [1], "detection must be a JSON object, got list"),
+            ("config", ("camera", "distortion"), [0.0] * 5,
+             "camera.distortion must be a JSON object, got list"),
+            ("config", ("pointer", "band_colors", 0), ["red"],
+             "pointer.band_colors[0] must be null or a name in colors, got ['red']"),
+            ("config", ("camera", "k_row_major"), [1000.0] * 8,
+             "camera.k_row_major must hold 9 numbers, got 8"),
+            ("config", ("camera", "translation_mm"), [0.0, 0.0],
+             "camera.translation_mm must hold 3 numbers, got 2"),
+            ("sweep", (), [330.0, 0.0], "sweep.json must be a JSON object, got list"),
+        ],
+        ids=["list-camera", "list-detection", "list-distortion", "list-band-color",
+             "short-k", "short-translation", "list-sweep"],
+    )
+    def test_bad_structure_named(self, workspace, tmp_path, capsys, doc, path, value, message):
+        # a misshapen section or list is named by its field, not reported
+        # through the Python error it would cause further on
+        _assert_named_error_line(workspace, tmp_path, capsys, doc, path, value, message)
 
     @pytest.mark.parametrize(
         "path, value",
@@ -376,6 +413,37 @@ class TestConfigValidation:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == out[1]
 
+    def test_whole_float_class_ids_accepted(self, workspace, tmp_path, capsys):
+        # 1.0 names class 1 in the config's colors and in the color model,
+        # as 3.0 names radius 3
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(_set(("colors",), {"red": 1.0, "green": 2.0})))
+        model = json.loads(workspace["colors"].read_text())
+        for entry in model["classes"]:
+            entry["label"] = float(entry["label"])
+        colors_path = tmp_path / "colors.json"
+        colors_path.write_text(json.dumps(model))
+        runs = ((config_path, colors_path), (workspace["config"], workspace["colors"]))
+        for config, colors in runs:
+            assert main([
+                "--config", str(config), "probe", "--image", str(workspace["frame"]),
+                "--color-model", str(colors),
+            ]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == out[1]
+        assert Config.from_dict(json.loads(config_path.read_text())).color_names == {
+            "red": 1, "green": 2
+        }
+
+    def test_numpy_labels_saved_as_ints(self, workspace, tmp_path):
+        colors = load_color_model(workspace["colors"])
+        relabeled = ColorClassSet(
+            labels=tuple(np.int64(label) for label in colors.labels), luts=colors.luts
+        )
+        assert all(type(label) is int for label in relabeled.labels)
+        save_color_model(relabeled, tmp_path / "colors.json")
+        assert (tmp_path / "colors.json").read_bytes() == workspace["colors"].read_bytes()
+
 
     @pytest.mark.parametrize(
         "path, value, field",
@@ -411,15 +479,33 @@ class TestConfigValidation:
     )
     def test_detection_params_reject_booleans(self, name, value):
         kwargs = dict(s1=0.25, s2=0.12, r1=3, r2=2, ransac_seed=0) | {name: value}
-        with pytest.raises(ValueError, match=f"^{name} must be a number, not a boolean"):
+        with pytest.raises(
+            ValueError, match=f"^{name} must not be a boolean, got {json.dumps(value)}$"
+        ):
             DetectionParams(**kwargs)
 
     @pytest.mark.parametrize(
-        "name, value",
-        [("k1", "x"), ("p2", None), ("k3", [0.1]), ("k2", "0.1")],
+        "name, value, shown",
+        [("s1", "0.25", "'0.25'"), ("s2", None, "None"), ("s1", [0.25], "a list"),
+         ("r1", "3", "'3'"), ("ransac_seed", None, "None")],
+        ids=["str-s1", "null-s2", "list-s1", "str-r1", "null-seed"],
+    )
+    def test_detection_params_reject_non_numbers(self, name, value, shown):
+        # checked before the 0 <= s2 < s1 <= 1 comparison, whose TypeError
+        # would name no field
+        kwargs = dict(s1=0.25, s2=0.12, r1=3, r2=2, ransac_seed=0) | {name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {re.escape(shown)}$"):
+            DetectionParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value, shown",
+        [("k1", "x", "'x'"), ("p2", None, "None"), ("k3", [0.1], "a list"),
+         ("k2", "0.1", "'0.1'")],
         ids=["string-k1", "null-p2", "list-k3", "numeric-string-k2"],
     )
-    def test_non_number_distortion_named(self, workspace, tmp_path, capsys, name, value):
+    def test_non_number_distortion_named(
+        self, workspace, tmp_path, capsys, name, value, shown
+    ):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(_set(("camera", "distortion", name), value)))
         code = main([
@@ -429,7 +515,7 @@ class TestConfigValidation:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
-        assert f"distortion.{name} must be a number, got {value!r}" in err
+        assert f"camera.distortion.{name} must be a number, got {shown}" in err
 
     @pytest.mark.parametrize("r1", [256, 1e308], ids=["one-past-frame", "huge"])
     def test_erosion_radius_must_fit_the_frame(self, r1):
@@ -441,19 +527,19 @@ class TestConfigValidation:
         assert Config.from_dict(_set(("detection", "r1"), 255)).detection.r1 == 255
 
     @pytest.mark.parametrize(
-        "source, path",
+        "source, path, field",
         [
-            ("config", ("detection", "r1")),
-            ("config", ("detection", "ransac_seed")),
-            ("config", ("camera", "image_size_px", 1)),
-            ("sweep", ("depths_mm", 0)),
-            ("colors", ("classes", 0, "lut", 3)),
+            ("config", ("detection", "r1"), "detection.r1"),
+            ("config", ("detection", "ransac_seed"), "detection.ransac_seed"),
+            ("config", ("camera", "image_size_px", 1), "camera.image_size_px[1]"),
+            ("sweep", ("depths_mm", 0), "depths_mm[0]"),
+            ("colors", ("classes", 0, "lut", 3), "color class 1: lut[3]"),
         ],
         ids=["config-r1", "config-ransac-seed", "config-image-size", "sweep-depth",
              "color-model-lut"],
     )
     def test_integer_too_large_for_a_float_exits_with_one_line(
-        self, workspace, tmp_path, capsys, source, path
+        self, workspace, tmp_path, capsys, source, path, field
     ):
         # float() of a 401-digit integer raises OverflowError
         data = {
@@ -479,7 +565,7 @@ class TestConfigValidation:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
-        assert f"{paths[source]}: an integer of 401 digits is too large" in err
+        assert f"{field} is an integer too large for a float64" in err
 
 
 class TestUsageErrors:
@@ -1187,17 +1273,24 @@ class TestEvalCommand:
         assert not out_path.exists()
 
     @pytest.mark.parametrize(
-        "bad",
-        [dict(seed=-3), dict(seed=1.5), dict(seed=True), dict(seed="1"),
-         dict(trials=0), dict(trials=2.0), dict(trials=True)],
+        "bad, message",
+        [
+            (dict(seed=-3), "seed must be an integer >= 0, got -3"),
+            (dict(seed=1.5), "seed must be an integer >= 0, got 1.5"),
+            (dict(seed=True), "seed must not be a boolean, got true"),
+            (dict(seed="1"), "seed must be a number, got '1'"),
+            (dict(trials=0), "trials must be an integer >= 1, got 0"),
+            (dict(trials=2.5), "trials must be an integer >= 1, got 2.5"),
+            (dict(trials=True), "trials must not be a boolean, got true"),
+            (dict(seed=10**400), "seed is an integer too large for a float64"),
+        ],
         ids=["negative-seed", "fractional-seed", "bool-seed", "str-seed",
-             "zero-trials", "float-trials", "bool-trials"],
+             "zero-trials", "float-trials", "bool-trials", "huge-seed"],
     )
-    def test_sweep_rejects_bad_trials_and_seed(self, bad):
+    def test_sweep_rejects_bad_trials_and_seed(self, bad, message):
         config = Config.from_dict(make_config_dict())
         grid = dict(trials=1, noise_px=0.0, seed=0) | bad
-        name = next(iter(bad))
-        with pytest.raises(ConfigError, match=f"^{name} must be an integer >= "):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             evaluate_sweep(config, [400.0], [10.0], **grid)
 
     @pytest.mark.parametrize(
@@ -1215,7 +1308,7 @@ class TestEvalCommand:
             (dict(angles_deg=[[10.0]]), r"angles_deg\[0\] must be a number, got a list"),
             (dict(noise_px="0.5"), "noise_px must be a number, got '0.5'"),
             (dict(roll_deg=None), "roll_deg must be a number, got None"),
-            (dict(depths_mm=(400.0, True)), r"depths_mm\[1\] must be a number, got True"),
+            (dict(depths_mm=(400.0, True)), r"depths_mm\[1\] must not be a boolean, got true"),
         ],
         ids=["negative-noise", "nan-noise", "nan-depth", "infinite-angle", "infinite-roll",
              "empty-depths", "empty-angles", "scalar-depths", "str-depth", "nested-angles",
@@ -1233,6 +1326,14 @@ class TestEvalCommand:
                              seed=np.int64(3))
         want = evaluate_sweep(config, [400.0], [10.0], trials=2, noise_px=0.5, seed=3)
         assert got == want
+
+    def test_sweep_takes_whole_floats(self):
+        # 2.0 reads as 2, as r1 and r2 do in the config
+        config = Config.from_dict(make_config_dict())
+        got = evaluate_sweep(config, [400.0], [10.0], trials=2.0, noise_px=0.5, seed=3.0)
+        want = evaluate_sweep(config, [400.0], [10.0], trials=2, noise_px=0.5, seed=3)
+        assert got == want
+        assert type(got[0]["trials"]) is int
 
     def test_unseeable_cell_counts_as_failures(self):
         # at 40 mm the 100 mm pointer overfills the 612 px frame, leaving

@@ -129,18 +129,39 @@ class TestColorClassSet:
         assert cs.luts[0].tobytes() == lut.tobytes()
         assert classify_hue(cs, np.array([0.0])).tolist() == [BACKGROUND_LABEL]
 
-    @pytest.mark.parametrize("label", [0, -1, 256, 300])
-    def test_label_outside_uint8_classes_rejected(self, label):
-        with pytest.raises(ValueError, match="^color class label must be an int in 1..255"):
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            (0, "must be an integer >= 1, got 0"),
+            (-1, "must be an integer >= 1, got -1"),
+            (256, "must be at most 255, got 256"),
+            (300, "must be at most 255, got 300"),
+        ],
+        ids=["0", "-1", "256", "300"],
+    )
+    def test_label_outside_uint8_classes_rejected(self, label, message):
+        with pytest.raises(ValueError, match=f"^color class label {message}$"):
             ColorClassSet(labels=(1, label), luts=[kde_lut([0.1]), kde_lut([2.0])])
 
     @pytest.mark.parametrize(
-        "label", [2.0, True, "2", np.int64(2), None],
-        ids=["float", "bool", "str", "numpy-int", "none"],
+        "label, message",
+        [
+            (2.5, "must be an integer >= 1, got 2.5"),
+            (True, "must not be a boolean, got true"),
+            ("2", "must be a number, got '2'"),
+            (None, "must be a number, got None"),
+        ],
+        ids=["float", "bool", "str", "none"],
     )
-    def test_label_that_is_not_an_int_rejected(self, label):
-        with pytest.raises(ValueError, match="^color class label must be an int in 1..255"):
+    def test_label_that_is_not_an_int_rejected(self, label, message):
+        with pytest.raises(ValueError, match=f"^color class label {message}$"):
             ColorClassSet(labels=(1, label), luts=[kde_lut([0.1]), kde_lut([2.0])])
+
+    @pytest.mark.parametrize("label", [2.0, np.int64(2)], ids=["float", "numpy-int"])
+    def test_whole_number_label_read_as_int(self, label):
+        cs = ColorClassSet(labels=(1, label), luts=[kde_lut([0.1]), kde_lut([2.0])])
+        assert cs.labels == (1, 2)
+        assert type(cs.labels[1]) is int
 
     def test_label_range_ends_accepted(self):
         cs = ColorClassSet(labels=(255, 1), luts=[kde_lut([0.1]), kde_lut([2.0])])

@@ -190,3 +190,37 @@ def test_every_local_is_read(path):
             and not node.id.startswith("_") and node.id not in read | shared
         }
     assert dead == set(), f"{path.name}: locals nothing reads {sorted(dead)}"
+
+
+def _number_rule_uses(tree: ast.Module) -> list[int]:
+    """Lines that import ``numbers`` or call ``isinstance(..., bool)``,
+    alone or in a tuple of types."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            types = node.args[1]
+            names = types.elts if isinstance(types, ast.Tuple) else [types]
+            if any(isinstance(n, ast.Name) and n.id == "bool" for n in names):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_number_rules_live_in_errors(path):
+    # errors._json_floats and errors._json_int are the one place that says
+    # what a JSON number and a JSON integer are; a module with its own
+    # boolean or number-type check restates that rule
+    uses = _number_rule_uses(ast.parse(path.read_text()))
+    if path.name == "errors.py":
+        assert uses, "errors.py no longer holds the number rules"
+    else:
+        assert uses == [], f"{path.name}: number-type checks at lines {uses}"
