@@ -214,21 +214,30 @@ def serialize_color_set(color_set: ColorClassSet) -> dict:
 def deserialize_color_set(data: dict) -> ColorClassSet:
     """Inverse of serialize_color_set; ConfigError on a malformed model.
 
-    Each lookup table must be a list of JSON numbers; ColorClassSet
-    checks the labels and the tables' values.
+    classes must be a list of objects, each with a label and a lut; each
+    lookup table must be a list of JSON numbers. ColorClassSet checks the
+    labels and the tables' values.
     """
     if not isinstance(data, dict) or data.get("lut_bins") != LUT_BINS:
         raise ConfigError(f"color model needs lut_bins = {LUT_BINS}")
+    if "classes" not in data:
+        raise ConfigError("color model classes is missing")
+    classes = data["classes"]
+    if not isinstance(classes, list):
+        raise ConfigError(f"color model classes must be a list of objects, got {classes!r}")
+    for i, entry in enumerate(classes):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"color model classes[{i}] must be an object, got {entry!r}")
+        for key in ("label", "lut"):
+            if key not in entry:
+                raise ConfigError(f"color model classes[{i}].{key} is missing")
     try:
-        classes = [(entry["label"], entry["lut"]) for entry in data["classes"]]
         return ColorClassSet(
-            labels=tuple(label for label, _ in classes),
+            labels=tuple(entry["label"] for entry in classes),
             luts=[
-                _json_floats(lut, f"color class {label}: lut", listed=True)
-                for label, lut in classes
+                _json_floats(entry["lut"], f"color class {entry['label']}: lut", listed=True)
+                for entry in classes
             ],
         )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad color model: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .color_model import ColorClassSet, classify_image_masked
@@ -44,6 +43,7 @@ from .imaging import (
     _content_box,
     connected_components,
     convolve_unit_sum,
+    dilate_disk,
     erode_disk,
     rgb_to_hue_saturation,
 )
@@ -149,11 +149,13 @@ def detect_band_regions(
         label: cKDTree(np.vstack([reg.pixels for reg in regions if reg.label == label]))
         for label in {reg.label for reg in regions}
     }
-    reach = 2 * r + 5
+    # cKDTree's bound is strict: nudged up, a pixel exactly 2r + 5 away counts
+    bound = np.nextafter(2 * r + 5, np.inf)
 
     def near_adjacent_color(reg: Region) -> bool:
         return any(
-            other in trees and trees[other].query(reg.pixels)[0].min() <= reach
+            other in trees
+            and np.isfinite(trees[other].query(reg.pixels, distance_upper_bound=bound)[0]).any()
             for pair in spec_adjacency if reg.label in pair
             for other in pair - {reg.label}
         )
@@ -268,7 +270,11 @@ def _junction_images(
     fallback_axis: Optional[Line2D] = None,
 ) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
     """The crop's (x, y) origin in the frame, the halo I_b1 and the
-    orientation-filtered halo I_b2, both over the crop."""
+    orientation-filtered halo I_b2, both over the crop.
+
+    I_b1 holds the pixels within distance edge_halo of two adjacent band
+    colors' region pixels; each color's disk dilation is exact integer
+    work, with no distance transform."""
     e = params.edge_halo
     margin = e + int(np.ceil(3.0 * e)) + 2  # the halo and the kernel's half width
     # crop covering all region pixels plus the margin, clipped to the frame
@@ -278,7 +284,7 @@ def _junction_images(
     for reg in regions:
         mask = masks.setdefault(reg.label, np.zeros((y1 - y0, x1 - x0), dtype=bool))
         mask[reg.pixels[:, 1] - y0, reg.pixels[:, 0] - x0] = True
-    near = {label: ndimage.distance_transform_edt(~mask) <= e for label, mask in masks.items()}
+    near = {label: dilate_disk(mask, e) for label, mask in masks.items()}
     halo = np.zeros((y1 - y0, x1 - x0), dtype=bool)
     for pair in spec_adjacency:
         a, b = tuple(pair)

@@ -7,6 +7,7 @@ operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -71,43 +72,63 @@ def _key_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _HUE_VALID, _SATURATION = _key_tables()
 
+# the saturation gate keys and looks up this many rows at a time, so its
+# uint16 keys and their index array stay a few hundred kB at any frame size
+_GATE_ROWS = 32
+
+
+def _key(px: np.ndarray) -> np.ndarray:
+    """uint16 key, max channel << 8 | min channel, of (..., 3) uint8 pixels."""
+    r, g, b = px[..., 0], px[..., 1], px[..., 2]
+    cmax = np.maximum(np.maximum(r, g), b)
+    cmin = np.minimum(np.minimum(r, g), b)
+    return (cmax.astype(np.uint16) << 8) | cmin
+
 
 @dataclass(frozen=True)
 class HueSatImage:
     """Hexcone hue and saturation of an 8-bit RGB frame, evaluated on demand.
 
-    Each pixel is reduced to one uint16 key, max channel << 8 | min channel,
-    which fixes its saturation and whether its hue is defined. ``gate``
-    thresholds the saturation by one table lookup per pixel; ``hue_at``
-    and ``saturation_value_at`` convert only the selected pixels to
-    float64. The whole-frame ``hue``, ``saturation``, ``hue_valid`` and
+    A pixel's max channel << 8 | min channel is a uint16 key that fixes
+    its saturation and whether its hue is defined. ``gate`` keys the frame
+    one block of rows at a time and thresholds the saturation by one table
+    lookup per pixel, so no whole-frame key exists; ``hue_at`` and
+    ``saturation_value_at`` key and convert to float64 only the selected
+    pixels. The whole-frame ``hue``, ``saturation``, ``hue_valid`` and
     ``value`` rasters are built when read, for inspection; the pipeline
     does not read them.
     """
 
     rgb: np.ndarray  # (H, W, 3) uint8 source pixels, shared with the RasterImage
-    key: np.ndarray  # (H, W) uint16
 
     def window(self, box: tuple[slice, slice]) -> "HueSatImage":
-        """The same image restricted to a (rows, cols) box, as views."""
-        return HueSatImage(rgb=self.rgb[box], key=self.key[box])
+        """The same image restricted to a (rows, cols) box, as a view."""
+        return HueSatImage(rgb=self.rgb[box])
 
     def gate(self, s_min: float) -> np.ndarray:
         """Boolean raster: hue defined and saturation >= s_min."""
-        return np.take(_HUE_VALID & (_SATURATION >= s_min), self.key)
+        table = _HUE_VALID & (_SATURATION >= s_min)
+        out = np.empty((self.height, self.width), dtype=bool)
+        for y in range(0, self.height, _GATE_ROWS):
+            rows = slice(y, y + _GATE_ROWS)
+            # keys never exceed the table; "clip" writes to out unbuffered
+            np.take(table, _key(self.rgb[rows]), out=out[rows], mode="clip")
+        return out
+
+    def _pixels_at(self, mask: np.ndarray) -> np.ndarray:
+        """(N, 3) pixels selected by a boolean (H, W) mask, in row order."""
+        # flat indices gather ~3x faster than a 2D boolean mask on (H, W, 3)
+        return self.rgb.reshape(-1, 3)[np.flatnonzero(mask)]
 
     def hue_at(self, mask: np.ndarray) -> np.ndarray:
         """Hue of the pixels selected by a boolean (H, W) mask, in row order."""
-        # flat indices gather ~3x faster than a 2D boolean mask on (H, W, 3)
-        idx = np.flatnonzero(mask)
-        key = self.key.ravel()[idx]
-        return _hexcone_hue(
-            self.rgb.reshape(-1, 3)[idx] / 255.0, (key >> 8) / 255.0, _HUE_VALID[key]
-        )
+        px = self._pixels_at(mask)
+        key = _key(px)
+        return _hexcone_hue(px / 255.0, (key >> 8) / 255.0, _HUE_VALID[key])
 
     def saturation_value_at(self, mask: np.ndarray) -> np.ndarray:
         """Saturation times value of the selected pixels, in row order."""
-        key = self.key[mask]
+        key = _key(self._pixels_at(mask))
         return _SATURATION[key] * ((key >> 8) / 255.0)
 
     @property
@@ -117,24 +138,24 @@ class HueSatImage:
 
     @property
     def saturation(self) -> np.ndarray:
-        return _SATURATION[self.key]
+        return _SATURATION[_key(self.rgb)]
 
     @property
     def hue_valid(self) -> np.ndarray:
-        return _HUE_VALID[self.key]
+        return _HUE_VALID[_key(self.rgb)]
 
     @property
     def value(self) -> np.ndarray:
         """Max channel in [0, 1]."""
-        return (self.key >> 8) / 255.0
+        return self.rgb.max(axis=2) / 255.0
 
     @property
     def width(self) -> int:
-        return self.key.shape[1]
+        return self.rgb.shape[1]
 
     @property
     def height(self) -> int:
-        return self.key.shape[0]
+        return self.rgb.shape[0]
 
 
 @dataclass(frozen=True)
@@ -191,12 +212,8 @@ def _hexcone_hue(px: np.ndarray, cmax: np.ndarray, valid: np.ndarray) -> np.ndar
 
 
 def rgb_to_hue_saturation(img: RasterImage) -> HueSatImage:
-    """Key each pixel by its max and min channel; see ``HueSatImage``."""
-    px = img.pixels
-    r, g, b = px[..., 0], px[..., 1], px[..., 2]
-    cmax = np.maximum(np.maximum(r, g), b)
-    cmin = np.minimum(np.minimum(r, g), b)
-    return HueSatImage(rgb=px, key=(cmax.astype(np.uint16) << 8) | cmin)
+    """The frame's hue and saturation, keyed on demand; see ``HueSatImage``."""
+    return HueSatImage(rgb=img.pixels)
 
 
 def erode_disk(bits: np.ndarray, radius: int) -> np.ndarray:
@@ -210,6 +227,40 @@ def erode_disk(bits: np.ndarray, radius: int) -> np.ndarray:
     y, x = np.ogrid[-radius : radius + 1, -radius : radius + 1]
     disk = x * x + y * y <= radius * radius
     return ndimage.binary_erosion(np.asarray(bits, dtype=bool), disk, border_value=0)
+
+
+def dilate_disk(bits: np.ndarray, radius: int) -> np.ndarray:
+    """Dilation of a boolean (H, W) array with a Euclidean disk; pixels
+    outside the array count as 0.
+
+    A pixel is set iff some set pixel lies within distance <= radius, so
+    on an array with a set pixel it equals
+    ``ndimage.distance_transform_edt(~bits) <= radius``: that distance is
+    the correctly rounded sqrt of an integer n, which is <= radius exactly
+    when n <= radius**2. Each row offset dy of the disk contributes the
+    rows dy away, each spread along the row by isqrt(radius**2 - dy**2).
+    """
+    if radius < 0 or int(radius) != radius:
+        raise ValueError("radius must be a non-negative integer")
+    radius = int(radius)
+    bits = np.asarray(bits, dtype=bool)
+    h = bits.shape[0]
+    out = np.zeros_like(bits)
+    spread: dict[int, np.ndarray] = {}  # half-width -> rows spread by it
+    for dy in range(-radius, radius + 1):
+        if abs(dy) >= h:
+            continue
+        half = math.isqrt(radius * radius - dy * dy)
+        if half not in spread:
+            spread[half] = ndimage.maximum_filter1d(
+                bits, 2 * half + 1, axis=1, mode="constant", cval=0
+            )
+        rows = spread[half]
+        if dy >= 0:
+            out[: h - dy] |= rows[dy:]
+        else:
+            out[-dy:] |= rows[: h + dy]
+    return out
 
 
 def _content_box(bits: np.ndarray) -> tuple[slice, slice]:
@@ -374,10 +425,10 @@ def _read_pnm(path, magic: bytes) -> np.ndarray:
         raise ImageFormatError(f"empty {width}x{height} image: {path}")
     channels = 3 if magic == b"P6" else 1
     need = width * height * channels
-    body = raw[pos : pos + need]
-    if len(body) != need:
+    if len(raw) - pos < need:
         raise ImageFormatError(f"truncated {magic.decode()} payload in {path}")
-    data = np.frombuffer(body, dtype=np.uint8)
+    # a view of the file's bytes, not a copy of the payload
+    data = np.frombuffer(raw, dtype=np.uint8, count=need, offset=pos)
     if channels == 3:
         return data.reshape(height, width, 3)
     return data.reshape(height, width)

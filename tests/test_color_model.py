@@ -263,6 +263,24 @@ class TestDeserializeValidation:
         with pytest.raises(ConfigError):
             deserialize_color_set(data)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (_model(classes=[1, 2]), "color model classes[0] must be an object, got 1"),
+            (_model(classes="ab"), "color model classes must be a list of objects, got 'ab'"),
+            (_model(classes={"a": 1}),
+             "color model classes must be a list of objects, got {'a': 1}"),
+            (_model(lut=None), "color model classes[0].lut is missing"),
+            (_model(label=None), "color model classes[0].label is missing"),
+            ({"lut_bins": LUT_BINS}, "color model classes is missing"),
+        ],
+        ids=["int-entries", "str-classes", "object-classes", "no-lut", "no-label", "no-classes"],
+    )
+    def test_misshapen_model_names_the_field(self, data, message):
+        with pytest.raises(ConfigError) as info:
+            deserialize_color_set(data)
+        assert str(info.value) == message
+
     def test_bad_lut_message_names_the_class(self):
         data = _model(lut=[1.0] * 3)
         with pytest.raises(ConfigError) as info:

@@ -1,6 +1,8 @@
 """Tests for raster types and low-level image operations."""
 
+import gc
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +14,15 @@ from conftest import float_hsv, quantize
 
 from bandpointer.errors import ImageFormatError, InvalidKernelError, NumericError
 from bandpointer.imaging import (
+    _GATE_ROWS,
+    _HUE_VALID,
+    _SATURATION,
     DistortionModel,
     RasterImage,
     Region,
     connected_components,
     convolve_unit_sum,
+    dilate_disk,
     distort_points,
     erode_disk,
     load_image,
@@ -149,6 +155,17 @@ _ALL_PAIRS = np.stack(np.broadcast_arrays(
 _PAIR_SATURATIONS = np.unique(float_hsv(_ALL_PAIRS)[1])
 
 
+# heights around the gate's row block: one block short, exact and over
+_BLOCK_EDGE_ROWS = [1, _GATE_ROWS - 1, _GATE_ROWS, _GATE_ROWS + 1]
+
+
+def _every_key_image(rows: int) -> np.ndarray:
+    """rows x ceil(65536 / rows) pixels repeating _ALL_PAIRS in scan
+    order, so every (max, min) pair occurs."""
+    pairs = _ALL_PAIRS.reshape(-1, 3)
+    return np.resize(pairs, (rows, -(-len(pairs) // rows), 3))
+
+
 class TestSaturationGate:
     """The gate's table lookup gives the float formula's bits."""
 
@@ -169,6 +186,33 @@ class TestSaturationGate:
         hs = rgb_to_hue_saturation(RasterImage(_ALL_PAIRS))
         _, sat, valid, _ = float_hsv(_ALL_PAIRS)
         assert np.array_equal(hs.gate(s_min), valid & (sat >= s_min))
+
+    @pytest.mark.parametrize("rows", _BLOCK_EDGE_ROWS)
+    @pytest.mark.parametrize(
+        "s_min", [0.0, 1.0, 0.25, 0.12, float(_PAIR_SATURATIONS[len(_PAIR_SATURATIONS) // 2])],
+        ids=["0", "1", "s1", "s2", "table-entry"],
+    )
+    def test_blocked_gate_equals_table_on_every_key(self, rows, s_min):
+        px = _every_key_image(rows)
+        key = (px.max(axis=2).astype(np.int64) << 8) | px.min(axis=2)
+        expected = _HUE_VALID[key] & (_SATURATION[key] >= s_min)
+        hs = rgb_to_hue_saturation(RasterImage(px))
+        assert np.array_equal(hs.gate(s_min), expected)
+        # the same pixels as a window of a larger frame
+        frame = np.zeros((rows + 3, px.shape[1] + 5, 3), dtype=np.uint8)
+        box = (slice(1, rows + 1), slice(2, px.shape[1] + 2))
+        frame[box] = px
+        window = rgb_to_hue_saturation(RasterImage(frame)).window(box)
+        assert np.array_equal(window.gate(s_min), expected)
+
+    @pytest.mark.parametrize("rows", _BLOCK_EDGE_ROWS)
+    def test_gathered_pixels_equal_float_formula(self, rows):
+        px = _every_key_image(rows)
+        hue, sat, _, value = float_hsv(px)
+        mask = np.random.default_rng(rows).uniform(size=px.shape[:2]) < 0.5
+        hs = rgb_to_hue_saturation(RasterImage(px))
+        assert hs.hue_at(mask).tobytes() == hue[mask].tobytes()
+        assert hs.saturation_value_at(mask).tobytes() == (sat * value)[mask].tobytes()
 
     def test_window_gates_its_box(self):
         rng = np.random.default_rng(5)
@@ -246,6 +290,38 @@ class TestErosion:
             cur = erode_disk(bits, radius)
             assert not (cur & ~prev).any()
             prev = cur
+
+
+class TestDilation:
+    """The disk dilation is the Euclidean distance transform's threshold."""
+
+    @given(st.integers(0, 8), st.integers(1, 12), st.integers(1, 12), st.integers(0, 5000))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_distance_threshold(self, radius, h, w, seed):
+        # shapes from 1 px up to 12 px, so often shorter or narrower than
+        # the disk; sparse draws leave room for the disk to show
+        rng = np.random.default_rng(seed)
+        bits = rng.uniform(size=(h, w)) < rng.uniform(0.0, 0.3)
+        out = dilate_disk(bits, radius)
+        if bits.any():
+            assert np.array_equal(out, ndimage.distance_transform_edt(~bits) <= radius)
+        else:
+            assert not out.any()
+
+    @pytest.mark.parametrize("radius", range(9))
+    def test_border_pixels_and_empty_mask(self, radius):
+        bits = np.zeros((7, 10), dtype=bool)
+        assert not dilate_disk(bits, radius).any()
+        bits[0, 0] = bits[6, 4] = bits[3, 9] = True
+        expected = ndimage.distance_transform_edt(~bits) <= radius
+        assert np.array_equal(dilate_disk(bits, radius), expected)
+        assert np.array_equal(dilate_disk(bits.T, radius), expected.T)
+        assert np.array_equal(dilate_disk(bits, float(radius)), expected)
+
+    def test_negative_or_fractional_radius_rejected(self):
+        for radius in (-1, 1.5):
+            with pytest.raises(ValueError):
+                dilate_disk(np.ones((3, 3), dtype=bool), radius)
 
 
 def _flood_fill_components(bits: np.ndarray) -> list[set]:
@@ -485,8 +561,51 @@ class TestImageIO:
         with pytest.raises(ImageFormatError, match="pillow"):
             load_image(path)
 
+    def test_truncated_payload_named(self, tmp_path):
+        path = tmp_path / "short.ppm"
+        path.write_bytes(b"P6\n2 2\n255\n" + bytes(11))
+        with pytest.raises(ImageFormatError, match="^truncated P6 payload in "):
+            load_image(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
         with pytest.raises(ValueError):
             load_ppm(path)
+
+
+def _traced_peak(fn):
+    """fn's result and the most memory it held at once, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestFrameMemory:
+    """Peak memory of the whole-frame steps on a 1224x1024 frame, the
+    benchmark's frame size. tracemalloc counts numpy's allocations, so the
+    peaks are deterministic. Measured: loading holds the file's bytes plus
+    4.9 kB, gating its bool output plus 0.46 MB; a second copy of the
+    payload (3.8 MB) or a whole-frame key (2.5 MB) or index (10 MB) breaks
+    either bound."""
+
+    @pytest.fixture(scope="class")
+    def frame_path(self, tmp_path_factory):
+        rng = np.random.default_rng(7)
+        path = tmp_path_factory.mktemp("frame") / "frame.ppm"
+        save_ppm(RasterImage(rng.integers(0, 256, (1024, 1224, 3), dtype=np.uint8)), path)
+        return path
+
+    def test_load_keeps_one_copy_of_the_payload(self, frame_path):
+        _, peak = _traced_peak(lambda: load_image(frame_path))
+        assert peak <= frame_path.stat().st_size + 64 * 1024
+
+    def test_gate_holds_its_output_and_one_block(self, frame_path):
+        hs = rgb_to_hue_saturation(load_image(frame_path))
+        gated, peak = _traced_peak(lambda: hs.gate(0.25))
+        assert peak <= gated.nbytes + (1 << 20)
