@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,6 +28,7 @@ from .association import (
     associate_ransac,
 )
 from .color_model import (
+    CLASS_ID,
     ColorClassSet,
     calibrate_colors,
     deserialize_color_set,
@@ -40,8 +42,14 @@ from .errors import (
     DetectionError,
     ImageFormatError,
     PoseError,
-    _json_floats,
-    _json_int,
+    Field,
+    built,
+    integer,
+    listed,
+    mapping,
+    name_in,
+    number,
+    section,
 )
 from .imaging import DistortionModel, RasterImage, load_image, load_pgm
 from .pose import CameraModel, PoseEstimate, estimate_pose
@@ -58,125 +66,88 @@ ENV_COLOR_MODEL = "BANDPOINTER_COLOR_MODEL"
 
 @dataclass
 class Config:
-    """Typed view of the JSON config; to_dict/from_dict round-trip exactly."""
+    """Typed view of the JSON config, read by its field table,
+    CONFIG_FIELDS."""
 
     camera: CameraModel
     image_size: tuple[int, int]
     pointer: PointerSpec
     detection: DetectionParams
     color_names: dict[str, int]  # name -> class id
-    band_names: list[Optional[str]]
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
-        data = _json_object(data, "the config")
-        try:
-            cam = _json_object(data["camera"], "camera")
-
-            def camera_numbers(key: str, count: int) -> np.ndarray:
-                values = _json_floats(cam[key], f"camera.{key}", listed=True)
-                if len(values) != count:
-                    raise ConfigError(f"camera.{key} must hold {count} numbers, got {len(values)}")
-                return values
-
-            distortion = cam.get("distortion", {})
-            camera = CameraModel(
-                K=camera_numbers("k_row_major", 9).reshape(3, 3),
-                R=camera_numbers("rotation_row_major", 9).reshape(3, 3),
-                t=camera_numbers("translation_mm", 3),
-                distortion=_json_object(distortion, "camera.distortion", DistortionModel),
-            )
-            size = cam["image_size_px"]
-            if not isinstance(size, list) or len(size) != 2:
-                raise ConfigError(f"camera.image_size_px must hold 2 integers, got {size!r}")
-            size = tuple(_json_int(v, f"camera.image_size_px[{i}]", 1) for i, v in enumerate(size))
-
-            ptr = _json_object(data["pointer"], "pointer")
-            # a string would otherwise be read one character per entry
-            if not isinstance(ptr["band_colors"], list):
-                raise ConfigError(f"pointer.band_colors must be a list, got {ptr['band_colors']!r}")
-            colors = {
-                name: ColorClassSet.check_label(v, f"colors.{name}")
-                for name, v in _json_object(data["colors"], "colors").items()
-            }
-            band_names = list(ptr["band_colors"])
-            for i, name in enumerate(band_names):
-                if name is not None and not (isinstance(name, str) and name in colors):
-                    raise ConfigError(
-                        f"pointer.band_colors[{i}] must be null or a name in colors, got {name!r}"
-                    )
-            spec = PointerSpec(
-                distances_mm=_json_floats(
-                    ptr["edge_distances_mm"], "pointer.edge_distances_mm", listed=True
-                ),
-                radii_mm=_json_floats(
-                    ptr["edge_diameters_mm"], "pointer.edge_diameters_mm", listed=True
-                ) / 2.0,
-                band_labels=[colors[name] if name is not None else None for name in band_names],
-                total_length_mm=_json_floats(ptr["total_length_mm"], "pointer.total_length_mm"),
-            )
-            params = _json_object(data.get("detection", {}), "detection", DetectionParams)
-            # erode_disk builds a (2 r1 + 1)^2 footprint
-            if 2 * params.r1 + 1 > min(size):
-                raise ConfigError(
-                    f"detection.r1 must be at most {(min(size) - 1) // 2} for a "
-                    f"{size[0]}x{size[1]} frame, got {params.r1}"
-                )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
-        return cls(
-            camera=camera,
-            image_size=size,
-            pointer=spec,
-            detection=params,
-            color_names=colors,
-            band_names=band_names,
+        """The config in data, which is left as it is; ConfigError leads
+        with the path at fault or, for a constructor's check across a
+        section's fields, with the section (camera: R must be a rotation
+        matrix)."""
+        values = CONFIG_FIELDS(data)
+        cam, ptr = values["camera"], values["pointer"]
+        camera = built(
+            "camera", CameraModel,
+            K=np.reshape(cam["k_row_major"], (3, 3)),
+            R=np.reshape(cam["rotation_row_major"], (3, 3)),
+            t=cam["translation_mm"],
+            distortion=DistortionModel(**cam.get("distortion", {})),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "camera": {
-                "image_size_px": [self.image_size[0], self.image_size[1]],
-                "k_row_major": [float(v) for v in self.camera.K.ravel()],
-                "rotation_row_major": [float(v) for v in self.camera.R.ravel()],
-                "translation_mm": [float(v) for v in self.camera.t],
-                "distortion": asdict(self.camera.distortion),
-            },
-            "pointer": {
-                "total_length_mm": self.pointer.total_length_mm,
-                "edge_distances_mm": self.pointer.distances_mm.tolist(),
-                # exact: from_dict halves the diameters
-                "edge_diameters_mm": (2.0 * self.pointer.radii_mm).tolist(),
-                "band_colors": list(self.band_names),
-            },
-            "colors": dict(self.color_names),
-            "detection": asdict(self.detection),
-        }
+        spec = built(
+            "pointer", PointerSpec,
+            distances_mm=ptr["edge_distances_mm"],
+            radii_mm=np.array(ptr["edge_diameters_mm"]) / 2.0,
+            band_labels=ptr["band_colors"],
+            total_length_mm=ptr["total_length_mm"],
+        )
+        params = built("detection", DetectionParams, **values.get("detection", {}))
+        size = tuple(cam["image_size_px"])
+        # erode_disk builds a (2 r1 + 1)^2 footprint
+        if 2 * params.r1 + 1 > min(size):
+            raise ConfigError(
+                f"detection.r1 must be at most {(min(size) - 1) // 2} for a "
+                f"{size[0]}x{size[1]} frame, got {params.r1}"
+            )
+        return cls(camera=camera, image_size=size, pointer=spec, detection=params,
+                   color_names=values["colors"])
 
 
-def _json_object(value, field: str, cls=None):
-    """The JSON object at field, or cls(**value); ConfigError names the
-    field for a non-object, and a ValueError of cls gets it as a prefix."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{field} must be a JSON object, got {type(value).__name__}")
-    try:
-        return value if cls is None else cls(**value)
-    except ValueError as exc:
-        raise ValueError(f"{field}.{exc}") from exc
+# the config's field table; colors comes before pointer, whose band colors
+# name its entries
+CONFIG_FIELDS = section(
+    Field("camera", section(
+        Field("image_size_px", listed(integer(1), 2)),
+        Field("k_row_major", listed(number(), 9)),
+        Field("rotation_row_major", listed(number(), 9)),
+        Field("translation_mm", listed(number(), 3)),
+        Field("distortion", section(
+            *(Field(k, number(), required=False) for k in ("k1", "k2", "k3", "p1", "p2")),
+            closed=True,
+        ), required=False),
+    )),
+    Field("colors", mapping(CLASS_ID)),
+    Field("pointer", section(
+        Field("total_length_mm", number()),
+        Field("edge_distances_mm", listed(number())),
+        Field("edge_diameters_mm", listed(number())),
+        Field("band_colors", listed(name_in("colors"))),
+    )),
+    Field("detection", section(*DetectionParams.json_fields, closed=True), required=False),
+)
 
 
-def _load_json(path):
+def _load_json(path, read):
+    """read(the JSON document at path); a ConfigError leads with the path."""
     with open(path) as f:
         try:
-            return json.load(f)
+            data = json.load(f)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return read(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path) -> Config:
-    return Config.from_dict(_load_json(path))
+    return _load_json(path, Config.from_dict)
 
 
 def save_color_model(color_set: ColorClassSet, path) -> None:
@@ -185,7 +156,7 @@ def save_color_model(color_set: ColorClassSet, path) -> None:
 
 
 def load_color_model(path) -> ColorClassSet:
-    return deserialize_color_set(_load_json(path))
+    return _load_json(path, deserialize_color_set)
 
 
 MAD_FILTER_FACTOR = 5.0
@@ -291,8 +262,9 @@ def _load_config_and_colors(args) -> tuple[Config, ColorClassSet]:
         raise ConfigError(f"--color-model required (or ${ENV_COLOR_MODEL})")
     config = load_config(args.config)
     colors = load_color_model(args.color_model)
-    for name in config.band_names:
-        if name is not None and config.color_names[name] not in colors.labels:
+    for label in config.pointer.band_labels:
+        if label is not None and label not in colors.labels:
+            name = next(n for n, i in config.color_names.items() if i == label)
             raise ConfigError(f"color model has no class for band color {name!r}")
     return config, colors
 
@@ -381,6 +353,20 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
+MAX_TRIALS = 100_000  # per cell; a bound, so a typo cannot run without end
+
+# the eval sweep spec's field table; a key left out takes evaluate_sweep's
+# default
+SWEEP_FIELDS = section(
+    Field("depths_mm", listed(number(-math.inf))),
+    Field("angles_deg", listed(number(-math.inf))),
+    Field("trials", integer(1, MAX_TRIALS), required=False),
+    Field("noise_px", number(0.0), required=False),
+    Field("seed", integer(0), required=False),
+    Field("roll_deg", number(-math.inf), required=False),
+)
+
+
 def evaluate_sweep(
     config: Config,
     depths_mm: Sequence[float],
@@ -396,26 +382,16 @@ def evaluate_sweep(
     is exercised by its own tests); noise perturbs the detected points.
     Returns one record per grid cell. A trial that fails, and every trial
     of a cell whose ground truth cannot be projected (part of the pointer
-    behind the camera), counts as a failure. trials must be an integer
-    >= 1, seed one >= 0, depths_mm and angles_deg non-empty lists of
-    finite numbers, noise_px a finite number >= 0 and roll_deg a finite
-    number, or ConfigError is raised.
+    behind the camera), counts as a failure. The arguments are read by
+    the sweep spec's field table, SWEEP_FIELDS, before any cell runs, so
+    a bad one raises the ConfigError that eval reports for the spec.
     """
-    try:
-        trials = _json_int(trials, "trials", 1)
-        seed = _json_int(seed, "seed", 0)
-        depths_mm = _json_floats(depths_mm, "depths_mm", listed=True)
-        angles_deg = _json_floats(angles_deg, "angles_deg", listed=True)
-        noise_px = _json_floats(noise_px, "noise_px")
-        roll_deg = _json_floats(roll_deg, "roll_deg")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if not (depths_mm.size and angles_deg.size):
-        raise ConfigError("depths_mm and angles_deg must be non-empty lists")
-    if not 0.0 <= noise_px < np.inf:
-        raise ConfigError(f"noise_px must be finite and >= 0, got {noise_px!r}")
-    if not np.isfinite([*depths_mm, *angles_deg, roll_deg]).all():
-        raise ConfigError("depths_mm, angles_deg and roll_deg must be finite")
+    sweep = SWEEP_FIELDS({
+        "depths_mm": depths_mm, "angles_deg": angles_deg, "trials": trials,
+        "noise_px": noise_px, "seed": seed, "roll_deg": roll_deg,
+    })
+    depths_mm, angles_deg, roll_deg = sweep["depths_mm"], sweep["angles_deg"], sweep["roll_deg"]
+    trials, noise_px, seed = sweep["trials"], sweep["noise_px"], sweep["seed"]
     template = synthetic.SceneSpec(
         pose=None,  # type: ignore[arg-type]  # replaced by sweep()
         spec=config.pointer,
@@ -466,11 +442,7 @@ def evaluate_sweep(
 
 def cmd_eval(args) -> int:
     config = load_config(args.config)
-    sweep_spec = _json_object(_load_json(args.sweep), f"the sweep spec {args.sweep}")
-    if not {"depths_mm", "angles_deg"} <= sweep_spec.keys():
-        raise ConfigError(f"the sweep spec {args.sweep} needs depths_mm and angles_deg")
-    keys = ("depths_mm", "angles_deg", "trials", "seed", "noise_px", "roll_deg")
-    records = evaluate_sweep(config, **{key: sweep_spec[key] for key in keys if key in sweep_spec})
+    records = evaluate_sweep(config, **_load_json(args.sweep, SWEEP_FIELDS))
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as f:

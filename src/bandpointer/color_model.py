@@ -14,12 +14,15 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (
-    ConfigError,
+    Field,
     InsufficientCalibrationDataError,
     MaskMismatchError,
     TooFewColorClassesError,
-    _json_floats,
-    _json_int,
+    built,
+    integer,
+    listed,
+    number,
+    section,
 )
 from .imaging import (
     HUE_PERIOD,
@@ -36,6 +39,8 @@ BANDWIDTH_CAP = 0.5
 MEDIAN_TARGET_BANDWIDTH = 0.05
 MIN_CLASS_PIXELS = 100
 BACKGROUND_LABEL = 0
+# a class id: labels fit the uint8 label rasters, where 0 is the background
+CLASS_ID = integer(BACKGROUND_LABEL + 1, 255)
 
 
 def _wrapped_gaussian_lut(samples: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
@@ -74,20 +79,10 @@ class ColorClassSet:
 
     labels: tuple[int, ...]
     luts: np.ndarray  # (len(labels), LUT_BINS) float64, read-only
-    # labels fit the uint8 label rasters, where 0 is the background
-    label_range: ClassVar[range] = range(BACKGROUND_LABEL + 1, 256)
     min_classes: ClassVar[int] = 2
 
-    @classmethod
-    def check_label(cls, label, field: str) -> int:
-        """label as an int class id, a whole number in label_range."""
-        label = _json_int(label, field, cls.label_range.start)
-        if label not in cls.label_range:
-            raise ValueError(f"{field} must be at most {cls.label_range.stop - 1}, got {label}")
-        return label
-
     def __post_init__(self):
-        labels = tuple(self.check_label(label, "color class label") for label in self.labels)
+        labels = tuple(CLASS_ID(label, "color class label") for label in self.labels)
         if len(set(labels)) != len(labels):
             raise ValueError("color class labels must be unique")
         if len(labels) < self.min_classes:
@@ -211,33 +206,24 @@ def serialize_color_set(color_set: ColorClassSet) -> dict:
     }
 
 
-def deserialize_color_set(data: dict) -> ColorClassSet:
-    """Inverse of serialize_color_set; ConfigError on a malformed model.
+COLOR_MODEL_FIELDS = section(
+    Field("lut_bins", integer(LUT_BINS, LUT_BINS)),
+    Field("classes", listed(section(
+        Field("label", CLASS_ID),
+        Field("lut", listed(number(), LUT_BINS)),
+    ))),
+)
 
-    classes must be a list of objects, each with a label and a lut; each
-    lookup table must be a list of JSON numbers. ColorClassSet checks the
-    labels and the tables' values.
+
+def deserialize_color_set(data: dict) -> ColorClassSet:
+    """Inverse of serialize_color_set: the model read by its field table,
+    COLOR_MODEL_FIELDS. ConfigError leads with the path at fault, such as
+    classes[0].lut[3], or with classes for a check ColorClassSet makes
+    across the classes (unique labels, the lookup tables' values).
     """
-    if not isinstance(data, dict) or data.get("lut_bins") != LUT_BINS:
-        raise ConfigError(f"color model needs lut_bins = {LUT_BINS}")
-    if "classes" not in data:
-        raise ConfigError("color model classes is missing")
-    classes = data["classes"]
-    if not isinstance(classes, list):
-        raise ConfigError(f"color model classes must be a list of objects, got {classes!r}")
-    for i, entry in enumerate(classes):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"color model classes[{i}] must be an object, got {entry!r}")
-        for key in ("label", "lut"):
-            if key not in entry:
-                raise ConfigError(f"color model classes[{i}].{key} is missing")
-    try:
-        return ColorClassSet(
-            labels=tuple(entry["label"] for entry in classes),
-            luts=[
-                _json_floats(entry["lut"], f"color class {entry['label']}: lut", listed=True)
-                for entry in classes
-            ],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    classes = COLOR_MODEL_FIELDS(data)["classes"]
+    return built(
+        "classes", ColorClassSet,
+        labels=tuple(entry["label"] for entry in classes),
+        luts=[entry["lut"] for entry in classes],
+    )

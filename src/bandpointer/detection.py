@@ -9,7 +9,7 @@ kernel and reduced to sub-pixel contour point pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,8 +22,10 @@ from .errors import (
     InsufficientRegionsError,
     NoEdgesError,
     PointerNotFoundError,
-    _json_floats,
-    _json_int,
+    Field,
+    integer,
+    number,
+    section,
 )
 from .geometry import (
     Line2D,
@@ -71,13 +73,19 @@ class DetectionParams:
     r1: int = 5
     r2: int = 2
     ransac_seed: int = 0
+    # the rows of the config's detection section, which may leave any key out
+    json_fields: ClassVar[tuple[Field, ...]] = tuple(Field(*row, required=False) for row in (
+        ("s1", number()), ("s2", number()), ("r1", integer(1)), ("r2", integer(1)),
+        ("ransac_seed", integer(0)),
+    ))
 
     def __post_init__(self):
-        s1, s2 = (_json_floats(getattr(self, name), name) for name in ("s1", "s2"))
-        if not 0.0 <= s2 < s1 <= 1.0:
-            raise ValueError(f"s1 and s2 must satisfy 0 <= s2 < s1 <= 1, got {s1} and {s2}")
-        for name, least in (("r1", 1), ("r2", 1), ("ransac_seed", 0)):
-            object.__setattr__(self, name, _json_int(getattr(self, name), name, least))
+        for name, value in section(*self.json_fields)(vars(self)).items():
+            object.__setattr__(self, name, value)
+        if not 0.0 <= self.s2 < self.s1 <= 1.0:
+            raise ValueError(
+                f"s1 and s2 must satisfy 0 <= s2 < s1 <= 1, got {self.s1} and {self.s2}"
+            )
         if not self.r2 < self.r1:
             raise ValueError(f"r2 must be below r1, got {self.r2} and {self.r1}")
 

@@ -1,13 +1,16 @@
-"""Exception hierarchy for the tracking pipeline, and the number and
-integer rules its JSON loaders share.
+"""Exception hierarchy for the tracking pipeline, and the one reader of
+its JSON documents: the number and integer rules, the kinds of value a
+document's field table declares, and the walker over such a table.
 
-The CLI maps these onto distinct exit codes, so failure causes stay
-separable all the way out of the process.
+The CLI maps the exceptions onto distinct exit codes, so failure causes
+stay separable all the way out of the process.
 """
 
 import json
-import numbers
+import math
 import sys
+from numbers import Real
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,7 +48,7 @@ class MaskMismatchError(BandPointerError, ValueError):
     """A calibration mask's size differs from its image's."""
 
 
-class ConfigError(BandPointerError):
+class ConfigError(BandPointerError, ValueError):
     """Configuration file is malformed or inconsistent with other inputs."""
 
 
@@ -126,31 +129,111 @@ class PoseFailureError(PoseError):
         super().__init__(f"all {len(causes)} hypotheses failed ({summary})")
 
 
-def _json_floats(value, field: str, listed: bool = False):
-    """The float64 value of a JSON number or, when listed, the float64
-    array of a list of numbers.
+class Field(NamedTuple):
+    """A row of a JSON document's field table. kind(value, path, doc) reads
+    the value at path, doc holding the top-level values read so far. A key
+    not required may be left out: its reader's own default applies."""
 
-    ValueError names the field (and the index in a list) for a boolean, a
-    string, null, a nested list or an integer too large for a float64: no
-    field reads a boolean as 1 or 0, nor a number from text.
-    """
-    if listed and not isinstance(value, (list, tuple, np.ndarray)):
-        raise ValueError(f"{field} must be a list of numbers, got {value!r}")
-    for i, item in enumerate(value if listed else [value]):
-        name = f"{field}[{i}]" if listed else field
-        if isinstance(item, bool):
-            raise ValueError(f"{name} must not be a boolean, got {json.dumps(item)}")
-        if not isinstance(item, numbers.Real):
-            shown = "a list" if isinstance(item, (list, tuple)) else repr(item)
-            raise ValueError(f"{name} must be a number, got {shown}")
-        if isinstance(item, int) and abs(item) > sys.float_info.max:
-            raise ValueError(f"{name} is an integer too large for a float64")
-    return np.array(value, dtype=np.float64) if listed else float(value)
+    key: str
+    kind: Callable
+    required: bool = True
 
 
-def _json_int(value, field: str, least: int) -> int:
-    """The int value of a whole JSON number >= least (3.0 reads as 3);
-    ValueError names the field, as _json_floats does."""
-    if not (_json_floats(value, field).is_integer() and value >= least):
-        raise ValueError(f"{field} must be an integer >= {least}, got {value!r}")
-    return int(value)
+def number(least: Optional[float] = None) -> Callable:
+    """A JSON number, read as a float: not a boolean, text, null or a list
+    (no field reads true as 1 nor a number from text), nor an integer too
+    large for a float64. With least given, a finite one >= least (-inf:
+    any finite one)."""
+    def read(value, path, doc=None):
+        if isinstance(value, bool):
+            raise ConfigError(f"{path} must not be a boolean, got {json.dumps(value)}")
+        if not isinstance(value, Real):
+            shown = "a list" if isinstance(value, (list, tuple)) else repr(value)
+            raise ConfigError(f"{path} must be a number, got {shown}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{path} is an integer too large for a float64")
+        if least is not None and not (math.isfinite(value) and value >= least):
+            bound = f" and >= {least:g}" if least > -math.inf else ""
+            raise ConfigError(f"{path} must be finite{bound}, got {value!r}")
+        return float(value)
+    return read
+
+
+def integer(least: int, most: Optional[int] = None) -> Callable:
+    """A whole JSON number in [least, most], read as an int (3.0 reads as 3)."""
+    def read(value, path, doc=None):
+        if not (number()(value, path).is_integer() and value >= least):
+            raise ConfigError(f"{path} must be an integer >= {least}, got {value!r}")
+        if most is not None and value > most:
+            raise ConfigError(f"{path} must be at most {most}, got {value!r}")
+        return int(value)
+    return read
+
+
+def listed(kind: Callable, count: Optional[int] = None) -> Callable:
+    """A list of count values of kind; with count None, of at least one."""
+    def read(value, path, doc=None):
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        values = [kind(item, f"{path}[{i}]", doc) for i, item in enumerate(value)]
+        if count is None and not values:
+            raise ConfigError(f"{path} must not be empty")
+        if count is not None and len(values) != count:
+            raise ConfigError(f"{path} must hold {count} entries, got {len(values)}")
+        return values
+    return read
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        name = path or "the document"
+        raise ConfigError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def mapping(kind: Callable) -> Callable:
+    """A JSON object of any keys, each holding a value of kind."""
+    def read(value, path, doc=None):
+        items = _object(value, path).items()
+        return {key: kind(item, f"{path}.{key}", doc) for key, item in items}
+    return read
+
+
+def name_in(key: str) -> Callable:
+    """null, or a key of the document's top-level mapping at key, read as
+    the value it maps to."""
+    def read(value, path, doc):
+        if value is not None and not (isinstance(value, str) and value in doc[key]):
+            raise ConfigError(f"{path} must be null or a name in {key}, got {value!r}")
+        return None if value is None else doc[key][value]
+    return read
+
+
+def section(*fields: Field, closed: bool = False) -> Callable:
+    """A JSON object: the values of the keys fields name, each read by its
+    kind at path.key; a closed one holds no other key. A document's field
+    table is the section at the empty path, the whole document."""
+    known = {f.key for f in fields}
+
+    def read(data, path="", doc=None):
+        prefix = f"{path}." if path else ""
+        unknown = [key for key in _object(data, path) if key not in known]
+        if closed and unknown:
+            raise ConfigError(f"{prefix}{unknown[0]} is not a known key")
+        values = {}
+        for f in fields:
+            if f.key in data:
+                values[f.key] = f.kind(data[f.key], prefix + f.key, values if doc is None else doc)
+            elif f.required:
+                raise ConfigError(f"{prefix}{f.key} is missing")
+        return values
+    return read
+
+
+def built(path: str, cls, /, **kwargs):
+    """cls(**kwargs) for the section at path, whose ValueError (a check
+    across the section's fields) is a ConfigError led by the path."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

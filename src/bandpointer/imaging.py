@@ -8,13 +8,13 @@ operation is a pure function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 from scipy.signal import fftconvolve
 
-from .errors import ImageFormatError, InvalidKernelError, NumericError, _json_floats
+from .errors import ImageFormatError, InvalidKernelError, NumericError
 
 HUE_PERIOD = 2.0 * np.pi
 
@@ -168,10 +168,6 @@ class DistortionModel:
     k3: float = 0.0
     p1: float = 0.0
     p2: float = 0.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            _json_floats(getattr(self, f.name), f.name)
 
     def is_identity(self) -> bool:
         return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0

@@ -59,7 +59,9 @@ class CameraModel:
             raise ValueError("K must be upper triangular with positive focal lengths")
         if np.any(K[2] != (0.0, 0.0, 1.0)):
             raise ValueError("the last row of K must be (0, 0, 1)")
-        if not np.allclose(R @ R.T, np.eye(3), atol=1e-9) or np.linalg.det(R) < 0:
+        # a rotation's entries lie in [-1, 1]; a huge one would overflow R R^T
+        orthogonal = np.abs(R).max() <= 1.0 + 1e-9 and np.allclose(R @ R.T, np.eye(3), atol=1e-9)
+        if not orthogonal or np.linalg.det(R) < 0:
             raise ValueError("R must be a rotation matrix")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "R", R)

@@ -1,8 +1,9 @@
 """Tests for the config, CLI commands and point-cloud handling."""
 
+import copy
 import json
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,13 @@ from bandpointer.cli import (
     save_color_model,
     write_ply,
 )
-from bandpointer.color_model import ColorClassSet, calibrate_colors, classify_image_masked
+from bandpointer.color_model import (
+    ColorClassSet,
+    calibrate_colors,
+    classify_image_masked,
+    deserialize_color_set,
+    serialize_color_set,
+)
 from bandpointer.detection import DetectionParams
 from bandpointer.errors import BandPointerError, ConfigError, NoEdgesError
 from bandpointer.imaging import (
@@ -115,14 +122,30 @@ def workspace(tmp_path_factory, cli_spec, cli_camera, cli_colors):
     }
 
 
+def assert_config_holds(config, data):
+    """Every field of the config dict data, as the parsed config holds it:
+    radii are half the diameters and band colors are class ids."""
+    cam, ptr = data["camera"], data["pointer"]
+    assert config.image_size == tuple(cam["image_size_px"])
+    assert config.camera.K.ravel().tolist() == cam["k_row_major"]
+    assert config.camera.R.ravel().tolist() == cam["rotation_row_major"]
+    assert config.camera.t.tolist() == cam["translation_mm"]
+    assert asdict(config.camera.distortion) == cam["distortion"]
+    assert config.pointer.total_length_mm == ptr["total_length_mm"]
+    assert config.pointer.distances_mm.tolist() == ptr["edge_distances_mm"]
+    assert config.pointer.radii_mm.tolist() == [d / 2 for d in ptr["edge_diameters_mm"]]
+    assert config.pointer.band_labels == tuple(
+        None if name is None else data["colors"][name] for name in ptr["band_colors"]
+    )
+    assert config.color_names == data["colors"]
+    assert asdict(config.detection) == data["detection"]
+
+
 class TestConfig:
     def test_round_trip_identity(self):
         data = make_config_dict()
-        config = Config.from_dict(data)
-        assert config.to_dict() == data
-        # parse -> serialize -> parse is also stable
-        again = Config.from_dict(config.to_dict())
-        assert again.to_dict() == data
+        assert_config_holds(Config.from_dict(data), data)
+        assert data == make_config_dict()  # the input is left as it is
 
     def test_radii_are_half_diameters(self):
         config = Config.from_dict(make_config_dict())
@@ -157,9 +180,8 @@ class TestConfig:
         except ConfigError as exc:  # indistinguishable from its reversal
             assert "reversal" in str(exc)
             reject()
-        assert config.to_dict() == cfg
-        ids = [cfg["colors"][name] if name else None for name in band_names]
-        assert config.pointer.band_labels == tuple(ids)
+        assert_config_holds(config, cfg)
+        ids = config.pointer.band_labels
         assert config.pointer.side_labels == tuple(zip(ids, ids[1:]))
 
     def test_unknown_band_color_rejected(self):
@@ -172,21 +194,77 @@ class TestConfig:
             Config.from_dict(data)
 
     def test_config_that_is_not_an_object_rejected(self):
-        with pytest.raises(ConfigError, match="^the config must be a JSON object, got list$"):
+        with pytest.raises(ConfigError, match="^the document must be a JSON object, got list$"):
             Config.from_dict([make_config_dict()])
 
 
-def _set(path, value):
-    """Copy of the test config with the key at `path` set to `value`; the
-    empty path replaces the whole config."""
+DELETE = object()  # a mutation that deletes the key or list entry
+
+# Each replaces one key or list entry of a document at a time: every kind
+# of JSON value, the edges of the integer ranges, numbers too large for a
+# float64 or for a frame, a nested list and an unknown key.
+MUTATIONS = (True, None, "x", "0.5", [1], [], {}, -1, 0, 10**400, 1e308, [[1]], {"a": 1}, DELETE)
+
+# A mutation that another field names: a band color names the class id
+# that colors gives it.
+CONFIG_CROSS_REFS = {
+    ("colors",): ("pointer", "band_colors", 0),
+    ("colors", "red"): ("pointer", "band_colors", 0),
+    ("colors", "green"): ("pointer", "band_colors", 1),
+}
+
+
+def _mutated(doc, path, value):
+    """Copy of doc with the key or entry at path set to value, or deleted;
+    the empty path replaces the whole document."""
     if not path:
         return value
-    data = make_config_dict()
+    data = copy.deepcopy(doc)
     node = data
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return data
+
+
+def _set(path, value):
+    """Copy of the test config with the key at `path` set to `value`."""
+    return _mutated(make_config_dict(), path, value)
+
+
+def _paths(doc, entries=None, path=()):
+    """The path of every section, list entry and leaf in doc, taking the
+    first `entries` entries of each list (all of them with None)."""
+    items = doc.items() if isinstance(doc, dict) else list(enumerate(doc))[:entries]
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, entries, path + (key,))
+
+
+def _assert_named(message, path, cross_refs=None):
+    """The rule every document error keeps: one line that leads with the
+    mutated path, a section above or below it, or the path cross_refs lists
+    for it; not a Python repr, a signature or a catch-all text. The whole
+    document is named as the document."""
+    assert "\n" not in message and "__init__" not in message, message
+    assert not message.startswith("bad config"), message
+    if not path:
+        assert message.startswith("the document must be a JSON object"), message
+        return
+    lead = re.match(r"[A-Za-z_]\w*(?:\.\w+|\[\d+\])*", message)
+    assert lead, message
+    named = tuple(
+        int(index) if index else key
+        for key, index in re.findall(r"(\w+)|\[(\d+)\]", lead.group(0))
+    )
+    for target in (path, (cross_refs or {}).get(path)):
+        if target and (named == target[:len(named)] or target == named[:len(target)]):
+            return
+    raise AssertionError(f"{path}: {message}")
 
 
 def _assert_named_error_line(workspace, tmp_path, capsys, doc, path, value, message):
@@ -199,13 +277,7 @@ def _assert_named_error_line(workspace, tmp_path, capsys, doc, path, value, mess
         "colors": json.loads(workspace["colors"].read_text()),
         "sweep": {"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": 0.0, "roll_deg": 4.0},
     }
-    if path:
-        node = docs[doc]
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-    else:
-        docs[doc] = value
+    docs[doc] = _mutated(docs[doc], path, value)
     for name, data in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     out_path = tmp_path / "report.csv"
@@ -244,7 +316,7 @@ class TestConfigValidation:
             ("config", ("pointer", "total_length_mm"), None,
              "pointer.total_length_mm must be a number, got None"),
             ("colors", ("classes", 1, "lut", 3), "0.5",
-             "color class 2: lut[3] must be a number, got '0.5'"),
+             "classes[1].lut[3] must be a number, got '0.5'"),
             ("sweep", ("depths_mm", 0), "330", "depths_mm[0] must be a number, got '330'"),
             ("sweep", ("angles_deg", 0), "0", "angles_deg[0] must be a number, got '0'"),
             ("sweep", ("noise_px",), "0.5", "noise_px must be a number, got '0.5'"),
@@ -270,10 +342,11 @@ class TestConfigValidation:
             ("config", ("pointer", "band_colors", 0), ["red"],
              "pointer.band_colors[0] must be null or a name in colors, got ['red']"),
             ("config", ("camera", "k_row_major"), [1000.0] * 8,
-             "camera.k_row_major must hold 9 numbers, got 8"),
+             "camera.k_row_major must hold 9 entries, got 8"),
             ("config", ("camera", "translation_mm"), [0.0, 0.0],
-             "camera.translation_mm must hold 3 numbers, got 2"),
-            ("sweep", (), [330.0, 0.0], "sweep.json must be a JSON object, got list"),
+             "camera.translation_mm must hold 3 entries, got 2"),
+            ("sweep", (), [330.0, 0.0],
+             "sweep.json: the document must be a JSON object, got list"),
         ],
         ids=["list-camera", "list-detection", "list-distortion", "list-band-color",
              "short-k", "short-translation", "list-sweep"],
@@ -345,6 +418,8 @@ class TestConfigValidation:
     def test_bad_config_exits_with_one_line(
         self, workspace, tmp_path, capsys, path, value
     ):
+        # inputs the mutation test takes besides its value list, run through
+        # the CLI: a one-line error that names the field by the same rule
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(_set(path, value)))
         code = main([
@@ -353,7 +428,9 @@ class TestConfigValidation:
         ])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        label = f"config error: {config_path}: "
+        assert err.startswith(label) and err.endswith("\n")
+        _assert_named(err[len(label):-1], path, CONFIG_CROSS_REFS)
 
     @pytest.mark.parametrize(
         "changes, field",
@@ -533,7 +610,7 @@ class TestConfigValidation:
             ("config", ("detection", "ransac_seed"), "detection.ransac_seed"),
             ("config", ("camera", "image_size_px", 1), "camera.image_size_px[1]"),
             ("sweep", ("depths_mm", 0), "depths_mm[0]"),
-            ("colors", ("classes", 0, "lut", 3), "color class 1: lut[3]"),
+            ("colors", ("classes", 0, "lut", 3), "classes[0].lut[3]"),
         ],
         ids=["config-r1", "config-ransac-seed", "config-image-size", "sweep-depth",
              "color-model-lut"],
@@ -566,6 +643,40 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert f"{field} is an integer too large for a float64" in err
+
+
+class TestDocumentMutations:
+    def test_every_mutation_loads_or_is_named(self, cli_colors):
+        # every section, list entry and leaf of the config, the color model
+        # (first 3 entries of a list) and the sweep spec, replaced or
+        # deleted one at a time
+        sweep = {"depths_mm": [330.0, 400.0], "angles_deg": [0.0], "trials": 2,
+                 "noise_px": 0.5, "seed": 1, "roll_deg": 4.0}
+        docs = [
+            (make_config_dict(), None, Config.from_dict, CONFIG_CROSS_REFS),
+            (serialize_color_set(cli_colors), 3, deserialize_color_set, None),
+            (sweep, None, cli.SWEEP_FIELDS, None),
+        ]
+        outcomes = []
+        for doc, entries, read, cross_refs in docs:
+            for path in _paths(doc, entries):
+                for value in MUTATIONS:
+                    try:
+                        read(_mutated(doc, path, value))
+                        outcomes.append("loads")
+                    except ConfigError as exc:
+                        _assert_named(str(exc), path, cross_refs)
+                        outcomes.append("named")
+        assert outcomes.count("named") > outcomes.count("loads") > 0
+
+    def test_trials_bounded_before_any_cell_runs(self, monkeypatch):
+        # 1e308 is a whole number: unbounded, eval would run 10^308 trials
+        monkeypatch.setattr(synthetic, "sweep", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        config = Config.from_dict(make_config_dict())
+        with pytest.raises(
+            ConfigError, match=rf"^trials must be at most {cli.MAX_TRIALS}, got 1e\+308$"
+        ):
+            evaluate_sweep(config, [400.0], [10.0], trials=1e308)
 
 
 class TestUsageErrors:
@@ -864,7 +975,7 @@ class TestProbeCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         word = json.dumps(value)
-        assert f"color class {cls['label']}: lut[{index}] must not be a boolean, got {word}" in err
+        assert f"classes[{entry}].lut[{index}] must not be a boolean, got {word}" in err
 
     def test_malformed_color_model_exits_with_one_line(self, workspace, tmp_path, capsys):
         data = json.loads(workspace["colors"].read_text())
@@ -1298,12 +1409,12 @@ class TestEvalCommand:
         [
             (dict(noise_px=-1.0), "noise_px must be finite and >= 0"),
             (dict(noise_px=float("nan")), "noise_px must be finite and >= 0"),
-            (dict(depths_mm=[400.0, float("nan")]), "depths_mm, angles_deg and roll_deg must be"),
-            (dict(angles_deg=[float("-inf")]), "depths_mm, angles_deg and roll_deg must be"),
-            (dict(roll_deg=float("inf")), "depths_mm, angles_deg and roll_deg must be"),
-            (dict(depths_mm=[]), "depths_mm and angles_deg must be non-empty lists"),
-            (dict(angles_deg=()), "depths_mm and angles_deg must be non-empty lists"),
-            (dict(depths_mm=400.0), "depths_mm must be a list of numbers, got 400.0"),
+            (dict(depths_mm=[400.0, float("nan")]), r"depths_mm\[1\] must be finite, got nan$"),
+            (dict(angles_deg=[float("-inf")]), r"angles_deg\[0\] must be finite, got -inf$"),
+            (dict(roll_deg=float("inf")), "roll_deg must be finite, got inf$"),
+            (dict(depths_mm=[]), "depths_mm must not be empty$"),
+            (dict(angles_deg=()), "angles_deg must not be empty$"),
+            (dict(depths_mm=400.0), "depths_mm must be a list, got 400.0$"),
             (dict(depths_mm=["330"]), r"depths_mm\[0\] must be a number, got '330'"),
             (dict(angles_deg=[[10.0]]), r"angles_deg\[0\] must be a number, got a list"),
             (dict(noise_px="0.5"), "noise_px must be a number, got '0.5'"),

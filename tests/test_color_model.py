@@ -266,13 +266,12 @@ class TestDeserializeValidation:
     @pytest.mark.parametrize(
         "data, message",
         [
-            (_model(classes=[1, 2]), "color model classes[0] must be an object, got 1"),
-            (_model(classes="ab"), "color model classes must be a list of objects, got 'ab'"),
-            (_model(classes={"a": 1}),
-             "color model classes must be a list of objects, got {'a': 1}"),
-            (_model(lut=None), "color model classes[0].lut is missing"),
-            (_model(label=None), "color model classes[0].label is missing"),
-            ({"lut_bins": LUT_BINS}, "color model classes is missing"),
+            (_model(classes=[1, 2]), "classes[0] must be a JSON object, got int"),
+            (_model(classes="ab"), "classes must be a list, got 'ab'"),
+            (_model(classes={"a": 1}), "classes must be a list, got {'a': 1}"),
+            (_model(lut=None), "classes[0].lut is missing"),
+            (_model(label=None), "classes[0].label is missing"),
+            ({"lut_bins": LUT_BINS}, "classes is missing"),
         ],
         ids=["int-entries", "str-classes", "object-classes", "no-lut", "no-label", "no-classes"],
     )
@@ -282,11 +281,14 @@ class TestDeserializeValidation:
         assert str(info.value) == message
 
     def test_bad_lut_message_names_the_class(self):
-        data = _model(lut=[1.0] * 3)
         with pytest.raises(ConfigError) as info:
-            deserialize_color_set(data)
+            deserialize_color_set(_model(lut=[1.0] * 3))
+        assert str(info.value) == f"classes[0].lut must hold {LUT_BINS} entries, got 3"
+        # a check across the classes is led by their section
+        with pytest.raises(ConfigError) as info:
+            deserialize_color_set(_model(lut=[-1.0] * LUT_BINS))
         assert str(info.value) == (
-            f"color class 1: lut needs {LUT_BINS} finite non-negative entries"
+            f"classes: color class 1: lut needs {LUT_BINS} finite non-negative entries"
         )
 
 

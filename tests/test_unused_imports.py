@@ -99,10 +99,6 @@ def test_every_private_name_is_read():
 
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
-# read only by tests: criterion 9 checks that a config survives
-# to_dict -> from_dict unchanged
-READ_BY_TESTS = {"Config.to_dict"}
-
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list)
@@ -150,8 +146,7 @@ def test_every_public_member_is_read():
         f"{path.name}:{line} {member}"
         for path in sorted(PACKAGE.glob("*.py"))
         for member, line in _public_members(ast.parse(path.read_text())).items()
-        if member not in READ_BY_TESTS
-        and member.rpartition(".")[2] not in (attrs if "." in member else attrs | names)
+        if member.rpartition(".")[2] not in (attrs if "." in member else attrs | names)
     }
     assert unread == set(), f"members only tests read: {sorted(unread)}"
 
@@ -192,35 +187,66 @@ def test_every_local_is_read(path):
     assert dead == set(), f"{path.name}: locals nothing reads {sorted(dead)}"
 
 
+def _type_names(node) -> set[str]:
+    """The names in a type, or a tuple of types, as isinstance and except
+    take them."""
+    names = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {n.id for n in names if isinstance(n, ast.Name)}
+
+
+def _isinstance_uses(tree: ast.Module, types: set[str]) -> list[int]:
+    """Lines that call ``isinstance(..., T)`` for a T in types, alone or in
+    a tuple of types."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and _type_names(node.args[1]) & types
+    ]
+
+
 def _number_rule_uses(tree: ast.Module) -> list[int]:
-    """Lines that import ``numbers`` or call ``isinstance(..., bool)``,
-    alone or in a tuple of types."""
-    lines = []
+    """Lines that import ``numbers`` or call ``isinstance(..., bool)``."""
+    lines = _isinstance_uses(tree, {"bool"})
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
             lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
             lines.append(node.lineno)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and len(node.args) == 2
-        ):
-            types = node.args[1]
-            names = types.elts if isinstance(types, ast.Tuple) else [types]
-            if any(isinstance(n, ast.Name) and n.id == "bool" for n in names):
-                lines.append(node.lineno)
     return lines
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_number_rules_live_in_errors(path):
-    # errors._json_floats and errors._json_int are the one place that says
-    # what a JSON number and a JSON integer are; a module with its own
-    # boolean or number-type check restates that rule
+    # errors.number and errors.integer are the one place that says what a
+    # JSON number and a JSON integer are; a module with its own boolean or
+    # number-type check restates that rule
     uses = _number_rule_uses(ast.parse(path.read_text()))
     if path.name == "errors.py":
         assert uses, "errors.py no longer holds the number rules"
     else:
         assert uses == [], f"{path.name}: number-type checks at lines {uses}"
+
+
+def _shape_rule_uses(tree: ast.Module) -> list[int]:
+    """Lines that call ``isinstance(..., dict|list|str)`` or catch
+    ``KeyError`` or ``TypeError``."""
+    lines = _isinstance_uses(tree, {"dict", "list", "str"})
+    return lines + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and _type_names(node.type) & {"KeyError", "TypeError"}
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_shape_rules_live_in_errors(path):
+    # the JSON documents are read by the walker in errors.py over a table of
+    # fields; a module that checks a JSON value's shape itself, or reads a
+    # document and turns a KeyError or TypeError into an error message,
+    # is a second reader
+    uses = _shape_rule_uses(ast.parse(path.read_text()))
+    if path.name == "errors.py":
+        assert uses, "errors.py no longer holds the shape rules"
+    else:
+        assert uses == [], f"{path.name}: JSON shape checks at lines {uses}"
