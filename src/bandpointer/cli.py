@@ -113,7 +113,8 @@ class Config:
 # name its entries
 CONFIG_FIELDS = section(
     Field("camera", section(
-        Field("image_size_px", listed(integer(1), 2)),
+        # bounded, so a typo such as 1e308 fails here and not on every frame
+        Field("image_size_px", listed(integer(1, 65535), 2)),
         Field("k_row_major", listed(number(), 9)),
         Field("rotation_row_major", listed(number(), 9)),
         Field("translation_mm", listed(number(), 3)),
@@ -382,7 +383,8 @@ def evaluate_sweep(
     is exercised by its own tests); noise perturbs the detected points.
     Returns one record per grid cell. A trial that fails, and every trial
     of a cell whose ground truth cannot be projected (part of the pointer
-    behind the camera), counts as a failure. The arguments are read by
+    behind the camera, or so far away that the projection is not finite),
+    counts as a failure. The arguments are read by
     the sweep spec's field table, SWEEP_FIELDS, before any cell runs, so
     a bad one raises the ConfigError that eval reports for the spec.
     """

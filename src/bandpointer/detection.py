@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, Optional
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .color_model import ColorClassSet, classify_image_masked
@@ -282,7 +283,10 @@ def _junction_images(
 
     I_b1 holds the pixels within distance edge_halo of two adjacent band
     colors' region pixels; each color's disk dilation is exact integer
-    work, with no distance transform."""
+    work, with no distance transform. I_b2 is filtered one group of
+    nearby halo pixels at a time, over the group's box (_halo_groups):
+    that equals the filter over the whole crop but for FFT round-off,
+    without a crop-sized float array or spectrum."""
     e = params.edge_halo
     margin = e + int(np.ceil(3.0 * e)) + 2  # the halo and the kernel's half width
     # crop covering all region pixels plus the margin, clipped to the frame
@@ -314,8 +318,26 @@ def _junction_images(
     phi = float(np.mod(phi + np.pi / 2.0, np.pi) - np.pi / 2.0)
 
     kernel = _orientation_kernel(phi, e)
-    filtered = convolve_unit_sum(halo, kernel) >= BINARIZE_THRESHOLD
+    filtered = np.zeros_like(halo)
+    for box, group in _halo_groups(halo, kernel.shape[0] // 2):
+        filtered[box] |= convolve_unit_sum(group, kernel) >= BINARIZE_THRESHOLD
     return (x0, y0), halo, filtered
+
+
+def _halo_groups(halo: np.ndarray, half: int):
+    """Each group of halo pixels that a (2 half + 1)-square kernel sums
+    together, as (box, pixels): the box of an 8-connected component of the
+    halo dilated by that square, and the halo pixels of the component,
+    over the box.
+
+    Two halo pixels add to one output pixel only if they lie within
+    2 half of each other; their squares then overlap, so the pixels are in
+    one group, and every output pixel within the kernel's reach of a group
+    lies in its box."""
+    reach = ndimage.maximum_filter(halo, size=2 * half + 1, mode="constant", cval=False)
+    labeled, _ = ndimage.label(reach, structure=np.ones((3, 3), dtype=int))
+    for idx, box in enumerate(ndimage.find_objects(labeled), start=1):
+        yield box, halo[box] & (labeled[box] == idx)
 
 
 def _refine_subpixel(combined: np.ndarray, px: int, py: int) -> np.ndarray:

@@ -290,7 +290,11 @@ def connected_components(
 
 
 def convolve_unit_sum(bits: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """True 2D convolution with zero padding; kernel must be odd, unit sum."""
+    """True 2D convolution with zero padding; kernel must be odd, unit sum.
+
+    It holds a float64 copy of bits and their padded FFT spectra, so
+    detection's orientation filter calls it once per group of nearby halo
+    pixels, over the group's box, not over the whole crop."""
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
         raise InvalidKernelError("kernel must be 2D with odd dimensions")

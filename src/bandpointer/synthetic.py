@@ -22,7 +22,12 @@ from scipy import ndimage
 
 from .association import PointerSpec
 from .detection import DetectionResult, EdgePointPair, order_along_axis
-from .errors import BehindCameraError, DegenerateGeometryError, InsufficientEdgesError
+from .errors import (
+    BehindCameraError,
+    DegenerateGeometryError,
+    InsufficientEdgesError,
+    NumericError,
+)
 from .geometry import pixel_box
 from .imaging import RasterImage
 from .pose import CameraModel, PointerPose
@@ -161,15 +166,20 @@ def _silhouette_uv(
     center = _camera_center_from_p(p_mat)
     tip = scene.pose.tip
     direction = scene.pose.direction
-    normal = np.cross(direction, tip - center)
-    nn = np.linalg.norm(normal)
-    if nn < 1e-9 * max(np.linalg.norm(tip - center), 1.0):
-        raise DegenerateGeometryError("axis through camera center")
-    normal = normal / nn
-    axis_pts = tip + np.asarray(s)[:, None] * direction
-    offsets = np.asarray(r)[:, None] * normal
-    pts = np.stack([axis_pts - offsets, axis_pts + offsets], axis=1)
-    uv = camera.distort(_project_p(p_mat, pts.reshape(-1, 3)))
+    # a pointer too far away for float64 overflows to a projection that is
+    # not finite, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        normal = np.cross(direction, tip - center)
+        nn = np.linalg.norm(normal)
+        if nn < 1e-9 * max(np.linalg.norm(tip - center), 1.0):
+            raise DegenerateGeometryError("axis through camera center")
+        normal = normal / nn
+        axis_pts = tip + np.asarray(s)[:, None] * direction
+        offsets = np.asarray(r)[:, None] * normal
+        pts = np.stack([axis_pts - offsets, axis_pts + offsets], axis=1)
+        uv = camera.distort(_project_p(p_mat, pts.reshape(-1, 3)))
+    if not np.isfinite(uv).all():
+        raise NumericError("ground-truth projection is not finite")
     return uv.reshape(-1, 2, 2)
 
 

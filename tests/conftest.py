@@ -1,5 +1,8 @@
 """Shared fixtures: cameras, pointer patterns, synthetic scene helpers."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,3 +227,15 @@ def detection_from_pose(
         orientation="forward" if forward else "reversed",
     )
     return result, corr
+
+
+def traced_peak(fn):
+    """fn's result and the most memory it held at once, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -602,6 +603,26 @@ class TestConfigValidation:
 
     def test_largest_erosion_radius_accepted(self):
         assert Config.from_dict(_set(("detection", "r1"), 255)).detection.r1 == 255
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_image_side_bounded(self, workspace, tmp_path, capsys, side):
+        # 1e308 is a whole number: unbounded, it loads and every frame is a bad image
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(_set(("camera", "image_size_px", side), 1e308)))
+        code = main([
+            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
+            "--color-model", str(workspace["colors"]),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: {config_path}: camera.image_size_px[{side}] must be at most 65535, "
+            "got 1e+308\n"
+        )
+
+    def test_largest_image_side_accepted(self):
+        size = Config.from_dict(_set(("camera", "image_size_px"), [65535, 65535])).image_size
+        assert size == (65535, 65535)
 
     @pytest.mark.parametrize(
         "source, path, field",
@@ -1479,6 +1500,18 @@ class TestEvalCommand:
         _, near, far = [r.split(",") for r in out_path.read_text().splitlines()]
         assert near[:5] == ["20.000", "80.000", "2", "2", "nan"]
         assert far[:4] == ["300.000", "80.000", "2", "0"]
+
+    @pytest.mark.parametrize("depth", [1e160, 1e308])
+    def test_cell_too_far_to_project_counts_as_failures(self, depth):
+        # finite depths whose projection overflows float64: the cell fails
+        # like one behind the camera, with no numpy warning on the way
+        config = Config.from_dict(make_config_dict())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far, near = evaluate_sweep(config, [depth, 300.0], [0.0], trials=2)
+        assert far["failures"] == far["trials"] == 2
+        assert np.isnan(far["rms_tip_error_mm"])
+        assert near["failures"] == 0
 
 
 class TestFilterPointCloud:

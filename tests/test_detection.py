@@ -18,18 +18,25 @@ from conftest import (
     RED,
     SIZE_FULL,
     SIZE_SMALL,
+    SKEWER_BANDS_RG,
+    SKEWER_DISTANCES,
+    build_spec,
     kde_lut,
+    make_calibrated_colors,
     pose_at,
+    traced_peak,
 )
 
 from bandpointer import detection, synthetic
 from bandpointer.color_model import ColorClassSet, classify_image_masked
 from bandpointer.detection import (
+    BINARIZE_THRESHOLD,
     MAJOR_EXPAND,
     MINOR_EXPAND,
     PAIR_SEPARATION_SIGMAS,
     DetectionParams,
     EdgePointPair,
+    _halo_groups,
     _junction_images,
     _orientation_kernel,
     _refine_subpixel,
@@ -61,9 +68,11 @@ from bandpointer.imaging import (
     RasterImage,
     Region,
     connected_components,
+    convolve_unit_sum,
     erode_disk,
     rgb_to_hue_saturation,
 )
+from bandpointer.pose import CameraModel, PointerPose
 
 
 @pytest.fixture
@@ -554,7 +563,7 @@ class TestExtractEdgePairs:
         self, quad_scene, quad_spec, small_colors, params
     ):
         scene, img, gt = quad_scene
-        boxes, pass2 = _two_passes(img, small_colors, quad_spec, params)
+        boxes, _, pass2 = _two_passes(img, small_colors, quad_spec, params)
         assert pass2
         for reg in pass2:
             pts = reg.pixels.astype(np.float64)
@@ -565,14 +574,113 @@ class TestExtractEdgePairs:
 
 
 def _two_passes(img, colors, spec, params):
-    """The pass-1 boxes and the surviving pass-2 regions, as detect_pointer
-    finds them."""
+    """The pass-1 boxes, the pass-2 centroid line and the surviving pass-2
+    regions, as detect_pointer finds them."""
     hs = rgb_to_hue_saturation(img)
     adjacency = spec.adjacent_label_pairs()
     _, pass1 = _region_pass(1, hs, colors, adjacency, params.s1, params.r1, params)
     boxes = expand_bounding_boxes(pass1)
-    _, pass2 = _region_pass(2, hs, colors, adjacency, params.s2, params.r2, params, roi=boxes)
-    return boxes, pass2
+    line, pass2 = _region_pass(2, hs, colors, adjacency, params.s2, params.r2, params, roi=boxes)
+    return boxes, line, pass2
+
+
+def _frame_junction_images(img, colors, spec, params, monkeypatch):
+    """_junction_images on a frame as detect_pointer calls it, and the
+    orientation kernel it built."""
+    _, line, pass2 = _two_passes(img, colors, spec, params)
+    kernels = []
+
+    def recorded_kernel(phi, sigma_d):
+        kernels.append(_orientation_kernel(phi, sigma_d))
+        return kernels[-1]
+
+    monkeypatch.setattr(detection, "_orientation_kernel", recorded_kernel)
+    size = (img.width, img.height)
+    out = _junction_images(pass2, spec.adjacent_label_pairs(), params, size, line)
+    (kernel,) = kernels
+    return out, kernel
+
+
+class TestGroupedOrientationFilter:
+    """I_b2 is filtered one group of nearby halo pixels at a time; it must
+    equal the filter over the whole crop."""
+
+    @pytest.mark.parametrize(
+        "angle_deg, blur, shift_mm",
+        [(0.0, 0.0, 0.0), (35.0, 2.0, 0.0), (60.0, 0.0, 0.0), (71.0, 3.0, 0.0), (0.0, 0.0, 69.0)],
+        ids=["flat-sharp", "35-blurred", "60-groups-merge", "71-blurred-groups-merge",
+             "junction-at-frame-border"],
+    )
+    def test_equals_whole_crop_filter(
+        self, quad_spec, small_camera, small_colors, params, monkeypatch,
+        angle_deg, blur, shift_mm,
+    ):
+        pose = pose_at(330.0, angle_deg, small_camera, quad_spec, roll_deg=3.0)
+        pose = PointerPose(tip=pose.tip + (shift_mm, 0.0, 0.0), direction=pose.direction)
+        scene = synthetic.SceneSpec(
+            pose=pose, spec=quad_spec, band_colors=BAND_RGB, blur_sigma=blur
+        )
+        img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
+        ((x0, _), halo, filtered), kernel = _frame_junction_images(
+            img, small_colors, quad_spec, params, monkeypatch
+        )
+        whole = convolve_unit_sum(halo, kernel) >= BINARIZE_THRESHOLD
+        assert np.array_equal(filtered, whole)
+        half = kernel.shape[0] // 2
+        groups = len(list(_halo_groups(halo, half)))
+        if angle_deg >= 60.0:
+            # foreshortened junctions lie within the kernel's reach of each other
+            assert groups < len(connected_components(halo))
+        if shift_mm:
+            # the crop ends at the frame's right edge, inside a group's reach
+            assert x0 + halo.shape[1] == SIZE_SMALL[0] and halo[:, -half:].any()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(-np.pi / 2, np.pi / 2),
+        st.sampled_from([3, 5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_groups_partition_the_halo_and_sum_to_the_whole_filter(self, seed, phi, sigma_d):
+        # a kernel of half-width h: halo pixels 2h apart still share an
+        # output pixel, and a box short by one misses the kernel's rim
+        rng = np.random.default_rng(seed)
+        halo = rng.random(tuple(rng.integers(5, 80, 2))) < rng.uniform(0.002, 0.05)
+        kernel = _orientation_kernel(phi, sigma_d)
+        summed = np.zeros(halo.shape)
+        covered = np.zeros_like(halo)
+        for box, group in _halo_groups(halo, kernel.shape[0] // 2):
+            assert not (covered[box] & group).any()
+            covered[box] |= group
+            summed[box] += convolve_unit_sum(group, kernel)
+        assert np.array_equal(covered, halo)
+        np.testing.assert_allclose(summed, convolve_unit_sum(halo, kernel), rtol=0, atol=1e-12)
+
+
+class TestJunctionMemory:
+    """Peak memory of the junction images on a 1224x1024 frame, the
+    benchmark's size (f = 1800 px, 3 mm pointer), at 400 mm / 35.5 deg.
+    Measured: 13.7 bytes per crop pixel (the bool masks, dilations and
+    groups and one int32 group label per pixel), against 58 for one
+    float64 FFT over the whole crop; a crop-sized float64 array alone
+    breaks the bound."""
+
+    def test_holds_no_crop_sized_float(self):
+        size = (1224, 1024)
+        camera = CameraModel(K=np.array([[1800.0, 0.0, 611.5], [0.0, 1800.0, 511.5], [0, 0, 1]]))
+        spec = build_spec(SKEWER_DISTANCES, SKEWER_BANDS_RG, 251.0, radius=1.5)
+        colors = make_calibrated_colors(spec, camera, size, depth_mm=450.0)
+        scene = synthetic.SceneSpec(
+            pose=pose_at(400.0, 35.5, camera, spec, roll_deg=4.0), spec=spec,
+            band_colors=BAND_RGB,
+        )
+        img, _ = synthetic.render(scene, camera, size)
+        params = DetectionParams(**FIXTURE_PARAMS)
+        _, line, pass2 = _two_passes(img, colors, spec, params)
+        (_, halo, _), peak = traced_peak(
+            lambda: _junction_images(pass2, spec.adjacent_label_pairs(), params, size, line)
+        )
+        assert peak <= 16 * halo.size
 
 
 
@@ -795,7 +903,7 @@ class TestDetectPointer:
             assert e0.p_a.tobytes() == e1.p_a.tobytes()
             assert e0.p_b.tobytes() == e1.p_b.tobytes()
             assert (e0.left_label, e0.right_label) == (e1.left_label, e1.right_label)
-        base_pass2, other_pass2 = (_two_passes(img, small_colors, quad_spec, p)[1] for p in seeded)
+        base_pass2, other_pass2 = (_two_passes(img, small_colors, quad_spec, p)[2] for p in seeded)
         assert [r.pixels.tobytes() for r in base_pass2] == [
             r.pixels.tobytes() for r in other_pass2
         ]

@@ -1,8 +1,6 @@
 """Tests for raster types and low-level image operations."""
 
-import gc
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ from scipy import ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float_hsv, quantize
+from conftest import float_hsv, quantize, traced_peak
 
 from bandpointer.errors import ImageFormatError, InvalidKernelError, NumericError
 from bandpointer.imaging import (
@@ -574,18 +572,6 @@ class TestImageIO:
             load_ppm(path)
 
 
-def _traced_peak(fn):
-    """fn's result and the most memory it held at once, by tracemalloc."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestFrameMemory:
     """Peak memory of the whole-frame steps on a 1224x1024 frame, the
     benchmark's frame size. tracemalloc counts numpy's allocations, so the
@@ -602,10 +588,10 @@ class TestFrameMemory:
         return path
 
     def test_load_keeps_one_copy_of_the_payload(self, frame_path):
-        _, peak = _traced_peak(lambda: load_image(frame_path))
+        _, peak = traced_peak(lambda: load_image(frame_path))
         assert peak <= frame_path.stat().st_size + 64 * 1024
 
     def test_gate_holds_its_output_and_one_block(self, frame_path):
         hs = rgb_to_hue_saturation(load_image(frame_path))
-        gated, peak = _traced_peak(lambda: hs.gate(0.25))
+        gated, peak = traced_peak(lambda: hs.gate(0.25))
         assert peak <= gated.nbytes + (1 << 20)
