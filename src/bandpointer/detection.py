@@ -34,7 +34,6 @@ from .geometry import (
     boxes_mask,
     coincident,
     fit_line_tls,
-    line_through,
     pixel_box,
     principal_axes,
     signed_distance,
@@ -43,6 +42,7 @@ from .imaging import (
     HueSatImage,
     RasterImage,
     Region,
+    _EIGHT_CONNECTED,
     _content_box,
     connected_components,
     convolve_unit_sum,
@@ -214,13 +214,11 @@ def ransac_centroid_line(
     if not valid.any():
         raise DegenerateSampleError("all centroid pairs coincide")
     i, j = i[valid], j[valid]
-    # built as line_through builds them: np.linalg.norm goes through the BLAS
-    # dot kernel, which a vectorized norm does not round like
-    lines = [Line2D(centroids[a], centroids[b] - centroids[a]) for a, b in zip(i, j)]
-    directions = np.array([line.direction for line in lines])[:, None, :]
-    crossed = _regions_crossed(regions, centroids[i][:, None, :], directions)
+    d = centroids[j] - centroids[i]
+    directions = d / np.linalg.norm(d, axis=1)[:, None]
+    crossed = _regions_crossed(regions, centroids[i][:, None, :], directions[:, None, :])
     best = int(np.argmax(crossed.sum(axis=1)))  # the first of the tied best
-    best_line = lines[best]
+    best_line = Line2D(centroids[i[best]], d[best])
     best_crossing = np.flatnonzero(crossed[best])
 
     dist = best_line.perp_distance(centroids)
@@ -276,7 +274,7 @@ def _junction_images(
     spec_adjacency: set[frozenset[int]],
     params: DetectionParams,
     image_size: tuple[int, int],
-    fallback_axis: Optional[Line2D] = None,
+    fallback_axis: Line2D,
 ) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
     """The crop's (x, y) origin in the frame, the halo I_b1 and the
     orientation-filtered halo I_b2, both over the crop.
@@ -309,9 +307,8 @@ def _junction_images(
     pts = np.column_stack([xs, ys]).astype(np.float64)
     evals, evecs = principal_axes(pts)
     anisotropic = evals[0] > 0 and (evals[0] - evals[1]) > 0.01 * evals[0]
-    if anisotropic or fallback_axis is None:
-        second = evecs[:, 1]
-        phi = float(np.arctan2(second[1], second[0]))
+    if anisotropic:  # across the halo's major axis
+        phi = float(np.arctan2(evecs[1, 1], evecs[0, 1]))
     else:
         d = fallback_axis.direction
         phi = float(np.arctan2(d[1], d[0]) + np.pi / 2.0)
@@ -335,7 +332,7 @@ def _halo_groups(halo: np.ndarray, half: int):
     one group, and every output pixel within the kernel's reach of a group
     lies in its box."""
     reach = ndimage.maximum_filter(halo, size=2 * half + 1, mode="constant", cval=False)
-    labeled, _ = ndimage.label(reach, structure=np.ones((3, 3), dtype=int))
+    labeled, _ = ndimage.label(reach, structure=_EIGHT_CONNECTED)
     for idx, box in enumerate(ndimage.find_objects(labeled), start=1):
         yield box, halo[box] & (labeled[box] == idx)
 
@@ -352,11 +349,11 @@ def order_along_axis(pairs: np.ndarray) -> tuple[Line2D, np.ndarray, np.ndarray]
 
     The line is the TLS fit through the n pair midpoints, which follows
     the axis even where a steep pointer's pairs are wider apart than its
-    junctions; each pair's coordinate is its midpoint's on that line, one
-    axis_coord call per pair (a stacked call rounds differently); the
+    junctions; each pair's coordinate is its midpoint's on that line; the
     order is a stable sort of them.
     """
     line = fit_line_tls(pairs.mean(axis=1))
+    # per pair: t reaches association and the LM, and a stacked call rounds it differently
     t = np.array([float(line.axis_coord(0.5 * (a + b))[0]) for a, b in pairs])
     return line, t, np.argsort(t, kind="stable")
 
@@ -366,14 +363,15 @@ def extract_edge_pairs(
     spec_adjacency: set[frozenset[int]],
     params: DetectionParams,
     image_size: tuple[int, int],
-    fallback_axis: Optional[Line2D] = None,
+    fallback_axis: Line2D,
 ) -> DetectionResult:
     """Sub-pixel contour point pairs of band junctions, ordered along L2.
 
-    Each component of I_b2 gives the I_b3 = I_b1 & I_b2 pixels farthest
-    on either side of L1, the TLS line through all of I_b3. Pairs that are
-    close together, not mutual nearest neighbors along L1, or with an
-    outlying separation are rejected.
+    Each I_b2 component, in scan order, gives the I_b3 = I_b1 & I_b2
+    pixels farthest on either side of L1, the TLS line through all of
+    I_b3. Pairs closer than edge_halo, not mutual nearest neighbors along
+    L1, or with an outlying separation are rejected; the rest, in axis
+    order, are what label_edge_pairs takes.
     """
     origin, halo, filtered = _junction_images(
         regions, spec_adjacency, params, image_size, fallback_axis
@@ -385,22 +383,21 @@ def extract_edge_pairs(
     if len(xs) < 2:
         raise NoEdgesError("one junction pixel defines no line")
     offset = np.array(origin, dtype=np.float64)
-    line1 = fit_line_tls(np.column_stack([xs, ys]) + offset)
+    pts = np.column_stack([xs, ys]) + offset
+    line1 = fit_line_tls(pts)
+    perp = line1.perp_distance(pts)
 
+    # I_b3 pixels grouped by I_b2 component, each group in row-major order
+    comp = ndimage.label(filtered, structure=_EIGHT_CONNECTED)[0][ys, xs]
+    by_comp = np.argsort(comp, kind="stable")
     pairs = []
-    for comp in connected_components(filtered):
-        local = comp.pixels  # (x, y) in the crop, row-major
-        local = local[combined[local[:, 1], local[:, 0]]]
-        if len(local) == 0:
-            continue
-        perp = line1.perp_distance(local + offset)
-        hi, lo = int(np.argmax(perp)), int(np.argmin(perp))
+    for group in np.split(by_comp, np.flatnonzero(np.diff(comp[by_comp])) + 1):
+        lo, hi = group[np.argmin(perp[group])], group[np.argmax(perp[group])]
         if perp[hi] > 0 and perp[lo] < 0:
-            pairs.append([_refine_subpixel(combined, *local[k]) + offset for k in (lo, hi)])
+            pairs.append([_refine_subpixel(combined, xs[k], ys[k]) + offset for k in (lo, hi)])
     pairs = np.array(pairs, dtype=np.float64).reshape(-1, 2, 2)
 
-    # one norm per pair: a vectorized norm rounds differently
-    sep = np.array([np.linalg.norm(a - b) for a, b in pairs])
+    sep = np.linalg.norm(pairs[:, 1] - pairs[:, 0], axis=1)
     keep = sep >= params.edge_halo
     pairs, sep = pairs[keep], sep[keep]
     if len(pairs) >= 2:
@@ -431,39 +428,28 @@ def label_edge_pairs(
     regions: list[Region],
     line2: Line2D,
 ) -> DetectionResult:
-    """Attach side color labels to each junction pair.
+    """Attach side color labels to junction pairs in axis order, each at
+    least edge_halo wide, as extract_edge_pairs returns them.
 
     Regions are clipped at the junction lines; the label on a side is the
     clipped piece with the closest centroid along the axis. Regions that
     do not cross the axis line are ignored, and an equal label on both
     sides marks a leak, reported as undefined.
     """
-    if not pairs:
-        raise InsufficientEdgesError("no pairs to label")
-    pairs = sorted(pairs, key=lambda ep: ep.axis_coordinate)
-    crossed = []
-    if regions:
-        crossed = _regions_crossed(
-            regions, line2.point[None, None], line2.direction[None, None]
-        )[0]
+    crossed = _regions_crossed(regions, line2.point[None, None], line2.direction[None, None])[0]
     crossing = [reg for reg, c in zip(regions, crossed) if c]
 
-    junction_lines = []
-    for ep in pairs:
-        if np.linalg.norm(ep.p_b - ep.p_a) > 1e-9:
-            jl = line_through(ep.p_a, ep.p_b)
-        else:
-            jl = Line2D(ep.midpoint, np.array([-line2.direction[1], line2.direction[0]]))
-        normal = np.array([-jl.direction[1], jl.direction[0]])
-        if normal @ line2.direction < 0:
-            normal = -normal
-        junction_lines.append((ep.midpoint, normal))
+    # each junction line's unit normal, pointing along the axis
+    d = np.array([ep.p_b - ep.p_a for ep in pairs])
+    normals = np.column_stack([-d[:, 1], d[:, 0]]) / np.linalg.norm(d, axis=1)[:, None]
+    normals[normals @ line2.direction < 0] *= -1.0
+    mids = [ep.midpoint for ep in pairs]
 
     raw_pieces: list[tuple[int, float, int, int]] = []  # cell, coord, label, area
     for reg in crossing:
         pts = reg.pixels.astype(np.float64)
         cell = np.zeros(len(pts), dtype=np.int64)
-        for mid, normal in junction_lines:
+        for mid, normal in zip(mids, normals):
             cell += ((pts - mid) @ normal > 0).astype(np.int64)
         for value in np.unique(cell):
             sel = pts[cell == value]

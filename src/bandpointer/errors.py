@@ -19,10 +19,6 @@ class BandPointerError(Exception):
     """Base class for all pipeline errors."""
 
 
-class InvalidKernelError(BandPointerError):
-    """Convolution kernel violates its contract (non-positive sum, even size)."""
-
-
 class NumericError(BandPointerError):
     """A numeric procedure failed to converge or produced non-finite values."""
 

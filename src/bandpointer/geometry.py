@@ -73,14 +73,6 @@ def coincident(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.isclose(p, q, atol=1e-12).all(axis=-1)
 
 
-def line_through(p: np.ndarray, q: np.ndarray) -> Line2D:
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if coincident(p, q):
-        raise DegenerateSampleError("coincident points define no line")
-    return Line2D(p, q - p)
-
-
 def fit_line_tls(points: np.ndarray) -> Line2D:
     """Total-least-squares line through 2D points (principal axis)."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))

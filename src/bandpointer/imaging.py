@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.signal import fftconvolve
 
-from .errors import ImageFormatError, InvalidKernelError, NumericError
+from .errors import ImageFormatError, NumericError
 
 HUE_PERIOD = 2.0 * np.pi
 
@@ -290,17 +290,12 @@ def connected_components(
 
 
 def convolve_unit_sum(bits: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """True 2D convolution with zero padding; kernel must be odd, unit sum.
+    """True 2D convolution with zero padding, clipped to [0, 1]; the
+    caller's kernel is 2D, odd-sized, non-negative and of unit sum.
 
     It holds a float64 copy of bits and their padded FFT spectra, so
     detection's orientation filter calls it once per group of nearby halo
     pixels, over the group's box, not over the whole crop."""
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
-        raise InvalidKernelError("kernel must be 2D with odd dimensions")
-    total = kernel.sum()
-    if total <= 0.0:
-        raise InvalidKernelError(f"kernel sum must be positive, got {total}")
     out = fftconvolve(np.asarray(bits, dtype=np.float64), kernel, mode="same")
     # fft round-off can leave values a hair outside [0, 1]
     np.clip(out, 0.0, 1.0, out=out)
@@ -316,14 +311,20 @@ def _distort_normalized(xu: np.ndarray, yu: np.ndarray, m: DistortionModel):
 
 
 def distort_points(pts: np.ndarray, model: DistortionModel, K: np.ndarray) -> np.ndarray:
-    """Forward Brown-Conrady mapping from ideal to distorted pixels."""
+    """Forward Brown-Conrady mapping from ideal to distorted pixels; a
+    point the polynomial overflows on raises NumericError, not a warning."""
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     if model.is_identity():
         return pts.copy()
     xu = (pts[:, 0] - K[0, 2]) / K[0, 0]
     yu = (pts[:, 1] - K[1, 2]) / K[1, 1]
-    xd, yd = _distort_normalized(xu, yu, model)
-    return np.column_stack([xd * K[0, 0] + K[0, 2], yd * K[1, 1] + K[1, 2]])
+    with np.errstate(all="ignore"):
+        xd, yd = _distort_normalized(xu, yu, model)
+        out = np.column_stack([xd * K[0, 0] + K[0, 2], yd * K[1, 1] + K[1, 2]])
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"distortion is not finite for point {pts[np.argmin(finite)].tolist()}")
+    return out
 
 
 UNDISTORT_TOL_PX = 1e-3
@@ -338,15 +339,16 @@ def undistort_points(pts: np.ndarray, model: DistortionModel, K: np.ndarray) -> 
     xd = (pts[:, 0] - K[0, 2]) / K[0, 0]
     yd = (pts[:, 1] - K[1, 2]) / K[1, 1]
     xu, yu = xd.copy(), yd.copy()
-    for _ in range(UNDISTORT_MAX_ITER):
-        r2 = xu * xu + yu * yu
-        radial = 1.0 + r2 * (model.k1 + r2 * (model.k2 + r2 * model.k3))
-        dx = 2.0 * model.p1 * xu * yu + model.p2 * (r2 + 2.0 * xu * xu)
-        dy = model.p1 * (r2 + 2.0 * yu * yu) + 2.0 * model.p2 * xu * yu
-        xu = (xd - dx) / radial
-        yu = (yd - dy) / radial
-    bx, by = _distort_normalized(xu, yu, model)
-    err = np.hypot((bx - xd) * K[0, 0], (by - yd) * K[1, 1])
+    with np.errstate(all="ignore"):  # an overflow fails the convergence test
+        for _ in range(UNDISTORT_MAX_ITER):
+            r2 = xu * xu + yu * yu
+            radial = 1.0 + r2 * (model.k1 + r2 * (model.k2 + r2 * model.k3))
+            dx = 2.0 * model.p1 * xu * yu + model.p2 * (r2 + 2.0 * xu * xu)
+            dy = model.p1 * (r2 + 2.0 * yu * yu) + 2.0 * model.p2 * xu * yu
+            xu = (xd - dx) / radial
+            yu = (yd - dy) / radial
+        bx, by = _distort_normalized(xu, yu, model)
+        err = np.hypot((bx - xd) * K[0, 0], (by - yd) * K[1, 1])
     if not np.all(np.isfinite(err)) or err.max() > UNDISTORT_TOL_PX:
         bad = int(np.argmax(np.where(np.isfinite(err), err, np.inf)))
         raise NumericError(

@@ -29,6 +29,7 @@ from bandpointer.cli import (
     EXIT_NO_ASSOCIATION,
     EXIT_OK,
     EXIT_POINTER_NOT_FOUND,
+    EXIT_POSE_FAILURE,
     evaluate_sweep,
     load_color_model,
     main,
@@ -45,7 +46,7 @@ from bandpointer.color_model import (
     serialize_color_set,
 )
 from bandpointer.detection import DetectionParams
-from bandpointer.errors import BandPointerError, ConfigError, NoEdgesError
+from bandpointer.errors import BandPointerError, ConfigError, NoEdgesError, NumericError
 from bandpointer.imaging import (
     RasterImage,
     load_image,
@@ -594,6 +595,25 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert f"camera.distortion.{name} must be a number, got {shown}" in err
+
+    def test_overflowing_distortion_fails_the_pose(self, workspace, tmp_path, capsys):
+        # a lens coefficient has no natural bound, so 1e308 loads; the
+        # polynomial then overflows, which is a NumericError naming the
+        # point, not a numpy warning, and probe reports a pose failure
+        config = _set(("camera", "distortion", "k1"), 1e308)
+        camera = Config.from_dict(config).camera
+        for fn in (camera.undistort, camera.distort):
+            with pytest.raises(NumericError, match=re.escape("point [10.0, 20.0]")):
+                fn(np.array([[10.0, 20.0]]))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code = main([
+            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
+            "--color-model", str(workspace["colors"]),
+        ])
+        assert code == EXIT_POSE_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("pose-failure: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("r1", [256, 1e308], ids=["one-past-frame", "huge"])
     def test_erosion_radius_must_fit_the_frame(self, r1):

@@ -60,9 +60,10 @@ from bandpointer.geometry import (
     Line2D,
     OrientedBox,
     boxes_mask,
+    coincident,
     fit_line_tls,
-    line_through,
     pixel_box,
+    principal_axes,
 )
 from bandpointer.imaging import (
     RasterImage,
@@ -261,10 +262,9 @@ def _ransac_reference(regions, params):
     centroids = np.array([r.centroid for r in regions])
     best_line, best_crossing = None, []
     for i, j in itertools.combinations(range(len(regions)), 2):
-        try:
-            line = line_through(centroids[i], centroids[j])
-        except DegenerateSampleError:
+        if coincident(centroids[i], centroids[j]):
             continue
+        line = Line2D(centroids[i], centroids[j] - centroids[i])
         crossing = [k for k, reg in enumerate(regions) if crosses(reg, line)]
         if best_line is None or len(crossing) > len(best_crossing):
             best_line, best_crossing = line, crossing
@@ -322,7 +322,7 @@ class TestRansacCentroidLine:
 
     def test_nearly_coincident_centroids_skipped(self, params):
         # a ring around a blob whose centroid sits 1/440 px off the ring's:
-        # too close for line_through, so that pair is skipped, and the first
+        # too close to define a line, so that pair is skipped, and the first
         # pair of a center and a far region, on the slope-1/2 line through
         # all four, wins
         ring = [(x, y) for x in range(980, 1021) for y in range(480, 521)
@@ -371,7 +371,7 @@ class TestRansacCentroidLineEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_matches_reference(self, shapes, offset):
         # far from the origin, centroids up to 10 or 100 px apart are too
-        # close for line_through, so such pairs are skipped
+        # close to define a line, so such pairs are skipped
         regions = [_irregular(*shape) for shape in shapes]
         regions = [Region(pixels=r.pixels + offset, label=r.label) for r in regions]
         params = DetectionParams(r1=3, r2=2)
@@ -657,6 +657,35 @@ class TestGroupedOrientationFilter:
         np.testing.assert_allclose(summed, convolve_unit_sum(halo, kernel), rtol=0, atol=1e-12)
 
 
+class TestIsotropicHalo:
+    """A halo with no dominant direction, a square ring between a red
+    square and a green square frame, takes the orientation kernel's angle
+    from the fallback axis: across it, folded into [-pi/2, pi/2)."""
+
+    @pytest.mark.parametrize("angle", [0.0, 0.4, -1.2, np.pi / 2])
+    def test_phi_across_fallback_axis(self, params, monkeypatch, angle):
+        ys, xs = np.mgrid[12:38, 12:38]
+        frame = (np.abs(xs - 24.5) > 9) | (np.abs(ys - 24.5) > 9)
+        regions = [
+            region_from_rect(20, 20, 10, 10, label=RED),
+            Region(pixels=np.column_stack([xs[frame], ys[frame]]), label=GREEN),
+        ]
+        phis = []
+
+        def recorded_kernel(phi, sigma_d):
+            phis.append(phi)
+            return _orientation_kernel(phi, sigma_d)
+
+        monkeypatch.setattr(detection, "_orientation_kernel", recorded_kernel)
+        axis = Line2D(np.zeros(2), np.array([np.cos(angle), np.sin(angle)]))
+        _, halo, _ = _junction_images(regions, ADJ_RG, params, (50, 50), axis)
+        evals, _ = principal_axes(np.argwhere(halo).astype(np.float64))
+        assert evals[0] - evals[1] <= 0.01 * evals[0]  # the isotropic branch
+        across = np.arctan2(axis.direction[1], axis.direction[0]) + np.pi / 2.0
+        assert phis == [pytest.approx(np.mod(across + np.pi / 2.0, np.pi) - np.pi / 2.0)]
+        assert abs(np.cos(phis[0] - angle)) < 1e-12  # perpendicular to the axis
+
+
 class TestJunctionMemory:
     """Peak memory of the junction images on a 1224x1024 frame, the
     benchmark's size (f = 1800 px, 3 mm pointer), at 400 mm / 35.5 deg.
@@ -734,7 +763,7 @@ def _extract_reference(regions, adjacency, params, size, fallback_axis):
 
 def _strip_regions(seed):
     """Band-colored regions of a speckled, banded strip at a random angle
-    in an 80x60 raster, and the strip's axis (None for every third seed)."""
+    in an 80x60 raster, the strip's axis and the raster's size."""
     rng = np.random.default_rng(seed)
     w, h = 80, 60
     center = rng.uniform((25, 20), (55, 40))
@@ -753,15 +782,52 @@ def _strip_regions(seed):
     regions = []
     for label in (RED, GREEN):
         regions += connected_components(raster == label, label=label)
-    fallback = None if seed % 3 == 0 else Line2D(center, axis)
-    return regions, fallback, (w, h)
+    return regions, Line2D(center, axis), (w, h)
+
+
+def _label_reference(pairs, regions, line2):
+    """Per-pair form of label_edge_pairs: each junction's normal from a
+    Line2D through its two points, turned to point along the axis; the
+    (left, right) labels of the pairs."""
+    normals = []
+    for ep in pairs:
+        assert not coincident(ep.p_a, ep.p_b)
+        jl = Line2D(ep.p_a, ep.p_b - ep.p_a)
+        normal = np.array([-jl.direction[1], jl.direction[0]])
+        normals.append(-normal if normal @ line2.direction < 0 else normal)
+    pieces = []  # (cell, axis coordinate, label, area) per clipped region piece
+    for reg in regions:
+        pts = reg.pixels.astype(np.float64)
+        d = line2.perp_distance(pts)
+        if not ((d > 0).any() and (d < 0).any()):
+            continue
+        cell = sum(((pts - ep.midpoint) @ n > 0).astype(int) for ep, n in zip(pairs, normals))
+        for value in np.unique(cell):
+            sel = pts[cell == value]
+            t = float(line2.axis_coord(sel.mean(axis=0))[0])
+            pieces.append((value, t, reg.label, len(sel)))
+    dominant = {}
+    for cell, _, _, area in pieces:
+        dominant[cell] = max(dominant.get(cell, 0), area)
+    kept = [(t, label) for cell, t, label, area in pieces if area >= 0.25 * dominant[cell]]
+    labels = []
+    for ep in pairs:
+        below = [p for p in kept if p[0] < ep.axis_coordinate]
+        above = [p for p in kept if p[0] > ep.axis_coordinate]
+        left = max(below, key=lambda p: p[0])[1] if below else None
+        right = min(above, key=lambda p: p[0])[1] if above else None
+        labels.append((None, None) if left is not None and left == right else (left, right))
+    return labels
 
 
 class TestExtractEdgePairsEquivalence:
     """extract_edge_pairs, over component pixel lists and one pair array,
-    keeps the bits of the per-label-mask reference."""
+    keeps the bits of the per-label-mask reference, and label_edge_pairs,
+    with its junction normals as one array, labels those pairs as the
+    per-pair reference does."""
 
     def assert_same(self, regions, params, size, fallback):
+        """The pairs' (left, right) labels, if extraction finds pairs."""
         try:
             ref = _extract_reference(regions, ADJ_RG, params, size, fallback)
         except BandPointerError as exc:
@@ -775,6 +841,13 @@ class TestExtractEdgePairsEquivalence:
         assert [(e.axis_coordinate, e.p_a.tobytes(), e.p_b.tobytes()) for e in result.edges] == [
             (t, a.tobytes(), b.tobytes()) for t, a, b in edges
         ]
+        labeled = label_edge_pairs(result.edges, regions, result.line).edges
+        # the pairs come through in their order, only labeled
+        assert all(r.p_a is e.p_a and r.p_b is e.p_b
+                   for r, e in zip(labeled, result.edges, strict=True))
+        labels = [(e.left_label, e.right_label) for e in labeled]
+        assert labels == _label_reference(result.edges, regions, result.line)
+        return labels
 
     @pytest.mark.parametrize("angle_deg, blur", [(0.0, 0.0), (35.0, 2.0), (60.0, 0.0), (71.0, 3.0)])
     def test_quad_scenes(self, quad_spec, small_camera, small_colors, params, angle_deg, blur):
@@ -788,7 +861,8 @@ class TestExtractEdgePairsEquivalence:
         assert adj == ADJ_RG
         regions = detect_band_regions(hs, small_colors, adj, params.s2, params.r2)
         line, surviving = ransac_centroid_line(regions, params)
-        self.assert_same(surviving, params, SIZE_SMALL, line)
+        labels = self.assert_same(surviving, params, SIZE_SMALL, line)
+        assert sum(left is not None for left, _ in labels) >= 2  # labels to compare
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
     @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import float_hsv, quantize, traced_peak
 
-from bandpointer.errors import ImageFormatError, InvalidKernelError, NumericError
+from bandpointer.errors import ImageFormatError, NumericError
 from bandpointer.imaging import (
     _GATE_ROWS,
     _HUE_VALID,
@@ -442,13 +442,6 @@ class TestConvolution:
         expected = np.zeros((7, 7))
         expected[2:5, 2:5] = 1 / 9  # direct evaluation
         np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_rejects_bad_kernels(self):
-        bits = np.zeros((3, 3), dtype=bool)
-        with pytest.raises(InvalidKernelError):
-            convolve_unit_sum(bits, np.zeros((3, 3)))
-        with pytest.raises(InvalidKernelError):
-            convolve_unit_sum(bits, np.ones((2, 3)))
 
     def test_output_bounded_for_unit_sum_kernels(self):
         rng = np.random.default_rng(9)
