@@ -28,7 +28,6 @@ from .imaging import (
     HUE_PERIOD,
     HueSatImage,
     RasterImage,
-    _content_box,
     rgb_to_hue_saturation,
 )
 
@@ -122,10 +121,9 @@ def calibrate_colors(
     labels = sorted(int(v) for v in np.unique(mask) if v != BACKGROUND_LABEL)
     per_class: list[tuple[np.ndarray, np.ndarray]] = []  # hues, 1 / (s v)
     for label in labels:
-        sel = (mask == label) & usable
-        count = int(sel.sum())
-        if count < MIN_CLASS_PIXELS:
-            raise InsufficientCalibrationDataError(label, count, MIN_CLASS_PIXELS)
+        sel = np.flatnonzero((mask == label) & usable)
+        if len(sel) < MIN_CLASS_PIXELS:
+            raise InsufficientCalibrationDataError(label, len(sel), MIN_CLASS_PIXELS)
         per_class.append((hs.hue_at(sel), 1.0 / np.maximum(hs.saturation_value_at(sel), 1e-6)))
 
     if len(labels) < ColorClassSet.min_classes:
@@ -154,16 +152,13 @@ def classify_hue(color_set: ColorClassSet, hues: np.ndarray) -> np.ndarray:
     hues = np.asarray(hues, dtype=np.float64)
     stack = np.empty((len(color_set.labels) + 1,) + hues.shape, dtype=np.float64)
     stack[0] = BACKGROUND_DENSITY
-    # linear interpolation on the periodic table; the bin index and
-    # fraction are rebuilt and freed per class, since holding them across
-    # classes raises the peak memory
+    # linear interpolation on the periodic table
+    pos = np.mod(hues, HUE_PERIOD) * (LUT_BINS / HUE_PERIOD)
+    i0 = np.floor(pos).astype(np.int64) % LUT_BINS
+    i1 = (i0 + 1) % LUT_BINS
+    frac = pos - np.floor(pos)
     for i, lut in enumerate(color_set.luts):
-        pos = np.mod(hues, HUE_PERIOD) * (LUT_BINS / HUE_PERIOD)
-        i0 = np.floor(pos).astype(np.int64) % LUT_BINS
-        i1 = (i0 + 1) % LUT_BINS
-        frac = pos - np.floor(pos)
         stack[i + 1] = lut[i0] * (1.0 - frac) + lut[i1] * frac
-        del pos, i0, i1, frac
     # background first and classes by label, so argmax's first-maximum
     # rule implements both tie breaks
     labels = np.array((BACKGROUND_LABEL,) + color_set.labels, dtype=np.uint8)
@@ -175,25 +170,28 @@ def classify_image_masked(
     hs: HueSatImage,
     s_min: float,
     roi_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Label raster: classify_hue where the hue is defined, the saturation
-    reaches s_min and the optional boolean roi_mask holds; 0 elsewhere.
+) -> tuple[tuple[slice, slice], np.ndarray]:
+    """classify_hue where the hue is defined, the saturation reaches s_min
+    and the optional boolean roi_mask, of hs's shape, holds.
 
-    With a roi_mask, only the box of its set pixels is gated."""
-    out = np.zeros((hs.height, hs.width), dtype=np.uint8)
-    if roi_mask is None:
-        box = (slice(None), slice(None))
-    elif roi_mask.any():
-        box = _content_box(roi_mask)
-    else:
-        return out
-    window = hs.window(box)
-    valid = window.gate(s_min)
+    Returns (box, labels): the (rows, cols) slices of the tightest box
+    around the pixels given a class, and the uint8 label raster over that
+    box, 0 at every other pixel; the box is empty when no pixel gets one.
+    """
+    valid = hs.gate(s_min)
     if roi_mask is not None:
-        valid &= roi_mask[box]
-    if valid.any():
-        out[box][valid] = classify_hue(color_set, window.hue_at(valid))
-    return out
+        valid &= roi_mask
+    at = np.flatnonzero(valid)
+    del valid  # a whole-frame raster, not to be held through the hue work
+    classes = classify_hue(color_set, hs.hue_at(at))
+    labeled = classes != BACKGROUND_LABEL
+    rows, cols = np.divmod(at[labeled], hs.width)
+    if len(rows) == 0:
+        return (slice(0, 0), slice(0, 0)), np.zeros((0, 0), dtype=np.uint8)
+    r0, c0 = rows[0], cols.min()  # flat indices ascend, so rows do
+    labels = np.zeros((rows[-1] + 1 - r0, cols.max() + 1 - c0), dtype=np.uint8)
+    labels[rows - r0, cols - c0] = classes[labeled]
+    return (slice(r0, r0 + labels.shape[0]), slice(c0, c0 + labels.shape[1])), labels
 
 
 def serialize_color_set(color_set: ColorClassSet) -> dict:

@@ -43,7 +43,6 @@ from .imaging import (
     RasterImage,
     Region,
     _EIGHT_CONNECTED,
-    _content_box,
     connected_components,
     convolve_unit_sum,
     dilate_disk,
@@ -135,21 +134,21 @@ def detect_band_regions(
 
     A region stays only if a pixel of some region of an adjacent pattern
     color lies within 2r + 5 pixels of one of its pixels, center to center
-    (2r + 4 pixels between their borders). Erosion and labeling run in the
-    box of the classified pixels: every label is 0 outside it, as beyond
-    the frame's border.
+    (2r + 4 pixels between their borders). With roi, the pass classifies
+    only the window of the boxes. Erosion and labeling run in the box the
+    classifier returns: every label is 0 outside it, as beyond the frame's
+    border.
     """
-    roi_mask = boxes_mask(roi, hs.width, hs.height) if roi is not None else None
-    labels_raster = classify_image_masked(colors, hs, s, roi_mask)
-    if not labels_raster.any():
-        return []
-    box = _content_box(labels_raster)
-    window = labels_raster[box]
-    origin = (box[1].start, box[0].start)
+    if roi is None:
+        window, roi_mask = (slice(0, hs.height), slice(0, hs.width)), None
+    else:
+        window, roi_mask = boxes_mask(roi, hs.width, hs.height)
+    box, labels = classify_image_masked(colors, hs.window(window), s, roi_mask=roi_mask)
+    origin = (window[1].start + box[1].start, window[0].start + box[0].start)
 
     regions: list[Region] = []
     for label in colors.labels:
-        mask = window == label
+        mask = labels == label
         if not mask.any():
             continue
         regions += connected_components(erode_disk(mask, r), origin, label)

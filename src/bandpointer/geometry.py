@@ -105,12 +105,6 @@ class OrientedBox:
     axes: np.ndarray  # (2, 2), rows are unit vectors
     half_extents: np.ndarray  # (2,)
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        rel = pts - self.center
-        local = rel @ self.axes.T
-        return (np.abs(local) <= self.half_extents + 1e-12).all(axis=1)
-
     def corners(self) -> np.ndarray:
         e0 = self.axes[0] * self.half_extents[0]
         e1 = self.axes[1] * self.half_extents[1]
@@ -138,15 +132,23 @@ def pixel_box(
     return x0, y0, x1, y1
 
 
-def boxes_mask(boxes: list[OrientedBox], width: int, height: int) -> np.ndarray:
-    """Boolean raster of pixels whose centers fall inside any box."""
-    mask = np.zeros((height, width), dtype=bool)
-    for box in boxes:
-        x0, y0, x1, y1 = pixel_box(box.corners(), 0.0, (0, 0), (width, height))
-        if x0 >= x1 or y0 >= y1:
+def boxes_mask(
+    boxes: list[OrientedBox], width: int, height: int
+) -> tuple[tuple[slice, slice], np.ndarray]:
+    """(box, mask): the (rows, cols) pixel box of one or more boxes'
+    corners, clipped to the frame, and over it the pixels whose centers
+    lie within some box's half_extents + 1e-12 along both of its axes."""
+    corners = np.vstack([b.corners() for b in boxes])
+    x0, y0, x1, y1 = pixel_box(corners, 0.0, (0, 0), (width, height))
+    mask = np.zeros((max(y1 - y0, 0), max(x1 - x0, 0)), dtype=bool)
+    for b in boxes:
+        bx0, by0, bx1, by1 = pixel_box(b.corners(), 0.0, (0, 0), (width, height))
+        if bx0 >= bx1 or by0 >= by1:
             continue
-        ys, xs = np.mgrid[y0:y1, x0:x1]
-        pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(np.float64)
-        inside = box.contains(pts).reshape(ys.shape)
-        mask[y0:y1, x0:x1] |= inside
-    return mask
+        dx = np.arange(bx0, bx1) - b.center[0]
+        dy = np.arange(by0, by1)[:, None] - b.center[1]
+        a, half = b.axes, b.half_extents + 1e-12
+        mask[by0 - y0 : by1 - y0, bx0 - x0 : bx1 - x0] |= (
+            np.abs(dx * a[0, 0] + dy * a[0, 1]) <= half[0]
+        ) & (np.abs(dx * a[1, 0] + dy * a[1, 1]) <= half[1])
+    return (slice(y0, y0 + mask.shape[0]), slice(x0, x0 + mask.shape[1])), mask

@@ -57,6 +57,27 @@ def float_hsv(rgb8):
     return np.where(hue >= 2 * np.pi, 0.0, hue), sat, valid, cmax
 
 
+def pasted(window_result, shape):
+    """A (box, raster) result, such as the classifier's labels or
+    boxes_mask's mask, pasted into a zero frame of the given shape."""
+    box, raster = window_result
+    frame = np.zeros(shape, dtype=raster.dtype)
+    frame[box] = raster
+    return frame
+
+
+def inside_boxes(boxes, width, height):
+    """Reference: the (height, width) raster of pixels whose centers lie
+    inside any OrientedBox, each pixel tested as a point, (p - c) @ axes.T."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(np.float64)
+    inside = np.zeros(len(pts), dtype=bool)
+    for box in boxes:
+        local = (pts - box.center) @ box.axes.T
+        inside |= (np.abs(local) <= box.half_extents + 1e-12).all(axis=1)
+    return inside.reshape(height, width)
+
+
 def kde_lut(hues, bandwidth=0.1):
     """A class's lookup table: the wrapped-Gaussian density of the hues,
     each with the one bandwidth."""

@@ -19,6 +19,7 @@ from conftest import (
     SIZE_SMALL,
     build_spec,
     make_calibrated_colors,
+    pasted,
     pose_at,
 )
 
@@ -788,9 +789,11 @@ class TestCalibrateCommand:
         assert loaded.labels == model.labels
         assert loaded.luts.tobytes() == model.luts.tobytes()
         hs = rgb_to_hue_saturation(img)
-        raster = classify_image_masked(model, hs, 0.12)
+        raster = pasted(classify_image_masked(model, hs, 0.12), img.pixels.shape[:2])
         assert set(np.unique(raster).tolist()) == {0, 1, 2}
-        assert np.array_equal(classify_image_masked(loaded, hs, 0.12), raster)
+        assert np.array_equal(
+            pasted(classify_image_masked(loaded, hs, 0.12), img.pixels.shape[:2]), raster
+        )
 
     def test_unknown_mask_class_is_config_mismatch(self, workspace, tmp_path, capsys):
         px = np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import float_hsv, kde_lut
+from conftest import float_hsv, kde_lut, pasted
 
 from bandpointer.color_model import (
     BACKGROUND_DENSITY,
@@ -425,6 +425,19 @@ class TestCalibration:
             assert np.array_equal(lut, _reference_lut(hues, bw))
 
 
+def _classified(color_set, hs, s_min, roi_mask=None):
+    """The classifier's labels over the whole frame, once its box is
+    checked to be the tightest around the labeled pixels."""
+    box, labels = classify_image_masked(color_set, hs, s_min, roi_mask)
+    frame = pasted((box, labels), (hs.height, hs.width))
+    rows, cols = np.nonzero(frame)
+    if len(rows):
+        assert box == (slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1))
+    else:
+        assert labels.shape == (0, 0)
+    return frame
+
+
 class TestClassifyImage:
     def _set(self):
         return _set(0.0, 2 * np.pi / 3)
@@ -432,7 +445,7 @@ class TestClassifyImage:
     def test_saturation_gate(self):
         img = _patch_image((0.9, 0.5, 0.5))  # saturated below 1
         hs = rgb_to_hue_saturation(img)
-        labels = classify_image_masked(self._set(), hs, s_min=1.0)
+        labels = _classified(self._set(), hs, s_min=1.0)
         assert (labels == BACKGROUND_LABEL).all()
 
     def test_two_band_classification(self):
@@ -440,7 +453,7 @@ class TestClassifyImage:
         px[:, :10] = (1.0, 0.0, 0.0)
         px[:, 10:] = (0.0, 1.0, 0.0)
         hs = rgb_to_hue_saturation(RasterImage(px))
-        labels = classify_image_masked(self._set(), hs, s_min=0.3)
+        labels = _classified(self._set(), hs, s_min=0.3)
         assert (labels[:, :10] == 1).all()
         assert (labels[:, 10:] == 2).all()
 
@@ -452,13 +465,13 @@ class TestClassifyImage:
         px[:] = (1.0, g, 0.0)
         hs = rgb_to_hue_saturation(RasterImage(px))
         cs = _set(0.0, 1.0, bandwidth=0.05)
-        labels = classify_image_masked(cs, hs, s_min=0.3)
+        labels = _classified(cs, hs, s_min=0.3)
         assert (labels == BACKGROUND_LABEL).all()
 
     def test_invalid_hue_is_background(self):
         img = _patch_image((0.6, 0.6, 0.6))
         hs = rgb_to_hue_saturation(img)
-        labels = classify_image_masked(self._set(), hs, s_min=0.0)
+        labels = _classified(self._set(), hs, s_min=0.0)
         assert (labels == BACKGROUND_LABEL).all()
 
     def test_raising_s_min_never_adds_labels(self):
@@ -466,9 +479,9 @@ class TestClassifyImage:
         img = RasterImage(rng.uniform(0, 1, (15, 15, 3)))
         hs = rgb_to_hue_saturation(img)
         cs = self._set()
-        prev = classify_image_masked(cs, hs, s_min=0.1)
+        prev = _classified(cs, hs, s_min=0.1)
         for s_min in (0.3, 0.5, 0.8):
-            cur = classify_image_masked(cs, hs, s_min=s_min)
+            cur = _classified(cs, hs, s_min=s_min)
             newly_labeled = (prev == BACKGROUND_LABEL) & (cur != BACKGROUND_LABEL)
             assert not newly_labeled.any()
             prev = cur
@@ -491,7 +504,7 @@ class TestClassifyImage:
         cs = _set(mode1, mode2, bandwidth=bw)
         gate = hs.hue_valid & (hs.saturation >= s_min)
         expected = np.where(gate, classify_hue(cs, hs.hue), BACKGROUND_LABEL)
-        assert np.array_equal(classify_image_masked(cs, hs, s_min), expected)
+        assert np.array_equal(_classified(cs, hs, s_min), expected)
 
 
 # 8-bit frames whose channels often tie or saturate
@@ -516,7 +529,7 @@ class TestFloatFormulaEquivalence:
             gate &= roi
         expected = np.zeros(rgb.shape[:2], dtype=np.uint8)
         expected[gate] = classify_hue(cs, hue[gate])
-        got = classify_image_masked(cs, rgb_to_hue_saturation(RasterImage(rgb)), s_min, roi)
+        got = _classified(cs, rgb_to_hue_saturation(RasterImage(rgb)), s_min, roi)
         assert np.array_equal(got, expected)
 
     @given(

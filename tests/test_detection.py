@@ -21,8 +21,10 @@ from conftest import (
     SKEWER_BANDS_RG,
     SKEWER_DISTANCES,
     build_spec,
+    inside_boxes,
     kde_lut,
     make_calibrated_colors,
+    pasted,
     pose_at,
     traced_peak,
 )
@@ -165,11 +167,12 @@ class TestAdjacencyReach:
 
 
 def _band_regions_reference(hs, colors, spec_adjacency, s, r, roi=None):
-    """Whole-frame form of detect_band_regions: per label a full-frame
-    mask, its whole-frame erosion and labeling, and adjacency distances
-    from masks rebuilt out of the region pixels."""
-    roi_mask = boxes_mask(roi, hs.width, hs.height) if roi is not None else None
-    labels_raster = classify_image_masked(colors, hs, s, roi_mask)
+    """Whole-frame form of detect_band_regions: a whole-frame ROI raster
+    and label raster, per label a full-frame mask, its whole-frame
+    erosion and labeling, and adjacency distances from masks rebuilt out
+    of the region pixels."""
+    roi_mask = inside_boxes(roi, hs.width, hs.height) if roi is not None else None
+    labels_raster = pasted(classify_image_masked(colors, hs, s, roi_mask), (hs.height, hs.width))
     regions = []
     for label in colors.labels:
         mask = labels_raster == label
@@ -403,6 +406,56 @@ class TestPixelBox:
 
 
 @st.composite
+def oriented_boxes(draw):
+    """A frame size and one to three boxes: anywhere from well inside to
+    wholly outside the frame, axis-aligned or turned, with half extents
+    from the 0.5 px floor (as stretched by expand_bounding_boxes) up."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = np.array([draw(st.floats(-30, w + 30)), draw(st.floats(-30, h + 30))])
+        if draw(st.booleans()):  # on a pixel center or halfway between two
+            center = np.round(2 * center) / 2
+        angle = draw(st.one_of(st.sampled_from([0.0, np.pi / 4, np.pi / 2]), st.floats(0, np.pi)))
+        floor = st.sampled_from([0.5, MAJOR_EXPAND * 0.5, MINOR_EXPAND * 0.5])
+        half = [draw(st.one_of(floor, st.floats(0.5, 25))) for _ in range(2)]
+        boxes.append(OrientedBox(
+            center=center,
+            axes=np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]]),
+            half_extents=np.array(half),
+        ))
+    return w, h, boxes
+
+
+class TestBoxesMask:
+    """boxes_mask rasterizes over the pixel box of all the boxes' corners
+    the pixels of the per-pixel rule, (p - c) @ axes.T within the half
+    extents."""
+
+    @given(oriented_boxes())
+    @settings(max_examples=300, deadline=None)
+    def test_window_equals_per_pixel_reference(self, case):
+        w, h, boxes = case
+        box, mask = boxes_mask(boxes, w, h)
+        x0, y0, x1, y1 = pixel_box(np.vstack([b.corners() for b in boxes]), 0.0, (0, 0), (w, h))
+        assert mask.dtype == bool
+        assert (box[1].start, box[0].start) == (x0, y0)
+        assert mask.shape == (max(y1 - y0, 0), max(x1 - x0, 0))
+        assert pasted((box, mask), (h, w)).tobytes() == inside_boxes(boxes, w, h).tobytes()
+
+    def test_box_outside_the_frame_gives_an_empty_window(self):
+        far = OrientedBox(center=np.array([-20.0, 5.0]), axes=np.eye(2),
+                          half_extents=np.array([3.0, 3.0]))
+        box, mask = boxes_mask([far], 10, 10)
+        assert mask.size == 0 and np.zeros((10, 10))[box].size == 0
+
+    def test_single_pixel_floor(self):
+        (one,) = expand_bounding_boxes([Region(pixels=np.array([[7, 9]]), label=RED)])
+        box, mask = boxes_mask([one], 20, 20)
+        assert np.argwhere(pasted((box, mask), (20, 20))).tolist() == [[9, 7]]
+
+
+@st.composite
 def pixel_sets(draw):
     """Region pixels: one pixel, a collinear run, a filled rectangle or a
     random blob in shuffled order, anywhere in a 2448 x 2048 frame."""
@@ -565,12 +618,9 @@ class TestExtractEdgePairs:
         scene, img, gt = quad_scene
         boxes, _, pass2 = _two_passes(img, small_colors, quad_spec, params)
         assert pass2
+        inside = inside_boxes(boxes, img.width, img.height)
         for reg in pass2:
-            pts = reg.pixels.astype(np.float64)
-            inside = np.zeros(len(pts), dtype=bool)
-            for box in boxes:
-                inside |= box.contains(pts)
-            assert inside.all()
+            assert inside[reg.pixels[:, 1], reg.pixels[:, 0]].all()
 
 
 def _two_passes(img, colors, spec, params):
@@ -686,24 +736,31 @@ class TestIsotropicHalo:
         assert abs(np.cos(phis[0] - angle)) < 1e-12  # perpendicular to the axis
 
 
+def _benchmark_sized_frame(depth_mm, tilt_deg):
+    """A rendered 1224x1024 frame at the benchmark's size (f = 1800 px,
+    3 mm pointer, roll 4 deg), with its pointer spec and calibrated colors."""
+    size = (1224, 1024)
+    camera = CameraModel(K=np.array([[1800.0, 0.0, 611.5], [0.0, 1800.0, 511.5], [0, 0, 1]]))
+    spec = build_spec(SKEWER_DISTANCES, SKEWER_BANDS_RG, 251.0, radius=1.5)
+    colors = make_calibrated_colors(spec, camera, size, depth_mm=450.0)
+    scene = synthetic.SceneSpec(
+        pose=pose_at(depth_mm, tilt_deg, camera, spec, roll_deg=4.0), spec=spec,
+        band_colors=BAND_RGB,
+    )
+    img, _ = synthetic.render(scene, camera, size)
+    return img, spec, colors
+
+
 class TestJunctionMemory:
-    """Peak memory of the junction images on a 1224x1024 frame, the
-    benchmark's size (f = 1800 px, 3 mm pointer), at 400 mm / 35.5 deg.
-    Measured: 13.7 bytes per crop pixel (the bool masks, dilations and
-    groups and one int32 group label per pixel), against 58 for one
-    float64 FFT over the whole crop; a crop-sized float64 array alone
-    breaks the bound."""
+    """Peak memory of the junction images on a benchmark-sized frame at
+    400 mm / 35.5 deg. Measured: 13.7 bytes per crop pixel (the bool
+    masks, dilations and groups and one int32 group label per pixel),
+    against 58 for one float64 FFT over the whole crop; a crop-sized
+    float64 array alone breaks the bound."""
 
     def test_holds_no_crop_sized_float(self):
-        size = (1224, 1024)
-        camera = CameraModel(K=np.array([[1800.0, 0.0, 611.5], [0.0, 1800.0, 511.5], [0, 0, 1]]))
-        spec = build_spec(SKEWER_DISTANCES, SKEWER_BANDS_RG, 251.0, radius=1.5)
-        colors = make_calibrated_colors(spec, camera, size, depth_mm=450.0)
-        scene = synthetic.SceneSpec(
-            pose=pose_at(400.0, 35.5, camera, spec, roll_deg=4.0), spec=spec,
-            band_colors=BAND_RGB,
-        )
-        img, _ = synthetic.render(scene, camera, size)
+        img, spec, colors = _benchmark_sized_frame(400.0, 35.5)
+        size = (img.width, img.height)
         params = DetectionParams(**FIXTURE_PARAMS)
         _, line, pass2 = _two_passes(img, colors, spec, params)
         (_, halo, _), peak = traced_peak(
@@ -711,6 +768,31 @@ class TestJunctionMemory:
         )
         assert peak <= 16 * halo.size
 
+
+class TestRegionPassMemory:
+    """Peak memory of both region passes on a benchmark-sized frame at
+    505 mm / 53.2 deg. Measured: 1.37 bytes per frame pixel for pass 1
+    (its whole-frame bool gate and one row block of it) and 0.43 for
+    pass 2; a second whole-frame raster, such as a uint8 label raster or
+    the gate held through the hue work, breaks the pass-1 bound, and a
+    whole-frame ROI raster the pass-2 bound (2.48 and 2.36 when both were
+    built)."""
+
+    def test_no_frame_sized_label_or_roi_raster(self):
+        img, spec, colors = _benchmark_sized_frame(505.0, 53.2)
+        hs = rgb_to_hue_saturation(img)
+        params = DetectionParams(**FIXTURE_PARAMS)
+        adjacency = spec.adjacent_label_pairs()
+        pass1, peak1 = traced_peak(
+            lambda: detect_band_regions(hs, colors, adjacency, params.s1, params.r1, roi=None)
+        )
+        boxes = expand_bounding_boxes(ransac_centroid_line(pass1, params)[1])
+        pass2, peak2 = traced_peak(
+            lambda: detect_band_regions(hs, colors, adjacency, params.s2, params.r2, roi=boxes)
+        )
+        assert pass1 and pass2
+        assert peak1 <= 1.5 * img.width * img.height
+        assert peak2 <= 0.75 * img.width * img.height
 
 
 def _extract_reference(regions, adjacency, params, size, fallback_axis):

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import kde_lut
+from conftest import BAND_RGB, SIZE_SMALL, inside_boxes, kde_lut, pose_at
 
-from bandpointer import detection
+from bandpointer import detection, synthetic
 from bandpointer.color_model import ColorClassSet, classify_image_masked
+from bandpointer.geometry import boxes_mask
 from bandpointer.imaging import RasterImage, rgb_to_hue_saturation
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -80,3 +81,35 @@ def test_pass_one_binds_roi_mask_explicitly(monkeypatch):
     colors = ColorClassSet(labels=(1, 2), luts=[lut, lut])
     detection.detect_band_regions(hs, colors, {frozenset((1, 2))}, 0.25, 1)
     assert len(bound) == 1 and {"hs", "s_min", "roi_mask"} <= set(bound[0])
+
+
+def test_pass_two_roi_mask_has_the_shape_of_hs(monkeypatch, quad_spec, small_camera, small_colors):
+    # the tracer counts hs.hue_valid & (hs.saturation >= s_min) & roi_mask
+    # from the two recorded arguments, so they must share a shape; the count
+    # is then the frame's gated pixels inside the pass-1 boxes
+    bound, rois = [], []
+    signature = inspect.signature(classify_image_masked)
+
+    def recording(*args, **kwargs):
+        bound.append(signature.bind(*args, **kwargs).arguments)
+        return classify_image_masked(*args, **kwargs)
+
+    def recording_boxes(boxes, width, height):
+        rois.append(boxes)
+        return boxes_mask(boxes, width, height)
+
+    monkeypatch.setattr(detection, "classify_image_masked", recording)
+    monkeypatch.setattr(detection, "boxes_mask", recording_boxes)
+    scene = synthetic.SceneSpec(
+        pose=pose_at(330.0, 30.0, small_camera, quad_spec, roll_deg=3.0), spec=quad_spec,
+        band_colors=BAND_RGB,
+    )
+    img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
+    detection.detect_pointer(img, small_colors, quad_spec, detection.DetectionParams(r1=3, r2=2))
+    assert len(bound) == 2 and len(rois) == 1
+    hs, s_min, roi_mask = (bound[1][k] for k in ("hs", "s_min", "roi_mask"))
+    assert roi_mask.shape == (hs.height, hs.width)
+    traced = np.count_nonzero(hs.hue_valid & (hs.saturation >= s_min) & roi_mask)
+    frame = rgb_to_hue_saturation(img)
+    expected = np.count_nonzero(frame.gate(s_min) & inside_boxes(rois[0], img.width, img.height))
+    assert traced == expected > 0
