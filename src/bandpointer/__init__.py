@@ -20,12 +20,7 @@ from .detection import (
     detect_pointer,
 )
 from .errors import BandPointerError
-from .imaging import (
-    DistortionModel,
-    HueSatImage,
-    RasterImage,
-    rgb_to_hue_saturation,
-)
+from .imaging import DistortionModel, RasterImage
 from .pose import (
     CameraModel,
     PointerPose,
@@ -51,7 +46,6 @@ __all__ = [
     "EdgePointPair",
     "GroundTruth",
     "Homography1D",
-    "HueSatImage",
     "PointerPose",
     "PointerSpec",
     "PoseEstimate",
@@ -67,6 +61,5 @@ __all__ = [
     "project_pointer_edges",
     "refine_pose_lm",
     "render",
-    "rgb_to_hue_saturation",
     "sweep",
 ]

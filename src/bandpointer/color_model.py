@@ -24,12 +24,7 @@ from .errors import (
     number,
     section,
 )
-from .imaging import (
-    HUE_PERIOD,
-    HueSatImage,
-    RasterImage,
-    rgb_to_hue_saturation,
-)
+from .imaging import HUE_PERIOD, RasterImage
 
 LUT_BINS = 1024
 BACKGROUND_DENSITY = 1.0 / HUE_PERIOD
@@ -115,8 +110,7 @@ def calibrate_colors(
     mask = np.asarray(mask)
     if mask.shape != (img.height, img.width):
         raise MaskMismatchError(f"mask shape {mask.shape} != image shape {img.pixels.shape[:2]}")
-    hs = rgb_to_hue_saturation(img)
-    usable = hs.gate(min_saturation)
+    usable = img.gate(min_saturation)
 
     labels = sorted(int(v) for v in np.unique(mask) if v != BACKGROUND_LABEL)
     per_class: list[tuple[np.ndarray, np.ndarray]] = []  # hues, 1 / (s v)
@@ -124,7 +118,7 @@ def calibrate_colors(
         sel = np.flatnonzero((mask == label) & usable)
         if len(sel) < MIN_CLASS_PIXELS:
             raise InsufficientCalibrationDataError(label, len(sel), MIN_CLASS_PIXELS)
-        per_class.append((hs.hue_at(sel), 1.0 / np.maximum(hs.saturation_value_at(sel), 1e-6)))
+        per_class.append((img.hue_at(sel), 1.0 / np.maximum(img.saturation_value_at(sel), 1e-6)))
 
     if len(labels) < ColorClassSet.min_classes:
         raise TooFewColorClassesError(
@@ -167,7 +161,7 @@ def classify_hue(color_set: ColorClassSet, hues: np.ndarray) -> np.ndarray:
 
 def classify_image_masked(
     color_set: ColorClassSet,
-    hs: HueSatImage,
+    hs: RasterImage,
     s_min: float,
     roi_mask: np.ndarray | None = None,
 ) -> tuple[tuple[slice, slice], np.ndarray]:

@@ -39,7 +39,6 @@ from .geometry import (
     signed_distance,
 )
 from .imaging import (
-    HueSatImage,
     RasterImage,
     Region,
     _EIGHT_CONNECTED,
@@ -123,7 +122,7 @@ class DetectionResult:
 
 
 def detect_band_regions(
-    hs: HueSatImage,
+    hs: RasterImage,
     colors: ColorClassSet,
     spec_adjacency: set[frozenset[int]],
     s: float,
@@ -135,14 +134,17 @@ def detect_band_regions(
     A region stays only if a pixel of some region of an adjacent pattern
     color lies within 2r + 5 pixels of one of its pixels, center to center
     (2r + 4 pixels between their borders). With roi, the pass classifies
-    only the window of the boxes. Erosion and labeling run in the box the
-    classifier returns: every label is 0 outside it, as beyond the frame's
-    border.
+    only the window of the boxes, a view of the frame, and finds no region
+    when the boxes lie wholly outside the frame. Erosion and labeling run
+    in the box the classifier returns: every label is 0 outside it, as
+    beyond the frame's border.
     """
     if roi is None:
         window, roi_mask = (slice(0, hs.height), slice(0, hs.width)), None
     else:
         window, roi_mask = boxes_mask(roi, hs.width, hs.height)
+        if roi_mask.size == 0:
+            return []  # the boxes lie wholly outside the frame
     box, labels = classify_image_masked(colors, hs.window(window), s, roi_mask=roi_mask)
     origin = (window[1].start + box[1].start, window[0].start + box[0].start)
 
@@ -482,7 +484,7 @@ def label_edge_pairs(
 
 def _region_pass(
     n: int,
-    hs: HueSatImage,
+    hs: RasterImage,
     colors: ColorClassSet,
     adjacency: set[frozenset[int]],
     s: float,

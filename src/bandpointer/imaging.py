@@ -19,38 +19,6 @@ from .errors import ImageFormatError, NumericError
 HUE_PERIOD = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class RasterImage:
-    """8-bit RGB frame.
-
-    A uint8 array is taken as it is. Any other array holds channels in
-    [0, 1] and is quantized once, here, to round(255 * value); a
-    non-finite or out-of-range channel raises ValueError.
-    """
-
-    pixels: np.ndarray  # (H, W, 3) uint8
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels)
-        if px.ndim != 3 or px.shape[2] != 3 or px.shape[0] < 1 or px.shape[1] < 1:
-            raise ValueError("RasterImage needs an (H, W, 3) array")
-        if px.dtype != np.uint8:
-            px = np.asarray(px, dtype=np.float64)
-            # NaN fails both comparisons
-            if not ((px >= 0.0) & (px <= 1.0)).all():
-                raise ValueError("channel values must be finite and lie in [0, 1]")
-            px = np.round(px * 255.0).astype(np.uint8)
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-
 def _key_tables() -> tuple[np.ndarray, np.ndarray]:
     """Hue validity and hexcone saturation of every 8-bit (max channel, min
     channel) pair, indexed by max << 8 | min.
@@ -86,8 +54,12 @@ def _key(px: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HueSatImage:
-    """Hexcone hue and saturation of an 8-bit RGB frame, evaluated on demand.
+class RasterImage:
+    """8-bit RGB frame, keyed for its hexcone hue and saturation on demand.
+
+    A uint8 array is taken as it is. Any other array holds channels in
+    [0, 1] and is quantized once, here, to round(255 * value); a
+    non-finite or out-of-range channel raises ValueError.
 
     A pixel's max channel << 8 | min channel is a uint16 key that fixes
     its saturation and whether its hue is defined. ``gate`` keys the frame
@@ -99,11 +71,31 @@ class HueSatImage:
     read, for inspection; the pipeline does not read them.
     """
 
-    rgb: np.ndarray  # (H, W, 3) uint8 source pixels, shared with the RasterImage
+    pixels: np.ndarray  # (H, W, 3) uint8
 
-    def window(self, box: tuple[slice, slice]) -> "HueSatImage":
-        """The same image restricted to a (rows, cols) box, as a view."""
-        return HueSatImage(rgb=self.rgb[box])
+    def __post_init__(self):
+        px = np.asarray(self.pixels)
+        if px.ndim != 3 or px.shape[2] != 3 or px.shape[0] < 1 or px.shape[1] < 1:
+            raise ValueError("RasterImage needs an (H, W, 3) array")
+        if px.dtype != np.uint8:
+            px = np.asarray(px, dtype=np.float64)
+            # NaN fails both comparisons
+            if not ((px >= 0.0) & (px <= 1.0)).all():
+                raise ValueError("channel values must be finite and lie in [0, 1]")
+            px = np.round(px * 255.0).astype(np.uint8)
+        object.__setattr__(self, "pixels", px)
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    def window(self, box: tuple[slice, slice]) -> "RasterImage":
+        """The frame restricted to a non-empty (rows, cols) box, as a view."""
+        return RasterImage(self.pixels[box])
 
     def gate(self, s_min: float) -> np.ndarray:
         """Boolean raster: hue defined and saturation >= s_min."""
@@ -112,13 +104,13 @@ class HueSatImage:
         for y in range(0, self.height, _GATE_ROWS):
             rows = slice(y, y + _GATE_ROWS)
             # keys never exceed the table; "clip" writes to out unbuffered
-            np.take(table, _key(self.rgb[rows]), out=out[rows], mode="clip")
+            np.take(table, _key(self.pixels[rows]), out=out[rows], mode="clip")
         return out
 
     def _pixels_at(self, at: np.ndarray) -> np.ndarray:
         """(N, 3) pixels at flat indices into the (H, W) raster."""
         # flat indices gather ~3x faster than a 2D boolean mask on (H, W, 3)
-        return self.rgb.reshape(-1, 3)[at]
+        return self.pixels.reshape(-1, 3)[at]
 
     def hue_at(self, at: np.ndarray) -> np.ndarray:
         """Hue of the pixels at flat indices into the (H, W) raster."""
@@ -134,28 +126,20 @@ class HueSatImage:
     @property
     def hue(self) -> np.ndarray:
         """Whole-frame hue, radians in [0, 2pi); 0 where it is undefined."""
-        return _hexcone_hue(self.rgb / 255.0, self.value, self.hue_valid)
+        return _hexcone_hue(self.pixels / 255.0, self.value, self.hue_valid)
 
     @property
     def saturation(self) -> np.ndarray:
-        return _SATURATION[_key(self.rgb)]
+        return _SATURATION[_key(self.pixels)]
 
     @property
     def hue_valid(self) -> np.ndarray:
-        return _HUE_VALID[_key(self.rgb)]
+        return _HUE_VALID[_key(self.pixels)]
 
     @property
     def value(self) -> np.ndarray:
         """Max channel in [0, 1]."""
-        return self.rgb.max(axis=2) / 255.0
-
-    @property
-    def width(self) -> int:
-        return self.rgb.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.rgb.shape[0]
+        return self.pixels.max(axis=2) / 255.0
 
 
 @dataclass(frozen=True)
@@ -207,9 +191,10 @@ def _hexcone_hue(px: np.ndarray, cmax: np.ndarray, valid: np.ndarray) -> np.ndar
     return np.where(hue >= HUE_PERIOD, 0.0, hue)
 
 
-def rgb_to_hue_saturation(img: RasterImage) -> HueSatImage:
-    """The frame's hue and saturation, keyed on demand; see ``HueSatImage``."""
-    return HueSatImage(rgb=img.pixels)
+def rgb_to_hue_saturation(img: RasterImage) -> RasterImage:
+    """The frame itself, which keys its own hue and saturation; detection
+    calls it once per frame, as the hue/saturation stage."""
+    return img
 
 
 def erode_disk(bits: np.ndarray, radius: int) -> np.ndarray:

@@ -176,13 +176,13 @@ def quad_spec():
     return build_spec(QUAD_DISTANCES, QUAD_BANDS, total_length=100.0, radius=2.0)
 
 
-def make_calibrated_colors(spec, camera, size, depth_mm=350.0):
+def make_calibrated_colors(spec, camera, size, depth_mm=350.0, blur_sigma=2.0):
     """Color model from a rendered, blurred calibration image + exact mask."""
     from bandpointer.color_model import calibrate_colors
 
     pose = pose_at(depth_mm, 5.0, camera, spec, roll_deg=3.0)
     scene = synthetic.SceneSpec(
-        pose=pose, spec=spec, band_colors=BAND_RGB, blur_sigma=2.0
+        pose=pose, spec=spec, band_colors=BAND_RGB, blur_sigma=blur_sigma
     )
     img, _ = synthetic.render(scene, camera, size)
     mask = synthetic.render_class_mask(scene, camera, size)

@@ -22,8 +22,11 @@ from conftest import (
     BAND_RGB,
     FIXTURE_PARAMS,
     SIZE_FULL,
+    SKEWER_BANDS_RG,
+    SKEWER_DISTANCES,
     build_spec,
     detection_from_pose,
+    make_calibrated_colors,
     pose_at,
 )
 
@@ -35,11 +38,13 @@ from bandpointer.association import (
     align_labels_dp,
     associate_ransac,
 )
-from bandpointer.cli import Config, evaluate_sweep, outlier_flags, write_ply
+from bandpointer.cli import Config, evaluate_sweep, outlier_flags, run_pipeline, write_ply
 from bandpointer.detection import DetectionParams, detect_pointer
 from bandpointer.errors import BandPointerError
 from bandpointer.imaging import RasterImage, erode_disk, rgb_to_hue_saturation
 from bandpointer.pose import (
+    CameraModel,
+    PointerPose,
     _direction_basis,
     _residual_model,
     estimate_pose,
@@ -59,6 +64,45 @@ def run_estimation(gt, spec, camera, noise_px=0.0, rng=None):
     alignments = align_labels_dp(labels, spec)
     hypotheses = associate_ransac(det, spec, alignments)
     return estimate_pose(det, hypotheses, camera, spec)
+
+
+SQUARE_SIDE_MM = 37.0
+SQUARE_PLANE_Z_MM = 480.0
+
+
+def square_trace_pose(k, n_frames, camera, rng):
+    """Frame k of n_frames tracing the square on the plane z = 480 mm: the
+    tip walks the perimeter while the pen leans ~40 deg across the square
+    center, so the tail stays in view. rng draws the lean, then the wobble."""
+    u = 4.0 * k / n_frames
+    edge_idx = int(u)
+    frac = u - edge_idx
+    side, half = SQUARE_SIDE_MM, SQUARE_SIDE_MM / 2.0
+    cornersquare = [
+        (-half + side * frac, -half),
+        (half, -half + side * frac),
+        (half - side * frac, half),
+        (-half, half - side * frac),
+    ]
+    sx, sy = cornersquare[edge_idx]
+    axis = camera.R.T @ np.array([0.0, 0.0, 1.0])
+    side_dir = camera.R.T @ np.array([1.0, 0.0, 0.0])
+    up_dir = camera.R.T @ np.array([0.0, 1.0, 0.0])
+    tip = camera.center + SQUARE_PLANE_Z_MM * axis + sx * side_dir + sy * up_dir
+
+    angle = np.deg2rad(40.0 + rng.normal(0.0, 3.0))
+    lean = np.array([-sx, -sy])
+    norm = np.linalg.norm(lean)
+    lean = lean / norm if norm > 1e-9 else np.array([1.0, 0.0])
+    wobble = np.deg2rad(rng.normal(0.0, 12.0))
+    cw, sw = np.cos(wobble), np.sin(wobble)
+    lean = np.array([cw * lean[0] - sw * lean[1], sw * lean[0] + cw * lean[1]])
+    d = (
+        np.cos(angle) * lean[0] * side_dir
+        + np.cos(angle) * lean[1] * up_dir
+        + np.sin(angle) * axis
+    )
+    return PointerPose(tip=tip, direction=d)
 
 
 def direction_error_deg(a, b):
@@ -423,46 +467,13 @@ class TestCriterion8SquareTracing:
     def test_square_point_cloud(self, camera_full, skewer_spec_blue):
         spec = skewer_spec_blue
         rng = np.random.default_rng(888)
-        side = 37.0
-        plane_z = 480.0
+        plane_z = SQUARE_PLANE_Z_MM
         n_frames = 200
-        axis = camera_full.R.T @ np.array([0.0, 0.0, 1.0])
-        side_dir = camera_full.R.T @ np.array([1.0, 0.0, 0.0])
-        up_dir = camera_full.R.T @ np.array([0.0, 1.0, 0.0])
 
         points = []
         frame_failures = 0
         for k in range(n_frames):
-            u = 4.0 * k / n_frames
-            edge_idx = int(u)
-            frac = u - edge_idx
-            half = side / 2.0
-            cornersquare = [
-                (-half + side * frac, -half),
-                (half, -half + side * frac),
-                (half - side * frac, half),
-                (-half, half - side * frac),
-            ]
-            sx, sy = cornersquare[edge_idx]
-            tip = camera_full.center + plane_z * axis + sx * side_dir + sy * up_dir
-
-            # pen held at ~40 degrees, leaning across the square center so
-            # the tail stays inside the field of view
-            angle = np.deg2rad(40.0 + rng.normal(0.0, 3.0))
-            lean = np.array([-sx, -sy])
-            norm = np.linalg.norm(lean)
-            lean = lean / norm if norm > 1e-9 else np.array([1.0, 0.0])
-            wobble = np.deg2rad(rng.normal(0.0, 12.0))
-            cw, sw = np.cos(wobble), np.sin(wobble)
-            lean = np.array([cw * lean[0] - sw * lean[1], sw * lean[0] + cw * lean[1]])
-            d = (
-                np.cos(angle) * lean[0] * side_dir
-                + np.cos(angle) * lean[1] * up_dir
-                + np.sin(angle) * axis
-            )
-            from bandpointer.pose import PointerPose
-
-            pose = PointerPose(tip=tip, direction=d)
+            pose = square_trace_pose(k, n_frames, camera_full, rng)
             scene = synthetic.SceneSpec(
                 pose=pose, spec=spec, band_colors=BAND_RGB
             )
@@ -500,6 +511,62 @@ class TestCriterion8SquareTracing:
         )
         assert within >= 0.90
         assert gross < 0.10
+
+
+class TestSquareProbeRenderedFrames:
+    """Criterion 8's square trace through the whole pipeline: 40 rendered
+    frames on the benchmark's binned camera (1224 x 1024, f = 1800 px),
+    3 mm RG pointer, 0.75 px blur, colors calibrated on the benchmark's
+    calibration view (450 mm, 5 deg, roll 3, 1 px blur). Each frame runs
+    the `track` path, `run_pipeline`, and the posed tips go through
+    `outlier_flags`. Measured: 0 failures, 1 tip flagged, 20/40 tips within
+    5 mm of the plane, tip error p50 5.24 mm and p90 36.89 mm with 15 tips
+    over 10 mm, plane-fit RMS 13.53 mm; the bounds sit just outside, for a
+    front-end accuracy fix to tighten."""
+
+    def test_square_probe(self):
+        size = (1224, 1024)
+        camera = CameraModel(K=np.array([[1800.0, 0.0, 611.5], [0.0, 1800.0, 511.5], [0, 0, 1]]))
+        spec = build_spec(SKEWER_DISTANCES, SKEWER_BANDS_RG, 251.0, radius=1.5)
+        colors = make_calibrated_colors(spec, camera, size, depth_mm=450.0, blur_sigma=1.0)
+        config = Config(
+            camera=camera, image_size=size, pointer=spec,
+            detection=DetectionParams(**FIXTURE_PARAMS), color_names={"red": 1, "green": 2},
+        )
+        rng = np.random.default_rng(888)
+        n_frames = 40
+        tips, truth, failures = [], [], 0
+        for k in range(n_frames):
+            pose = square_trace_pose(k, n_frames, camera, rng)
+            scene = synthetic.SceneSpec(
+                pose=pose, spec=spec, band_colors=BAND_RGB, blur_sigma=0.75
+            )
+            img, _ = synthetic.render(scene, camera, size)
+            try:
+                tips.append(run_pipeline(img, colors, config).pose.tip)
+            except BandPointerError:
+                failures += 1
+                continue
+            truth.append(pose.tip)
+
+        tips = np.array(tips)
+        err = np.linalg.norm(tips - np.array(truth), axis=1)
+        flags = outlier_flags(tips)
+        within = int(np.sum(np.abs(tips[:, 2] - SQUARE_PLANE_Z_MM) < 5.0))
+        p50, p90 = np.percentile(err, [50, 90])
+        off = int(np.sum(err > 10.0))
+        kept = tips[~flags] - tips[~flags].mean(axis=0)
+        normal = np.linalg.svd(kept)[2][-1]
+        plane_rms = float(np.sqrt(np.mean((kept @ normal) ** 2)))
+        print(
+            f"\nSQUARE PROBE rendered: {failures} failures, {int(flags.sum())} flagged; "
+            f"{within}/{len(tips)} tips within 5 mm of the plane; tip p50 {p50:.2f} mm, "
+            f"p90 {p90:.2f} mm, {off} over 10 mm; plane-fit RMS {plane_rms:.2f} mm"
+        )
+        assert failures + int(flags.sum()) <= 2
+        assert within >= 19
+        assert p50 <= 5.5 and p90 <= 40.0 and off <= 16
+        assert plane_rms <= 14.5
 
 
 class TestCriterion9InvariantSuites:

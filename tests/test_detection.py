@@ -136,6 +136,19 @@ class TestDetectBandRegions:
         )
         assert regions == []
 
+    @pytest.mark.parametrize("center", [(-20.0, -20.0), (120.0, 30.0), (40.0, 90.0)],
+                             ids=["above-left", "right", "below"])
+    def test_roi_wholly_outside_frame_finds_nothing(self, rg_colors, center):
+        # the boxes' window is empty, so nothing is classified
+        px = np.full((64, 96, 3), 0.45)
+        px[26:38, 8:48] = BAND_RGB[RED]
+        px[26:38, 48:88] = BAND_RGB[GREEN]
+        outside = [OrientedBox(
+            center=np.array(center), axes=np.eye(2), half_extents=np.array([6.0, 6.0]),
+        )]
+        assert boxes_mask(outside, 96, 64)[1].size == 0
+        assert detect_band_regions(hs_of(px), rg_colors, ADJ_RG, 0.25, 2, roi=outside) == []
+
 
 class TestAdjacencyReach:
     """Eroded regions of adjacent colors are kept up to 2r + 5 px apart,

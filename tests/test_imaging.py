@@ -218,9 +218,15 @@ class TestSaturationGate:
         hs = rgb_to_hue_saturation(RasterImage(rng.integers(0, 256, (9, 7, 3), dtype=np.uint8)))
         box = (slice(2, 8), slice(1, 4))
         window = hs.window(box)
+        # a view: pass 2 never copies the frame
+        assert np.shares_memory(window.pixels, hs.pixels)
         assert np.array_equal(window.gate(0.3), hs.gate(0.3)[box])
         mask = window.gate(0.3)
-        assert np.array_equal(window.hue_at(np.flatnonzero(mask)), hs.hue[box][mask])
+        at = np.flatnonzero(mask)
+        assert np.array_equal(window.hue_at(at), hs.hue[box][mask])
+        rows, cols = np.nonzero(mask)
+        in_frame = np.ravel_multi_index((rows + box[0].start, cols + box[1].start), (9, 7))
+        assert window.saturation_value_at(at).tobytes() == hs.saturation_value_at(in_frame).tobytes()
 
 
 def _brute_force_erode(bits: np.ndarray, radius: int) -> np.ndarray:
