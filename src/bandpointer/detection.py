@@ -8,6 +8,7 @@ kernel and reduced to sub-pixel contour point pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import ClassVar, Optional
 
@@ -133,18 +134,19 @@ def detect_band_regions(
 
     A region stays only if a pixel of some region of an adjacent pattern
     color lies within 2r + 5 pixels of one of its pixels, center to center
-    (2r + 4 pixels between their borders). With roi, the pass classifies
-    only the window of the boxes, a view of the frame, and finds no region
-    when the boxes lie wholly outside the frame. Erosion and labeling run
+    (2r + 4 pixels between their borders). The pass classifies only a
+    window, a view of the frame, and finds no region when it is empty.
+    With roi, the window is the boxes'. Without, it is _lattice_window's,
+    which holds every disk the erosion can keep. Erosion and labeling run
     in the box the classifier returns: every label is 0 outside it, as
     beyond the frame's border.
     """
     if roi is None:
-        window, roi_mask = (slice(0, hs.height), slice(0, hs.width)), None
+        window, roi_mask = _lattice_window(hs, s, r), None
     else:
         window, roi_mask = boxes_mask(roi, hs.width, hs.height)
-        if roi_mask.size == 0:
-            return []  # the boxes lie wholly outside the frame
+    if window[0].start >= window[0].stop or window[1].start >= window[1].stop:
+        return []  # no lattice pixel passes the gate, or the boxes miss the frame
     box, labels = classify_image_masked(colors, hs.window(window), s, roi_mask=roi_mask)
     origin = (window[1].start + box[1].start, window[0].start + box[0].start)
 
@@ -171,6 +173,24 @@ def detect_band_regions(
         )
 
     return [reg for reg in regions if near_adjacent_color(reg)]
+
+
+def _lattice_window(hs: RasterImage, s: float, r: int) -> tuple[slice, slice]:
+    """(rows, cols) box, clipped to the frame, of the gated pixels of the
+    lattice with step k = 2a + 1, a = floor(r / sqrt 2), padded by 2r.
+
+    An r-disk the erosion keeps is all gated, and it holds the (2a + 1)-
+    square around its center, so a lattice pixel within a of the center;
+    the disk then lies within a + r <= 2r of that pixel. The box is empty
+    when no lattice pixel passes the gate."""
+    k = 2 * math.isqrt(r * r // 2) + 1
+    ys, xs = np.nonzero(hs.window((slice(0, None, k),) * 2).gate(s))
+    if len(xs) == 0:
+        return slice(0, 0), slice(0, 0)
+    x0, y0, x1, y1 = pixel_box(
+        np.column_stack([xs, ys]) * k, 2 * r, (0, 0), (hs.width, hs.height)
+    )
+    return slice(y0, y1), slice(x0, x1)
 
 
 # distances computed per block of lines: keeps each (lines, pixels)
@@ -324,18 +344,52 @@ def _junction_images(
 
 def _halo_groups(halo: np.ndarray, half: int):
     """Each group of halo pixels that a (2 half + 1)-square kernel sums
-    together, as (box, pixels): the box of an 8-connected component of the
-    halo dilated by that square, and the halo pixels of the component,
-    over the box.
+    together, as (box, pixels): the box of the group's pixels grown by
+    half and clipped to the halo, and the group's pixels over the box.
 
-    Two halo pixels add to one output pixel only if they lie within
-    2 half of each other; their squares then overlap, so the pixels are in
-    one group, and every output pixel within the kernel's reach of a group
-    lies in its box."""
-    reach = ndimage.maximum_filter(halo, size=2 * half + 1, mode="constant", cval=False)
-    labeled, _ = ndimage.label(reach, structure=_EIGHT_CONNECTED)
-    for idx, box in enumerate(ndimage.find_objects(labeled), start=1):
-        yield box, halo[box] & (labeled[box] == idx)
+    Two halo pixels add to one output pixel only if they lie within 2 half
+    of each other, so a group joins pixels within Chebyshev distance
+    2 half + 1: the 8-connected components of the halo dilated by the
+    square, found from the pixels' row runs instead of a crop-sized
+    dilation and labeling. Every output pixel within the kernel's reach
+    of a group lies in its box."""
+    reach = 2 * half + 1
+    ys, xs = np.nonzero(halo)
+    if len(ys) == 0:
+        return
+    start = np.flatnonzero(np.r_[True, (np.diff(ys) != 0) | (np.diff(xs) != 1)])
+    end = np.r_[start[1:], len(ys)]
+    row, first, last = ys[start], xs[start], xs[end - 1]
+    # each run against every later run within reach rows; join those within
+    # reach columns
+    n = len(start)
+    later = np.searchsorted(row, row + reach, side="right") - np.arange(1, n + 1)
+    i = np.repeat(np.arange(n), later)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later) + i + 1
+    near = (first[j] - last[i] <= reach) & (first[i] - last[j] <= reach)
+    i, j = i[near], j[near]
+    # union-find: hook each joined pair's roots to the lower one, then jump;
+    # at the fixed point both ends of every pair share a root
+    root = np.arange(n)
+    while True:
+        low = np.minimum(root[i], root[j])
+        hooked = root.copy()
+        np.minimum.at(hooked, root[i], low)
+        np.minimum.at(hooked, root[j], low)
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    group = np.repeat(root, end - start)
+    by_group = np.argsort(group, kind="stable")
+    for members in np.split(by_group, np.flatnonzero(np.diff(group[by_group])) + 1):
+        gy, gx = ys[members], xs[members]
+        y0, x0 = max(gy[0] - half, 0), max(gx.min() - half, 0)
+        y1 = min(gy[-1] + half + 1, halo.shape[0])
+        x1 = min(gx.max() + half + 1, halo.shape[1])
+        pixels = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+        pixels[gy - y0, gx - x0] = True
+        yield (slice(y0, y1), slice(x0, x1)), pixels
 
 
 def _refine_subpixel(combined: np.ndarray, px: int, py: int) -> np.ndarray:

@@ -53,7 +53,7 @@ def _key(px: np.ndarray) -> np.ndarray:
     return (cmax.astype(np.uint16) << 8) | cmin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RasterImage:
     """8-bit RGB frame, keyed for its hexcone hue and saturation on demand.
 
@@ -68,7 +68,8 @@ class RasterImage:
     ``saturation_value_at`` key and convert to float64 only the pixels at
     the flat indices they are given. The whole-frame ``hue``,
     ``saturation``, ``hue_valid`` and ``value`` rasters are built when
-    read, for inspection; the pipeline does not read them.
+    read, for inspection; the pipeline does not read them. Frames compare
+    and hash by identity.
     """
 
     pixels: np.ndarray  # (H, W, 3) uint8
@@ -108,9 +109,12 @@ class RasterImage:
         return out
 
     def _pixels_at(self, at: np.ndarray) -> np.ndarray:
-        """(N, 3) pixels at flat indices into the (H, W) raster."""
-        # flat indices gather ~3x faster than a 2D boolean mask on (H, W, 3)
-        return self.pixels.reshape(-1, 3)[at]
+        """(N, 3) pixels at flat indices into the (H, W) raster.
+
+        Row and column indices gather from a window, a strided view of
+        the frame, without copying it first, as a flat reshape would."""
+        rows, cols = np.divmod(at, self.width)
+        return self.pixels[rows, cols]
 
     def hue_at(self, at: np.ndarray) -> np.ndarray:
         """Hue of the pixels at flat indices into the (H, W) raster."""

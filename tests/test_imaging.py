@@ -60,6 +60,12 @@ class TestRasterImage:
         with pytest.raises(ValueError, match="H, W, 3"):
             RasterImage(np.zeros(shape, dtype=np.uint8))
 
+    def test_frames_compare_and_hash_by_identity(self):
+        px = np.zeros((2, 2, 3), dtype=np.uint8)
+        a, b = RasterImage(px), RasterImage(px.copy())
+        assert a == a and a != b and not (a == RasterImage(px))
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
 
 class TestHueSaturation:
     def test_pure_red_is_hue_origin(self):
@@ -227,6 +233,34 @@ class TestSaturationGate:
         rows, cols = np.nonzero(mask)
         in_frame = np.ravel_multi_index((rows + box[0].start, cols + box[1].start), (9, 7))
         assert window.saturation_value_at(at).tobytes() == hs.saturation_value_at(in_frame).tobytes()
+
+
+class TestWindowGather:
+    """hue_at and saturation_value_at gather a window's pixels by row and
+    column, so a strided view of the frame is never copied whole."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        rng = np.random.default_rng(11)
+        return RasterImage(rng.integers(0, 256, (1024, 1224, 3), dtype=np.uint8))
+
+    def test_window_gather_equals_contiguous_copy(self, frame):
+        box = (slice(100, 900), slice(50, 1150))
+        window = frame.window(box)
+        copy = RasterImage(np.ascontiguousarray(frame.pixels[box]))
+        at = np.sort(np.random.default_rng(1).choice(800 * 1100, 5000, replace=False))
+        assert window.hue_at(at).tobytes() == copy.hue_at(at).tobytes()
+        assert window.saturation_value_at(at).tobytes() == copy.saturation_value_at(at).tobytes()
+
+    def test_peak_is_per_gathered_pixel(self, frame):
+        # measured: ~83 bytes per gathered pixel for the hue, ~26 for
+        # saturation times value, plus a few kB; a copy of this 800 x 1100
+        # window first would add 2.6 MB
+        window = frame.window((slice(100, 900), slice(50, 1150)))
+        at = np.sort(np.random.default_rng(2).choice(800 * 1100, 2000, replace=False))
+        for gather in (window.hue_at, window.saturation_value_at):
+            _, peak = traced_peak(lambda: gather(at))
+            assert peak <= 96 * len(at) + 8192
 
 
 def _brute_force_erode(bits: np.ndarray, radius: int) -> np.ndarray:
