@@ -14,6 +14,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import coo_matrix, csgraph
 from scipy.spatial import cKDTree
 
 from .color_model import ColorClassSet, classify_image_masked
@@ -296,16 +297,18 @@ def _junction_images(
     params: DetectionParams,
     image_size: tuple[int, int],
     fallback_axis: Line2D,
-) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The crop's (x, y) origin in the frame, the halo I_b1 and the
-    orientation-filtered halo I_b2, both over the crop.
+    orientation-filtered halo I_b2, both over the crop, and the halo's
+    pixel rows and columns in scan order.
 
     I_b1 holds the pixels within distance edge_halo of two adjacent band
     colors' region pixels; each color's disk dilation is exact integer
-    work, with no distance transform. I_b2 is filtered one group of
-    nearby halo pixels at a time, over the group's box (_halo_groups):
-    that equals the filter over the whole crop but for FFT round-off,
-    without a crop-sized float array or spectrum."""
+    work, with no distance transform. Its pixel list is found once and
+    gives the orientation, the groups and, in extract_edge_pairs, I_b3.
+    I_b2 is filtered one group of nearby halo pixels at a time, over the
+    group's box (_halo_groups): that equals the filter over the whole crop
+    but for FFT round-off, without a crop-sized float array or spectrum."""
     e = params.edge_halo
     margin = e + int(np.ceil(3.0 * e)) + 2  # the halo and the kernel's half width
     # crop covering all region pixels plus the margin, clipped to the frame
@@ -321,10 +324,10 @@ def _junction_images(
         a, b = tuple(pair)
         if a in near and b in near:
             halo |= near[a] & near[b]
-    if not halo.any():
+    ys, xs = np.nonzero(halo)
+    if len(ys) == 0:
         raise NoEdgesError("no pixels near two adjacent band colors")
 
-    ys, xs = np.nonzero(halo)
     pts = np.column_stack([xs, ys]).astype(np.float64)
     evals, evecs = principal_axes(pts)
     anisotropic = evals[0] > 0 and (evals[0] - evals[1]) > 0.01 * evals[0]
@@ -337,24 +340,25 @@ def _junction_images(
 
     kernel = _orientation_kernel(phi, e)
     filtered = np.zeros_like(halo)
-    for box, group in _halo_groups(halo, kernel.shape[0] // 2):
+    for box, group in _halo_groups(ys, xs, halo.shape, kernel.shape[0] // 2):
         filtered[box] |= convolve_unit_sum(group, kernel) >= BINARIZE_THRESHOLD
-    return (x0, y0), halo, filtered
+    return (x0, y0), halo, filtered, ys, xs
 
 
-def _halo_groups(halo: np.ndarray, half: int):
-    """Each group of halo pixels that a (2 half + 1)-square kernel sums
-    together, as (box, pixels): the box of the group's pixels grown by
-    half and clipped to the halo, and the group's pixels over the box.
+def _halo_groups(ys: np.ndarray, xs: np.ndarray, shape: tuple[int, int], half: int):
+    """Each group of halo pixels (ys, xs, in scan order, over a raster of
+    shape) that a (2 half + 1)-square kernel sums together, as (box,
+    pixels): the box of the group's pixels grown by half and clipped to the
+    raster, and the group's pixels over the box.
 
     Two halo pixels add to one output pixel only if they lie within 2 half
     of each other, so a group joins pixels within Chebyshev distance
     2 half + 1: the 8-connected components of the halo dilated by the
-    square, found from the pixels' row runs instead of a crop-sized
+    square, found as the graph components of the pixels' row runs, two
+    runs joined where they come that close, instead of a crop-sized
     dilation and labeling. Every output pixel within the kernel's reach
     of a group lies in its box."""
     reach = 2 * half + 1
-    ys, xs = np.nonzero(halo)
     if len(ys) == 0:
         return
     start = np.flatnonzero(np.r_[True, (np.diff(ys) != 0) | (np.diff(xs) != 1)])
@@ -368,25 +372,14 @@ def _halo_groups(halo: np.ndarray, half: int):
     j = np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later) + i + 1
     near = (first[j] - last[i] <= reach) & (first[i] - last[j] <= reach)
     i, j = i[near], j[near]
-    # union-find: hook each joined pair's roots to the lower one, then jump;
-    # at the fixed point both ends of every pair share a root
-    root = np.arange(n)
-    while True:
-        low = np.minimum(root[i], root[j])
-        hooked = root.copy()
-        np.minimum.at(hooked, root[i], low)
-        np.minimum.at(hooked, root[j], low)
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, root):
-            break
-        root = hooked
-    group = np.repeat(root, end - start)
+    joined = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    group = np.repeat(csgraph.connected_components(joined, directed=False)[1], end - start)
     by_group = np.argsort(group, kind="stable")
     for members in np.split(by_group, np.flatnonzero(np.diff(group[by_group])) + 1):
         gy, gx = ys[members], xs[members]
         y0, x0 = max(gy[0] - half, 0), max(gx.min() - half, 0)
-        y1 = min(gy[-1] + half + 1, halo.shape[0])
-        x1 = min(gx.max() + half + 1, halo.shape[1])
+        y1 = min(gy[-1] + half + 1, shape[0])
+        x1 = min(gx.max() + half + 1, shape[1])
         pixels = np.zeros((y1 - y0, x1 - x0), dtype=bool)
         pixels[gy - y0, gx - x0] = True
         yield (slice(y0, y1), slice(x0, x1)), pixels
@@ -428,11 +421,12 @@ def extract_edge_pairs(
     L1, or with an outlying separation are rejected; the rest, in axis
     order, are what label_edge_pairs takes.
     """
-    origin, halo, filtered = _junction_images(
+    origin, halo, filtered, ys, xs = _junction_images(
         regions, spec_adjacency, params, image_size, fallback_axis
     )
+    on = filtered[ys, xs]  # I_b3, in the halo's scan order
+    ys, xs = ys[on], xs[on]
     combined = halo & filtered
-    ys, xs = np.nonzero(combined)
     if len(xs) == 0:
         raise NoEdgesError("junction filter response below threshold everywhere")
     if len(xs) < 2:

@@ -17,8 +17,6 @@ from conftest import (
     GREEN,
     RED,
     SIZE_SMALL,
-    build_spec,
-    make_calibrated_colors,
     pasted,
     pose_at,
 )
@@ -55,7 +53,7 @@ from bandpointer.imaging import (
     save_pgm,
     save_ppm,
 )
-from bandpointer.pose import CameraModel, PoseEstimate
+from bandpointer.pose import PoseEstimate
 
 
 def make_config_dict():
@@ -85,34 +83,17 @@ def make_config_dict():
 
 
 @pytest.fixture(scope="module")
-def cli_spec():
-    return build_spec([25.0, 55.0, 78.0], [RED, GREEN, RED, GREEN], 100.0, radius=2.0)
-
-
-@pytest.fixture(scope="module")
-def cli_camera():
-    return CameraModel(
-        K=np.array([[1000.0, 0, 305.5], [0, 1000.0, 255.5], [0, 0, 1.0]])
-    )
-
-
-@pytest.fixture(scope="module")
-def cli_colors(cli_spec, cli_camera):
-    return make_calibrated_colors(cli_spec, cli_camera, SIZE_SMALL)
-
-
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory, cli_spec, cli_camera, cli_colors):
+def workspace(tmp_path_factory, quad_spec, small_camera, small_colors):
     """Config, color model and a rendered probe frame on disk."""
     root = tmp_path_factory.mktemp("cli")
     config_path = root / "config.json"
     config_path.write_text(json.dumps(make_config_dict()))
     colors_path = root / "colors.json"
-    save_color_model(cli_colors, colors_path)
+    save_color_model(small_colors, colors_path)
 
-    pose = pose_at(330.0, 8.0, cli_camera, cli_spec, roll_deg=4.0)
-    scene = synthetic.SceneSpec(pose=pose, spec=cli_spec, band_colors=BAND_RGB)
-    img, gt = synthetic.render(scene, cli_camera, SIZE_SMALL)
+    pose = pose_at(330.0, 8.0, small_camera, quad_spec, roll_deg=4.0)
+    scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB)
+    img, gt = synthetic.render(scene, small_camera, SIZE_SMALL)
     frame_path = root / "frame.ppm"
     save_ppm(img, frame_path)
     return {
@@ -688,7 +669,7 @@ class TestConfigValidation:
 
 
 class TestDocumentMutations:
-    def test_every_mutation_loads_or_is_named(self, cli_colors):
+    def test_every_mutation_loads_or_is_named(self, small_colors):
         # every section, list entry and leaf of the config, the color model
         # (first 3 entries of a list) and the sweep spec, replaced or
         # deleted one at a time
@@ -696,7 +677,7 @@ class TestDocumentMutations:
                  "noise_px": 0.5, "seed": 1, "roll_deg": 4.0}
         docs = [
             (make_config_dict(), None, Config.from_dict, CONFIG_CROSS_REFS),
-            (serialize_color_set(cli_colors), 3, deserialize_color_set, None),
+            (serialize_color_set(small_colors), 3, deserialize_color_set, None),
             (sweep, None, cli.SWEEP_FIELDS, None),
         ]
         outcomes = []
@@ -755,9 +736,9 @@ def _calibration_frame(spec, camera):
 
 class TestCalibrateCommand:
     def test_calibrate_writes_model(
-        self, workspace, cli_spec, cli_camera, capsys, tmp_path
+        self, workspace, quad_spec, small_camera, capsys, tmp_path
     ):
-        img, mask = _calibration_frame(cli_spec, cli_camera)
+        img, mask = _calibration_frame(quad_spec, small_camera)
         img_path = tmp_path / "cal.ppm"
         mask_path = tmp_path / "cal_mask.pgm"
         out_path = tmp_path / "model.json"
@@ -781,8 +762,8 @@ class TestCalibrateCommand:
             f"color model written to {out_path}",
         ]
 
-    def test_model_round_trips_through_json(self, cli_spec, cli_camera, tmp_path):
-        img, mask = _calibration_frame(cli_spec, cli_camera)
+    def test_model_round_trips_through_json(self, quad_spec, small_camera, tmp_path):
+        img, mask = _calibration_frame(quad_spec, small_camera)
         model = calibrate_colors(img, mask, min_saturation=0.12)
         save_color_model(model, tmp_path / "model.json")
         loaded = load_color_model(tmp_path / "model.json")
@@ -899,22 +880,22 @@ class TestProbeCommand:
         assert capsys.readouterr().out == ""
 
     def test_probe_two_visible_edges_insufficient(
-        self, workspace, cli_spec, cli_camera, tmp_path, capsys
+        self, workspace, quad_spec, small_camera, tmp_path, capsys
     ):
         # occlude the first junction; two junctions stay visible, below
         # the three-correspondence minimum
         scene = workspace["scene"]
-        gt = synthetic.ground_truth(scene, cli_camera, SIZE_SMALL)
+        gt = synthetic.ground_truth(scene, small_camera, SIZE_SMALL)
         e0 = gt.edges[0]
         lo = np.minimum(e0.p_a, e0.p_b) - 12
         hi = np.maximum(e0.p_a, e0.p_b) + 12
         occluded = synthetic.SceneSpec(
             pose=scene.pose,
-            spec=cli_spec,
+            spec=quad_spec,
             band_colors=BAND_RGB,
             occluders=(synthetic.Occluder(lo[0], lo[1], hi[0], hi[1]),),
         )
-        img, _ = synthetic.render(occluded, cli_camera, SIZE_SMALL)
+        img, _ = synthetic.render(occluded, small_camera, SIZE_SMALL)
         path = tmp_path / "occluded.ppm"
         save_ppm(img, path)
         code = main([
@@ -1088,30 +1069,30 @@ class TestPipelineRobustness:
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    def test_pose_or_typed_error(self, workspace, cli_colors, kind, seed):
+    def test_pose_or_typed_error(self, workspace, small_colors, kind, seed):
         frame = load_image(workspace["frame"]).pixels / 255.0
         img = RasterImage(_frame_of_kind(kind, np.random.default_rng(seed), frame))
         config = Config.from_dict(make_config_dict())
         try:
-            estimate = run_pipeline(img, cli_colors, config)
+            estimate = run_pipeline(img, small_colors, config)
         except BandPointerError:
             return
         assert isinstance(estimate, PoseEstimate)
         assert np.all(np.isfinite(estimate.pose.tip))
         assert abs(np.linalg.norm(estimate.pose.direction) - 1.0) < 1e-9
 
-    def test_single_junction_pixel_is_pointer_not_found(self, cli_colors, tmp_path, capsys):
+    def test_single_junction_pixel_is_pointer_not_found(self, small_colors, tmp_path, capsys):
         # a banded bar whose junction filter keeps one pixel: no line fits
         px = _frame_of_kind("bands", np.random.default_rng(1748), None)
         data = make_config_dict()
         data["camera"]["image_size_px"] = [px.shape[1], px.shape[0]]
         config = Config.from_dict(data)
         with pytest.raises(NoEdgesError, match="one junction pixel"):
-            run_pipeline(RasterImage(px), cli_colors, config)
+            run_pipeline(RasterImage(px), small_colors, config)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
         colors_path = tmp_path / "colors.json"
-        save_color_model(cli_colors, colors_path)
+        save_color_model(small_colors, colors_path)
         save_ppm(RasterImage(px), tmp_path / "bar.ppm")
         code = main([
             "--config", str(config_path),

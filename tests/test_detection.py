@@ -650,8 +650,12 @@ class TestExtractEdgePairs:
         adj = quad_spec.adjacent_label_pairs()
         regions = detect_band_regions(hs, small_colors, adj, params.s2, params.r2)
         line, surviving = ransac_centroid_line(regions, params)
-        (x0, y0), halo, filtered = _junction_images(surviving, adj, params, SIZE_SMALL, line)
+        (x0, y0), halo, filtered, ys, xs = _junction_images(
+            surviving, adj, params, SIZE_SMALL, line
+        )
         assert halo.shape == filtered.shape
+        # the halo's pixel list, in scan order
+        assert all(map(np.array_equal, (ys, xs), np.nonzero(halo)))
         h, w = halo.shape
         assert 0 <= x0 and x0 + w <= SIZE_SMALL[0] and 0 <= y0 and y0 + h <= SIZE_SMALL[1]
         # every region pixel lies in the crop
@@ -712,6 +716,48 @@ def _frame_junction_images(img, colors, spec, params, monkeypatch):
     return out, kernel
 
 
+def _halo_groups_reference(halo, half):
+    """Halo groups by crop-wide dilation and labeling: each 8-connected
+    component of the halo dilated by the (2 half + 1)-square, as its box
+    and its halo pixels over the box."""
+    dilated = ndimage.maximum_filter(halo, size=2 * half + 1, mode="constant", cval=False)
+    labeled, _ = ndimage.label(dilated, structure=np.ones((3, 3), dtype=int))
+    for idx, box in enumerate(ndimage.find_objects(labeled), start=1):
+        yield box, halo[box] & (labeled[box] == idx)
+
+
+def _group_sets(groups):
+    """(box, pixels) groups as a set of (box bounds, frame pixel set)."""
+    out = set()
+    for (rows, cols), pixels in groups:
+        ys, xs = np.nonzero(pixels)
+        bounds = (rows.start, rows.stop, cols.start, cols.stop)
+        out.add((bounds, frozenset(zip(ys + rows.start, xs + cols.start))))
+    return out
+
+
+@st.composite
+def _random_halos(draw):
+    """Sparse random halos, some with pixels along the crop border and some
+    with a diagonal chain of small blobs one step either side of joining
+    for the drawn kernel half widths."""
+    shape = (draw(st.integers(1, 48)), draw(st.integers(1, 48)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    halo = rng.random(shape) < draw(st.sampled_from([0.0, 0.005, 0.02, 0.1]))
+    if draw(st.booleans()):
+        for edge in (halo[0], halo[-1], halo[:, 0], halo[:, -1]):
+            edge |= rng.random(edge.shape) < 0.2
+    if draw(st.booleans()):
+        step = draw(st.integers(1, 11))  # 2 half + 1 and 2 half + 2 for half 0-4
+        y, x = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+        sy, sx = draw(st.sampled_from([(1, 1), (1, -1), (1, 0), (0, 1)]))
+        size = draw(st.integers(1, 3))
+        while 0 <= y < shape[0] and 0 <= x < shape[1]:
+            halo[y:y + size, x:x + size] = True
+            y, x = y + sy * (step + size - 1), x + sx * (step + size - 1)
+    return halo
+
+
 class TestGroupedOrientationFilter:
     """I_b2 is filtered one group of nearby halo pixels at a time; it must
     equal the filter over the whole crop."""
@@ -732,13 +778,13 @@ class TestGroupedOrientationFilter:
             pose=pose, spec=quad_spec, band_colors=BAND_RGB, blur_sigma=blur
         )
         img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
-        ((x0, _), halo, filtered), kernel = _frame_junction_images(
+        ((x0, _), halo, filtered, ys, xs), kernel = _frame_junction_images(
             img, small_colors, quad_spec, params, monkeypatch
         )
         whole = convolve_unit_sum(halo, kernel) >= BINARIZE_THRESHOLD
         assert np.array_equal(filtered, whole)
         half = kernel.shape[0] // 2
-        groups = len(list(_halo_groups(halo, half)))
+        groups = len(list(_halo_groups(ys, xs, halo.shape, half)))
         if angle_deg >= 60.0:
             # foreshortened junctions lie within the kernel's reach of each other
             assert groups < len(connected_components(halo))
@@ -760,12 +806,22 @@ class TestGroupedOrientationFilter:
         kernel = _orientation_kernel(phi, sigma_d)
         summed = np.zeros(halo.shape)
         covered = np.zeros_like(halo)
-        for box, group in _halo_groups(halo, kernel.shape[0] // 2):
+        for box, group in _halo_groups(*np.nonzero(halo), halo.shape, kernel.shape[0] // 2):
             assert not (covered[box] & group).any()
             covered[box] |= group
             summed[box] += convolve_unit_sum(group, kernel)
         assert np.array_equal(covered, halo)
         np.testing.assert_allclose(summed, convolve_unit_sum(halo, kernel), rtol=0, atol=1e-12)
+
+    @given(_random_halos(), st.integers(0, 4))
+    @example(np.zeros((7, 9), dtype=bool), 2)
+    @example(np.eye(6, dtype=bool), 0)
+    @settings(max_examples=200, deadline=None)
+    def test_groups_equal_the_dilated_components(self, halo, half):
+        # a coarser or finer grouping still partitions the halo, but moves
+        # the FFT boxes and so the round-off of I_b2
+        got = _halo_groups(*np.nonzero(halo), halo.shape, half)
+        assert _group_sets(got) == _group_sets(_halo_groups_reference(halo, half))
 
 
 class TestIsotropicHalo:
@@ -789,7 +845,7 @@ class TestIsotropicHalo:
 
         monkeypatch.setattr(detection, "_orientation_kernel", recorded_kernel)
         axis = Line2D(np.zeros(2), np.array([np.cos(angle), np.sin(angle)]))
-        _, halo, _ = _junction_images(regions, ADJ_RG, params, (50, 50), axis)
+        _, halo, *_ = _junction_images(regions, ADJ_RG, params, (50, 50), axis)
         evals, _ = principal_axes(np.argwhere(halo).astype(np.float64))
         assert evals[0] - evals[1] <= 0.01 * evals[0]  # the isotropic branch
         across = np.arctan2(axis.direction[1], axis.direction[0]) + np.pi / 2.0
@@ -841,20 +897,21 @@ class TestPassOneLatticeOnRenderedFrames:
 
 class TestJunctionMemory:
     """Peak memory of the junction images on a benchmark-sized frame at
-    400 mm / 35.5 deg. Measured: 13.7 bytes per crop pixel (the bool
-    masks, dilations and groups and one int32 group label per pixel),
-    against 58 for one float64 FFT over the whole crop; a crop-sized
-    float64 array alone breaks the bound."""
+    400 mm / 35.5 deg. Measured: 10.3 bytes per crop pixel (6.9 for the
+    bool masks, their disk dilations, the halo and I_b2, the rest the
+    float work over the largest group's box), against 58 for one float64
+    FFT over the whole crop; a crop-sized int32 raster alone (14.3)
+    breaks the bound."""
 
     def test_holds_no_crop_sized_float(self):
         img, spec, colors = _benchmark_sized_frame(400.0, 35.5)
         size = (img.width, img.height)
         params = DetectionParams(**FIXTURE_PARAMS)
         _, line, pass2 = _two_passes(img, colors, spec, params)
-        (_, halo, _), peak = traced_peak(
+        (_, halo, *_), peak = traced_peak(
             lambda: _junction_images(pass2, spec.adjacent_label_pairs(), params, size, line)
         )
-        assert peak <= 16 * halo.size
+        assert peak <= 12 * halo.size
 
 
 class TestRegionPassMemory:
@@ -887,7 +944,7 @@ def _extract_reference(regions, adjacency, params, size, fallback_axis):
     """Junction pairs as the stage found them with a crop-wide mask per
     label of I_b2 and lists of pairs: (line, [(t, p_a, p_b)]), raising the
     stage's errors."""
-    origin, halo, filtered = _junction_images(regions, adjacency, params, size, fallback_axis)
+    origin, halo, filtered, *_ = _junction_images(regions, adjacency, params, size, fallback_axis)
     combined = halo & filtered
     if not combined.any():
         raise NoEdgesError("junction filter response below threshold everywhere")

@@ -38,25 +38,20 @@ def tilted_camera():
     return CameraModel(K=K, R=R, t=np.array([12.0, -8.0, 30.0]))
 
 
-@pytest.fixture(scope="module")
-def test_spec():
-    return build_spec([25.0, 55.0, 78.0], [RED, GREEN, RED, GREEN], 100.0, radius=2.0)
-
-
 def scene_for(spec, camera, depth=330.0, angle=10.0, **kw):
     pose = pose_at(depth, angle, camera, spec, roll_deg=5.0)
     return synthetic.SceneSpec(pose=pose, spec=spec, band_colors=BAND_RGB, **kw)
 
 
 class TestGroundTruth:
-    def test_matches_pose_projector_within_1e9(self, tilted_camera, test_spec):
+    def test_matches_pose_projector_within_1e9(self, tilted_camera, quad_spec):
         lens = replace(
             tilted_camera, distortion=DistortionModel(k1=-0.1, k2=0.02, p1=1e-3, p2=-5e-4)
         )
         for camera in (tilted_camera, lens):
-            scene = scene_for(test_spec, camera)
+            scene = scene_for(quad_spec, camera)
             gt = synthetic.ground_truth(scene, camera, SIZE_SMALL)
-            ideal = project_pointer_edges(scene.pose, camera, test_spec)
+            ideal = project_pointer_edges(scene.pose, camera, quad_spec)
             pairs = camera.distort(ideal.reshape(-1, 2)).reshape(-1, 2, 2)
             for edge, (lo, hi) in zip(gt.edges, pairs):
                 assert np.linalg.norm(edge.p_a - lo) < 1e-9
@@ -65,18 +60,15 @@ class TestGroundTruth:
         # pass checked the distortion too
         assert np.linalg.norm(pairs - ideal) > 0.05
 
-    def test_behind_camera_raises(self, tilted_camera, test_spec):
+    def test_behind_camera_raises(self, tilted_camera, quad_spec):
         pose = PointerPose(tip=[0.0, 0.0, -400.0], direction=[1.0, 0.0, 0.0])
-        scene = synthetic.SceneSpec(pose=pose, spec=test_spec, band_colors=BAND_RGB)
+        scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB)
         with pytest.raises(BehindCameraError):
             synthetic.render(scene, tilted_camera, SIZE_SMALL)
 
-    def test_occluder_flags(self, test_spec):
-        camera = CameraModel(
-            K=np.array([[1000.0, 0, 305.5], [0, 1000.0, 255.5], [0, 0, 1.0]])
-        )
-        scene = scene_for(test_spec, camera, angle=0.0)
-        gt_clear = synthetic.ground_truth(scene, camera, SIZE_SMALL)
+    def test_occluder_flags(self, small_camera, quad_spec):
+        scene = scene_for(quad_spec, small_camera, angle=0.0)
+        gt_clear = synthetic.ground_truth(scene, small_camera, SIZE_SMALL)
         # occlude the second junction only
         e1 = gt_clear.edges[1]
         lo_x = min(e1.p_a[0], e1.p_b[0]) - 8
@@ -85,27 +77,24 @@ class TestGroundTruth:
         hi_y = max(e1.p_a[1], e1.p_b[1]) + 8
         occluded_scene = synthetic.SceneSpec(
             pose=scene.pose,
-            spec=test_spec,
+            spec=quad_spec,
             band_colors=BAND_RGB,
             occluders=(synthetic.Occluder(lo_x, lo_y, hi_x, hi_y),),
         )
-        gt = synthetic.ground_truth(occluded_scene, camera, SIZE_SMALL)
+        gt = synthetic.ground_truth(occluded_scene, small_camera, SIZE_SMALL)
         assert [e.visible for e in gt.edges] == [True, False, True]
 
-    def test_partially_covered_edge_stays_visible(self, test_spec):
-        camera = CameraModel(
-            K=np.array([[1000.0, 0, 305.5], [0, 1000.0, 255.5], [0, 0, 1.0]])
-        )
-        scene = scene_for(test_spec, camera, angle=0.0)
-        gt_clear = synthetic.ground_truth(scene, camera, SIZE_SMALL)
+    def test_partially_covered_edge_stays_visible(self, small_camera, quad_spec):
+        scene = scene_for(quad_spec, small_camera, angle=0.0)
+        gt_clear = synthetic.ground_truth(scene, small_camera, SIZE_SMALL)
         e1 = gt_clear.edges[1]
         # rectangle covering only one of the two contour points
         top = min(e1.p_a, e1.p_b, key=lambda p: p[1])
         occ = synthetic.Occluder(top[0] - 5, top[1] - 5, top[0] + 5, top[1] + 2)
         scene2 = synthetic.SceneSpec(
-            pose=scene.pose, spec=test_spec, band_colors=BAND_RGB, occluders=(occ,)
+            pose=scene.pose, spec=quad_spec, band_colors=BAND_RGB, occluders=(occ,)
         )
-        gt = synthetic.ground_truth(scene2, camera, SIZE_SMALL)
+        gt = synthetic.ground_truth(scene2, small_camera, SIZE_SMALL)
         assert gt.edges[1].visible  # both points must fall inside to occlude
 
     @pytest.mark.parametrize("corners", [(10.0, 0.0, 5.0, 5.0), (0.0, 10.0, 5.0, 5.0)])
@@ -125,10 +114,10 @@ class TestSceneValidation:
         ],
         ids=["bare", "occluder", "distractor", "nan-background"],
     )
-    def test_unpaintable_color_rejected(self, test_spec, kw):
+    def test_unpaintable_color_rejected(self, quad_spec, kw):
         pose = PointerPose(tip=[0.0, 0.0, 300.0], direction=[1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="colors must lie in"):
-            synthetic.SceneSpec(pose=pose, spec=test_spec, band_colors=BAND_RGB, **kw)
+            synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB, **kw)
 
     @pytest.mark.parametrize(
         "kw",
@@ -151,10 +140,10 @@ class TestSceneValidation:
     @pytest.mark.parametrize(
         "blur", [float("nan"), float("inf"), -0.5], ids=["nan", "infinite", "negative"]
     )
-    def test_bad_blur_rejected(self, test_spec, blur):
+    def test_bad_blur_rejected(self, quad_spec, blur):
         pose = PointerPose(tip=[0.0, 0.0, 300.0], direction=[1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="^blur_sigma must be finite and >= 0"):
-            synthetic.SceneSpec(pose=pose, spec=test_spec, band_colors=BAND_RGB, blur_sigma=blur)
+            synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB, blur_sigma=blur)
 
     @pytest.mark.parametrize(
         "center, radius, field",
@@ -195,16 +184,16 @@ class TestSceneValidation:
 
 
 class TestRender:
-    def test_deterministic_bit_identical(self, tilted_camera, test_spec):
-        scene = scene_for(test_spec, tilted_camera, blur_sigma=1.5)
+    def test_deterministic_bit_identical(self, tilted_camera, quad_spec):
+        scene = scene_for(quad_spec, tilted_camera, blur_sigma=1.5)
         img1, _ = synthetic.render(scene, tilted_camera, SIZE_SMALL)
         img2, _ = synthetic.render(scene, tilted_camera, SIZE_SMALL)
         assert np.array_equal(img1.pixels, img2.pixels)
 
-    def test_peak_memory_below_one_float_frame(self, camera_small, test_spec):
+    def test_peak_memory_below_one_float_frame(self, camera_small, quad_spec):
         # the frame is uint8 and floats live only in the crop around the
         # pointer, so the peak stays below a float64 RGB frame (7.5 MB)
-        scene = scene_for(test_spec, camera_small, depth=600.0, angle=40.0, blur_sigma=1.5)
+        scene = scene_for(quad_spec, camera_small, depth=600.0, angle=40.0, blur_sigma=1.5)
         tracemalloc.start()
         try:
             img, _ = synthetic.render(scene, camera_small, SIZE_SMALL)
@@ -214,16 +203,13 @@ class TestRender:
         assert (img.pixels != quantize(scene.background)).any()
         assert peak < SIZE_SMALL[0] * SIZE_SMALL[1] * 3 * 8
 
-    def test_vanishing_radius_degenerates_to_antialiased_line(self):
+    def test_vanishing_radius_degenerates_to_antialiased_line(self, small_camera):
         # limiting geometry: a sub-pixel radius leaves a thin blended line
-        camera = CameraModel(
-            K=np.array([[1000.0, 0, 305.5], [0, 1000.0, 255.5], [0, 0, 1.0]])
-        )
         spec = build_spec(
             [25.0, 55.0, 78.0], [RED, GREEN, RED, GREEN], 100.0, radius=0.12
         )
-        scene = scene_for(spec, camera, angle=0.0)
-        img, gt = synthetic.render(scene, camera, SIZE_SMALL)
+        scene = scene_for(spec, small_camera, angle=0.0)
+        img, gt = synthetic.render(scene, small_camera, SIZE_SMALL)
         diff = np.abs(img.pixels / 255.0 - np.asarray(scene.background)).max(axis=2)
         colored = diff > 0.02
         assert colored.any()
@@ -241,8 +227,8 @@ class TestRender:
         ).max()
         assert diff.max() < 0.8 * full
 
-    def test_band_colors_present(self, tilted_camera, test_spec):
-        scene = scene_for(test_spec, tilted_camera)
+    def test_band_colors_present(self, tilted_camera, quad_spec):
+        scene = scene_for(quad_spec, tilted_camera)
         img, gt = synthetic.render(scene, tilted_camera, SIZE_SMALL)
         mid01 = 0.5 * (gt.edges[0].p_a + gt.edges[0].p_b)
         mid12 = 0.5 * (gt.edges[1].p_a + gt.edges[1].p_b)
@@ -250,11 +236,11 @@ class TestRender:
         sample = img.pixels[probe_red[1], probe_red[0]] / 255.0
         assert np.linalg.norm(sample - BAND_RGB[GREEN]) < 0.1
 
-    def test_distractor_drawn(self, tilted_camera, test_spec):
-        scene_plain = scene_for(test_spec, tilted_camera)
+    def test_distractor_drawn(self, tilted_camera, quad_spec):
+        scene_plain = scene_for(quad_spec, tilted_camera)
         scene = synthetic.SceneSpec(
             pose=scene_plain.pose,
-            spec=test_spec,
+            spec=quad_spec,
             band_colors=BAND_RGB,
             distractors=(synthetic.Distractor((80.0, 60.0), 10.0, (0.9, 0.2, 0.2)),),
         )
@@ -268,10 +254,6 @@ class TestCompositing:
 
     DISC_RGB = (0.2, 0.3, 0.9)
 
-    @pytest.fixture(scope="class")
-    def camera(self):
-        return CameraModel(K=np.array([[1000.0, 0, 305.5], [0, 1000.0, 255.5], [0, 0, 1.0]]))
-
     def _scenes(self, spec, camera, center):
         plain = scene_for(spec, camera, angle=0.0)
         disc = synthetic.Distractor(tuple(center), 10.0, self.DISC_RGB)
@@ -281,12 +263,12 @@ class TestCompositing:
         gt = synthetic.ground_truth(scene_for(spec, camera, angle=0.0), camera, SIZE_SMALL)
         return self._scenes(spec, camera, 0.5 * (gt.edges[1].p_a + gt.edges[1].p_b))
 
-    def test_distractor_on_junction_paints_background_only(self, test_spec, camera):
-        plain, scene = self._junction_disc(test_spec, camera)
+    def test_distractor_on_junction_paints_background_only(self, quad_spec, small_camera):
+        plain, scene = self._junction_disc(quad_spec, small_camera)
         center = np.asarray(scene.distractors[0].center)
-        img_plain, _ = synthetic.render(plain, camera, SIZE_SMALL)
-        img, _ = synthetic.render(scene, camera, SIZE_SMALL)
-        mask = synthetic.render_class_mask(plain, camera, SIZE_SMALL)
+        img_plain, _ = synthetic.render(plain, small_camera, SIZE_SMALL)
+        img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
+        mask = synthetic.render_class_mask(plain, small_camera, SIZE_SMALL)
         ys, xs = np.mgrid[: SIZE_SMALL[1], : SIZE_SMALL[0]]
         # every subpixel center of these pixels lies inside the disc
         in_disc = np.hypot(xs - center[0], ys - center[1]) <= 10.0 - 1.0
@@ -300,27 +282,29 @@ class TestCompositing:
         assert off.sum() > 20
         assert (img.pixels[off] == quantize(self.DISC_RGB)).all()
 
-    def test_class_mask_ignores_distractor(self, test_spec, camera):
-        plain, scene = self._junction_disc(test_spec, camera)
-        mask = synthetic.render_class_mask(scene, camera, SIZE_SMALL)
-        assert np.array_equal(mask, synthetic.render_class_mask(plain, camera, SIZE_SMALL))
+    def test_class_mask_ignores_distractor(self, quad_spec, small_camera):
+        plain, scene = self._junction_disc(quad_spec, small_camera)
+        mask = synthetic.render_class_mask(scene, small_camera, SIZE_SMALL)
+        assert np.array_equal(mask, synthetic.render_class_mask(plain, small_camera, SIZE_SMALL))
         # and every pixel it labels shows its band's color in the render
-        img, _ = synthetic.render(scene, camera, SIZE_SMALL)
+        img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
         for label in (RED, GREEN):
             assert (mask == label).any()
             assert (img.pixels[mask == label] == quantize(BAND_RGB[label])).all()
 
-    def test_side_highlight_whitens_only_the_pointer(self, test_spec, camera):
+    def test_side_highlight_whitens_only_the_pointer(self, quad_spec, small_camera):
         # a stripe along one side of band 1, under a disc on the same band
-        gt = synthetic.ground_truth(scene_for(test_spec, camera, angle=0.0), camera, SIZE_SMALL)
+        gt = synthetic.ground_truth(
+            scene_for(quad_spec, small_camera, angle=0.0), small_camera, SIZE_SMALL
+        )
         mids = [0.5 * (e.p_a + e.p_b) for e in gt.edges]
         center = 0.5 * (mids[0] + mids[1])
-        _, scene = self._scenes(test_spec, camera, center)
+        _, scene = self._scenes(quad_spec, small_camera, center)
         stripe = synthetic.HighlightStripe(25.0, 55.0, 0.5, side_fraction=(0.2, 0.8))
-        img, _ = synthetic.render(scene, camera, SIZE_SMALL)
-        lit, _ = synthetic.render(replace(scene, highlights=(stripe,)), camera, SIZE_SMALL)
-        mask = synthetic.render_class_mask(scene, camera, SIZE_SMALL)
-        img_plain, _ = synthetic.render(replace(scene, distractors=()), camera, SIZE_SMALL)
+        img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
+        lit, _ = synthetic.render(replace(scene, highlights=(stripe,)), small_camera, SIZE_SMALL)
+        mask = synthetic.render_class_mask(scene, small_camera, SIZE_SMALL)
+        img_plain, _ = synthetic.render(replace(scene, distractors=()), small_camera, SIZE_SMALL)
         on_pointer = (img_plain.pixels != quantize(scene.background)).any(axis=2)
         changed = (lit.pixels != img.pixels).any(axis=2)
         assert changed.any()
@@ -350,24 +334,24 @@ class TestSideFraction:
         return tilted_camera, replace(tilted_camera, distortion=lens)
 
     @pytest.mark.parametrize("angle, roll", [(10.0, 5.0), (40.0, -30.0), (65.0, 120.0)])
-    def test_junction_points_read_plus_minus_one(self, cameras, test_spec, angle, roll):
+    def test_junction_points_read_plus_minus_one(self, cameras, quad_spec, angle, roll):
         for camera in cameras:
-            pose = pose_at(330.0, angle, camera, test_spec, roll_deg=roll)
-            scene = synthetic.SceneSpec(pose=pose, spec=test_spec, band_colors=BAND_RGB)
+            pose = pose_at(330.0, angle, camera, quad_spec, roll_deg=roll)
+            scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB)
             gt = synthetic.ground_truth(scene, camera, SIZE_SMALL)
             assert len(gt.visible_edges()) == 3
             for edge in gt.visible_edges():
-                s = np.full(3, test_spec.distances_mm[edge.index])
+                s = np.full(3, quad_spec.distances_mm[edge.index])
                 pts = np.vstack([edge.p_a, edge.p_b, 0.5 * (edge.p_a + edge.p_b)])
                 frac = synthetic._side_fraction(scene, camera, s, pts)
                 np.testing.assert_allclose(frac, [1.0, -1.0, 0.0], rtol=0, atol=1e-9)
 
-    def test_half_stripe_lights_only_its_side(self, cameras, test_spec):
+    def test_half_stripe_lights_only_its_side(self, cameras, quad_spec):
         for camera in cameras:
-            scene = scene_for(test_spec, camera, angle=30.0)
+            scene = scene_for(quad_spec, camera, angle=30.0)
             img, gt = synthetic.render(scene, camera, SIZE_SMALL)
             for edge in gt.edges:
-                d = test_spec.distances_mm[edge.index]
+                d = quad_spec.distances_mm[edge.index]
                 across = edge.p_a - edge.p_b
                 half = 0.5 * np.linalg.norm(across)
                 mid = 0.5 * (edge.p_a + edge.p_b)
@@ -418,10 +402,10 @@ class TestRayCastFootprint:
         "edge-at-end": ("tilted", 25.0, 15.0, {"end_edge": True}),
     }
 
-    def _scene(self, case, cameras, test_spec):
+    def _scene(self, case, cameras, quad_spec):
         name, angle, roll, extra = self.CASES[case]
         camera = cameras[name]
-        spec = test_spec
+        spec = quad_spec
         if extra.get("end_edge"):  # a final edge exactly at the pointer end
             spec = build_spec([25.0, 55.0, 100.0], [RED, GREEN, RED, GREEN], 100.0, radius=2.0)
         pose = pose_at(330.0, angle, camera, spec, roll_deg=roll)
@@ -434,8 +418,8 @@ class TestRayCastFootprint:
         return scene, camera
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_full_frame_cast_hits_only_inside_the_box(self, cameras, test_spec, case):
-        scene, camera = self._scene(case, cameras, test_spec)
+    def test_full_frame_cast_hits_only_inside_the_box(self, cameras, quad_spec, case):
+        scene, camera = self._scene(case, cameras, quad_spec)
         (x0, y0, x1, y1), s_box, band_box = synthetic._subpixel_bands(scene, camera, self.SIZE)
         frame = (0, 0, *self.SIZE)
         segments = len(synthetic._stations(scene.spec)[0]) - 1
@@ -454,8 +438,8 @@ class TestRayCastFootprint:
             assert 0 < len(gt.visible_edges()) < len(gt.edges)
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_band_is_the_sorted_position_of_the_station(self, cameras, test_spec, case):
-        scene, camera = self._scene(case, cameras, test_spec)
+    def test_band_is_the_sorted_position_of_the_station(self, cameras, quad_spec, case):
+        scene, camera = self._scene(case, cameras, quad_spec)
         _, s_hit, band = synthetic._subpixel_bands(scene, camera, self.SIZE)
         hit = band >= 0
         assert (hit == np.isfinite(s_hit)).all()
@@ -541,15 +525,15 @@ class TestCropMatchesWholeFrame:
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_bytes_equal_whole_frame_composition(self, test_spec, case):
+    def test_bytes_equal_whole_frame_composition(self, quad_spec, case):
         lens, angle, roll, shift, extra = self.CASES[case]
         camera = CameraModel(K=np.array([[250.0, 0, 79.5], [0, 250.0, 63.5], [0, 0, 1.0]]))
         if lens:
             camera = replace(camera, distortion=self.LENS)
-        pose = pose_at(330.0, angle, camera, test_spec, roll_deg=roll)
+        pose = pose_at(330.0, angle, camera, quad_spec, roll_deg=roll)
         if shift is not None:
             pose = PointerPose(tip=pose.tip + np.asarray(shift), direction=pose.direction)
-        scene = synthetic.SceneSpec(pose=pose, spec=test_spec, band_colors=BAND_RGB, **extra)
+        scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB, **extra)
         img, _ = synthetic.render(scene, camera, self.SIZE)
         reference = whole_frame_render(scene, camera, self.SIZE)
         assert img.pixels.dtype == np.uint8
@@ -559,13 +543,10 @@ class TestCropMatchesWholeFrame:
 
 
 class TestClassMask:
-    def test_mask_matches_band_pattern(self, test_spec):
-        camera = CameraModel(
-            K=np.array([[1000.0, 0, 305.5], [0, 1000.0, 255.5], [0, 0, 1.0]])
-        )
-        scene = scene_for(test_spec, camera, angle=0.0)
-        mask = synthetic.render_class_mask(scene, camera, SIZE_SMALL)
-        img, gt = synthetic.render(scene, camera, SIZE_SMALL)
+    def test_mask_matches_band_pattern(self, small_camera, quad_spec):
+        scene = scene_for(quad_spec, small_camera, angle=0.0)
+        mask = synthetic.render_class_mask(scene, small_camera, SIZE_SMALL)
+        img, gt = synthetic.render(scene, small_camera, SIZE_SMALL)
         assert set(np.unique(mask)) == {0, RED, GREEN}
         # away from boundaries the mask matches the rendered band color
         mid01 = (0.5 * (gt.edges[0].p_a + gt.edges[0].p_b)).astype(int)
@@ -577,23 +558,23 @@ class TestClassMask:
 
 
 class TestGroundTruthDetection:
-    def test_forward_orientation_labels(self, tilted_camera, test_spec):
-        scene = scene_for(test_spec, tilted_camera)
+    def test_forward_orientation_labels(self, tilted_camera, quad_spec):
+        scene = scene_for(quad_spec, tilted_camera)
         gt = synthetic.ground_truth(scene, tilted_camera, SIZE_SMALL)
-        det = synthetic.ground_truth_detection(gt, test_spec)
+        det = synthetic.ground_truth_detection(gt, quad_spec)
         assert len(det.edges) == 3
-        spec_labels = list(test_spec.side_labels)
+        spec_labels = list(quad_spec.side_labels)
         got = [(e.left_label, e.right_label) for e in det.edges]
         assert got == spec_labels or got == [
             (r, l) for (l, r) in reversed(spec_labels)
         ]
 
-    def test_noise_perturbs_points(self, tilted_camera, test_spec):
-        scene = scene_for(test_spec, tilted_camera)
+    def test_noise_perturbs_points(self, tilted_camera, quad_spec):
+        scene = scene_for(quad_spec, tilted_camera)
         gt = synthetic.ground_truth(scene, tilted_camera, SIZE_SMALL)
         rng = np.random.default_rng(1)
-        det = synthetic.ground_truth_detection(gt, test_spec, noise_px=0.5, rng=rng)
-        clean = synthetic.ground_truth_detection(gt, test_spec)
+        det = synthetic.ground_truth_detection(gt, quad_spec, noise_px=0.5, rng=rng)
+        clean = synthetic.ground_truth_detection(gt, quad_spec)
         deltas = [
             np.linalg.norm(a.p_a - b.p_a) for a, b in zip(det.edges, clean.edges)
         ]
@@ -613,48 +594,42 @@ class TestGroundTruthDetection:
 
 
 class TestSweep:
-    def test_single_cell(self, tilted_camera, test_spec):
-        template = scene_for(test_spec, tilted_camera)
+    def test_single_cell(self, tilted_camera, quad_spec):
+        template = scene_for(quad_spec, tilted_camera)
         cells = synthetic.sweep([500.0], [10.0], template, tilted_camera)
         assert len(cells) == 1
         assert cells[0].depth_mm == 500.0
 
-    def test_depth_sweep_tip_approaches_principal_point(self, test_spec):
-        camera = CameraModel(
-            K=np.array([[1000.0, 0, 305.5], [0, 1000.0, 255.5], [0, 0, 1.0]])
-        )
-        template = scene_for(test_spec, camera, angle=0.0)
+    def test_depth_sweep_tip_approaches_principal_point(self, small_camera, quad_spec):
+        template = scene_for(quad_spec, small_camera, angle=0.0)
         depths = np.linspace(330, 520, 6)
-        cells = synthetic.sweep(depths, [0.0], template, camera)
+        cells = synthetic.sweep(depths, [0.0], template, small_camera)
         offsets = []
         for cell in cells:
-            gt = synthetic.ground_truth(cell.scene, camera, SIZE_SMALL)
+            gt = synthetic.ground_truth(cell.scene, small_camera, SIZE_SMALL)
             tip_proj = 0.5 * (gt.edges[0].p_a + gt.edges[0].p_b)
             offsets.append(abs(tip_proj[0] - 305.5))
         assert all(np.diff(offsets) < 0)
 
-    def test_angle_sweep_foreshortening_analytic(self, test_spec):
-        camera = CameraModel(
-            K=np.array([[1000.0, 0, 305.5], [0, 1000.0, 255.5], [0, 0, 1.0]])
-        )
-        template = scene_for(test_spec, camera)
+    def test_angle_sweep_foreshortening_analytic(self, small_camera, quad_spec):
+        template = scene_for(quad_spec, small_camera)
         depth = 400.0
         angles = [0.0, 20.0, 40.0, 60.0]
-        cells = synthetic.sweep([depth], angles, template, camera, roll_deg=0.0)
+        cells = synthetic.sweep([depth], angles, template, small_camera, roll_deg=0.0)
         lengths = []
         expected = []
         f = 1000.0
-        half = test_spec.total_length_mm / 2.0
+        half = quad_spec.total_length_mm / 2.0
         for cell, angle in zip(cells, angles):
             # a cell differs from the template only in its pose
             assert cell.scene == replace(template, pose=cell.scene.pose)
-            gt = synthetic.ground_truth(cell.scene, camera, SIZE_SMALL)
+            gt = synthetic.ground_truth(cell.scene, small_camera, SIZE_SMALL)
             p0 = 0.5 * (gt.edges[0].p_a + gt.edges[0].p_b)
             p1 = 0.5 * (gt.edges[-1].p_a + gt.edges[-1].p_b)
             lengths.append(np.linalg.norm(p1 - p0))
             # analytic perspective projection of the two junction stations
             a = np.deg2rad(angle)
-            b0, b1 = test_spec.distances_mm[0], test_spec.distances_mm[-1]
+            b0, b1 = quad_spec.distances_mm[0], quad_spec.distances_mm[-1]
             u = []
             for b in (b0, b1):
                 x = (b - half) * np.cos(a)
