@@ -64,7 +64,7 @@ ENV_CONFIG = "BANDPOINTER_CONFIG"
 ENV_COLOR_MODEL = "BANDPOINTER_COLOR_MODEL"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     """Typed view of the JSON config, read by its field table,
     CONFIG_FIELDS."""
@@ -201,15 +201,17 @@ def run_pipeline(
 ) -> PoseEstimate:
     """Detect, associate and estimate pose for one frame."""
     result = detect_pointer(img, colors, config.pointer, config.detection)
-    return _associate_and_pose(result, config)
+    return _associate_and_pose(result, config.pointer, config.camera)
 
 
-def _associate_and_pose(result: DetectionResult, config: Config) -> PoseEstimate:
+def _associate_and_pose(
+    result: DetectionResult, spec: PointerSpec, camera: CameraModel
+) -> PoseEstimate:
     """Label alignment, RANSAC association and pose for one detection."""
     labels = [(e.left_label, e.right_label) for e in result.edges]
-    alignments = align_labels_dp(labels, config.pointer)
-    hypotheses = associate_ransac(result, config.pointer, alignments)
-    return estimate_pose(result, hypotheses, config.camera, config.pointer)
+    alignments = align_labels_dp(labels, spec)
+    hypotheses = associate_ransac(result, spec, alignments)
+    return estimate_pose(result, hypotheses, camera, spec)
 
 
 def _classify_error(exc: BandPointerError) -> tuple[int, str]:
@@ -417,7 +419,7 @@ def evaluate_sweep(
                 det = synthetic.ground_truth_detection(
                     gt, config.pointer, noise_px=noise_px, rng=rng
                 )
-                tips.append(_associate_and_pose(det, config).pose.tip)
+                tips.append(_associate_and_pose(det, config.pointer, config.camera).pose.tip)
             except BandPointerError:
                 pass
         record = {

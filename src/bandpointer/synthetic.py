@@ -124,7 +124,7 @@ class SceneSpec:
                 raise ValueError("colors must lie in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeGroundTruth:
     index: int
     p_a: np.ndarray  # negative contour side, raw image px
@@ -132,10 +132,13 @@ class EdgeGroundTruth:
     visible: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundTruth:
-    edges: list[EdgeGroundTruth]
+    edges: tuple[EdgeGroundTruth, ...]  # a sequence given is stored as a tuple
     pose: PointerPose
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", tuple(self.edges))
 
     def visible_edges(self) -> list[EdgeGroundTruth]:
         return [e for e in self.edges if e.visible]
@@ -464,8 +467,11 @@ def ground_truth_detection(
     """DetectionResult assembled from exact (optionally perturbed) points.
 
     Used by the evaluation harness to exercise association and pose
-    estimation without the raster detector in the loop.
+    estimation without the raster detector in the loop. Noise is drawn
+    from rng, which noise_px > 0 requires, so repeated calls draw anew.
     """
+    if noise_px > 0 and rng is None:
+        raise ValueError("ground_truth_detection needs an rng to add noise")
     visible = gt.visible_edges()
     if len(visible) < 2:
         raise InsufficientEdgesError(
@@ -473,8 +479,6 @@ def ground_truth_detection(
         )
     pairs = np.array([(e.p_a, e.p_b) for e in visible], dtype=np.float64)
     if noise_px > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
         pairs += rng.normal(0.0, noise_px, pairs.shape)
     line, t, order = order_along_axis(pairs)
     forward = visible[order[0]].index < visible[order[-1]].index

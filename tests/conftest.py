@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from backend_reference import _fit_reference
 from bandpointer import synthetic
 from bandpointer.association import Correspondence, PointerSpec
 from bandpointer.color_model import _wrapped_gaussian_lut
-from bandpointer.detection import DetectionResult, EdgePointPair, order_along_axis
 from bandpointer.pose import CameraModel, project_pointer_edges
 
 RED, GREEN, BLUE = 1, 2, 3
@@ -176,14 +176,29 @@ def quad_spec():
     return build_spec(QUAD_DISTANCES, QUAD_BANDS, total_length=100.0, radius=2.0)
 
 
+# pointer midpoint on the optical axis at a depth and tilt
+pose_at = synthetic.pose_on_axis
+
+
+def scene_at(spec, camera, depth_mm, tilt_deg, roll_deg=0.0, **scene):
+    """The pointer posed by pose_at, painted in BAND_RGB; scene holds any
+    other SceneSpec fields."""
+    pose = pose_at(depth_mm, tilt_deg, camera, spec, roll_deg=roll_deg)
+    return synthetic.SceneSpec(pose=pose, spec=spec, band_colors=BAND_RGB, **scene)
+
+
+def with_hidden(gt, hidden):
+    """gt with the edges whose index is in hidden made invisible."""
+    return replace(gt, edges=[
+        replace(e, visible=e.visible and e.index not in hidden) for e in gt.edges
+    ])
+
+
 def make_calibrated_colors(spec, camera, size, depth_mm=350.0, blur_sigma=2.0):
     """Color model from a rendered, blurred calibration image + exact mask."""
     from bandpointer.color_model import calibrate_colors
 
-    pose = pose_at(depth_mm, 5.0, camera, spec, roll_deg=3.0)
-    scene = synthetic.SceneSpec(
-        pose=pose, spec=spec, band_colors=BAND_RGB, blur_sigma=blur_sigma
-    )
+    scene = scene_at(spec, camera, depth_mm, 5.0, 3.0, blur_sigma=blur_sigma)
     img, _ = synthetic.render(scene, camera, size)
     mask = synthetic.render_class_mask(scene, camera, size)
     return calibrate_colors(img, mask, min_saturation=0.12)
@@ -201,8 +216,16 @@ def full_colors(skewer_spec, camera_full):
     )
 
 
-# pointer midpoint on the optical axis at a depth and tilt
-pose_at = synthetic.pose_on_axis
+@pytest.fixture(scope="session")
+def benchmark_setup():
+    """The frame benchmark's binned camera (1224 x 1024, f = 1800 px), its
+    3 mm RG pointer and colors calibrated as the benchmark calibrates:
+    450 mm, 5 deg, roll 3, blur 1 binned px. (size, camera, spec, colors)"""
+    size = (1224, 1024)
+    camera = CameraModel(K=np.array([[1800.0, 0.0, 611.5], [0.0, 1800.0, 511.5], [0, 0, 1]]))
+    spec = build_spec(SKEWER_DISTANCES, SKEWER_BANDS_RG, 251.0, radius=1.5)
+    colors = make_calibrated_colors(spec, camera, size, depth_mm=450.0, blur_sigma=1.0)
+    return size, camera, spec, colors
 
 
 def detection_from_pose(
@@ -210,32 +233,25 @@ def detection_from_pose(
 ):
     """Exact DetectionResult + true Correspondence via the pose projector.
 
-    Useful for tests that exercise association or optimization in
-    isolation; cross-validation against the independent renderer path
-    happens in the synthetic tests.
+    The points come from the pose projector, optionally perturbed; their
+    order and side labels from synthetic.ground_truth_detection. Useful
+    for tests that exercise association or optimization in isolation;
+    cross-validation against the independent renderer path happens in
+    the synthetic tests.
     """
     if indices is None:
         indices = list(range(len(spec.distances_mm)))
     pairs = project_pointer_edges(pose, camera, spec, indices)
     if noise_px > 0:
         pairs += rng.normal(0, noise_px, pairs.shape)
-    line, t, order = order_along_axis(pairs)
-    forward = indices[order[0]] < indices[order[-1]]
-
-    edges = []
-    mapping = []
-    for det_k, k in enumerate(order):
-        left, right = spec.side_labels[indices[k]]
-        if not forward:
-            left, right = right, left
-        edges.append(
-            EdgePointPair(
-                p_a=pairs[k, 0], p_b=pairs[k, 1], left_label=left, right_label=right,
-                axis_coordinate=float(t[k]),
-            )
-        )
-        mapping.append((det_k, indices[k]))
-    result = DetectionResult(edges=edges, line=line)
+    gt = synthetic.GroundTruth(
+        edges=[synthetic.EdgeGroundTruth(i, a, b, True) for i, (a, b) in zip(indices, pairs)],
+        pose=pose,
+    )
+    result = synthetic.ground_truth_detection(gt, spec)
+    index_of = {pair[0].tobytes(): i for i, pair in zip(indices, pairs)}
+    mapping = [(k, index_of[e.p_a.tobytes()]) for k, e in enumerate(result.edges)]
+    forward = mapping[0][1] < mapping[-1][1]
 
     b = spec.distances_mm
     sample = [mapping[0], mapping[len(mapping) // 2], mapping[-1]]

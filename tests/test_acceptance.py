@@ -22,12 +22,11 @@ from conftest import (
     BAND_RGB,
     FIXTURE_PARAMS,
     SIZE_FULL,
-    SKEWER_BANDS_RG,
-    SKEWER_DISTANCES,
     build_spec,
     detection_from_pose,
-    make_calibrated_colors,
     pose_at,
+    scene_at,
+    with_hidden,
 )
 
 from bandpointer import synthetic
@@ -38,16 +37,21 @@ from bandpointer.association import (
     align_labels_dp,
     associate_ransac,
 )
-from bandpointer.cli import Config, evaluate_sweep, outlier_flags, run_pipeline, write_ply
+from bandpointer.cli import (
+    Config,
+    _associate_and_pose,
+    evaluate_sweep,
+    outlier_flags,
+    run_pipeline,
+    write_ply,
+)
 from bandpointer.detection import DetectionParams, detect_pointer
 from bandpointer.errors import BandPointerError
 from bandpointer.imaging import RasterImage, erode_disk, rgb_to_hue_saturation
 from bandpointer.pose import (
-    CameraModel,
     PointerPose,
     _direction_basis,
     _residual_model,
-    estimate_pose,
     init_depths_linear,
     refine_pose_lm,
 )
@@ -60,10 +64,7 @@ ROLL_DEG = 4.0
 def run_estimation(gt, spec, camera, noise_px=0.0, rng=None):
     """Associate and estimate a pose from exact (optionally noisy) junctions."""
     det = synthetic.ground_truth_detection(gt, spec, noise_px=noise_px, rng=rng)
-    labels = [(e.left_label, e.right_label) for e in det.edges]
-    alignments = align_labels_dp(labels, spec)
-    hypotheses = associate_ransac(det, spec, alignments)
-    return estimate_pose(det, hypotheses, camera, spec)
+    return _associate_and_pose(det, spec, camera)
 
 
 SQUARE_SIDE_MM = 37.0
@@ -117,10 +118,8 @@ class TestCriterion1NoiselessRoundTrip:
         worst_dir = 0.0
         for depth in DEPTHS:
             for angle in ANGLES:
-                pose = pose_at(depth, angle, camera_full, skewer_spec, ROLL_DEG)
-                scene = synthetic.SceneSpec(
-                    pose=pose, spec=skewer_spec, band_colors=BAND_RGB
-                )
+                scene = scene_at(skewer_spec, camera_full, depth, angle, ROLL_DEG)
+                pose = scene.pose
                 gt = synthetic.ground_truth(scene, camera_full, SIZE_FULL)
                 estimate = run_estimation(gt, skewer_spec, camera_full)
                 tip_err = float(np.linalg.norm(estimate.pose.tip - pose.tip))
@@ -143,10 +142,7 @@ class TestCriterion1NoiselessRoundTrip:
 class TestCriterion2NoisyMonteCarlo:
     def test_monte_carlo_500mm(self, camera_full, skewer_spec):
         t0 = time.time()
-        pose = pose_at(500.0, 0.0, camera_full, skewer_spec, ROLL_DEG)
-        scene = synthetic.SceneSpec(
-            pose=pose, spec=skewer_spec, band_colors=BAND_RGB
-        )
+        scene = scene_at(skewer_spec, camera_full, 500.0, 0.0, ROLL_DEG)
         gt = synthetic.ground_truth(scene, camera_full, SIZE_FULL)
         rng = np.random.default_rng(2024)
         tips = []
@@ -156,7 +152,7 @@ class TestCriterion2NoisyMonteCarlo:
             )
             tips.append(estimate.pose.tip)
         tips = np.array(tips)
-        errors = np.linalg.norm(tips - pose.tip, axis=1)
+        errors = np.linalg.norm(tips - scene.pose.tip, axis=1)
         median_err = float(np.median(errors))
         assert median_err < 2.0, f"median tip error {median_err:.3f} mm"
 
@@ -177,8 +173,7 @@ class TestCriterion2NoisyMonteCarlo:
 class TestCriterion3Occlusion:
     def test_association_under_occlusion(self, camera_full, skewer_spec_blue):
         spec = skewer_spec_blue
-        pose = pose_at(500.0, 15.0, camera_full, spec, ROLL_DEG)
-        scene = synthetic.SceneSpec(pose=pose, spec=spec, band_colors=BAND_RGB)
+        scene = scene_at(spec, camera_full, 500.0, 15.0, ROLL_DEG)
         gt_full = synthetic.ground_truth(scene, camera_full, SIZE_FULL)
         rng = np.random.default_rng(333)
         successes = 0
@@ -186,17 +181,9 @@ class TestCriterion3Occlusion:
         detected_failures = 0
         for _ in range(100):
             hidden = rng.choice(10, size=4, replace=False)
-            edges = [
-                synthetic.EdgeGroundTruth(
-                    index=e.index,
-                    p_a=e.p_a,
-                    p_b=e.p_b,
-                    visible=e.visible and e.index not in hidden,
-                )
-                for e in gt_full.edges
-            ]
-            gt = synthetic.GroundTruth(edges=edges, pose=gt_full.pose)
-            expected = sorted(e.index for e in edges if e.visible)
+            gt = with_hidden(gt_full, hidden)
+            assert not any(gt.edges[i].visible for i in hidden)
+            expected = sorted(e.index for e in gt.visible_edges())
             try:
                 estimate = run_estimation(
                     gt, spec, camera_full, noise_px=0.5, rng=rng
@@ -416,14 +403,10 @@ class TestCriterion7DetectionRobustness:
         matched = 0
         for depth in DEPTHS:
             for angle in ANGLES:
-                pose = pose_at(depth, angle, camera_full, skewer_spec, ROLL_DEG)
                 mids = {}
                 for kind, blur in (("sharp", 0.0), ("blurred", 3.0)):
-                    scene = synthetic.SceneSpec(
-                        pose=pose,
-                        spec=skewer_spec,
-                        band_colors=BAND_RGB,
-                        blur_sigma=blur,
+                    scene = scene_at(
+                        skewer_spec, camera_full, depth, angle, ROLL_DEG, blur_sigma=blur
                     )
                     img, gt = synthetic.render(scene, camera_full, SIZE_FULL)
                     try:
@@ -480,16 +463,8 @@ class TestCriterion8SquareTracing:
             try:
                 gt_full = synthetic.ground_truth(scene, camera_full, SIZE_FULL)
                 hidden = rng.choice(10, size=int(rng.integers(2, 5)), replace=False)
-                edges = [
-                    synthetic.EdgeGroundTruth(
-                        index=e.index,
-                        p_a=e.p_a,
-                        p_b=e.p_b,
-                        visible=e.visible and e.index not in hidden,
-                    )
-                    for e in gt_full.edges
-                ]
-                gt = synthetic.GroundTruth(edges=edges, pose=pose)
+                gt = with_hidden(gt_full, hidden)
+                assert not any(gt.edges[i].visible for i in hidden)
                 estimate = run_estimation(
                     gt, spec, camera_full, noise_px=0.5, rng=rng
                 )
@@ -524,11 +499,8 @@ class TestSquareProbeRenderedFrames:
     over 10 mm, plane-fit RMS 13.53 mm; the bounds sit just outside, for a
     front-end accuracy fix to tighten."""
 
-    def test_square_probe(self):
-        size = (1224, 1024)
-        camera = CameraModel(K=np.array([[1800.0, 0.0, 611.5], [0.0, 1800.0, 511.5], [0, 0, 1]]))
-        spec = build_spec(SKEWER_DISTANCES, SKEWER_BANDS_RG, 251.0, radius=1.5)
-        colors = make_calibrated_colors(spec, camera, size, depth_mm=450.0, blur_sigma=1.0)
+    def test_square_probe(self, benchmark_setup):
+        size, camera, spec, colors = benchmark_setup
         config = Config(
             camera=camera, image_size=size, pointer=spec,
             detection=DetectionParams(**FIXTURE_PARAMS), color_names={"red": 1, "green": 2},

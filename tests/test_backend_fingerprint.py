@@ -11,7 +11,7 @@ hypotheses and errors must keep every bit.
 import numpy as np
 
 import backend_reference as reference
-from conftest import BAND_RGB, SIZE_FULL, pose_at
+from conftest import SIZE_FULL, scene_at, with_hidden
 
 from bandpointer import association, pose, synthetic
 from bandpointer.errors import BandPointerError
@@ -28,16 +28,10 @@ def _trials(specs, camera):
         rng = np.random.default_rng(p)
         for k in range(TRIALS_PER_PATTERN):  # 20 of the 25 depth x tilt cells
             depth, tilt = DEPTHS[k % 5], TILTS[(k + k // 5) % 5]
-            scene = synthetic.SceneSpec(
-                pose=pose_at(depth, tilt, camera, spec, roll_deg=4.0),
-                spec=spec, band_colors=BAND_RGB,
-            )
-            gt = synthetic.ground_truth(scene, camera, SIZE_FULL)
+            gt = synthetic.ground_truth(scene_at(spec, camera, depth, tilt, 4.0), camera, SIZE_FULL)
             visible = [e.index for e in gt.visible_edges()]
             hidden = set(rng.choice(visible, size=int(rng.integers(0, 5)), replace=False).tolist())
-            for e in gt.edges:
-                e.visible = e.visible and e.index not in hidden
-            trials.append((spec, gt, 1000 * p + k))
+            trials.append((spec, with_hidden(gt, hidden), 1000 * p + k))
     return trials
 
 

@@ -4,7 +4,7 @@ import copy
 import json
 import re
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from conftest import (
     RED,
     SIZE_SMALL,
     pasted,
-    pose_at,
+    scene_at,
 )
 
 from bandpointer import cli, synthetic
@@ -91,9 +91,8 @@ def workspace(tmp_path_factory, quad_spec, small_camera, small_colors):
     colors_path = root / "colors.json"
     save_color_model(small_colors, colors_path)
 
-    pose = pose_at(330.0, 8.0, small_camera, quad_spec, roll_deg=4.0)
-    scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB)
-    img, gt = synthetic.render(scene, small_camera, SIZE_SMALL)
+    scene = scene_at(quad_spec, small_camera, 330.0, 8.0, 4.0)
+    img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
     frame_path = root / "frame.ppm"
     save_ppm(img, frame_path)
     return {
@@ -101,9 +100,45 @@ def workspace(tmp_path_factory, quad_spec, small_camera, small_colors):
         "config": config_path,
         "colors": colors_path,
         "frame": frame_path,
-        "pose": pose,
         "scene": scene,
     }
+
+
+def probe(workspace, image=None, config=None, colors=None):
+    """main's exit code for probe on image under config and color model,
+    each the workspace's unless given."""
+    return main([
+        "--config", str(config or workspace["config"]),
+        "probe", "--image", str(image or workspace["frame"]),
+        "--color-model", str(colors or workspace["colors"]),
+    ])
+
+
+def track(workspace, frames, prefix, *flags):
+    """main's exit code for track on the frames directory under the
+    workspace's config and color model, writing outputs at prefix."""
+    return main([
+        "--config", str(workspace["config"]),
+        "track", "--frames", str(frames),
+        "--color-model", str(workspace["colors"]),
+        "--out-prefix", str(prefix), *flags,
+    ])
+
+
+def frame_dir(workspace, path, names):
+    """A directory at path holding the workspace's frame under each name."""
+    path.mkdir()
+    for name in names:
+        (path / name).write_bytes(workspace["frame"].read_bytes())
+    return path
+
+
+def config_error(code, capsys):
+    """stderr of a run that exited 1 with one config error line."""
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    return err
 
 
 def assert_config_holds(config, data):
@@ -265,17 +300,12 @@ def _assert_named_error_line(workspace, tmp_path, capsys, doc, path, value, mess
     for name, data in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     out_path = tmp_path / "report.csv"
-    command = (
-        ["eval", "--sweep", str(tmp_path / "sweep.json"), "--out", str(out_path)]
-        if doc == "sweep" else
-        ["probe", "--image", str(workspace["frame"]),
-         "--color-model", str(tmp_path / "colors.json")]
-    )
-    code = main(["--config", str(tmp_path / "config.json")] + command)
-    assert code == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
-    assert message in err
+    if doc == "sweep":
+        code = main(["--config", str(tmp_path / "config.json"), "eval",
+                     "--sweep", str(tmp_path / "sweep.json"), "--out", str(out_path)])
+    else:
+        code = probe(workspace, config=tmp_path / "config.json", colors=tmp_path / "colors.json")
+    assert message in config_error(code, capsys)
     assert not out_path.exists()
 
 
@@ -406,10 +436,7 @@ class TestConfigValidation:
         # the CLI: a one-line error that names the field by the same rule
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(_set(path, value)))
-        code = main([
-            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
-            "--color-model", str(workspace["colors"]),
-        ])
+        code = probe(workspace, config=config_path)
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         label = f"config error: {config_path}: "
@@ -433,13 +460,7 @@ class TestConfigValidation:
         data["pointer"]["band_colors"] = changes.get("band_colors", list("rgrg"))
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
-        code = main([
-            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
-            "--color-model", str(workspace["colors"]),
-        ])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        err = config_error(probe(workspace, config=config_path), capsys)
         assert f"pointer.{field} must be a list" in err
 
     @pytest.mark.parametrize(
@@ -453,24 +474,15 @@ class TestConfigValidation:
         # naming one, at any value, is rejected by name rather than ignored
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(_set(("detection", key), value)))
-        code = main([
-            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
-            "--color-model", str(workspace["colors"]),
-        ])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert key in err
+        assert key in config_error(probe(workspace, config=config_path), capsys)
 
     def test_integral_float_radii_accepted(self, workspace, tmp_path, capsys):
         data = _set(("detection", "r1"), 3.0)
         data["detection"]["r2"] = 2.0
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
-        args = ["probe", "--image", str(workspace["frame"]),
-                "--color-model", str(workspace["colors"])]
-        assert main(["--config", str(config_path)] + args) == EXIT_OK
-        assert main(["--config", str(workspace["config"])] + args) == EXIT_OK
+        assert probe(workspace, config=config_path) == EXIT_OK
+        assert probe(workspace) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
         assert out[0] == out[1]
 
@@ -486,10 +498,7 @@ class TestConfigValidation:
         colors_path.write_text(json.dumps(model))
         runs = ((config_path, colors_path), (workspace["config"], workspace["colors"]))
         for config, colors in runs:
-            assert main([
-                "--config", str(config), "probe", "--image", str(workspace["frame"]),
-                "--color-model", str(colors),
-            ]) == EXIT_OK
+            assert probe(workspace, config=config, colors=colors) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
         assert out[0] == out[1]
         assert Config.from_dict(json.loads(config_path.read_text())).color_names == {
@@ -525,13 +534,7 @@ class TestConfigValidation:
         # JSON true/false would otherwise load as 1/0, e.g. a 1x1 camera
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(_set(path, value)))
-        code = main([
-            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
-            "--color-model", str(workspace["colors"]),
-        ])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        err = config_error(probe(workspace, config=config_path), capsys)
         assert f"{field} must not be a boolean" in err
 
     @pytest.mark.parametrize(
@@ -569,13 +572,7 @@ class TestConfigValidation:
     ):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(_set(("camera", "distortion", name), value)))
-        code = main([
-            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
-            "--color-model", str(workspace["colors"]),
-        ])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        err = config_error(probe(workspace, config=config_path), capsys)
         assert f"camera.distortion.{name} must be a number, got {shown}" in err
 
     def test_overflowing_distortion_fails_the_pose(self, workspace, tmp_path, capsys):
@@ -589,10 +586,7 @@ class TestConfigValidation:
                 fn(np.array([[10.0, 20.0]]))
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
-        code = main([
-            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
-            "--color-model", str(workspace["colors"]),
-        ])
+        code = probe(workspace, config=config_path)
         assert code == EXIT_POSE_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("pose-failure: ") and err.count("\n") == 1
@@ -611,10 +605,7 @@ class TestConfigValidation:
         # 1e308 is a whole number: unbounded, it loads and every frame is a bad image
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(_set(("camera", "image_size_px", side), 1e308)))
-        code = main([
-            "--config", str(config_path), "probe", "--image", str(workspace["frame"]),
-            "--color-model", str(workspace["colors"]),
-        ])
+        code = probe(workspace, config=config_path)
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err == (
@@ -654,18 +645,12 @@ class TestConfigValidation:
         paths = {"config": workspace["config"], "colors": workspace["colors"]}
         paths[source] = tmp_path / f"{source}.json"
         paths[source].write_text(json.dumps(data[source]))
-        sweep_path = tmp_path / "sweep.json"
-        if source != "sweep":
-            sweep_path.write_text(json.dumps(data["sweep"]))
-        command = {
-            "sweep": ["eval", "--sweep", str(sweep_path), "--out", str(tmp_path / "r.csv")],
-        }.get(source, ["probe", "--image", str(workspace["frame"]),
-                       "--color-model", str(paths["colors"])])
-        code = main(["--config", str(paths["config"]), *command])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert f"{field} is an integer too large for a float64" in err
+        if source == "sweep":
+            code = main(["--config", str(paths["config"]), "eval", "--sweep",
+                         str(paths["sweep"]), "--out", str(tmp_path / "r.csv")])
+        else:
+            code = probe(workspace, config=paths["config"], colors=paths["colors"])
+        assert f"{field} is an integer too large for a float64" in config_error(code, capsys)
 
 
 class TestDocumentMutations:
@@ -728,8 +713,7 @@ class TestUsageErrors:
 
 def _calibration_frame(spec, camera):
     """A blurred rendered frame of the pointer and its exact class mask."""
-    pose = pose_at(330.0, 5.0, camera, spec, roll_deg=3.0)
-    scene = synthetic.SceneSpec(pose=pose, spec=spec, band_colors=BAND_RGB, blur_sigma=2.0)
+    scene = scene_at(spec, camera, 330.0, 5.0, 3.0, blur_sigma=2.0)
     img, _ = synthetic.render(scene, camera, SIZE_SMALL)
     return img, synthetic.render_class_mask(scene, camera, SIZE_SMALL)
 
@@ -852,30 +836,21 @@ class TestCalibrateCommand:
 
 class TestProbeCommand:
     def test_probe_success_record(self, workspace, capsys):
-        code = main([
-            "--config", str(workspace["config"]),
-            "probe", "--image", str(workspace["frame"]),
-            "--color-model", str(workspace["colors"]),
-        ])
-        assert code == EXIT_OK
+        assert probe(workspace) == EXIT_OK
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1
         record = out[0]
         assert record.startswith("tip_mm=")
         tip = np.array([float(v) for v in record.split()[0].split("=")[1].split(",")])
         # raster detection accuracy is in the low millimeters
-        assert np.linalg.norm(tip - workspace["pose"].tip) < 5.0
+        assert np.linalg.norm(tip - workspace["scene"].pose.tip) < 5.0
 
     def test_probe_without_pointer_exits_not_found(self, workspace, tmp_path, capsys):
         from bandpointer.imaging import RasterImage
         px = np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.45)
         path = tmp_path / "empty.ppm"
         save_ppm(RasterImage(px), path)
-        code = main([
-            "--config", str(workspace["config"]),
-            "probe", "--image", str(path),
-            "--color-model", str(workspace["colors"]),
-        ])
+        code = probe(workspace, image=path)
         assert code == EXIT_POINTER_NOT_FOUND
         assert capsys.readouterr().out == ""
 
@@ -889,20 +864,11 @@ class TestProbeCommand:
         e0 = gt.edges[0]
         lo = np.minimum(e0.p_a, e0.p_b) - 12
         hi = np.maximum(e0.p_a, e0.p_b) + 12
-        occluded = synthetic.SceneSpec(
-            pose=scene.pose,
-            spec=quad_spec,
-            band_colors=BAND_RGB,
-            occluders=(synthetic.Occluder(lo[0], lo[1], hi[0], hi[1]),),
-        )
+        occluded = replace(scene, occluders=(synthetic.Occluder(lo[0], lo[1], hi[0], hi[1]),))
         img, _ = synthetic.render(occluded, small_camera, SIZE_SMALL)
         path = tmp_path / "occluded.ppm"
         save_ppm(img, path)
-        code = main([
-            "--config", str(workspace["config"]),
-            "probe", "--image", str(path),
-            "--color-model", str(workspace["colors"]),
-        ])
+        code = probe(workspace, image=path)
         err = capsys.readouterr().err
         assert code == EXIT_NO_ASSOCIATION
         assert "three" in err or "insufficient" in err.lower()
@@ -912,11 +878,7 @@ class TestProbeCommand:
         narrow = RasterImage(load_image(workspace["frame"]).pixels[:, 1:])
         path = tmp_path / "narrow.ppm"
         save_ppm(narrow, path)
-        code = main([
-            "--config", str(workspace["config"]),
-            "probe", "--image", str(path),
-            "--color-model", str(workspace["colors"]),
-        ])
+        code = probe(workspace, image=path)
         assert code == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -931,11 +893,7 @@ class TestProbeCommand:
     def test_bad_image_is_not_a_config_error(self, workspace, tmp_path, capsys, data):
         path = tmp_path / "frame.ppm"
         path.write_bytes(data)
-        code = main([
-            "--config", str(workspace["config"]),
-            "probe", "--image", str(path),
-            "--color-model", str(workspace["colors"]),
-        ])
+        code = probe(workspace, image=path)
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("bad image:") and err.count("\n") == 1
@@ -959,19 +917,14 @@ class TestProbeCommand:
         code = main([
             "--config", str(workspace["config"]), command, "--color-model", str(path), *args,
         ])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert "'green'" in err
+        assert "'green'" in config_error(code, capsys)
         assert not (tmp_path / "out").exists()
 
     def test_missing_color_model_exits_with_one_line(self, workspace, monkeypatch, capsys):
         monkeypatch.delenv("BANDPOINTER_COLOR_MODEL", raising=False)
         code = main(["--config", str(workspace["config"]), "probe",
                      "--image", str(workspace["frame"])])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error: --color-model required") and err.count("\n") == 1
+        assert config_error(code, capsys).startswith("config error: --color-model required")
 
     @pytest.mark.parametrize(
         "entry, index, value",
@@ -991,14 +944,7 @@ class TestProbeCommand:
             cls["lut"][index] = value
         path = tmp_path / "colors.json"
         path.write_text(json.dumps(data))
-        code = main([
-            "--config", str(workspace["config"]),
-            "probe", "--image", str(workspace["frame"]),
-            "--color-model", str(path),
-        ])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        err = config_error(probe(workspace, colors=path), capsys)
         word = json.dumps(value)
         assert f"classes[{entry}].lut[{index}] must not be a boolean, got {word}" in err
 
@@ -1007,14 +953,7 @@ class TestProbeCommand:
         data["classes"][0]["lut"] = [1.0]
         path = tmp_path / "colors.json"
         path.write_text(json.dumps(data))
-        code = main([
-            "--config", str(workspace["config"]),
-            "probe", "--image", str(workspace["frame"]),
-            "--color-model", str(path),
-        ])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        config_error(probe(workspace, colors=path), capsys)
 
 
 _PALETTE = np.array([BAND_RGB[RED], BAND_RGB[GREEN], (0.45, 0.45, 0.45), (0.0, 0.0, 0.0)])
@@ -1081,7 +1020,7 @@ class TestPipelineRobustness:
         assert np.all(np.isfinite(estimate.pose.tip))
         assert abs(np.linalg.norm(estimate.pose.direction) - 1.0) < 1e-9
 
-    def test_single_junction_pixel_is_pointer_not_found(self, small_colors, tmp_path, capsys):
+    def test_single_junction_pixel_is_pointer_not_found(self, workspace, small_colors, tmp_path):
         # a banded bar whose junction filter keeps one pixel: no line fits
         px = _frame_of_kind("bands", np.random.default_rng(1748), None)
         data = make_config_dict()
@@ -1094,34 +1033,21 @@ class TestPipelineRobustness:
         colors_path = tmp_path / "colors.json"
         save_color_model(small_colors, colors_path)
         save_ppm(RasterImage(px), tmp_path / "bar.ppm")
-        code = main([
-            "--config", str(config_path),
-            "probe", "--image", str(tmp_path / "bar.ppm"),
-            "--color-model", str(colors_path),
-        ])
+        code = probe(workspace, image=tmp_path / "bar.ppm", config=config_path, colors=colors_path)
         assert code == EXIT_POINTER_NOT_FOUND
 
 
 class TestTrackCommand:
     def test_identical_frames_identical_rows(self, workspace, tmp_path, capsys):
-        frames_dir = tmp_path / "frames"
-        frames_dir.mkdir()
-        src = workspace["frame"].read_bytes()
-        for i in range(5):
-            (frames_dir / f"frame_{i:03d}.ppm").write_bytes(src)
+        names = [f"frame_{i:03d}.ppm" for i in range(5)]
+        frames_dir = frame_dir(workspace, tmp_path / "frames", names)
         # one corrupted frame: uniform background
         from bandpointer.imaging import RasterImage
         blank = RasterImage(np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.45))
         save_ppm(blank, frames_dir / "frame_002.ppm")
 
         prefix = tmp_path / "out" / "run"
-        code = main([
-            "--config", str(workspace["config"]),
-            "track", "--frames", str(frames_dir),
-            "--color-model", str(workspace["colors"]),
-            "--out-prefix", str(prefix),
-        ])
-        assert code == EXIT_OK
+        assert track(workspace, frames_dir, prefix) == EXIT_OK
         rows = (prefix.with_suffix(".csv")).read_text().strip().splitlines()
         assert len(rows) == 6  # header + 5 frames
         ok_rows = [r for r in rows[1:] if ",ok," in r]
@@ -1134,58 +1060,32 @@ class TestTrackCommand:
         assert "element vertex 4" in raw_ply
 
     def test_bad_frame_does_not_abort_batch(self, workspace, tmp_path):
-        frames_dir = tmp_path / "frames"
-        frames_dir.mkdir()
+        frames_dir = frame_dir(workspace, tmp_path / "frames", ["b_good.ppm"])
         (frames_dir / "a_16bit.ppm").write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
-        (frames_dir / "b_good.ppm").write_bytes(workspace["frame"].read_bytes())
         prefix = tmp_path / "out" / "run"
-        code = main([
-            "--config", str(workspace["config"]),
-            "track", "--frames", str(frames_dir),
-            "--color-model", str(workspace["colors"]),
-            "--out-prefix", str(prefix),
-        ])
-        assert code == EXIT_OK
+        assert track(workspace, frames_dir, prefix) == EXIT_OK
         rows = prefix.with_suffix(".csv").read_text().strip().splitlines()[1:]
         assert [r.split(",")[:2] for r in rows] == [
             ["a_16bit.ppm", "bad-image"], ["b_good.ppm", "ok"],
         ]
 
     def test_frame_of_other_size_does_not_abort_batch(self, workspace, tmp_path):
-        frames_dir = tmp_path / "frames"
-        frames_dir.mkdir()
+        frames_dir = frame_dir(workspace, tmp_path / "frames", ["b_good.ppm"])
         narrow = RasterImage(load_image(workspace["frame"]).pixels[:, 1:])
         save_ppm(narrow, frames_dir / "a_narrow.ppm")
-        (frames_dir / "b_good.ppm").write_bytes(workspace["frame"].read_bytes())
         prefix = tmp_path / "out" / "run"
-        code = main([
-            "--config", str(workspace["config"]),
-            "track", "--frames", str(frames_dir),
-            "--color-model", str(workspace["colors"]),
-            "--out-prefix", str(prefix),
-        ])
-        assert code == EXIT_OK
+        assert track(workspace, frames_dir, prefix) == EXIT_OK
         rows = prefix.with_suffix(".csv").read_text().strip().splitlines()[1:]
         assert [r.split(",") for r in rows][0] == ["a_narrow.ppm", "bad-image"] + [""] * 8
         assert rows[1].split(",")[:2] == ["b_good.ppm", "ok"]
         assert "element vertex 1" in (prefix.parent / "run_raw.ply").read_text()
 
     def test_outputs_byte_identical_across_runs(self, workspace, tmp_path):
-        frames_dir = tmp_path / "frames"
-        frames_dir.mkdir()
-        src = workspace["frame"].read_bytes()
-        for i in range(3):
-            (frames_dir / f"f{i}.ppm").write_bytes(src)
+        frames_dir = frame_dir(workspace, tmp_path / "frames", ["f0.ppm", "f1.ppm", "f2.ppm"])
         outputs = []
         for run in range(2):
             prefix = tmp_path / f"out{run}" / "run"
-            code = main([
-                "--config", str(workspace["config"]),
-                "track", "--frames", str(frames_dir),
-                "--color-model", str(workspace["colors"]),
-                "--out-prefix", str(prefix),
-            ])
-            assert code == EXIT_OK
+            assert track(workspace, frames_dir, prefix) == EXIT_OK
             outputs.append((
                 prefix.with_suffix(".csv").read_bytes(),
                 (prefix.parent / "run_raw.ply").read_bytes(),
@@ -1194,21 +1094,11 @@ class TestTrackCommand:
         assert outputs[0] == outputs[1]
 
     def test_parallel_jobs_match_serial(self, workspace, tmp_path):
-        frames_dir = tmp_path / "frames"
-        frames_dir.mkdir()
-        src = workspace["frame"].read_bytes()
-        for i in range(3):
-            (frames_dir / f"f{i}.ppm").write_bytes(src)
+        frames_dir = frame_dir(workspace, tmp_path / "frames", ["f0.ppm", "f1.ppm", "f2.ppm"])
         csvs = []
         for jobs in (1, 2):
             prefix = tmp_path / f"j{jobs}" / "run"
-            code = main([
-                "--config", str(workspace["config"]),
-                "track", "--frames", str(frames_dir),
-                "--color-model", str(workspace["colors"]),
-                "--out-prefix", str(prefix), "--jobs", str(jobs),
-            ])
-            assert code == EXIT_OK
+            assert track(workspace, frames_dir, prefix, "--jobs", str(jobs)) == EXIT_OK
             csvs.append(prefix.with_suffix(".csv").read_bytes())
         assert csvs[0] == csvs[1]
 
@@ -1231,22 +1121,11 @@ class TestTrackCommand:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
-        frames_dir = tmp_path / "frames"
-        frames_dir.mkdir()
-        src = workspace["frame"].read_bytes()
-        for i in range(3):
-            (frames_dir / f"f{i}.ppm").write_bytes(src)
-        single_dir = tmp_path / "single"
-        single_dir.mkdir()
-        (single_dir / "f0.ppm").write_bytes(src)
+        frames_dir = frame_dir(workspace, tmp_path / "frames", ["f0.ppm", "f1.ppm", "f2.ppm"])
+        single_dir = frame_dir(workspace, tmp_path / "single", ["f0.ppm"])
         for frames, jobs in ((frames_dir, 8), (frames_dir, 2), (single_dir, 4)):
-            code = main([
-                "--config", str(workspace["config"]),
-                "track", "--frames", str(frames),
-                "--color-model", str(workspace["colors"]),
-                "--out-prefix", str(tmp_path / "out" / f"j{jobs}"), "--jobs", str(jobs),
-            ])
-            assert code == EXIT_OK
+            prefix = tmp_path / "out" / f"j{jobs}"
+            assert track(workspace, frames, prefix, "--jobs", str(jobs)) == EXIT_OK
         # one frame runs in-process: no pool at all
         assert made == [3, 2]
 
@@ -1257,29 +1136,26 @@ class TestTrackCommand:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         prefix = tmp_path / "out" / "run"
-        code = main([
-            "--config", str(workspace["config"]),
-            "track", "--frames", str(workspace["root"]),
-            "--color-model", str(workspace["colors"]),
-            "--out-prefix", str(prefix), "--jobs", str(jobs),
-        ])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("config error:") and "--jobs" in err[0]
+        code = track(workspace, workspace["root"], prefix, "--jobs", str(jobs))
+        assert "--jobs" in config_error(code, capsys)
         assert not prefix.parent.exists()
 
+    def test_png_frame_reads_and_tracks_as_its_ppm(self, workspace, tmp_path):
+        image = pytest.importorskip("PIL.Image")
+        frames_dir = frame_dir(workspace, tmp_path / "frames", ["a.ppm"])
+        ppm = load_image(workspace["frame"])
+        image.fromarray(ppm.pixels).save(frames_dir / "b.png")
+        assert np.array_equal(load_image(frames_dir / "b.png").pixels, ppm.pixels)
+        prefix = tmp_path / "out" / "run"
+        assert track(workspace, frames_dir, prefix) == EXIT_OK
+        rows = [r.split(",", 2) for r in prefix.with_suffix(".csv").read_text().splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["a.ppm", "ok"], ["b.png", "ok"]]
+        assert rows[0][2] == rows[1][2]
+
     def test_dotted_prefix_kept_in_every_output(self, workspace, tmp_path):
-        frames_dir = tmp_path / "frames"
-        frames_dir.mkdir()
-        (frames_dir / "f0.ppm").write_bytes(workspace["frame"].read_bytes())
+        frames_dir = frame_dir(workspace, tmp_path / "frames", ["f0.ppm"])
         out = tmp_path / "out"
-        code = main([
-            "--config", str(workspace["config"]),
-            "track", "--frames", str(frames_dir),
-            "--color-model", str(workspace["colors"]),
-            "--out-prefix", str(out / "run.v2"),
-        ])
-        assert code == EXIT_OK
+        assert track(workspace, frames_dir, out / "run.v2") == EXIT_OK
         assert sorted(p.name for p in out.iterdir()) == [
             "run.v2.csv", "run.v2_filtered.ply", "run.v2_raw.ply",
         ]
@@ -1377,9 +1253,7 @@ class TestEvalCommand:
             "--config", str(workspace["config"]),
             "eval", "--sweep", str(sweep_path), "--out", str(out_path),
         ])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        err = config_error(code, capsys)
         assert not out_path.exists()
 
     @pytest.mark.parametrize(
@@ -1402,9 +1276,7 @@ class TestEvalCommand:
             "--config", str(workspace["config"]),
             "eval", "--sweep", str(sweep_path), "--out", str(out_path),
         ])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        err = config_error(code, capsys)
         assert f"{field} must not be a boolean" in err
         assert not out_path.exists()
 

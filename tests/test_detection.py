@@ -1,8 +1,8 @@
 """Tests for the two-pass band detector and junction pair extraction."""
 
-import functools
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,17 +16,17 @@ from conftest import (
     BLUE,
     FIXTURE_PARAMS,
     GREEN,
+    QUAD_BANDS,
+    QUAD_DISTANCES,
     RED,
     SIZE_FULL,
     SIZE_SMALL,
-    SKEWER_BANDS_RG,
-    SKEWER_DISTANCES,
     build_spec,
     inside_boxes,
     kde_lut,
     make_calibrated_colors,
     pasted,
-    pose_at,
+    scene_at,
     traced_peak,
 )
 
@@ -76,7 +76,7 @@ from bandpointer.imaging import (
     erode_disk,
     rgb_to_hue_saturation,
 )
-from bandpointer.pose import CameraModel, PointerPose
+from bandpointer.pose import PointerPose
 
 
 @pytest.fixture
@@ -599,8 +599,7 @@ class TestOrientationKernel:
 
 @pytest.fixture(scope="module")
 def quad_scene(quad_spec, small_camera):
-    pose = pose_at(330.0, 0.0, small_camera, quad_spec, roll_deg=3.0)
-    scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB)
+    scene = scene_at(quad_spec, small_camera, 330.0, 0.0, 3.0)
     img, gt = synthetic.render(scene, small_camera, SIZE_SMALL)
     return scene, img, gt
 
@@ -621,22 +620,11 @@ class TestExtractEdgePairs:
     def test_highlight_gap_reconnected(self, small_camera, params):
         # thick enough that the colored stubs beside the specular line
         # survive erosion, leaving a split halo for the kernel to bridge
-        from conftest import QUAD_BANDS, QUAD_DISTANCES, build_spec, make_calibrated_colors
-
         spec = build_spec(QUAD_DISTANCES, QUAD_BANDS, 100.0, radius=4.0)
         colors = make_calibrated_colors(spec, small_camera, SIZE_SMALL)
-        pose = pose_at(330.0, 0.0, small_camera, spec, roll_deg=3.0)
-        base = synthetic.SceneSpec(pose=pose, spec=spec, band_colors=BAND_RGB)
-        highlighted = synthetic.SceneSpec(
-            pose=pose,
-            spec=spec,
-            band_colors=BAND_RGB,
-            highlights=(
-                synthetic.HighlightStripe(
-                    53.0, 57.0, 0.92, side_fraction=(-0.3, 0.1)
-                ),
-            ),
-        )
+        highlighted = scene_at(spec, small_camera, 330.0, 0.0, 3.0, highlights=(
+            synthetic.HighlightStripe(53.0, 57.0, 0.92, side_fraction=(-0.3, 0.1)),
+        ))
         img_hl, _ = synthetic.render(highlighted, small_camera, SIZE_SMALL)
         result = detect_pointer(img_hl, colors, spec, params)
         # the highlight saddles the middle junction; it must survive
@@ -772,11 +760,10 @@ class TestGroupedOrientationFilter:
         self, quad_spec, small_camera, small_colors, params, monkeypatch,
         angle_deg, blur, shift_mm,
     ):
-        pose = pose_at(330.0, angle_deg, small_camera, quad_spec, roll_deg=3.0)
-        pose = PointerPose(tip=pose.tip + (shift_mm, 0.0, 0.0), direction=pose.direction)
-        scene = synthetic.SceneSpec(
-            pose=pose, spec=quad_spec, band_colors=BAND_RGB, blur_sigma=blur
-        )
+        scene = scene_at(quad_spec, small_camera, 330.0, angle_deg, 3.0, blur_sigma=blur)
+        pose = scene.pose
+        scene = replace(scene, pose=PointerPose(
+            tip=pose.tip + (shift_mm, 0.0, 0.0), direction=pose.direction))
         img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
         ((x0, _), halo, filtered, ys, xs), kernel = _frame_junction_images(
             img, small_colors, quad_spec, params, monkeypatch
@@ -853,25 +840,14 @@ class TestIsotropicHalo:
         assert abs(np.cos(phis[0] - angle)) < 1e-12  # perpendicular to the axis
 
 
-@functools.lru_cache(maxsize=None)
-def _benchmark_setup():
-    """The benchmark's camera (1224x1024, f = 1800 px), its 3 mm pointer
-    spec and colors calibrated on a frame of it."""
-    size = (1224, 1024)
-    camera = CameraModel(K=np.array([[1800.0, 0.0, 611.5], [0.0, 1800.0, 511.5], [0, 0, 1]]))
-    spec = build_spec(SKEWER_DISTANCES, SKEWER_BANDS_RG, 251.0, radius=1.5)
-    return size, camera, spec, make_calibrated_colors(spec, camera, size, depth_mm=450.0)
-
-
-def _benchmark_sized_frame(depth_mm, tilt_deg, blur_sigma=0.0):
-    """A rendered 1224x1024 frame at the benchmark's size (f = 1800 px,
-    3 mm pointer, roll 4 deg), with its pointer spec and calibrated colors."""
-    size, camera, spec, colors = _benchmark_setup()
-    scene = synthetic.SceneSpec(
-        pose=pose_at(depth_mm, tilt_deg, camera, spec, roll_deg=4.0), spec=spec,
-        band_colors=BAND_RGB, blur_sigma=blur_sigma,
+def _benchmark_sized_frame(setup, depth_mm, tilt_deg, blur_sigma=0.0):
+    """A frame of the benchmark_setup fixture's camera (1224x1024,
+    f = 1800 px, 3 mm pointer, roll 4 deg), with its pointer spec and
+    calibrated colors."""
+    size, camera, spec, colors = setup
+    img, _ = synthetic.render(
+        scene_at(spec, camera, depth_mm, tilt_deg, 4.0, blur_sigma=blur_sigma), camera, size
     )
-    img, _ = synthetic.render(scene, camera, size)
     return img, spec, colors
 
 
@@ -882,8 +858,8 @@ class TestPassOneLatticeOnRenderedFrames:
 
     @pytest.mark.parametrize("tilt_deg", [0.0, 35.5, 71.0])
     @pytest.mark.parametrize("blur_sigma", [0.0, 1.5], ids=["sharp", "blurred"])
-    def test_regions_equal_whole_frame_reference(self, tilt_deg, blur_sigma):
-        img, spec, colors = _benchmark_sized_frame(505.0, tilt_deg, blur_sigma)
+    def test_regions_equal_whole_frame_reference(self, benchmark_setup, tilt_deg, blur_sigma):
+        img, spec, colors = _benchmark_sized_frame(benchmark_setup, 505.0, tilt_deg, blur_sigma)
         hs = rgb_to_hue_saturation(img)
         params = DetectionParams(**FIXTURE_PARAMS)
         adjacency = spec.adjacent_label_pairs()
@@ -897,14 +873,14 @@ class TestPassOneLatticeOnRenderedFrames:
 
 class TestJunctionMemory:
     """Peak memory of the junction images on a benchmark-sized frame at
-    400 mm / 35.5 deg. Measured: 10.3 bytes per crop pixel (6.9 for the
-    bool masks, their disk dilations, the halo and I_b2, the rest the
-    float work over the largest group's box), against 58 for one float64
-    FFT over the whole crop; a crop-sized int32 raster alone (14.3)
-    breaks the bound."""
+    400 mm / 35.5 deg. Measured: 10.31 bytes per pixel of its 119k px
+    crop (6.9 for the bool masks, their disk dilations, the halo and
+    I_b2, the rest the float work over the largest group's box), against
+    58 for one float64 FFT over the whole crop; a crop-sized int32 raster
+    alone (14.3) breaks the bound."""
 
-    def test_holds_no_crop_sized_float(self):
-        img, spec, colors = _benchmark_sized_frame(400.0, 35.5)
+    def test_holds_no_crop_sized_float(self, benchmark_setup):
+        img, spec, colors = _benchmark_sized_frame(benchmark_setup, 400.0, 35.5)
         size = (img.width, img.height)
         params = DetectionParams(**FIXTURE_PARAMS)
         _, line, pass2 = _two_passes(img, colors, spec, params)
@@ -916,15 +892,15 @@ class TestJunctionMemory:
 
 class TestRegionPassMemory:
     """Peak memory of both region passes on a benchmark-sized frame at
-    505 mm / 53.2 deg. Measured: 0.56 bytes per frame pixel for pass 1,
+    505 mm / 53.2 deg. Measured: 0.559 bytes per frame pixel for pass 1,
     most of it the float64 hue work on its 6.7k gated pixels, since its
     rasters span only the gate's lattice and the window of its hits (3%
-    of this frame), and 0.43 for pass 2. A whole-frame raster breaks
+    of this frame), and 0.425 for pass 2. A whole-frame raster breaks
     either bound: pass 1 read 1.37 with a whole-frame bool gate and its
     row block, and pass 2 read 2.36 with a whole-frame ROI raster."""
 
-    def test_no_frame_sized_label_or_roi_raster(self):
-        img, spec, colors = _benchmark_sized_frame(505.0, 53.2)
+    def test_no_frame_sized_label_or_roi_raster(self, benchmark_setup):
+        img, spec, colors = _benchmark_sized_frame(benchmark_setup, 505.0, 53.2)
         hs = rgb_to_hue_saturation(img)
         params = DetectionParams(**FIXTURE_PARAMS)
         adjacency = spec.adjacent_label_pairs()
@@ -1078,10 +1054,7 @@ class TestExtractEdgePairsEquivalence:
 
     @pytest.mark.parametrize("angle_deg, blur", [(0.0, 0.0), (35.0, 2.0), (60.0, 0.0), (71.0, 3.0)])
     def test_quad_scenes(self, quad_spec, small_camera, small_colors, params, angle_deg, blur):
-        pose = pose_at(330.0, angle_deg, small_camera, quad_spec, roll_deg=3.0)
-        scene = synthetic.SceneSpec(
-            pose=pose, spec=quad_spec, band_colors=BAND_RGB, blur_sigma=blur
-        )
+        scene = scene_at(quad_spec, small_camera, 330.0, angle_deg, 3.0, blur_sigma=blur)
         img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
         hs = rgb_to_hue_saturation(img)
         adj = quad_spec.adjacent_label_pairs()
@@ -1161,10 +1134,7 @@ class TestDetectPointer:
         self, skewer_spec, full_colors, camera_full
     ):
         params = DetectionParams(**FIXTURE_PARAMS)
-        pose = pose_at(500.0, 0.0, camera_full, skewer_spec, roll_deg=4.0)
-        scene = synthetic.SceneSpec(
-            pose=pose, spec=skewer_spec, band_colors=BAND_RGB
-        )
+        scene = scene_at(skewer_spec, camera_full, 500.0, 0.0, 4.0)
         img, gt = synthetic.render(scene, camera_full, SIZE_FULL)
         result = detect_pointer(img, full_colors, skewer_spec, params)
         assert len(result.edges) == 10
@@ -1173,10 +1143,7 @@ class TestDetectPointer:
         self, skewer_spec, full_colors, camera_full
     ):
         params = DetectionParams(**FIXTURE_PARAMS)
-        pose = pose_at(500.0, 71.0, camera_full, skewer_spec, roll_deg=4.0)
-        scene = synthetic.SceneSpec(
-            pose=pose, spec=skewer_spec, band_colors=BAND_RGB
-        )
+        scene = scene_at(skewer_spec, camera_full, 500.0, 71.0, 4.0)
         img, gt = synthetic.render(scene, camera_full, SIZE_FULL)
         result = detect_pointer(img, full_colors, skewer_spec, params)
         assert len(result.edges) >= 6
@@ -1192,8 +1159,7 @@ class TestDetectPointer:
             detect_pointer(img, small_colors, quad_spec, params)
 
     def test_ransac_seed_has_no_effect(self, quad_spec, small_colors, small_camera):
-        pose = pose_at(330.0, 10.0, small_camera, quad_spec, roll_deg=6.0)
-        scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB)
+        scene = scene_at(quad_spec, small_camera, 330.0, 10.0, 6.0)
         img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
         seeded = [DetectionParams(**{**FIXTURE_PARAMS, "ransac_seed": seed}) for seed in (0, 7)]
         base, other = (detect_pointer(img, small_colors, quad_spec, p) for p in seeded)
@@ -1212,10 +1178,7 @@ class TestDetectPointer:
     def test_translation_equivariance(
         self, quad_spec, small_colors, small_camera, params
     ):
-        pose = pose_at(330.0, 10.0, small_camera, quad_spec, roll_deg=6.0)
-        scene = synthetic.SceneSpec(
-            pose=pose, spec=quad_spec, band_colors=BAND_RGB
-        )
+        scene = scene_at(quad_spec, small_camera, 330.0, 10.0, 6.0)
         img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
 
         canvas = np.empty((SIZE_SMALL[1] + 40, SIZE_SMALL[0] + 40, 3))

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import backend_reference as reference
 from conftest import (
-    BAND_RGB, BLUE, GREEN, RED, SIZE_FULL, build_spec, detection_from_pose, pose_at,
+    BLUE, GREEN, RED, SIZE_FULL, build_spec, detection_from_pose, pose_at, scene_at, with_hidden,
 )
 
 from bandpointer import synthetic
 from bandpointer.association import Correspondence, align_labels_dp, associate_ransac
+from bandpointer.cli import _associate_and_pose
 from bandpointer.errors import (
     BandPointerError,
     BehindCameraError,
@@ -322,15 +323,12 @@ class TestLensDistortion:
         # to undistort them, and the initialization's axis points, exactly
         camera = CameraModel(K=camera_full.K, distortion=DistortionModel(**coefficients))
         for depth, angle in [(400.0, 0.0), (480.0, 25.0), (550.0, 45.0), (610.0, 65.0)]:
-            pose = pose_at(depth, angle, camera, skewer_spec, roll_deg=4.0)
-            scene = synthetic.SceneSpec(pose=pose, spec=skewer_spec, band_colors=BAND_RGB)
+            scene = scene_at(skewer_spec, camera, depth, angle, 4.0)
             gt = synthetic.ground_truth(scene, camera, SIZE_FULL)
             assert all(e.visible for e in gt.edges)
             det = synthetic.ground_truth_detection(gt, skewer_spec)
-            labels = [(e.left_label, e.right_label) for e in det.edges]
-            hypotheses = associate_ransac(det, skewer_spec, align_labels_dp(labels, skewer_spec))
-            estimate = estimate_pose(det, hypotheses, camera, skewer_spec)
-            assert np.linalg.norm(estimate.pose.tip - pose.tip) < 1e-6
+            estimate = _associate_and_pose(det, skewer_spec, camera)
+            assert np.linalg.norm(estimate.pose.tip - scene.pose.tip) < 1e-6
             assert estimate.rms_px < 1e-6
 
     def test_tiny_distortion_barely_moves_points(self, camera_full):
@@ -448,12 +446,9 @@ class TestBackEndEquivalence:
         rng = np.random.default_rng(seed)
         spec = skewer_spec_blue if blue else skewer_spec
         camera = _random_camera(rng, distorted, f=3600.0)
-        pose = pose_at(depth, tilt, camera, spec, roll_deg=rng.uniform(-30.0, 30.0))
-        scene = synthetic.SceneSpec(pose=pose, spec=spec, band_colors=BAND_RGB)
+        scene = scene_at(spec, camera, depth, tilt, rng.uniform(-30.0, 30.0))
         gt = synthetic.ground_truth(scene, camera, SIZE_FULL)
-        shown = rng.permutation(len(spec.distances_mm))[hidden:]
-        for e in gt.edges:
-            e.visible = e.visible and e.index in shown
+        gt = with_hidden(gt, rng.permutation(len(spec.distances_mm))[:hidden])
         try:
             det = synthetic.ground_truth_detection(gt, spec, noise_px=0.5, rng=rng)
             labels = [(e.left_label, e.right_label) for e in det.edges]

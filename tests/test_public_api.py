@@ -1,10 +1,20 @@
-"""The package's export list, and the imports README shows."""
+"""The package's export list, the imports README shows, and the frozen
+stage inputs."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from test_cli import make_config_dict
+
 import bandpointer
+from bandpointer.cli import Config
+from bandpointer.pose import PointerPose
+from bandpointer.synthetic import EdgeGroundTruth, GroundTruth
 
 
 def test_every_export_resolves():
@@ -41,3 +51,22 @@ def test_readme_imports_resolve():
         except ImportError as exc:
             failures.append(f"{statement}: {exc}")
     assert failures == []
+
+
+
+EDGE = EdgeGroundTruth(index=0, p_a=np.zeros(2), p_b=np.ones(2), visible=True)
+TRUTH = GroundTruth(edges=[EDGE], pose=PointerPose(tip=np.zeros(3), direction=[1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "instance, field",
+    [(Config.from_dict(make_config_dict()), "detection"), (TRUTH, "edges"), (EDGE, "visible")],
+    ids=["config", "ground-truth", "edge-ground-truth"],
+)
+def test_stage_inputs_are_frozen(instance, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(instance, field, getattr(instance, field))
+
+
+def test_ground_truth_stores_its_edges_as_a_tuple():
+    assert isinstance(TRUTH.edges, tuple) and TRUTH.edges[0] is EDGE

@@ -7,22 +7,14 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import (
-    BAND_RGB,
-    GREEN,
-    RED,
-    SIZE_SMALL,
-    build_spec,
-    pose_at,
-    quantize,
-)
+from conftest import BAND_RGB, GREEN, RED, SIZE_SMALL, build_spec, quantize, scene_at
 
 from bandpointer import synthetic
-from bandpointer.association import align_labels_dp, associate_ransac
+from bandpointer.cli import _associate_and_pose
 from bandpointer.errors import BehindCameraError
 from bandpointer.geometry import pixel_box
 from bandpointer.imaging import DistortionModel, RasterImage
-from bandpointer.pose import CameraModel, PointerPose, estimate_pose, project_pointer_edges
+from bandpointer.pose import CameraModel, PointerPose, project_pointer_edges
 
 
 @pytest.fixture(scope="module")
@@ -38,18 +30,13 @@ def tilted_camera():
     return CameraModel(K=K, R=R, t=np.array([12.0, -8.0, 30.0]))
 
 
-def scene_for(spec, camera, depth=330.0, angle=10.0, **kw):
-    pose = pose_at(depth, angle, camera, spec, roll_deg=5.0)
-    return synthetic.SceneSpec(pose=pose, spec=spec, band_colors=BAND_RGB, **kw)
-
-
 class TestGroundTruth:
     def test_matches_pose_projector_within_1e9(self, tilted_camera, quad_spec):
         lens = replace(
             tilted_camera, distortion=DistortionModel(k1=-0.1, k2=0.02, p1=1e-3, p2=-5e-4)
         )
         for camera in (tilted_camera, lens):
-            scene = scene_for(quad_spec, camera)
+            scene = scene_at(quad_spec, camera, 330.0, 10.0, 5.0)
             gt = synthetic.ground_truth(scene, camera, SIZE_SMALL)
             ideal = project_pointer_edges(scene.pose, camera, quad_spec)
             pairs = camera.distort(ideal.reshape(-1, 2)).reshape(-1, 2, 2)
@@ -67,7 +54,7 @@ class TestGroundTruth:
             synthetic.render(scene, tilted_camera, SIZE_SMALL)
 
     def test_occluder_flags(self, small_camera, quad_spec):
-        scene = scene_for(quad_spec, small_camera, angle=0.0)
+        scene = scene_at(quad_spec, small_camera, 330.0, 0.0, 5.0)
         gt_clear = synthetic.ground_truth(scene, small_camera, SIZE_SMALL)
         # occlude the second junction only
         e1 = gt_clear.edges[1]
@@ -75,26 +62,18 @@ class TestGroundTruth:
         hi_x = max(e1.p_a[0], e1.p_b[0]) + 8
         lo_y = min(e1.p_a[1], e1.p_b[1]) - 8
         hi_y = max(e1.p_a[1], e1.p_b[1]) + 8
-        occluded_scene = synthetic.SceneSpec(
-            pose=scene.pose,
-            spec=quad_spec,
-            band_colors=BAND_RGB,
-            occluders=(synthetic.Occluder(lo_x, lo_y, hi_x, hi_y),),
-        )
+        occluded_scene = replace(scene, occluders=(synthetic.Occluder(lo_x, lo_y, hi_x, hi_y),))
         gt = synthetic.ground_truth(occluded_scene, small_camera, SIZE_SMALL)
         assert [e.visible for e in gt.edges] == [True, False, True]
 
     def test_partially_covered_edge_stays_visible(self, small_camera, quad_spec):
-        scene = scene_for(quad_spec, small_camera, angle=0.0)
+        scene = scene_at(quad_spec, small_camera, 330.0, 0.0, 5.0)
         gt_clear = synthetic.ground_truth(scene, small_camera, SIZE_SMALL)
         e1 = gt_clear.edges[1]
         # rectangle covering only one of the two contour points
         top = min(e1.p_a, e1.p_b, key=lambda p: p[1])
         occ = synthetic.Occluder(top[0] - 5, top[1] - 5, top[0] + 5, top[1] + 2)
-        scene2 = synthetic.SceneSpec(
-            pose=scene.pose, spec=quad_spec, band_colors=BAND_RGB, occluders=(occ,)
-        )
-        gt = synthetic.ground_truth(scene2, small_camera, SIZE_SMALL)
+        gt = synthetic.ground_truth(replace(scene, occluders=(occ,)), small_camera, SIZE_SMALL)
         assert gt.edges[1].visible  # both points must fall inside to occlude
 
     @pytest.mark.parametrize("corners", [(10.0, 0.0, 5.0, 5.0), (0.0, 10.0, 5.0, 5.0)])
@@ -185,7 +164,7 @@ class TestSceneValidation:
 
 class TestRender:
     def test_deterministic_bit_identical(self, tilted_camera, quad_spec):
-        scene = scene_for(quad_spec, tilted_camera, blur_sigma=1.5)
+        scene = scene_at(quad_spec, tilted_camera, 330.0, 10.0, 5.0, blur_sigma=1.5)
         img1, _ = synthetic.render(scene, tilted_camera, SIZE_SMALL)
         img2, _ = synthetic.render(scene, tilted_camera, SIZE_SMALL)
         assert np.array_equal(img1.pixels, img2.pixels)
@@ -193,7 +172,7 @@ class TestRender:
     def test_peak_memory_below_one_float_frame(self, camera_small, quad_spec):
         # the frame is uint8 and floats live only in the crop around the
         # pointer, so the peak stays below a float64 RGB frame (7.5 MB)
-        scene = scene_for(quad_spec, camera_small, depth=600.0, angle=40.0, blur_sigma=1.5)
+        scene = scene_at(quad_spec, camera_small, 600.0, 40.0, 5.0, blur_sigma=1.5)
         tracemalloc.start()
         try:
             img, _ = synthetic.render(scene, camera_small, SIZE_SMALL)
@@ -208,7 +187,7 @@ class TestRender:
         spec = build_spec(
             [25.0, 55.0, 78.0], [RED, GREEN, RED, GREEN], 100.0, radius=0.12
         )
-        scene = scene_for(spec, small_camera, angle=0.0)
+        scene = scene_at(spec, small_camera, 330.0, 0.0, 5.0)
         img, gt = synthetic.render(scene, small_camera, SIZE_SMALL)
         diff = np.abs(img.pixels / 255.0 - np.asarray(scene.background)).max(axis=2)
         colored = diff > 0.02
@@ -228,7 +207,7 @@ class TestRender:
         assert diff.max() < 0.8 * full
 
     def test_band_colors_present(self, tilted_camera, quad_spec):
-        scene = scene_for(quad_spec, tilted_camera)
+        scene = scene_at(quad_spec, tilted_camera, 330.0, 10.0, 5.0)
         img, gt = synthetic.render(scene, tilted_camera, SIZE_SMALL)
         mid01 = 0.5 * (gt.edges[0].p_a + gt.edges[0].p_b)
         mid12 = 0.5 * (gt.edges[1].p_a + gt.edges[1].p_b)
@@ -237,11 +216,8 @@ class TestRender:
         assert np.linalg.norm(sample - BAND_RGB[GREEN]) < 0.1
 
     def test_distractor_drawn(self, tilted_camera, quad_spec):
-        scene_plain = scene_for(quad_spec, tilted_camera)
-        scene = synthetic.SceneSpec(
-            pose=scene_plain.pose,
-            spec=quad_spec,
-            band_colors=BAND_RGB,
+        scene = scene_at(
+            quad_spec, tilted_camera, 330.0, 10.0, 5.0,
             distractors=(synthetic.Distractor((80.0, 60.0), 10.0, (0.9, 0.2, 0.2)),),
         )
         img, _ = synthetic.render(scene, tilted_camera, SIZE_SMALL)
@@ -255,12 +231,12 @@ class TestCompositing:
     DISC_RGB = (0.2, 0.3, 0.9)
 
     def _scenes(self, spec, camera, center):
-        plain = scene_for(spec, camera, angle=0.0)
+        plain = scene_at(spec, camera, 330.0, 0.0, 5.0)
         disc = synthetic.Distractor(tuple(center), 10.0, self.DISC_RGB)
         return plain, replace(plain, distractors=(disc,))
 
     def _junction_disc(self, spec, camera):
-        gt = synthetic.ground_truth(scene_for(spec, camera, angle=0.0), camera, SIZE_SMALL)
+        gt = synthetic.ground_truth(scene_at(spec, camera, 330.0, 0.0, 5.0), camera, SIZE_SMALL)
         return self._scenes(spec, camera, 0.5 * (gt.edges[1].p_a + gt.edges[1].p_b))
 
     def test_distractor_on_junction_paints_background_only(self, quad_spec, small_camera):
@@ -295,7 +271,7 @@ class TestCompositing:
     def test_side_highlight_whitens_only_the_pointer(self, quad_spec, small_camera):
         # a stripe along one side of band 1, under a disc on the same band
         gt = synthetic.ground_truth(
-            scene_for(quad_spec, small_camera, angle=0.0), small_camera, SIZE_SMALL
+            scene_at(quad_spec, small_camera, 330.0, 0.0, 5.0), small_camera, SIZE_SMALL
         )
         mids = [0.5 * (e.p_a + e.p_b) for e in gt.edges]
         center = 0.5 * (mids[0] + mids[1])
@@ -336,8 +312,7 @@ class TestSideFraction:
     @pytest.mark.parametrize("angle, roll", [(10.0, 5.0), (40.0, -30.0), (65.0, 120.0)])
     def test_junction_points_read_plus_minus_one(self, cameras, quad_spec, angle, roll):
         for camera in cameras:
-            pose = pose_at(330.0, angle, camera, quad_spec, roll_deg=roll)
-            scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB)
+            scene = scene_at(quad_spec, camera, 330.0, angle, roll)
             gt = synthetic.ground_truth(scene, camera, SIZE_SMALL)
             assert len(gt.visible_edges()) == 3
             for edge in gt.visible_edges():
@@ -348,7 +323,7 @@ class TestSideFraction:
 
     def test_half_stripe_lights_only_its_side(self, cameras, quad_spec):
         for camera in cameras:
-            scene = scene_for(quad_spec, camera, angle=30.0)
+            scene = scene_at(quad_spec, camera, 330.0, 30.0, 5.0)
             img, gt = synthetic.render(scene, camera, SIZE_SMALL)
             for edge in gt.edges:
                 d = quad_spec.distances_mm[edge.index]
@@ -408,13 +383,11 @@ class TestRayCastFootprint:
         spec = quad_spec
         if extra.get("end_edge"):  # a final edge exactly at the pointer end
             spec = build_spec([25.0, 55.0, 100.0], [RED, GREEN, RED, GREEN], 100.0, radius=2.0)
-        pose = pose_at(330.0, angle, camera, spec, roll_deg=roll)
+        scene = scene_at(spec, camera, 330.0, angle, roll, distractors=extra.get("distractors", ()))
         if "shift" in extra:
-            pose = PointerPose(tip=pose.tip + np.asarray(extra["shift"]), direction=pose.direction)
-        scene = synthetic.SceneSpec(
-            pose=pose, spec=spec, band_colors=BAND_RGB,
-            distractors=extra.get("distractors", ()),
-        )
+            pose = scene.pose
+            scene = replace(scene, pose=PointerPose(
+                tip=pose.tip + np.asarray(extra["shift"]), direction=pose.direction))
         return scene, camera
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -530,10 +503,11 @@ class TestCropMatchesWholeFrame:
         camera = CameraModel(K=np.array([[250.0, 0, 79.5], [0, 250.0, 63.5], [0, 0, 1.0]]))
         if lens:
             camera = replace(camera, distortion=self.LENS)
-        pose = pose_at(330.0, angle, camera, quad_spec, roll_deg=roll)
+        scene = scene_at(quad_spec, camera, 330.0, angle, roll, **extra)
         if shift is not None:
-            pose = PointerPose(tip=pose.tip + np.asarray(shift), direction=pose.direction)
-        scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB, **extra)
+            pose = scene.pose
+            scene = replace(scene, pose=PointerPose(
+                tip=pose.tip + np.asarray(shift), direction=pose.direction))
         img, _ = synthetic.render(scene, camera, self.SIZE)
         reference = whole_frame_render(scene, camera, self.SIZE)
         assert img.pixels.dtype == np.uint8
@@ -544,7 +518,7 @@ class TestCropMatchesWholeFrame:
 
 class TestClassMask:
     def test_mask_matches_band_pattern(self, small_camera, quad_spec):
-        scene = scene_for(quad_spec, small_camera, angle=0.0)
+        scene = scene_at(quad_spec, small_camera, 330.0, 0.0, 5.0)
         mask = synthetic.render_class_mask(scene, small_camera, SIZE_SMALL)
         img, gt = synthetic.render(scene, small_camera, SIZE_SMALL)
         assert set(np.unique(mask)) == {0, RED, GREEN}
@@ -559,7 +533,7 @@ class TestClassMask:
 
 class TestGroundTruthDetection:
     def test_forward_orientation_labels(self, tilted_camera, quad_spec):
-        scene = scene_for(quad_spec, tilted_camera)
+        scene = scene_at(quad_spec, tilted_camera, 330.0, 10.0, 5.0)
         gt = synthetic.ground_truth(scene, tilted_camera, SIZE_SMALL)
         det = synthetic.ground_truth_detection(gt, quad_spec)
         assert len(det.edges) == 3
@@ -570,7 +544,7 @@ class TestGroundTruthDetection:
         ]
 
     def test_noise_perturbs_points(self, tilted_camera, quad_spec):
-        scene = scene_for(quad_spec, tilted_camera)
+        scene = scene_at(quad_spec, tilted_camera, 330.0, 10.0, 5.0)
         gt = synthetic.ground_truth(scene, tilted_camera, SIZE_SMALL)
         rng = np.random.default_rng(1)
         det = synthetic.ground_truth_detection(gt, quad_spec, noise_px=0.5, rng=rng)
@@ -581,27 +555,32 @@ class TestGroundTruthDetection:
         assert max(deltas) > 0.05
         assert max(deltas) < 3.0
 
+    def test_noise_needs_an_rng(self, tilted_camera, quad_spec):
+        # a fixed default seed would add the same noise on every call
+        gt = synthetic.ground_truth(
+            scene_at(quad_spec, tilted_camera, 330.0, 10.0, 5.0), tilted_camera, SIZE_SMALL
+        )
+        with pytest.raises(ValueError, match="needs an rng"):
+            synthetic.ground_truth_detection(gt, quad_spec, noise_px=0.5)
+
     @pytest.mark.parametrize("roll_deg", [0.0, 4.0])
     def test_steep_pointer_poses(self, camera_small, quad_spec, roll_deg):
-        pose = pose_at(300.0, 85.0, camera_small, quad_spec, roll_deg=roll_deg)
-        scene = synthetic.SceneSpec(pose=pose, spec=quad_spec, band_colors=BAND_RGB)
+        scene = scene_at(quad_spec, camera_small, 300.0, 85.0, roll_deg)
         gt = synthetic.ground_truth(scene, camera_small, SIZE_SMALL)
         det = synthetic.ground_truth_detection(gt, quad_spec)
-        labels = [(e.left_label, e.right_label) for e in det.edges]
-        hypotheses = associate_ransac(det, quad_spec, align_labels_dp(labels, quad_spec))
-        estimate = estimate_pose(det, hypotheses, camera_small, quad_spec)
-        np.testing.assert_allclose(estimate.pose.tip, pose.tip, atol=1e-3)
+        estimate = _associate_and_pose(det, quad_spec, camera_small)
+        np.testing.assert_allclose(estimate.pose.tip, scene.pose.tip, atol=1e-3)
 
 
 class TestSweep:
     def test_single_cell(self, tilted_camera, quad_spec):
-        template = scene_for(quad_spec, tilted_camera)
+        template = scene_at(quad_spec, tilted_camera, 330.0, 10.0, 5.0)
         cells = synthetic.sweep([500.0], [10.0], template, tilted_camera)
         assert len(cells) == 1
         assert cells[0].depth_mm == 500.0
 
     def test_depth_sweep_tip_approaches_principal_point(self, small_camera, quad_spec):
-        template = scene_for(quad_spec, small_camera, angle=0.0)
+        template = scene_at(quad_spec, small_camera, 330.0, 0.0, 5.0)
         depths = np.linspace(330, 520, 6)
         cells = synthetic.sweep(depths, [0.0], template, small_camera)
         offsets = []
@@ -612,7 +591,7 @@ class TestSweep:
         assert all(np.diff(offsets) < 0)
 
     def test_angle_sweep_foreshortening_analytic(self, small_camera, quad_spec):
-        template = scene_for(quad_spec, small_camera)
+        template = scene_at(quad_spec, small_camera, 330.0, 10.0, 5.0)
         depth = 400.0
         angles = [0.0, 20.0, 40.0, 60.0]
         cells = synthetic.sweep([depth], angles, template, small_camera, roll_deg=0.0)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import BAND_RGB, SIZE_SMALL, inside_boxes, kde_lut, pose_at
+from conftest import SIZE_SMALL, inside_boxes, kde_lut, scene_at
 
 from bandpointer import detection, synthetic
 from bandpointer.color_model import ColorClassSet, classify_image_masked
@@ -100,10 +100,7 @@ def test_pass_two_roi_mask_has_the_shape_of_hs(monkeypatch, quad_spec, small_cam
 
     monkeypatch.setattr(detection, "classify_image_masked", recording)
     monkeypatch.setattr(detection, "boxes_mask", recording_boxes)
-    scene = synthetic.SceneSpec(
-        pose=pose_at(330.0, 30.0, small_camera, quad_spec, roll_deg=3.0), spec=quad_spec,
-        band_colors=BAND_RGB,
-    )
+    scene = scene_at(quad_spec, small_camera, 330.0, 30.0, 3.0)
     img, _ = synthetic.render(scene, small_camera, SIZE_SMALL)
     detection.detect_pointer(img, small_colors, quad_spec, detection.DetectionParams(r1=3, r2=2))
     assert len(bound) == 2 and len(rois) == 1
