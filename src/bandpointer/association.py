@@ -317,7 +317,6 @@ def associate_ransac(
     nothing in the library: the search draws no sample.
     """
     t_coords = np.array([e.axis_coordinate for e in result.edges], dtype=np.float64)
-    detected_labels = [(e.left_label, e.right_label) for e in result.edges]
     t_lo, t_hi = float(t_coords.min()), float(t_coords.max())
     b = spec.distances_mm
 
@@ -336,7 +335,7 @@ def associate_ransac(
         reversed_flag = orientation == "reversed"
         direction = -1 if reversed_flag else 1
         triplets = _triplets(pairs, direction)
-        label_ok = _match_table(detected_labels, spec.side_labels, reversed_flag)
+        label_ok = _match_table(result.side_labels, spec.side_labels, reversed_flag)
         for start in range(0, len(triplets), _TRIPLET_CHUNK):
             trip = pairs[triplets[start:start + _TRIPLET_CHUNK]]
             abc, valid = _fit_homographies(t_coords[trip[..., 0]], b[trip[..., 1]])

@@ -28,6 +28,7 @@ from .association import (
     associate_ransac,
 )
 from .color_model import (
+    BACKGROUND_LABEL,
     CLASS_ID,
     ColorClassSet,
     calibrate_colors,
@@ -208,8 +209,7 @@ def _associate_and_pose(
     result: DetectionResult, spec: PointerSpec, camera: CameraModel
 ) -> PoseEstimate:
     """Label alignment, RANSAC association and pose for one detection."""
-    labels = [(e.left_label, e.right_label) for e in result.edges]
-    alignments = align_labels_dp(labels, spec)
+    alignments = align_labels_dp(result.side_labels, spec)
     hypotheses = associate_ransac(result, spec, alignments)
     return estimate_pose(result, hypotheses, camera, spec)
 
@@ -231,7 +231,7 @@ def cmd_calibrate(args) -> int:
     img = load_image(args.image)
     mask = load_pgm(args.mask)
     known_ids = set(config.color_names.values())
-    present = {int(v) for v in np.unique(mask) if v != 0}
+    present = {int(v) for v in np.unique(mask) if v != BACKGROUND_LABEL}
     unknown = present - known_ids
     if unknown:
         raise ConfigError(f"mask references class ids {sorted(unknown)} absent from config")

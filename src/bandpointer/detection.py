@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix, csgraph
 from scipy.spatial import cKDTree
 
 from .color_model import ColorClassSet, classify_image_masked
-from .association import PointerSpec
+from .association import LabelPair, PointerSpec
 from .errors import (
     DegenerateSampleError,
     InsufficientEdgesError,
@@ -95,7 +95,7 @@ class DetectionParams:
         return 2 * self.r2 + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgePointPair:
     """Two sub-pixel contour points of one band junction."""
 
@@ -121,6 +121,11 @@ class DetectionResult:
 
     edges: list[EdgePointPair]
     line: Line2D  # L2, fit to the pair points
+
+    @property
+    def side_labels(self) -> tuple[LabelPair, ...]:
+        """The (left, right) labels of each edge, in axis order."""
+        return tuple((e.left_label, e.right_label) for e in self.edges)
 
 
 def detect_band_regions(

@@ -25,7 +25,7 @@ def canonical_direction(d: np.ndarray) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Line2D:
     """Undirected image line given by a point and a unit direction."""
 
@@ -97,7 +97,7 @@ def principal_axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientedBox:
     """Rectangle with arbitrary orientation: center, unit axes, half extents."""
 

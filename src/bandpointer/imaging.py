@@ -161,7 +161,7 @@ class DistortionModel:
         return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
     """Connected pixel set with its centroid and pixel count."""
 

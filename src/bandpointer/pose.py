@@ -33,7 +33,7 @@ LM_RELATIVE_TOL = 1e-10
 MIN_CORRESPONDENCES = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraModel:
     """Pinhole camera: intrinsics, extrinsics and lens distortion (none
     by default)."""
@@ -43,8 +43,8 @@ class CameraModel:
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))  # mm
     distortion: DistortionModel = DistortionModel()
     # camera center in the world frame, -R^T t, and K^-1, computed once
-    center: np.ndarray = field(init=False, repr=False, compare=False)
-    K_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    center: np.ndarray = field(init=False, repr=False)
+    K_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=np.float64)
@@ -96,7 +96,7 @@ class CameraModel:
         return distort_points(pts, self.distortion, self.K)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointerPose:
     """Tip position (mm, world frame) and unit tip-to-tail direction."""
 

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from .association import PointerSpec
+from .color_model import BACKGROUND_LABEL
 from .detection import DetectionResult, EdgePointPair, order_along_axis
 from .errors import (
     BehindCameraError,
@@ -124,7 +125,7 @@ class SceneSpec:
                 raise ValueError("colors must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeGroundTruth:
     index: int
     p_a: np.ndarray  # negative contour side, raw image px
@@ -444,16 +445,17 @@ def render_class_mask(
     (x0, y0, x1, y1), _, band_idx = _subpixel_bands(scene, camera, size)
     if band_idx is None:
         return mask
-    # an unlabeled band reads 0, a missed ray (band -1) the last entry, -1
+    # an unlabeled band reads as background, a missed ray (band -1) the
+    # last entry, -1; only class ids lie above the background
     labels = np.array(
-        [lbl if lbl is not None else 0 for lbl in scene.spec.band_labels] + [-1],
+        [lbl if lbl is not None else BACKGROUND_LABEL for lbl in scene.spec.band_labels] + [-1],
         dtype=np.int64,
     )
     sub_label = labels[band_idx]
     ss = SUPERSAMPLE
     tiles = sub_label.reshape(y1 - y0, ss, x1 - x0, ss)
     first = tiles[:, 0, :, 0]
-    uniform = (tiles == first[:, None, :, None]).all(axis=(1, 3)) & (first > 0)
+    uniform = (tiles == first[:, None, :, None]).all(axis=(1, 3)) & (first > BACKGROUND_LABEL)
     mask[y0:y1, x0:x1] = first * uniform
     return mask
 

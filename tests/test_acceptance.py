@@ -265,7 +265,7 @@ def _random_instance(rng):
 def _oracle_max_inliers(det, spec):
     """Exhaustive max inlier count over all consistent triplets."""
     t = np.array([e.axis_coordinate for e in det.edges])
-    labels = [(e.left_label, e.right_label) for e in det.edges]
+    labels = det.side_labels
     b = spec.distances_mm
     t_lo, t_hi = float(t.min()), float(t.max())
     best = 0
@@ -303,10 +303,9 @@ class TestCriterion4AssociationOracle:
         checked = 0
         for _ in range(200):
             spec, det = _random_instance(rng)
-            labels = [(e.left_label, e.right_label) for e in det.edges]
             oracle = _oracle_max_inliers(det, spec)
             try:
-                alignments = align_labels_dp(labels, spec)
+                alignments = align_labels_dp(det.side_labels, spec)
                 hypotheses = associate_ransac(det, spec, alignments)
                 got = max(len(h.pairs) for h in hypotheses)
             except BandPointerError:

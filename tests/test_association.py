@@ -239,18 +239,6 @@ class TestFitHomographiesEquivalence:
 
 def brute_force_alignments(detected, spec_labels):
     """Oracle: enumerate every monotone pairing, keep max score."""
-
-    def match(d, s):
-        dl, dr = d
-        sl, sr = s
-        if dl is None and dr is None:
-            return False
-        if dl is not None and dl != sl:
-            return False
-        if dr is not None and dr != sr:
-            return False
-        return True
-
     n, m = len(detected), len(spec_labels)
     best_score = 0
     best_sets = set()
@@ -258,7 +246,7 @@ def brute_force_alignments(detected, spec_labels):
         for det_idx in itertools.combinations(range(n), size):
             for spec_idx in itertools.combinations(range(m), size):
                 if all(
-                    match(detected[d], spec_labels[s])
+                    reference._labels_match(detected[d], spec_labels[s], False)
                     for d, s in zip(det_idx, spec_idx)
                 ):
                     if size > best_score:
@@ -422,9 +410,7 @@ class TestAssociateRansac:
         h = Homography1D(a=3.0, c=50.0, g=0.001)
         indices = [0, 2, 3, 4, 6, 7]
         det = exact_detection(alternating_spec, indices, h)
-        alignments = align_labels_dp(
-            [(e.left_label, e.right_label) for e in det.edges], alternating_spec
-        )
+        alignments = align_labels_dp(det.side_labels, alternating_spec)
         hypotheses = associate_ransac(det, alternating_spec, alignments)
         assert all(len(h2.pairs) == len(indices) for h2 in hypotheses)
         # the true forward mapping ties at the maximum; ambiguous
@@ -436,9 +422,7 @@ class TestAssociateRansac:
         h = Homography1D(a=3.0, c=50.0, g=0.001)
         indices = [1, 2, 3, 4, 6, 7]
         det = exact_detection(anchored_spec, indices, h)
-        alignments = align_labels_dp(
-            [(e.left_label, e.right_label) for e in det.edges], anchored_spec
-        )
+        alignments = align_labels_dp(det.side_labels, anchored_spec)
         hypotheses = associate_ransac(det, anchored_spec, alignments)
         assert len(hypotheses) == 1
         winner = hypotheses[0]
@@ -454,10 +438,7 @@ class TestAssociateRansac:
         spur = detection_from([(t_spur, RED, GREEN)]).edges[0]
         edges = sorted(det.edges + [spur], key=lambda e: e.axis_coordinate)
         det_with_spur = DetectionResult(edges=edges, line=det.line)
-        alignments = align_labels_dp(
-            [(e.left_label, e.right_label) for e in det_with_spur.edges],
-            anchored_spec,
-        )
+        alignments = align_labels_dp(det_with_spur.side_labels, anchored_spec)
         hypotheses = associate_ransac(det_with_spur, anchored_spec, alignments)
         spur_idx = next(i for i, e in enumerate(edges) if e is spur)
         best = hypotheses[0]
@@ -467,17 +448,13 @@ class TestAssociateRansac:
     def test_three_detections_trivial(self, alternating_spec):
         h = Homography1D(a=2.0, c=10.0, g=0.0)
         det = exact_detection(alternating_spec, [1, 2, 3], h)
-        alignments = align_labels_dp(
-            [(e.left_label, e.right_label) for e in det.edges], alternating_spec
-        )
+        alignments = align_labels_dp(det.side_labels, alternating_spec)
         hypotheses = associate_ransac(det, alternating_spec, alignments)
         assert max(len(h2.pairs) for h2 in hypotheses) == 3
 
     def test_fewer_than_three_matches_raises(self, alternating_spec):
         det = detection_from([(0.0, RED, GREEN), (10.0, GREEN, RED)])
-        alignments = align_labels_dp(
-            [(e.left_label, e.right_label) for e in det.edges], alternating_spec
-        )
+        alignments = align_labels_dp(det.side_labels, alternating_spec)
         with pytest.raises(InsufficientMatchesError):
             associate_ransac(det, alternating_spec, alignments)
 
@@ -485,9 +462,7 @@ class TestAssociateRansac:
         h = Homography1D(a=3.0, c=40.0, g=0.0005)
         indices = [1, 2, 3, 5, 6]
         det = exact_detection(anchored_spec, indices, h, reversed_=True)
-        alignments = align_labels_dp(
-            [(e.left_label, e.right_label) for e in det.edges], anchored_spec
-        )
+        alignments = align_labels_dp(det.side_labels, anchored_spec)
         hypotheses = associate_ransac(det, anchored_spec, alignments)
         best = hypotheses[0]
         assert best.orientation == "reversed"
@@ -497,8 +472,7 @@ class TestAssociateRansac:
         h = Homography1D(a=3.0, c=50.0, g=0.001)
         indices = [0, 2, 3, 5, 6, 7]
         det = exact_detection(alternating_spec, indices, h)
-        labels = [(e.left_label, e.right_label) for e in det.edges]
-        alignments = align_labels_dp(labels, alternating_spec)
+        alignments = align_labels_dp(det.side_labels, alternating_spec)
         base = associate_ransac(det, alternating_spec, alignments)
 
         scaled_edges = []
@@ -529,9 +503,7 @@ class TestAssociateRansac:
         h = Homography1D(a=2.5, c=30.0, g=0.0008)
         indices = list(range(8))
         det = exact_detection(anchored_spec, indices, h)
-        alignments = align_labels_dp(
-            [(e.left_label, e.right_label) for e in det.edges], anchored_spec
-        )
+        alignments = align_labels_dp(det.side_labels, anchored_spec)
         hypotheses = associate_ransac(det, anchored_spec, alignments)
         assert len(hypotheses) == 1
         assert {d for d, _ in hypotheses[0].pairs} == set(range(len(det.edges)))
@@ -543,7 +515,7 @@ def _associate_reference(result, spec, alignments):
     Returns (orientation, pairs, homography) per hypothesis.
     """
     t_coords = np.array([e.axis_coordinate for e in result.edges], dtype=np.float64)
-    labels = [(e.left_label, e.right_label) for e in result.edges]
+    labels = result.side_labels
     t_lo, t_hi = float(t_coords.min()), float(t_coords.max())
     b = spec.distances_mm
     pools = {}
@@ -591,9 +563,8 @@ def _associate_reference(result, spec, alignments):
 
 
 def _assert_same_hypotheses(det, spec, seed=0):
-    labels = [(e.left_label, e.right_label) for e in det.edges]
     try:
-        alignments = align_labels_dp(labels, spec)
+        alignments = align_labels_dp(det.side_labels, spec)
     except NoAssociationError:
         return None
     try:
@@ -693,7 +664,7 @@ class TestAssociateRansacEquivalence:
         det = detection_from([(0.0, RED, RED), (0.0, RED, GREEN), (10.0, GREEN, BLUE),
                               (20.0, BLUE, RED)])
         assert _assert_same_hypotheses(det, spec) is None
-        alignments = align_labels_dp([(e.left_label, e.right_label) for e in det.edges], spec)
+        alignments = align_labels_dp(det.side_labels, spec)
         with pytest.raises(InsufficientMatchesError, match="three inliers"):
             associate_ransac(det, spec, alignments)
 

@@ -43,9 +43,7 @@ def _run(trial, camera):
     )
     out = {}
     try:
-        alignments = association.align_labels_dp(
-            [(e.left_label, e.right_label) for e in det.edges], spec
-        )
+        alignments = association.align_labels_dp(det.side_labels, spec)
         out["alignments"] = repr(alignments)
         hypotheses = association.associate_ransac(det, spec, alignments)
         out["hypotheses"] = [reference.correspondence_bits(c) for c in hypotheses]

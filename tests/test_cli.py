@@ -125,6 +125,28 @@ def track(workspace, frames, prefix, *flags):
     ])
 
 
+def calibrate(workspace, tmp_path, image, mask):
+    """main's exit code for calibrate under the workspace's config on image
+    and mask, saved in tmp_path; the model goes to tmp_path / "model.json"."""
+    save_ppm(image, tmp_path / "image.ppm")
+    save_pgm(mask, tmp_path / "mask.pgm")
+    return main([
+        "--config", str(workspace["config"]),
+        "calibrate", "--image", str(tmp_path / "image.ppm"),
+        "--mask", str(tmp_path / "mask.pgm"), "--out", str(tmp_path / "model.json"),
+    ])
+
+
+def evaluate(config, tmp_path, sweep):
+    """main's exit code for eval under the config at path config of the
+    sweep spec (a document, or the file's text), saved in tmp_path; the
+    report goes to tmp_path / "report.csv"."""
+    path = tmp_path / "sweep.json"
+    path.write_text(sweep if isinstance(sweep, str) else json.dumps(sweep))
+    return main(["--config", str(config), "eval", "--sweep", str(path),
+                 "--out", str(tmp_path / "report.csv")])
+
+
 def frame_dir(workspace, path, names):
     """A directory at path holding the workspace's frame under each name."""
     path.mkdir()
@@ -297,16 +319,14 @@ def _assert_named_error_line(workspace, tmp_path, capsys, doc, path, value, mess
         "sweep": {"depths_mm": [330.0], "angles_deg": [0.0], "noise_px": 0.0, "roll_deg": 4.0},
     }
     docs[doc] = _mutated(docs[doc], path, value)
-    for name, data in docs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    out_path = tmp_path / "report.csv"
+    for name in ("config", "colors"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(docs[name]))
     if doc == "sweep":
-        code = main(["--config", str(tmp_path / "config.json"), "eval",
-                     "--sweep", str(tmp_path / "sweep.json"), "--out", str(out_path)])
+        code = evaluate(tmp_path / "config.json", tmp_path, docs["sweep"])
     else:
         code = probe(workspace, config=tmp_path / "config.json", colors=tmp_path / "colors.json")
     assert message in config_error(code, capsys)
-    assert not out_path.exists()
+    assert not (tmp_path / "report.csv").exists()
 
 
 class TestConfigValidation:
@@ -633,24 +653,8 @@ class TestConfigValidation:
         self, workspace, tmp_path, capsys, source, path, field
     ):
         # float() of a 401-digit integer raises OverflowError
-        data = {
-            "config": make_config_dict(),
-            "sweep": {"depths_mm": [330.0], "angles_deg": [0.0]},
-            "colors": json.loads(workspace["colors"].read_text()),
-        }
-        node = data[source]
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = 10**400
-        paths = {"config": workspace["config"], "colors": workspace["colors"]}
-        paths[source] = tmp_path / f"{source}.json"
-        paths[source].write_text(json.dumps(data[source]))
-        if source == "sweep":
-            code = main(["--config", str(paths["config"]), "eval", "--sweep",
-                         str(paths["sweep"]), "--out", str(tmp_path / "r.csv")])
-        else:
-            code = probe(workspace, config=paths["config"], colors=paths["colors"])
-        assert f"{field} is an integer too large for a float64" in config_error(code, capsys)
+        _assert_named_error_line(workspace, tmp_path, capsys, source, path, 10**400,
+                                 f"{field} is an integer too large for a float64")
 
 
 class TestDocumentMutations:
@@ -723,17 +727,8 @@ class TestCalibrateCommand:
         self, workspace, quad_spec, small_camera, capsys, tmp_path
     ):
         img, mask = _calibration_frame(quad_spec, small_camera)
-        img_path = tmp_path / "cal.ppm"
-        mask_path = tmp_path / "cal_mask.pgm"
+        assert calibrate(workspace, tmp_path, img, mask) == EXIT_OK
         out_path = tmp_path / "model.json"
-        save_ppm(img, img_path)
-        save_pgm(mask, mask_path)
-        code = main([
-            "--config", str(workspace["config"]),
-            "calibrate", "--image", str(img_path),
-            "--mask", str(mask_path), "--out", str(out_path),
-        ])
-        assert code == EXIT_OK
         model = load_color_model(out_path)
         assert model.labels == (1, 2)
         # modal hues land near the rendered band hues
@@ -761,77 +756,37 @@ class TestCalibrateCommand:
         )
 
     def test_unknown_mask_class_is_config_mismatch(self, workspace, tmp_path, capsys):
-        px = np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.5)
-        img_path = tmp_path / "cal.ppm"
-        mask_path = tmp_path / "mask.pgm"
-        from bandpointer.imaging import RasterImage
-        save_ppm(RasterImage(px), img_path)
+        gray = RasterImage(np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.5))
         mask = np.zeros((SIZE_SMALL[1], SIZE_SMALL[0]), dtype=np.uint8)
         mask[10:30, 10:30] = 7  # class 7 not in config
-        save_pgm(mask, mask_path)
-        code = main([
-            "--config", str(workspace["config"]),
-            "calibrate", "--image", str(img_path),
-            "--mask", str(mask_path), "--out", str(tmp_path / "m.json"),
-        ])
-        assert code == EXIT_ERROR
+        assert calibrate(workspace, tmp_path, gray, mask) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("config error: mask references class ids [7]")
 
     def test_one_labeled_class_exits_with_one_line(self, workspace, tmp_path, capsys):
-        px = np.empty((SIZE_SMALL[1], SIZE_SMALL[0], 3))
-        px[:] = (0.9, 0.1, 0.1)
-        from bandpointer.imaging import RasterImage
-        img_path = tmp_path / "red.ppm"
-        mask_path = tmp_path / "mask.pgm"
-        out_path = tmp_path / "m.json"
-        save_ppm(RasterImage(px), img_path)
+        red = RasterImage(np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), (0.9, 0.1, 0.1)))
         mask = np.zeros((SIZE_SMALL[1], SIZE_SMALL[0]), dtype=np.uint8)
         mask[:100] = 1
-        save_pgm(mask, mask_path)
-        code = main([
-            "--config", str(workspace["config"]),
-            "calibrate", "--image", str(img_path),
-            "--mask", str(mask_path), "--out", str(out_path),
-        ])
-        assert code == EXIT_ERROR
+        assert calibrate(workspace, tmp_path, red, mask) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: calibration mask labels 1 color class")
         assert err.count("\n") == 1
-        assert not out_path.exists()
+        assert not (tmp_path / "model.json").exists()
 
     def test_mask_size_mismatch_exits_with_one_line(self, workspace, tmp_path, capsys):
-        mask_path = tmp_path / "mask.pgm"
         mask = np.zeros((SIZE_SMALL[1] - 1, SIZE_SMALL[0]), dtype=np.uint8)
         mask[:100] = 1
-        save_pgm(mask, mask_path)
-        out_path = tmp_path / "m.json"
-        code = main([
-            "--config", str(workspace["config"]),
-            "calibrate", "--image", str(workspace["frame"]),
-            "--mask", str(mask_path), "--out", str(out_path),
-        ])
-        assert code == EXIT_ERROR
+        assert calibrate(workspace, tmp_path, load_image(workspace["frame"]), mask) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: mask shape") and err.count("\n") == 1
-        assert not out_path.exists()
+        assert not (tmp_path / "model.json").exists()
 
     def test_grayscale_image_insufficient(self, workspace, tmp_path):
-        px = np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.5)
-        from bandpointer.imaging import RasterImage
-        img_path = tmp_path / "gray.ppm"
-        mask_path = tmp_path / "mask.pgm"
-        save_ppm(RasterImage(px), img_path)
+        gray = RasterImage(np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.5))
         mask = np.zeros((SIZE_SMALL[1], SIZE_SMALL[0]), dtype=np.uint8)
         mask[:100] = 1
         mask[100:200] = 2
-        save_pgm(mask, mask_path)
-        code = main([
-            "--config", str(workspace["config"]),
-            "calibrate", "--image", str(img_path),
-            "--mask", str(mask_path), "--out", str(tmp_path / "m.json"),
-        ])
-        assert code == EXIT_ERROR
+        assert calibrate(workspace, tmp_path, gray, mask) == EXIT_ERROR
 
 
 class TestProbeCommand:
@@ -846,7 +801,6 @@ class TestProbeCommand:
         assert np.linalg.norm(tip - workspace["scene"].pose.tip) < 5.0
 
     def test_probe_without_pointer_exits_not_found(self, workspace, tmp_path, capsys):
-        from bandpointer.imaging import RasterImage
         px = np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.45)
         path = tmp_path / "empty.ppm"
         save_ppm(RasterImage(px), path)
@@ -1042,7 +996,6 @@ class TestTrackCommand:
         names = [f"frame_{i:03d}.ppm" for i in range(5)]
         frames_dir = frame_dir(workspace, tmp_path / "frames", names)
         # one corrupted frame: uniform background
-        from bandpointer.imaging import RasterImage
         blank = RasterImage(np.full((SIZE_SMALL[1], SIZE_SMALL[0], 3), 0.45))
         save_ppm(blank, frames_dir / "frame_002.ppm")
 
@@ -1193,23 +1146,12 @@ class TestEvalCommand:
         assert rho > 0
 
     def test_eval_command_writes_deterministic_csv(self, workspace, tmp_path):
-        sweep_path = tmp_path / "sweep.json"
-        sweep_path.write_text(json.dumps({
-            "depths_mm": [330.0, 420.0],
-            "angles_deg": [0.0, 25.0],
-            "trials": 10,
-            "noise_px": 0.5,
-            "seed": 7,
-        }))
+        sweep = {"depths_mm": [330.0, 420.0], "angles_deg": [0.0, 25.0], "trials": 10,
+                 "noise_px": 0.5, "seed": 7}
         outs = []
-        for run in range(2):
-            out_path = tmp_path / f"report{run}.csv"
-            code = main([
-                "--config", str(workspace["config"]),
-                "eval", "--sweep", str(sweep_path), "--out", str(out_path),
-            ])
-            assert code == EXIT_OK
-            outs.append(out_path.read_bytes())
+        for _ in range(2):
+            assert evaluate(workspace["config"], tmp_path, sweep) == EXIT_OK
+            outs.append((tmp_path / "report.csv").read_bytes())
         assert outs[0] == outs[1]
         header = outs[0].decode().splitlines()[0]
         assert header.startswith("depth_mm,angle_deg,trials,failures")
@@ -1246,15 +1188,8 @@ class TestEvalCommand:
     def test_malformed_sweep_spec_exits_with_one_line(
         self, workspace, tmp_path, capsys, text
     ):
-        sweep_path = tmp_path / "sweep.json"
-        sweep_path.write_text(text)
-        out_path = tmp_path / "report.csv"
-        code = main([
-            "--config", str(workspace["config"]),
-            "eval", "--sweep", str(sweep_path), "--out", str(out_path),
-        ])
-        err = config_error(code, capsys)
-        assert not out_path.exists()
+        config_error(evaluate(workspace["config"], tmp_path, text), capsys)
+        assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize(
         "spec, field",
@@ -1269,16 +1204,9 @@ class TestEvalCommand:
     def test_boolean_sweep_number_rejected_by_name(
         self, workspace, tmp_path, capsys, spec, field
     ):
-        sweep_path = tmp_path / "sweep.json"
-        sweep_path.write_text(json.dumps(spec))
-        out_path = tmp_path / "report.csv"
-        code = main([
-            "--config", str(workspace["config"]),
-            "eval", "--sweep", str(sweep_path), "--out", str(out_path),
-        ])
-        err = config_error(code, capsys)
+        err = config_error(evaluate(workspace["config"], tmp_path, spec), capsys)
         assert f"{field} must not be a boolean" in err
-        assert not out_path.exists()
+        assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -1363,17 +1291,10 @@ class TestEvalCommand:
         data["camera"]["k_row_major"] = [600.0, 0.0, 305.5, 0.0, 600.0, 255.5, 0.0, 0.0, 1.0]
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
-        sweep_path = tmp_path / "sweep.json"
-        sweep_path.write_text(json.dumps(
-            {"depths_mm": [20.0, 300.0], "angles_deg": [80.0], "trials": 2}
-        ))
-        out_path = tmp_path / "report.csv"
-        code = main([
-            "--config", str(config_path),
-            "eval", "--sweep", str(sweep_path), "--out", str(out_path),
-        ])
-        assert code == EXIT_OK
-        _, near, far = [r.split(",") for r in out_path.read_text().splitlines()]
+        sweep = {"depths_mm": [20.0, 300.0], "angles_deg": [80.0], "trials": 2}
+        assert evaluate(config_path, tmp_path, sweep) == EXIT_OK
+        report = (tmp_path / "report.csv").read_text()
+        _, near, far = [r.split(",") for r in report.splitlines()]
         assert near[:5] == ["20.000", "80.000", "2", "2", "nan"]
         assert far[:4] == ["300.000", "80.000", "2", "0"]
 

@@ -97,6 +97,15 @@ def rg_colors():
 ADJ_RG = {frozenset((RED, GREEN))}
 
 
+def two_band_strip(shape=(64, 96)):
+    """Gray pixels of the given (height, width) holding a 12 px tall red
+    band and the green band right of it."""
+    px = np.full(shape + (3,), 0.45)
+    px[26:38, 8:48] = BAND_RGB[RED]
+    px[26:38, 48:88] = BAND_RGB[GREEN]
+    return px
+
+
 class TestDetectBandRegions:
     def test_blank_image(self, rg_colors, params):
         px = np.full((64, 64, 3), 0.45)
@@ -104,16 +113,11 @@ class TestDetectBandRegions:
         assert regions == []
 
     def test_two_band_cylinder(self, rg_colors, params):
-        px = np.full((64, 96, 3), 0.45)
-        px[26:38, 8:48] = BAND_RGB[RED]
-        px[26:38, 48:88] = BAND_RGB[GREEN]
-        regions = detect_band_regions(hs_of(px), rg_colors, ADJ_RG, 0.25, 2)
+        regions = detect_band_regions(hs_of(two_band_strip()), rg_colors, ADJ_RG, 0.25, 2)
         assert sorted(r.label for r in regions) == [RED, GREEN]
 
     def test_isolated_blob_removed_by_adjacency(self, rg_colors, params):
-        px = np.full((100, 180, 3), 0.45)
-        px[26:38, 8:48] = BAND_RGB[RED]
-        px[26:38, 48:88] = BAND_RGB[GREEN]
+        px = two_band_strip((100, 180))
         # same color, far beyond the adjacency distance of 2*2+4
         px[70:90, 150:170] = BAND_RGB[RED]
         regions = detect_band_regions(hs_of(px), rg_colors, ADJ_RG, 0.25, 2)
@@ -122,33 +126,22 @@ class TestDetectBandRegions:
             assert reg.centroid[1] < 50
 
     def test_roi_restricts_classification(self, rg_colors, params):
-        from bandpointer.geometry import OrientedBox
-
-        px = np.full((64, 96, 3), 0.45)
-        px[26:38, 8:48] = BAND_RGB[RED]
-        px[26:38, 48:88] = BAND_RGB[GREEN]
         far_box = [OrientedBox(
-            center=np.array([10.0, 55.0]),
-            axes=np.eye(2),
-            half_extents=np.array([6.0, 6.0]),
+            center=np.array([10.0, 55.0]), axes=np.eye(2), half_extents=np.array([6.0, 6.0]),
         )]
-        regions = detect_band_regions(
-            hs_of(px), rg_colors, ADJ_RG, 0.25, 2, roi=far_box
-        )
-        assert regions == []
+        hs = hs_of(two_band_strip())
+        assert detect_band_regions(hs, rg_colors, ADJ_RG, 0.25, 2, roi=far_box) == []
 
     @pytest.mark.parametrize("center", [(-20.0, -20.0), (120.0, 30.0), (40.0, 90.0)],
                              ids=["above-left", "right", "below"])
     def test_roi_wholly_outside_frame_finds_nothing(self, rg_colors, center):
         # the boxes' window is empty, so nothing is classified
-        px = np.full((64, 96, 3), 0.45)
-        px[26:38, 8:48] = BAND_RGB[RED]
-        px[26:38, 48:88] = BAND_RGB[GREEN]
         outside = [OrientedBox(
             center=np.array(center), axes=np.eye(2), half_extents=np.array([6.0, 6.0]),
         )]
         assert boxes_mask(outside, 96, 64)[1].size == 0
-        assert detect_band_regions(hs_of(px), rg_colors, ADJ_RG, 0.25, 2, roi=outside) == []
+        hs = hs_of(two_band_strip())
+        assert detect_band_regions(hs, rg_colors, ADJ_RG, 0.25, 2, roi=outside) == []
 
 
 class TestAdjacencyReach:
@@ -1020,7 +1013,7 @@ def _label_reference(pairs, regions, line2):
         left = max(below, key=lambda p: p[0])[1] if below else None
         right = min(above, key=lambda p: p[0])[1] if above else None
         labels.append((None, None) if left is not None and left == right else (left, right))
-    return labels
+    return tuple(labels)
 
 
 class TestExtractEdgePairsEquivalence:
@@ -1044,13 +1037,12 @@ class TestExtractEdgePairsEquivalence:
         assert [(e.axis_coordinate, e.p_a.tobytes(), e.p_b.tobytes()) for e in result.edges] == [
             (t, a.tobytes(), b.tobytes()) for t, a, b in edges
         ]
-        labeled = label_edge_pairs(result.edges, regions, result.line).edges
+        labeled = label_edge_pairs(result.edges, regions, result.line)
         # the pairs come through in their order, only labeled
         assert all(r.p_a is e.p_a and r.p_b is e.p_b
-                   for r, e in zip(labeled, result.edges, strict=True))
-        labels = [(e.left_label, e.right_label) for e in labeled]
-        assert labels == _label_reference(result.edges, regions, result.line)
-        return labels
+                   for r, e in zip(labeled.edges, result.edges, strict=True))
+        assert labeled.side_labels == _label_reference(result.edges, regions, result.line)
+        return labeled.side_labels
 
     @pytest.mark.parametrize("angle_deg, blur", [(0.0, 0.0), (35.0, 2.0), (60.0, 0.0), (71.0, 3.0)])
     def test_quad_scenes(self, quad_spec, small_camera, small_colors, params, angle_deg, blur):
@@ -1098,8 +1090,7 @@ class TestLabelEdgePairs:
         ]
         pairs = [make_pair(20.5), make_pair(40.5), make_pair(60.5)]
         result = label_edge_pairs(pairs, regions, self.line())
-        labels = [(e.left_label, e.right_label) for e in result.edges]
-        assert labels == [(RED, GREEN), (GREEN, RED), (RED, GREEN)]
+        assert result.side_labels == ((RED, GREEN), (GREEN, RED), (RED, GREEN))
 
     def test_terminal_junction_undefined_outside(self):
         regions = [self.band_region(0, 20, RED)]
@@ -1166,10 +1157,10 @@ class TestDetectPointer:
         assert len(base.edges) >= 2
         assert base.line.point.tobytes() == other.line.point.tobytes()
         assert base.line.direction.tobytes() == other.line.direction.tobytes()
+        assert base.side_labels == other.side_labels
         for e0, e1 in zip(base.edges, other.edges, strict=True):
             assert e0.p_a.tobytes() == e1.p_a.tobytes()
             assert e0.p_b.tobytes() == e1.p_b.tobytes()
-            assert (e0.left_label, e0.right_label) == (e1.left_label, e1.right_label)
         base_pass2, other_pass2 = (_two_passes(img, small_colors, quad_spec, p)[2] for p in seeded)
         assert [r.pixels.tobytes() for r in base_pass2] == [
             r.pixels.tobytes() for r in other_pass2
